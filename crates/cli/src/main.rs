@@ -8,7 +8,7 @@
 use eba_core::{EngineSession, SessionScope};
 use eba_kripke::explain::Timeline;
 use eba_kripke::parse::parse_formula;
-use eba_kripke::{Evaluator, Formula, KnowledgeCache, SetReprKind};
+use eba_kripke::{Evaluator, Formula, KnowledgeCache};
 use eba_model::{
     BudgetHit, ExchangeKind, FailureMode, FailurePattern, FaultyBehavior, InitialConfig, ProcSet,
     ProcessorId, Round, RunBudget, Scenario, Time, Value,
@@ -61,25 +61,6 @@ OPTIONS:
                      resolved count on a `threads:` preamble line; an
                      explicit N never prints it, so output stays
                      byte-identical across explicit thread counts
-    --plan           evaluate via compiled plans: formulas are lowered to
-                     a deduplicated DAG of bitset kernels over the
-                     columnar point store (default)
-    --no-plan        evaluate with the recursive reference evaluator
-                     instead; results are bit-identical to --plan
-    --set-repr dense|shared
-                     set-representation backend of the knowledge cache
-                     (default dense). `dense` stores cached reachability
-                     and scope columns as word-block bitsets. `shared`
-                     interns them into a hash-consed node table so that
-                     near-identical sets (the common case across horizon
-                     sweeps and candidate families) share structure, and
-                     combines interned sets through a memoized apply
-                     cache. Verdicts, counterexamples, and fixpoint
-                     iteration counts are bit-identical across backends —
-                     the setrepr-equivalence CI job diffs them — only
-                     memory residency and the --cache-stats counters
-                     change. `shared` prints a `set-repr: shared`
-                     preamble line
     --shards K       split exhaustive generation into K shards (default:
                      4 per thread; the result is identical for any K)
     --deadline SECS  wall-clock budget for exhaustive generation; on
@@ -104,11 +85,10 @@ OPTIONS:
     --witness        also print a point where the formula holds
     --cache-stats    after the verdict, print knowledge-cache counters
                      (reachability and scope-column hits/misses, interned
-                     scope dedup; under --set-repr shared also node-table
-                     size, dedup ratio, and memo hits) on a `cache:`
-                     line, and the work-stealing pool counters (pool
-                     runs, items, steals, last run's per-worker item
-                     counts and busy spans) on a `scheduler:` line
+                     scope dedup) on a `cache:` line, and the
+                     work-stealing pool counters (pool runs, items,
+                     steals, last run's per-worker item counts and busy
+                     spans) on a `scheduler:` line
     --quiet          print only the verdict line
     --timeline       timeline mode: print per-time truth values of the
                      FORMULAs along one run, selected with --config and
@@ -171,8 +151,6 @@ struct Options {
     witness: bool,
     cache_stats: bool,
     quiet: bool,
-    plan: bool,
-    set_repr: SetReprKind,
     timeline: bool,
     config: Option<String>,
     pattern: Option<String>,
@@ -198,8 +176,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         witness: false,
         cache_stats: false,
         quiet: false,
-        plan: true,
-        set_repr: SetReprKind::Dense,
         timeline: false,
         config: None,
         pattern: None,
@@ -302,13 +278,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--witness" => options.witness = true,
             "--cache-stats" => options.cache_stats = true,
             "--quiet" => options.quiet = true,
-            "--plan" => options.plan = true,
-            "--no-plan" => options.plan = false,
-            "--set-repr" => {
-                let spec = take("--set-repr")?;
-                options.set_repr = SetReprKind::parse(&spec)
-                    .ok_or_else(|| format!("--set-repr needs dense|shared, got `{spec}`"))?;
-            }
             "--timeline" => options.timeline = true,
             "--config" => options.config = Some(take("--config")?),
             "--pattern" => options.pattern = Some(take("--pattern")?),
@@ -509,11 +478,7 @@ fn check_valid(
     options: &Options,
     cache: Option<KnowledgeCache>,
 ) -> bool {
-    let mut eval = match cache {
-        Some(cache) => Evaluator::with_cache(system, cache),
-        None => Evaluator::with_cache(system, KnowledgeCache::with_repr(options.set_repr)),
-    };
-    eval.set_plan_mode(options.plan);
+    let mut eval = Evaluator::with_cache(system, cache.unwrap_or_default());
     if let Some(threads) = options.threads {
         eval.set_threads(threads);
     }
@@ -603,8 +568,7 @@ fn run_sweep(
                 return Ok(ExitCode::SUCCESS);
             }
         };
-        let mut session =
-            EngineSession::from_system_with_repr(base, SessionScope::FullSpace, options.set_repr);
+        let mut session = EngineSession::from_system(base, SessionScope::FullSpace);
         if let Some(threads) = options.threads {
             session.set_threads(threads);
         }
@@ -658,12 +622,6 @@ fn run() -> Result<ExitCode, String> {
         if let Some(threads) = options.threads {
             println!("threads: {threads} (auto)");
         }
-    }
-    // Only the non-default backend prints, so dense output stays
-    // byte-identical to previous releases (and the setrepr-equivalence
-    // CI job diffs dense vs shared under --quiet, where neither prints).
-    if options.set_repr == SetReprKind::Shared && !options.quiet {
-        println!("set-repr: {}", options.set_repr);
     }
 
     if options.sweep_cold && options.horizon_sweep.is_none() {
@@ -840,9 +798,7 @@ fn run() -> Result<ExitCode, String> {
     }
 
     if let Some((config, pattern)) = timeline_run {
-        let mut eval =
-            Evaluator::with_cache(&system, KnowledgeCache::with_repr(options.set_repr));
-        eval.set_plan_mode(options.plan);
+        let mut eval = Evaluator::new(&system);
         if let Some(threads) = options.threads {
             eval.set_threads(threads);
         }

@@ -113,6 +113,14 @@ fn parse_errors_exit_two() {
 }
 
 #[test]
+fn formulas_nested_past_the_depth_cap_exit_two_not_abort() {
+    let bangs = format!("{}true", "!".repeat(100_000));
+    let (_, stderr, code) = run(&["--quiet", &bangs]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("nests deeper than 256 levels"), "{stderr}");
+}
+
+#[test]
 fn usage_errors_exit_two() {
     let (_, stderr, code) = run(&["--mode", "byzantine", "E0"]);
     assert_eq!(code, Some(2));

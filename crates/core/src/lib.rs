@@ -74,5 +74,3 @@ pub use properties::{
     decision_profile, strict_validity_violations, verify_properties, PropertyReport,
 };
 pub use session::{EngineSession, SessionScope};
-
-pub use eba_kripke::{SetReprKind, SetReprStats};

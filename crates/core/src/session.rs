@@ -52,7 +52,7 @@
 //! ```
 
 use crate::Constructor;
-use eba_kripke::{Evaluator, KnowledgeCache, SetReprKind};
+use eba_kripke::{Evaluator, KnowledgeCache};
 use eba_model::{ModelError, Scenario, Time};
 use eba_sim::{ExtendReport, GeneratedSystem, SystemBuilder};
 
@@ -91,22 +91,8 @@ impl EngineSession {
     /// Returns [`ModelError::CapacityExceeded`] when the scenario
     /// overflows the run or view id space.
     pub fn exhaustive(scenario: &Scenario) -> Result<Self, ModelError> {
-        Self::exhaustive_with_repr(scenario, SetReprKind::Dense)
-    }
-
-    /// [`exhaustive`](EngineSession::exhaustive) with an explicit
-    /// set-representation backend for the session's knowledge cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::CapacityExceeded`] when the scenario
-    /// overflows the run or view id space.
-    pub fn exhaustive_with_repr(
-        scenario: &Scenario,
-        repr: SetReprKind,
-    ) -> Result<Self, ModelError> {
         let system = SystemBuilder::new(scenario).build()?;
-        Ok(Self::from_system_with_repr(system, SessionScope::FullSpace, repr))
+        Ok(Self::from_system(system, SessionScope::FullSpace))
     }
 
     /// Opens a session on an existing system. `scope` must reflect how
@@ -116,25 +102,9 @@ impl EngineSession {
     /// [`SessionScope::PinnedRuns`] for anything else.
     #[must_use]
     pub fn from_system(system: GeneratedSystem, scope: SessionScope) -> Self {
-        Self::from_system_with_repr(system, scope, SetReprKind::Dense)
-    }
-
-    /// [`from_system`](EngineSession::from_system) with an explicit
-    /// set-representation backend for the session's knowledge cache:
-    /// [`SetReprKind::Dense`] stores word-block bitsets verbatim,
-    /// [`SetReprKind::Shared`] interns cached artifacts into a
-    /// hash-consed node table. Query results are bit-identical either
-    /// way; the backend only changes how cached sets are stored and
-    /// combined.
-    #[must_use]
-    pub fn from_system_with_repr(
-        system: GeneratedSystem,
-        scope: SessionScope,
-        repr: SetReprKind,
-    ) -> Self {
         EngineSession {
             system,
-            cache: KnowledgeCache::with_repr(repr),
+            cache: KnowledgeCache::new(),
             scope,
             extensions: Vec::new(),
             threads: None,
@@ -203,12 +173,6 @@ impl EngineSession {
     #[must_use]
     pub fn scope(&self) -> SessionScope {
         self.scope
-    }
-
-    /// The set-representation backend of the session's knowledge cache.
-    #[must_use]
-    pub fn set_repr(&self) -> SetReprKind {
-        self.cache.set_repr()
     }
 
     /// The shared knowledge cache (clone it to share with ad-hoc

@@ -235,13 +235,6 @@ impl Bitset {
         &mut self.words
     }
 
-    /// The backing words (canonical: bits at and above `len` are zero,
-    /// so equal sets have equal word vectors). This is what the shared
-    /// set-representation backend interns.
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// In-place `self &= (¬antecedent ∨ consequent)` — intersects `self`
     /// with the pointwise implication `antecedent → consequent`. This is
     /// the word-level form of one conjunct of `E_S φ`: a point survives

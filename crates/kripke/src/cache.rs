@@ -42,29 +42,11 @@
 //! [`KnowledgeCache::advance_epoch`], which invalidates every
 //! point-indexed entry (they are sized to the old system) while
 //! preserving the handle, its clones, and its counters.
-//!
-//! # Set-representation backends
-//!
-//! A cache is constructed for one [`SetReprKind`]
-//! ([`KnowledgeCache::with_repr`]; the default is dense) and every
-//! evaluator wired to it inherits the choice. Under the **shared**
-//! backend the cache owns a [`NodeTable`] and stores its set-typed
-//! content through it: `NonfaultyAnd` content keys become
-//! [`ReachSel::SharedFamily`] root vectors, and scope columns are stored
-//! as per-processor roots (materialized back to dense bitsets on
-//! lookup — each evaluator materializes a set at most once, into its
-//! local memo). All *computation* stays dense, which is what keeps the
-//! two backends bit-identical; see [`crate::setrepr`] for the
-//! discipline. The node table's bytes are part of
-//! [`CacheStats::resident_bytes`], and its lifetime is fenced exactly
-//! like every other entry: epoch advances and [`KnowledgeCache::clear`]
-//! drop it wholesale, so no stale root id can ever be re-resolved.
 
 use crate::bitset::Bitset;
 use crate::eval::Reachability;
-use crate::setrepr::{NodeTable, SetReprKind, SetReprStats, SharedWords};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,20 +91,12 @@ pub(crate) enum ReachSel {
     Everyone,
     Nonfaulty,
     NonfaultyAnd(Vec<Box<[u64]>>),
-    /// The shared-backend form of `NonfaultyAnd`: per-processor roots in
-    /// the cache's [`NodeTable`]. Interning is canonical, so root
-    /// equality **is** content equality — but only within the table that
-    /// issued the roots, which is why a cache and its table are
-    /// constructed (and epoch-cleared) as one unit and handles never
-    /// cross caches.
-    SharedFamily(Vec<SharedWords>),
 }
 
 /// The key-side heap bytes of a selector — the resident cost of keeping
-/// a registered family's content addressable. Only word payloads are
-/// counted (dense: the membership words; shared: the root handles),
-/// mirroring the value-side accounting, which ignores container
-/// overhead.
+/// a registered family's content addressable. Only the membership words
+/// are counted, mirroring the value-side accounting, which ignores
+/// container overhead.
 fn sel_bytes(sel: &ReachSel) -> usize {
     match sel {
         ReachSel::Everyone | ReachSel::Nonfaulty => 0,
@@ -130,7 +104,6 @@ fn sel_bytes(sel: &ReachSel) -> usize {
             .iter()
             .map(|words| words.len() * std::mem::size_of::<u64>())
             .sum(),
-        ReachSel::SharedFamily(roots) => roots.len() * std::mem::size_of::<SharedWords>(),
     }
 }
 
@@ -171,15 +144,6 @@ impl HashedReachKey {
                     for &w in words.iter() {
                         mix(w);
                     }
-                }
-            }
-            // Roots are canonical within the owning table, so the digest
-            // over root ids is as content-determined as the dense digest
-            // over words — and O(n) instead of O(family words).
-            ReachSel::SharedFamily(roots) => {
-                mix(4);
-                for r in roots {
-                    mix((u64::from(r.root().raw()) << 32) | u64::from(r.len_words() as u32));
                 }
             }
         }
@@ -251,40 +215,14 @@ pub struct CacheStats {
     pub invalidated: u64,
     /// Approximate resident heap bytes of the currently cached
     /// structures: every live reachability structure, every *distinct*
-    /// interned scope-column vector (shared `Arc`s count once), the
+    /// interned scope-column vector (shared `Arc`s count once), and the
     /// content payload of every stored key (a registered family's
-    /// membership words — or its root handles under the shared backend),
-    /// and the shared backend's node table. Computed on demand by
-    /// walking the cache, so it reflects the moment of the
+    /// membership words). Computed on demand by walking the cache, so it
+    /// reflects the moment of the
     /// [`KnowledgeCache::stats`] call; the serve pool's eviction budget
     /// is driven by this figure plus
     /// `GeneratedSystem::approx_resident_bytes`.
     pub resident_bytes: u64,
-    /// Which set-representation backend the cache runs.
-    pub set_repr: SetReprKind,
-    /// Shared backend only: nodes resident in the table (0 under dense).
-    pub nodes: u64,
-    /// Shared backend only: cons requests answered by an existing node.
-    pub node_dedup_hits: u64,
-    /// Shared backend only: cons requests that created a fresh node.
-    pub node_fresh: u64,
-    /// Shared backend only: `apply` sub-combinations served from the
-    /// operation memo.
-    pub node_memo_hits: u64,
-}
-
-impl CacheStats {
-    /// Fraction of shared-backend cons requests answered structurally
-    /// (0.0 under the dense backend or on an untouched table).
-    #[must_use]
-    pub fn node_dedup_ratio(&self) -> f64 {
-        let total = self.node_dedup_hits + self.node_fresh;
-        if total == 0 {
-            0.0
-        } else {
-            self.node_dedup_hits as f64 / total as f64
-        }
-    }
 }
 
 impl fmt::Display for CacheStats {
@@ -303,21 +241,7 @@ impl fmt::Display for CacheStats {
             self.epoch,
             self.invalidated,
             self.resident_bytes,
-        )?;
-        // Dense output is unchanged (byte-identical to earlier releases);
-        // the shared backend appends its node-table counters.
-        if self.set_repr == SetReprKind::Shared {
-            write!(
-                f,
-                "; shared repr {} nodes ({} deduped / {} fresh, {:.2} ratio), {} memo hits",
-                self.nodes,
-                self.node_dedup_hits,
-                self.node_fresh,
-                self.node_dedup_ratio(),
-                self.node_memo_hits,
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -352,80 +276,21 @@ pub struct KnowledgeCache {
     /// The current epoch; entries inserted under an older epoch are never
     /// served (see [`KnowledgeCache::advance_epoch`]).
     epoch: Arc<AtomicU64>,
-    /// Which set-representation backend this cache (and everything wired
-    /// to it) runs; fixed at construction.
-    repr: SetReprKind,
-    /// The shared backend's node table; present iff `repr` is
-    /// [`SetReprKind::Shared`]. Paired with the cache for life: every
-    /// [`SharedWords`] stored in a key or scope entry resolves against
-    /// exactly this table, and both are purged together on epoch
-    /// advances.
-    nodes: Option<Arc<Mutex<NodeTable>>>,
-}
-
-/// One stored scope-column entry: dense columns outright, or per-processor
-/// node-table roots under the shared backend (plus the column bit length,
-/// needed to rebuild the bitsets on materialization).
-#[derive(Clone, Debug)]
-enum ScopeEntry {
-    Dense(ScopeColumns),
-    Shared { roots: Arc<Vec<SharedWords>>, bits: usize },
 }
 
 /// Scope-column storage: the key-addressed map plus the content-addressed
-/// interning pool. The dense pool holds digest buckets of distinct column
-/// vectors; the shared pool only needs root vectors (roots are canonical,
-/// so dedup is set membership).
+/// interning pool (digest buckets of distinct column vectors).
 #[derive(Debug, Default)]
 struct ScopeStore {
-    by_key: BucketMap<ScopeEntry>,
+    by_key: BucketMap<ScopeColumns>,
     pool: HashMap<u64, Vec<ScopeColumns>>,
-    shared_pool: HashSet<Vec<SharedWords>>,
 }
 
 impl KnowledgeCache {
-    /// An empty cache on the dense (default) backend.
+    /// An empty cache.
     #[must_use]
     pub fn new() -> Self {
         KnowledgeCache::default()
-    }
-
-    /// An empty cache on the given backend; see the module docs and
-    /// [`crate::setrepr`].
-    #[must_use]
-    pub fn with_repr(repr: SetReprKind) -> Self {
-        KnowledgeCache {
-            repr,
-            nodes: (repr == SetReprKind::Shared)
-                .then(|| Arc::new(Mutex::new(NodeTable::new()))),
-            ..KnowledgeCache::default()
-        }
-    }
-
-    /// Which set-representation backend the cache runs.
-    #[must_use]
-    pub fn set_repr(&self) -> SetReprKind {
-        self.repr
-    }
-
-    /// The shared backend's node table (`None` under dense). Crate
-    /// internals lock it to intern keys and plan results; handles it
-    /// issues must never meet another cache.
-    pub(crate) fn node_table(&self) -> Option<&Arc<Mutex<NodeTable>>> {
-        self.nodes.as_ref()
-    }
-
-    /// A snapshot of the shared backend's node-table counters (`None`
-    /// under the dense backend).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node-table mutex is poisoned.
-    #[must_use]
-    pub fn node_stats(&self) -> Option<SetReprStats> {
-        self.nodes
-            .as_ref()
-            .map(|t| t.lock().expect("node table poisoned").stats())
     }
 
     /// Number of reachability structures currently cached.
@@ -457,7 +322,6 @@ impl KnowledgeCache {
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         let c = &self.counters;
-        let node = self.node_stats().unwrap_or_default();
         CacheStats {
             reach_hits: c.reach_hits.load(Ordering::Relaxed),
             reach_misses: c.reach_misses.load(Ordering::Relaxed),
@@ -468,11 +332,6 @@ impl KnowledgeCache {
             epoch: self.epoch.load(Ordering::Relaxed),
             invalidated: c.epoch_invalidated.load(Ordering::Relaxed),
             resident_bytes: self.resident_bytes() as u64,
-            set_repr: self.repr,
-            nodes: node.nodes,
-            node_dedup_hits: node.dedup_hits,
-            node_fresh: node.fresh_nodes,
-            node_memo_hits: node.memo_hits,
         }
     }
 
@@ -499,8 +358,7 @@ impl KnowledgeCache {
         let scopes = self.scopes.lock().expect("knowledge cache poisoned");
         // The pool holds every distinct column vector exactly once (all
         // by_key entries alias pool Arcs), so walking it counts shared
-        // columns once. Shared-backend entries hold root vectors; their
-        // word content lives in the node table, counted below.
+        // columns once.
         let columns: usize = scopes
             .pool
             .values()
@@ -511,20 +369,9 @@ impl KnowledgeCache {
             .by_key
             .values()
             .flatten()
-            .map(|(k, _, v)| {
-                sel_bytes(&k.sel)
-                    + match v {
-                        ScopeEntry::Dense(_) => 0,
-                        ScopeEntry::Shared { roots, .. } => {
-                            roots.len() * std::mem::size_of::<SharedWords>()
-                        }
-                    }
-            })
+            .map(|(k, _, _)| sel_bytes(&k.sel))
             .sum();
-        let table = self.nodes.as_ref().map_or(0, |t| {
-            t.lock().expect("node table poisoned").approx_bytes()
-        });
-        reach + columns + keys + table
+        reach + columns + keys
     }
 
     /// The cache's current epoch. All entries served by the cache were
@@ -560,14 +407,6 @@ impl KnowledgeCache {
         reach.clear();
         scopes.by_key.clear();
         scopes.pool.clear();
-        scopes.shared_pool.clear();
-        // Every node-table root is referenced only by the entries just
-        // purged (and by evaluator memos, which the borrow discipline
-        // pins to the pre-extension system), so the table goes with
-        // them — a new point space starts from an empty table.
-        if let Some(table) = &self.nodes {
-            table.lock().expect("node table poisoned").clear();
-        }
         self.counters
             .epoch_invalidated
             .fetch_add(dropped as u64, Ordering::Relaxed);
@@ -585,10 +424,6 @@ impl KnowledgeCache {
         let mut scopes = self.scopes.lock().expect("knowledge cache poisoned");
         scopes.by_key.clear();
         scopes.pool.clear();
-        scopes.shared_pool.clear();
-        if let Some(table) = &self.nodes {
-            table.lock().expect("node table poisoned").clear();
-        }
     }
 
     /// Counts a lookup answered by an evaluator-local memo, so
@@ -638,66 +473,13 @@ impl KnowledgeCache {
             &self.counters.scope_misses
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        // Shared entries are materialized back to dense columns outside
-        // the scope lock (the evaluator memoizes the result, so each
-        // evaluator pays for a set at most once).
-        found.map(|entry| match entry {
-            ScopeEntry::Dense(cols) => cols,
-            ScopeEntry::Shared { roots, bits } => {
-                let table = self
-                    .nodes
-                    .as_ref()
-                    .expect("shared scope entries exist only on shared-backend caches")
-                    .lock()
-                    .expect("node table poisoned");
-                Arc::new(
-                    roots
-                        .iter()
-                        .map(|&sw| {
-                            let mut column = Bitset::new_false(bits);
-                            table.materialize_into(sw, column.words_mut());
-                            column
-                        })
-                        .collect(),
-                )
-            }
-        })
+        found
     }
 
     /// Inserts freshly built scope columns under `key`, interning them by
     /// content first: if an identical column vector is already pooled,
     /// the shared `Arc` is stored (and returned) instead of `value`.
-    ///
-    /// Under the shared backend the columns are interned into the node
-    /// table and only their roots are stored — no dense copy is
-    /// retained — and the caller's `value` is returned for its local
-    /// memo.
     pub(crate) fn insert_scopes(&self, key: &HashedReachKey, value: ScopeColumns) -> ScopeColumns {
-        if let Some(table) = &self.nodes {
-            let roots: Vec<SharedWords> = {
-                let mut table = table.lock().expect("node table poisoned");
-                value.iter().map(|b| table.intern_words(b.words())).collect()
-            };
-            let bits = value.first().map_or(0, Bitset::len);
-            let mut store = self.scopes.lock().expect("knowledge cache poisoned");
-            // Roots are canonical, so content dedup is set membership.
-            let counter = if store.shared_pool.insert(roots.clone()) {
-                &self.counters.scope_interned
-            } else {
-                &self.counters.scope_deduped
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            bucket_insert(
-                &mut store.by_key,
-                key,
-                self.epoch(),
-                ScopeEntry::Shared {
-                    roots: Arc::new(roots),
-                    bits,
-                },
-            );
-            return value;
-        }
         let mut hasher = DefaultHasher::new();
         value.hash(&mut hasher);
         let content = hasher.finish();
@@ -714,12 +496,7 @@ impl KnowledgeCache {
                 value
             }
         };
-        bucket_insert(
-            &mut store.by_key,
-            key,
-            self.epoch(),
-            ScopeEntry::Dense(Arc::clone(&interned)),
-        );
+        bucket_insert(&mut store.by_key, key, self.epoch(), Arc::clone(&interned));
         interned
     }
 }
@@ -831,76 +608,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_backend_round_trips_columns_and_counts_node_bytes() {
-        let cache = KnowledgeCache::with_repr(SetReprKind::Shared);
-        assert_eq!(cache.set_repr(), SetReprKind::Shared);
-        let mut column = Bitset::new_false(1000);
-        column.set(3, true);
-        column.set(999, true);
-        let cols = Arc::new(vec![column.clone(), Bitset::new_true(1000)]);
-        let k = key(ReachSel::Nonfaulty);
-        cache.insert_scopes(&k, Arc::clone(&cols));
-        // Materialization rebuilds the exact dense columns.
-        let back = cache.get_scopes(&k).expect("entry was just inserted");
-        assert_eq!(*back, *cols);
-        // The node table is resident and accounted: CacheStats must carry
-        // node counters and resident_bytes must include the table.
-        let stats = cache.stats();
-        assert_eq!(stats.set_repr, SetReprKind::Shared);
-        assert!(stats.nodes > 0, "interning must populate the table");
-        let table_bytes = cache
-            .node_stats()
-            .expect("shared caches expose node stats")
-            .bytes;
-        assert!(table_bytes > 0);
-        assert!(
-            stats.resident_bytes >= table_bytes,
-            "resident accounting must include the node table \
-             ({} < {table_bytes})",
-            stats.resident_bytes
-        );
-        let rendered = stats.to_string();
-        assert!(rendered.contains("shared repr"), "{rendered}");
-        // Dense caches must not mention the shared backend at all: the
-        // dense rendering stays byte-identical to earlier releases.
-        let dense = KnowledgeCache::new().stats().to_string();
-        assert!(!dense.contains("shared repr"), "{dense}");
-    }
-
-    #[test]
-    fn shared_backend_dedups_identical_columns_by_root() {
-        let cache = KnowledgeCache::with_repr(SetReprKind::Shared);
-        let cols = || {
-            let mut b = Bitset::new_false(128);
-            b.set(64, true);
-            Arc::new(vec![b])
-        };
-        cache.insert_scopes(&key(ReachSel::Nonfaulty), cols());
-        cache.insert_scopes(&key(ReachSel::NonfaultyAnd(vec![Box::from([])])), cols());
-        let stats = cache.stats();
-        assert_eq!(stats.scope_interned, 1);
-        assert_eq!(stats.scope_deduped, 1);
-        assert!(stats.node_dedup_hits > 0, "re-interning must share nodes");
-    }
-
-    #[test]
-    fn epoch_advance_purges_the_node_table() {
-        let cache = KnowledgeCache::with_repr(SetReprKind::Shared);
-        cache.insert_scopes(&key(ReachSel::Everyone), Arc::new(vec![Bitset::new_true(256)]));
-        assert!(cache.stats().nodes > 0);
-        cache.advance_epoch();
-        assert_eq!(cache.stats().nodes, 0, "stale roots must not survive");
-        assert_eq!(cache.resident_bytes(), 0);
-        // Reusable after the purge.
-        cache.insert_scopes(&key(ReachSel::Everyone), Arc::new(vec![Bitset::new_true(300)]));
-        assert!(cache.get_scopes(&key(ReachSel::Everyone)).is_some());
-    }
-
-    #[test]
     fn dense_resident_bytes_count_registered_family_keys() {
         let cache = KnowledgeCache::new();
-        let family = vec![Box::from([1u64, 2, 3]), Box::from([4u64])];
-        let words: usize = family.iter().map(|w: &Box<[u64]>| w.len() * 8).sum();
+        let family: Vec<Box<[u64]>> = vec![Box::from([1u64, 2, 3]), Box::from([4u64])];
+        let words: usize = family.iter().map(|w| w.len() * 8).sum();
         cache.insert_scopes(
             &key(ReachSel::NonfaultyAnd(family)),
             Arc::new(vec![Bitset::new_false(64)]),

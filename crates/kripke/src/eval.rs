@@ -563,8 +563,8 @@ impl<'a> Evaluator<'a> {
             "equivariant family must have one formula per processor"
         );
         let psi_bits: Vec<Arc<Bitset>> = psi.iter().map(|f| self.eval(f)).collect();
+        let scopes = self.scope_columns(scope);
         if let Some(classes) = self.classes() {
-            let scopes = self.scope_columns(scope);
             let store = self.system.points();
             let mut class_ok = vec![true; classes.num_classes()];
             for q in ProcessorId::all(self.n) {
@@ -582,7 +582,7 @@ impl<'a> Evaluator<'a> {
         psi_bits
             .iter()
             .zip(ProcessorId::all(self.n))
-            .map(|(phi, p)| self.knowledge_like(p, phi, Some(scope)))
+            .map(|(phi, p)| crate::plan::know_close(self, p, phi, Some(&scopes[p.index()])))
             .collect()
     }
 
@@ -1249,22 +1249,7 @@ impl<'a> Evaluator<'a> {
                 NonRigidSet::Everyone => ReachSel::Everyone,
                 NonRigidSet::Nonfaulty => ReachSel::Nonfaulty,
                 NonRigidSet::NonfaultyAnd(id) => {
-                    let families = self.state_sets[id.0 as usize].canonical();
-                    match self.shared.node_table() {
-                        // Shared backend: the registered family's
-                        // membership words live (deduplicated) in the
-                        // node table and the key carries only roots —
-                        // content equality is root equality because the
-                        // key can only ever meet the cache whose table
-                        // issued the roots.
-                        Some(table) => {
-                            let mut table = table.lock().expect("node table poisoned");
-                            ReachSel::SharedFamily(
-                                families.iter().map(|w| table.intern_words(w)).collect(),
-                            )
-                        }
-                        None => ReachSel::NonfaultyAnd(families),
-                    }
+                    ReachSel::NonfaultyAnd(self.state_sets[id.0 as usize].canonical())
                 }
             },
         }));
@@ -1795,6 +1780,32 @@ mod tests {
                 let members = eval.members(NonRigidSet::Nonfaulty, run, time);
                 let expected = members.iter().all(|i| believes[i.index()].get(idx));
                 assert_eq!(e.get(idx), expected, "run {} {time}", run.index());
+            }
+        }
+    }
+
+    #[test]
+    fn family_believes_matches_per_processor_beliefs() {
+        // The unreduced branch runs the plan's bucket-sweep closure; the
+        // recursive oracle evaluates each `B^S_i ψ_i` on its own.
+        let system = crash_system();
+        let mut eval = Evaluator::new(&system);
+        let mut oracle = Evaluator::new(&system);
+        oracle.set_plan_mode(false);
+        let seen_one = || StateSets::with_value_seen(system.table(), 3, Value::One);
+        let id = eval.register_state_sets(seen_one());
+        assert_eq!(oracle.register_state_sets(seen_one()), id);
+        let psi: Vec<Formula> = (0..3)
+            .map(|i| Formula::Initial(p(i), Value::One).and(Formula::exists(Value::Zero)))
+            .collect();
+        for s in [NonRigidSet::Nonfaulty, NonRigidSet::NonfaultyAnd(id)] {
+            let fused = eval.family_believes(s, &psi);
+            assert!(fused
+                .iter()
+                .any(|b| b.count_ones() > 0 && b.count_ones() < b.len()));
+            for (i, psi_i) in psi.iter().enumerate() {
+                let expected = oracle.eval(&psi_i.clone().believed_by(p(i), s));
+                assert_eq!(fused[i], *expected, "processor {i} under {s:?}");
             }
         }
     }

@@ -10,14 +10,6 @@
 //! operators via reachability components (Proposition 3.2 /
 //! Corollary 3.3); the `gfp_agrees_with_reachability` tests and the
 //! property suite check the two agree bit-for-bit.
-//!
-//! The iteration itself always runs on the dense word representation,
-//! regardless of the session's [`crate::SetReprKind`]: the shared
-//! node-table backend is a storage/interning layer behind the
-//! [`crate::KnowledgeCache`], and gfp intermediates are deliberately
-//! never interned so the fixpoint path stays an independent oracle (see
-//! `crate::plan`). Iteration counts are therefore identical across
-//! backends by construction.
 
 use crate::bitset::Bitset;
 use crate::{Evaluator, Formula, NonRigidSet};

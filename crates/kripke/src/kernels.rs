@@ -20,11 +20,6 @@
 //! Every kernel is a pure word-lane operation — bit semantics (including
 //! the callers' canonical-tail invariants) are entirely the callers'
 //! concern, so these are `pub(crate)` plumbing, not API.
-//!
-//! These kernels are the *dense* backend of the set-representation
-//! layer: the shared node-table backend ([`crate::setrepr`]) stores and
-//! combines interned sets, but every sweep, closure, and fixpoint is
-//! computed through these word loops in both modes.
 
 /// Words per unrolled block (reductions and early-exit predicates).
 const LANES: usize = 4;

@@ -61,11 +61,9 @@ pub mod fixpoint;
 pub mod parse;
 pub mod plan;
 pub mod reach;
-pub mod setrepr;
 
 pub use bitset::Bitset;
 pub use cache::{CacheStats, KnowledgeCache, ScopeColumns};
-pub use setrepr::{SetReprKind, SetReprStats};
 pub use eval::{Evaluator, Reachability};
 pub use formula::Formula;
 pub use nonrigid::{NonRigidSet, PointPredId, RunPredId, StateSets, StateSetsId, ViewSet};

@@ -3,10 +3,7 @@
 //! The word-streaming set operations (union, difference, subset, count)
 //! run on the 4-wide unrolled block kernels of [`crate::kernels`]; this
 //! module keeps the set semantics, including the trailing-zero-word
-//! trimming invariant that makes equal sets word-for-word equal. That
-//! same invariant is what lets the shared set-representation backend
-//! ([`crate::setrepr`]) intern `canonical()` families by content: equal
-//! families intern to equal node-table roots.
+//! trimming invariant that makes equal sets word-for-word equal.
 
 use crate::kernels;
 use eba_model::{ProcessorId, Value};

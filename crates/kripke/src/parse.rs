@@ -37,6 +37,10 @@
 //! `□̄`, `◇̄`, `p1∈N`), so `parse(format!("{f}")) == f` round-trips for
 //! every `N`-indexed formula — property-tested in the workspace suite.
 //!
+//! Nesting is capped at [`MAX_DEPTH`] levels, so hostile input (say,
+//! 100,000 `!`s) fails with a [`ParseError`] instead of overflowing the
+//! stack of the recursive-descent parser.
+//!
 //! # Example
 //!
 //! ```
@@ -51,6 +55,12 @@ use crate::{Formula, NonRigidSet};
 use eba_model::{ProcessorId, Value};
 use std::error::Error;
 use std::fmt;
+
+/// The deepest nesting [`parse_formula`] accepts. Each `!`/`¬`, each
+/// parenthesized operand (including a modal operator's) and each
+/// right-nested `->` is one level. Deeper input is rejected with a
+/// [`ParseError`] at the offset where the limit was crossed.
+pub const MAX_DEPTH: usize = 256;
 
 /// A parse error: what went wrong and where (byte offset).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -69,9 +79,43 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
+/// Builds an operator's formula from its parsed operand.
+type Apply = fn(Formula) -> Formula;
+
+/// The operators that take one parenthesized operand, in match order:
+/// a spelling that another one extends (`C` of `CC`, `□` of `□̄`)
+/// comes after it.
+const OPERATORS: &[(&str, Apply)] = &[
+    ("CC", |f| f.continual_common(NonRigidSet::Nonfaulty)),
+    ("C□_N", |f| f.continual_common(NonRigidSet::Nonfaulty)),
+    ("C□_All", |f| f.continual_common(NonRigidSet::Everyone)),
+    ("C_N", |f| f.common(NonRigidSet::Nonfaulty)),
+    ("C_All", |f| f.common(NonRigidSet::Everyone)),
+    ("C", |f| f.common(NonRigidSet::Nonfaulty)),
+    ("E_N", |f| f.everyone(NonRigidSet::Nonfaulty)),
+    ("D_All", |f| f.distributed(NonRigidSet::Everyone)),
+    ("D_N", |f| f.distributed(NonRigidSet::Nonfaulty)),
+    ("D", |f| f.distributed(NonRigidSet::Nonfaulty)),
+    ("S_All", |f| f.someone(NonRigidSet::Everyone)),
+    ("SK", |f| f.someone(NonRigidSet::Nonfaulty)),
+    ("S_N", |f| f.someone(NonRigidSet::Nonfaulty)),
+    ("E_All", |f| f.everyone(NonRigidSet::Everyone)),
+    ("E", |f| f.everyone(NonRigidSet::Nonfaulty)),
+    ("G", Formula::always),
+    ("F", Formula::eventually),
+    ("A", Formula::always_all),
+    ("S", Formula::sometime_all),
+    // □̄ and ◇̄ carry a combining macron (U+0304).
+    ("□\u{304}", Formula::always_all),
+    ("◇\u{304}", Formula::sometime_all),
+    ("□", Formula::always),
+    ("◇", Formula::eventually),
+];
+
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 /// Parses a formula from the textual syntax; see the module docs.
@@ -84,6 +128,7 @@ pub fn parse_formula(input: &str) -> Result<Formula, ParseError> {
     let mut parser = Parser {
         input: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let formula = parser.iff()?;
     parser.skip_ws();
@@ -99,6 +144,20 @@ impl<'a> Parser<'a> {
             message: message.into(),
             offset: self.pos,
         }
+    }
+
+    /// Runs `parse` one nesting level deeper; fails past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Formula, ParseError>,
+    ) -> Result<Formula, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("formula nests deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn skip_ws(&mut self) {
@@ -176,7 +235,7 @@ impl<'a> Parser<'a> {
         // `->` must not consume the `-` of `<->` (handled in iff) — at
         // this point a leading `<` never occurs, so plain matching works.
         if self.eat("->") {
-            let right = self.imp()?; // right-associative
+            let right = self.nested(Self::imp)?; // right-associative
             return Ok(left.implies(right));
         }
         Ok(left)
@@ -213,17 +272,17 @@ impl<'a> Parser<'a> {
     fn unary(&mut self) -> Result<Formula, ParseError> {
         if self.peek() == Some(b'!') {
             self.pos += 1;
-            return Ok(self.unary()?.not());
+            return Ok(self.nested(Self::unary)?.not());
         }
         if self.eat("¬") {
-            return Ok(self.unary()?.not());
+            return Ok(self.nested(Self::unary)?.not());
         }
         self.modal()
     }
 
     fn parens(&mut self) -> Result<Formula, ParseError> {
         self.expect("(")?;
-        let inner = self.iff()?;
+        let inner = self.nested(Self::iff)?;
         self.expect(")")?;
         Ok(inner)
     }
@@ -265,67 +324,10 @@ impl<'a> Parser<'a> {
             let p = self.processor()?;
             return Ok(self.parens()?.believed_by(p, NonRigidSet::Everyone));
         }
-        if self.eat("CC") || self.eat("C□_N") {
-            return Ok(self.parens()?.continual_common(NonRigidSet::Nonfaulty));
-        }
-        if self.eat("C□_All") {
-            return Ok(self.parens()?.continual_common(NonRigidSet::Everyone));
-        }
-        if self.eat("C_N") {
-            return Ok(self.parens()?.common(NonRigidSet::Nonfaulty));
-        }
-        if self.eat("C_All") {
-            return Ok(self.parens()?.common(NonRigidSet::Everyone));
-        }
-        if self.eat("C") {
-            return Ok(self.parens()?.common(NonRigidSet::Nonfaulty));
-        }
-        if self.eat("E_N") {
-            return Ok(self.parens()?.everyone(NonRigidSet::Nonfaulty));
-        }
-        if self.eat("D_All") {
-            return Ok(self.parens()?.distributed(NonRigidSet::Everyone));
-        }
-        if self.eat("D_N") || self.eat("D") {
-            return Ok(self.parens()?.distributed(NonRigidSet::Nonfaulty));
-        }
-        if self.eat("S_All") {
-            return Ok(self.parens()?.someone(NonRigidSet::Everyone));
-        }
-        if self.eat("SK") || self.eat("S_N") {
-            return Ok(self.parens()?.someone(NonRigidSet::Nonfaulty));
-        }
-        if self.eat("E_All") {
-            return Ok(self.parens()?.everyone(NonRigidSet::Everyone));
-        }
-        if self.eat("E") {
-            return Ok(self.parens()?.everyone(NonRigidSet::Nonfaulty));
-        }
-        if self.eat("G") {
-            return Ok(self.parens()?.always());
-        }
-        if self.eat("F") {
-            return Ok(self.parens()?.eventually());
-        }
-        if self.eat("A") {
-            return Ok(self.parens()?.always_all());
-        }
-        if self.eat("S") {
-            return Ok(self.parens()?.sometime_all());
-        }
-        // □̄ (always-all) and ◇̄ (sometime-all) carry a combining macron
-        // (U+0304); match them before the bare □ / ◇.
-        if self.eat("□\u{304}") {
-            return Ok(self.parens()?.always_all());
-        }
-        if self.eat("◇\u{304}") {
-            return Ok(self.parens()?.sometime_all());
-        }
-        if self.eat("□") {
-            return Ok(self.parens()?.always());
-        }
-        if self.eat("◇") {
-            return Ok(self.parens()?.eventually());
+        for (token, apply) in OPERATORS {
+            if self.eat(token) {
+                return Ok(apply(self.parens()?));
+            }
         }
         if self.eat("N(") {
             let p = self.processor()?;
@@ -464,6 +466,23 @@ mod tests {
             parse_formula("!!E0").unwrap(),
             Formula::exists(Value::Zero).not().not()
         );
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_positioned_error() {
+        let bangs = |k: usize| format!("{}true", "!".repeat(k));
+        assert!(parse_formula(&bangs(MAX_DEPTH)).is_ok());
+        let err = parse_formula(&bangs(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH + 1, "{err}");
+        assert!(err.message.contains(&MAX_DEPTH.to_string()), "{err}");
+        assert_eq!(parse_formula(&bangs(100_000)).unwrap_err(), err);
+
+        let knows = |k: usize| format!("{}E0{}", "K_1(".repeat(k), ")".repeat(k));
+        assert!(parse_formula(&knows(MAX_DEPTH)).is_ok());
+        assert!(parse_formula(&knows(MAX_DEPTH + 1)).is_err());
+        let chain = |k: usize| format!("E0{}", " -> E0".repeat(k));
+        assert!(parse_formula(&chain(MAX_DEPTH)).is_ok());
+        assert!(parse_formula(&chain(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -46,10 +46,9 @@ use crate::eval::Evaluator;
 use crate::fixpoint::GfpInterrupt;
 use crate::formula::Formula;
 use crate::nonrigid::NonRigidSet;
-use crate::setrepr::{NodeOp, NodeTable, SharedWords};
 use eba_model::fasthash::FastMap;
 use eba_model::{ArmedBudget, ProcessorId, RunBudget};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Which knowledge closure a [`Kernel::KnowClose`] computes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -330,15 +329,6 @@ impl FormulaPlan {
 
 /// Executes a plan on an evaluator, serving and filling the evaluator's
 /// formula-keyed memo per node; returns the root's extension.
-///
-/// Under the shared set-representation backend every node result is
-/// additionally interned into the cache's [`NodeTable`] — near-identical
-/// results across plans and evaluations collapse into shared structure —
-/// and `And`/`Or` nodes whose operands are already interned are combined
-/// through the memoized [`NodeTable::apply`] instead of re-interned word
-/// by word. Interning never replaces the dense computation (results stay
-/// bit-identical by construction); gfp nodes are exempt for the same
-/// reason they skip the formula memo.
 pub(crate) fn execute(eval: &mut Evaluator<'_>, plan: &FormulaPlan) -> Arc<Bitset> {
     if eval.batch_mode() {
         let mut batch = crate::reach::BatchBuilder::new();
@@ -347,25 +337,16 @@ pub(crate) fn execute(eval: &mut Evaluator<'_>, plan: &FormulaPlan) -> Arc<Bitse
             batch.run(eval);
         }
     }
-    let table = eval.shared.node_table().cloned();
     let mut results: Vec<Option<Arc<Bitset>>> = vec![None; plan.kernels.len()];
-    let mut roots: Vec<Option<SharedWords>> = vec![None; plan.kernels.len()];
     for i in 0..plan.kernels.len() {
         if let Some(f) = &plan.formulas[i] {
             if let Some(cached) = eval.cache.get(f) {
-                let arc = Arc::clone(cached);
-                if let Some(table) = &table {
-                    roots[i] = intern_plan_node(table, &plan.kernels[i], &roots, &arc);
-                }
-                results[i] = Some(arc);
+                results[i] = Some(Arc::clone(cached));
                 continue;
             }
         }
         let bits = run_kernel(eval, plan, i, &results);
         let arc = Arc::new(bits);
-        if let Some(table) = &table {
-            roots[i] = intern_plan_node(table, &plan.kernels[i], &roots, &arc);
-        }
         if let Some(f) = &plan.formulas[i] {
             eval.cache.insert(f.clone(), Arc::clone(&arc));
         }
@@ -375,59 +356,6 @@ pub(crate) fn execute(eval: &mut Evaluator<'_>, plan: &FormulaPlan) -> Arc<Bitse
         .pop()
         .flatten()
         .expect("compiled plans have at least one kernel")
-}
-
-/// Interns one plan node's dense result into the shared node table,
-/// going through the memoized native combiner when every operand of an
-/// `And`/`Or` node is already interned. The returned handle always
-/// equals what interning the dense words produces (asserted in debug
-/// builds): padding is closed under the ops and consing is canonical.
-fn intern_plan_node(
-    table: &Arc<Mutex<NodeTable>>,
-    kernel: &Kernel,
-    roots: &[Option<SharedWords>],
-    bits: &Bitset,
-) -> Option<SharedWords> {
-    let mut table = table.lock().expect("node table poisoned");
-    let fold = |table: &mut NodeTable, op: NodeOp, ids: &[u32]| -> SharedWords {
-        let mut acc = roots[ids[0] as usize].expect("caller checked every operand is interned");
-        for id in &ids[1..] {
-            let rhs = roots[*id as usize].expect("caller checked every operand is interned");
-            acc = table.apply(op, acc, rhs);
-        }
-        acc
-    };
-    let interned = match kernel {
-        // Never interned, for the same reason gfp results are never
-        // memoized: a canonical handle equal to the reachability-based
-        // closure's would let one path mask the other in differential
-        // tests.
-        Kernel::GfpIter { .. } => return None,
-        Kernel::And(ids)
-            if !ids.is_empty() && ids.iter().all(|id| roots[*id as usize].is_some()) =>
-        {
-            let native = fold(&mut table, NodeOp::And, ids);
-            debug_assert_eq!(
-                native,
-                table.intern_words(bits.words()),
-                "native And must equal interning the dense result"
-            );
-            native
-        }
-        Kernel::Or(ids)
-            if !ids.is_empty() && ids.iter().all(|id| roots[*id as usize].is_some()) =>
-        {
-            let native = fold(&mut table, NodeOp::Or, ids);
-            debug_assert_eq!(
-                native,
-                table.intern_words(bits.words()),
-                "native Or must equal interning the dense result"
-            );
-            native
-        }
-        _ => table.intern_words(bits.words()),
-    };
-    Some(interned)
 }
 
 /// Scans a plan's kernels for every nonrigid set they will resolve —
@@ -702,7 +630,7 @@ fn know_close_kind(eval: &mut Evaluator<'_>, kind: KnowKind, phi: &Bitset) -> Bi
 /// |bad buckets|)` instead of touching every point of every bucket; near
 /// a gfp's fixed point violations are sparse, which is where this runs
 /// hottest.
-fn know_close(
+pub(crate) fn know_close(
     eval: &Evaluator<'_>,
     p: ProcessorId,
     phi: &Bitset,

@@ -29,12 +29,6 @@
 //!    evaluator's memo and the shared cache; scope columns fall out of
 //!    the membership vectors for free and are interned by content.
 //!
-//! The batch path is set-representation agnostic: it keys and publishes
-//! through [`Evaluator::hashed_key`]-style content keys and the cache's
-//! scope-column API, so under the shared backend ([`crate::setrepr`])
-//! its keys carry node-table roots and its scope columns land in the
-//! hash-consed table without any change here.
-//!
 //! The per-set path remains intact as the differential-test oracle
 //! ([`Evaluator::set_batch_mode`] switches plan execution between the
 //! two); `tests/plan_equivalence.rs` checks components, run projections,

@@ -30,7 +30,6 @@
 
 use crate::protocol::{ScenarioSpec, ServeError};
 use eba_core::{EngineSession, SessionScope};
-use eba_kripke::CacheStats;
 use eba_model::RunBudget;
 use eba_sim::chaos::{EngineFault, FaultInjector};
 use eba_sim::{BuildOutcome, GeneratedSystem, SystemBuilder};
@@ -99,10 +98,6 @@ pub struct SessionInfo {
     pub runs: usize,
     /// Orbit accounting for quotiented sessions, `None` for unreduced.
     pub symmetry: Option<SymmetrySnapshot>,
-    /// The session cache's counters at snapshot time — includes the
-    /// set-representation backend and, for shared sessions, the
-    /// node-table size, dedup, and memo-hit figures.
-    pub cache: CacheStats,
 }
 
 /// Orbit accounting of one quotiented session.
@@ -314,7 +309,6 @@ impl SessionPool {
                         raw_patterns: info.raw_patterns_covered(),
                         reduction: info.reduction_ratio(),
                     }),
-                    cache: entry.session.cache().stats(),
                 }
             })
             .collect();
@@ -353,11 +347,7 @@ impl SessionPool {
             // The sampled generator is deterministic in (runs, seed) and
             // not chaos-instrumented; no retry loop needed.
             let system = GeneratedSystem::sampled(&scenario, runs, seed);
-            return Ok(EngineSession::from_system_with_repr(
-                system,
-                SessionScope::PinnedRuns,
-                key.spec.set_repr,
-            ));
+            return Ok(EngineSession::from_system(system, SessionScope::PinnedRuns));
         }
         let attempts = self.retry.attempts.max(1);
         let mut last_fault = None;
@@ -377,11 +367,7 @@ impl SessionPool {
                     let BuildOutcome::Complete { system, .. } = outcome else {
                         unreachable!("unbudgeted build cannot be partial");
                     };
-                    return Ok(EngineSession::from_system_with_repr(
-                        system,
-                        SessionScope::FullSpace,
-                        key.spec.set_repr,
-                    ));
+                    return Ok(EngineSession::from_system(system, SessionScope::FullSpace));
                 }
                 Err(EngineFault::Model(e)) => {
                     // Model errors are deterministic — unless chaos is
@@ -470,7 +456,6 @@ mod tests {
             horizon,
             sampled: None,
             symmetry: false,
-            set_repr: eba_kripke::SetReprKind::Dense,
         }
     }
 
@@ -512,26 +497,25 @@ mod tests {
     }
 
     #[test]
-    fn shared_node_table_growth_counts_against_the_memory_budget() {
-        let shared_spec = |horizon| {
-            let mut s = spec(horizon);
-            s.set_repr = eba_kripke::SetReprKind::Shared;
-            s
+    fn cache_growth_after_checkout_counts_against_the_memory_budget() {
+        let k2 = PoolKey { spec: spec(2) };
+        let other = PoolKey {
+            spec: ScenarioSpec {
+                mode: FailureMode::Omission,
+                ..spec(2)
+            },
         };
-        // Probe the insert-time footprint of a cold shared session.
+        // Probe the insert-time footprints of both cold sessions.
         let probe = unbounded_pool();
-        let k2 = PoolKey {
-            spec: shared_spec(2),
-        };
-        let (cold, _) = probe.checkout(k2).unwrap();
-        let cold_bytes = session_resident_bytes(&cold);
-        drop((cold, probe));
+        let cold = |key| session_resident_bytes(&probe.checkout(key).unwrap().0);
+        let (cold_k2, cold_other) = (cold(k2), cold(other));
+        drop(probe);
 
-        // A pool budgeted at exactly that footprint admits the cold
-        // session. Warming its cache grows the node table, and the
-        // checkout-time footprint refresh must see that growth so the
-        // next insert pushes the warmed entry out.
-        let pool = SessionPool::new(cold_bytes, RetryPolicy::default(), None);
+        // The budget fits both sessions cold, exactly. Warming k2's cache
+        // after checkout grows its footprint, and only the checkout-time
+        // refresh lets the pool see that growth: without it the second
+        // insert would total exactly the budget and evict nothing.
+        let pool = SessionPool::new(cold_k2 + cold_other, RetryPolicy::default(), None);
         let (warm, _) = pool.checkout(k2).unwrap();
         let mut eval = warm.evaluator();
         let f = eba_kripke::parse::parse_formula("CC(E0) -> C(E0)").unwrap();
@@ -539,19 +523,17 @@ mod tests {
         assert_eq!(sat.count_ones(), sat.len());
         let warm_bytes = session_resident_bytes(&warm);
         assert!(
-            warm_bytes > cold_bytes,
-            "warming must grow the node-table residency: {warm_bytes} vs {cold_bytes}"
+            warm_bytes > cold_k2,
+            "warming must grow the cache residency: {warm_bytes} vs {cold_k2}"
         );
         let (_, hit) = pool.checkout(k2).unwrap(); // refreshes entry.bytes
         assert!(hit);
-        pool.checkout(PoolKey {
-            spec: shared_spec(3),
-        })
-        .unwrap();
+        pool.checkout(other).unwrap();
         let stats = pool.stats();
-        assert!(
-            stats.evictions >= 1,
-            "node-table growth crossed the budget but nothing was evicted: {stats:?}"
+        assert_eq!(
+            (stats.evictions, stats.sessions),
+            (1, 1),
+            "cache growth crossed the budget but k2 was not evicted: {stats:?}"
         );
     }
 

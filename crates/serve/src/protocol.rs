@@ -22,7 +22,6 @@
 //! single-threaded oracle.
 
 use crate::json::Json;
-use eba_kripke::SetReprKind;
 use eba_model::{ExchangeKind, FailureMode, Scenario};
 use std::fmt;
 
@@ -69,13 +68,6 @@ pub struct ScenarioSpec {
     /// orbit-canonical view classes. Part of the pool key, so quotiented
     /// and unreduced sessions for the same scenario never alias.
     pub symmetry: bool,
-    /// Set-representation backend of the session's knowledge cache
-    /// (frame field `set_repr`, `"dense"` default or `"shared"`). Part
-    /// of the pool key: the backend shapes the cache's residency
-    /// accounting and statistics, so dense and shared sessions for the
-    /// same scenario never alias. Query results are bit-identical across
-    /// backends.
-    pub set_repr: SetReprKind,
 }
 
 impl ScenarioSpec {
@@ -288,12 +280,6 @@ fn parse_spec(frame: &Json) -> Result<ScenarioSpec, ServeError> {
             ));
         }
     };
-    let set_repr = match field_str(frame, "set_repr")? {
-        None => SetReprKind::Dense,
-        Some(spec) => SetReprKind::parse(spec).ok_or_else(|| {
-            ServeError::BadRequest(format!("field `set_repr` must be dense|shared, got `{spec}`"))
-        })?,
-    };
     let symmetry = field_bool(frame, "symmetry")?;
     if symmetry {
         if sampled.is_some() {
@@ -316,7 +302,6 @@ fn parse_spec(frame: &Json) -> Result<ScenarioSpec, ServeError> {
         horizon,
         sampled,
         symmetry,
-        set_repr,
     })
 }
 

@@ -228,10 +228,7 @@ fn run_check(check: &CheckRequest, ctx: &QueryContext<'_>) -> Result<Json, Serve
                 ]),
             ));
         }
-        let mut eval = Evaluator::with_cache(
-            &system,
-            eba_kripke::KnowledgeCache::with_repr(spec.set_repr),
-        );
+        let mut eval = Evaluator::new(&system);
         if let Some(threads) = ctx.threads {
             eval.set_threads(threads);
         }
@@ -291,11 +288,7 @@ fn run_sweep(sweep: &SweepRequest, ctx: &QueryContext<'_>) -> Result<Json, Serve
     // is behind an Arc) into a private session that this query alone
     // extends. The pooled entry stays immutable at its own horizon.
     let (base, _hit) = ctx.pool.checkout(PoolKey { spec: base_spec })?;
-    let mut session = EngineSession::from_system_with_repr(
-        base.system().clone(),
-        SessionScope::FullSpace,
-        base_spec.set_repr,
-    );
+    let mut session = EngineSession::from_system(base.system().clone(), SessionScope::FullSpace);
     if let Some(threads) = ctx.threads {
         session.set_threads(threads);
     }
@@ -364,13 +357,6 @@ fn render_stats(pool: &SessionPool) -> Json {
                 ("scenario", Json::Str(scenario.to_string())),
                 ("runs", Json::Int(info.runs as i64)),
                 ("symmetry", symmetry),
-                ("set_repr", Json::Str(info.key.spec.set_repr.to_string())),
-                ("cache_nodes", Json::Int(info.cache.nodes as i64)),
-                ("cache_node_memo_hits", Json::Int(info.cache.node_memo_hits as i64)),
-                (
-                    "cache_node_dedup_ratio",
-                    Json::Str(format!("{:.2}", info.cache.node_dedup_ratio())),
-                ),
             ])
         })
         .collect();
@@ -551,7 +537,6 @@ mod tests {
                     horizon: 3,
                     sampled: None,
                     symmetry: false,
-                    set_repr: eba_kripke::SetReprKind::Dense,
                 },
             })
             .unwrap();

@@ -233,6 +233,20 @@ fn malformed_frames_get_typed_errors_and_the_connection_survives() {
 }
 
 #[test]
+fn formulas_nested_past_the_parser_cap_are_rejected_and_the_daemon_survives() {
+    let server = start(ServeConfig::default());
+    let mut client = server.client();
+    // A 10 KB frame nesting `K_1(` 2,000 deep: without the parser's depth
+    // cap this overflows a worker thread's stack and aborts the daemon.
+    let formula = format!("{}E0{}", "K_1(".repeat(2_000), ")".repeat(2_000));
+    let response = client.ask(&format!(r#"{{"op":"check","formula":"{formula}"}}"#));
+    assert!(response.contains(r#""error":"bad-request""#), "{response}");
+    assert!(response.contains("nests deeper than"), "{response}");
+    assert_eq!(client.ask(r#"{"op":"ping"}"#), r#"{"ok":true,"op":"pong"}"#);
+    server.drain();
+}
+
+#[test]
 fn oversized_frames_are_rejected_and_disconnected() {
     let config = ServeConfig {
         max_frame_bytes: 1024,

@@ -27,9 +27,7 @@ pub mod prelude {
         check_optimality, dominates, lift_protocol, verify_properties, Constructor, DecisionPair,
         EngineSession, FipDecisions, SessionScope,
     };
-    pub use eba_kripke::{
-        Evaluator, Formula, KnowledgeCache, NonRigidSet, SetReprKind, StateSets,
-    };
+    pub use eba_kripke::{Evaluator, Formula, KnowledgeCache, NonRigidSet, StateSets};
     pub use eba_model::{BudgetHit, RunBudget};
     pub use eba_model::{
         ExchangeKind, FailureMode, FailurePattern, FaultyBehavior, HorizonDelta, InitialConfig,
