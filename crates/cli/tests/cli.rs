@@ -121,6 +121,18 @@ fn formulas_nested_past_the_depth_cap_exit_two_not_abort() {
 }
 
 #[test]
+fn iff_chains_past_the_size_cap_exit_two_not_exhaust_memory() {
+    // 30 chained `<->` desugar to ~2^33 nodes: a 202-byte line.
+    let chain = format!("E0{}", " <-> E0".repeat(30));
+    let (_, stderr, code) = run(&["--quiet", "--n", "3", "--t", "1", "--horizon", "2", &chain]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("desugars to more than 65536 nodes"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn usage_errors_exit_two() {
     let (_, stderr, code) = run(&["--mode", "byzantine", "E0"]);
     assert_eq!(code, Some(2));
@@ -285,13 +297,14 @@ fn sigint_degrades_to_a_partial_prefix_verdict() {
     use std::process::Stdio;
     use std::time::{Duration, Instant};
 
-    // A build that runs for minutes on any host, split into many small
-    // shards so a prefix completes quickly and the interrupt flag is
-    // polled often.
+    // A build of 8,884,288 runs, far longer than the 3 s before the
+    // signal (about 40 s on a 2-core host if it ran to completion), split
+    // into many small shards so a prefix completes quickly and the
+    // interrupt flag is polled often.
     let mut child = Command::new(env!("CARGO_BIN_EXE_eba-check"))
         .args([
             "--n",
-            "5",
+            "6",
             "--t",
             "2",
             "--mode",
@@ -316,8 +329,8 @@ fn sigint_degrades_to_a_partial_prefix_verdict() {
     assert!(status.success(), "kill -INT failed");
 
     // Cooperative shutdown: the build must stop at the next shard
-    // checkpoint, not run to completion (which takes minutes) and not
-    // die mid-write (which would lose the exit status).
+    // checkpoint, not run to completion and not die mid-write (which
+    // would lose the exit status).
     let deadline = Instant::now() + Duration::from_secs(60);
     let output = loop {
         match child.try_wait().expect("try_wait") {

@@ -39,7 +39,9 @@
 //!
 //! Nesting is capped at [`MAX_DEPTH`] levels, so hostile input (say,
 //! 100,000 `!`s) fails with a [`ParseError`] instead of overflowing the
-//! stack of the recursive-descent parser.
+//! stack of the recursive-descent parser. Size is capped at [`MAX_NODES`]
+//! nodes after desugaring, so a short line of chained `<->` (each copies
+//! both operands) fails the same way instead of exhausting memory.
 //!
 //! # Example
 //!
@@ -61,6 +63,13 @@ use std::fmt;
 /// right-nested `->` is one level. Deeper input is rejected with a
 /// [`ParseError`] at the offset where the limit was crossed.
 pub const MAX_DEPTH: usize = 256;
+
+/// The most nodes a parsed formula may have, counted as
+/// [`Formula::size`] counts them once `<->` is desugared. Desugaring
+/// copies both operands of every `<->`, so `k` chained `<->` double the
+/// size `k` times. Larger input is rejected with a [`ParseError`] before
+/// the oversized formula is built.
+pub const MAX_NODES: usize = 1 << 16;
 
 /// A parse error: what went wrong and where (byte offset).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -116,6 +125,9 @@ struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
     depth: usize,
+    /// Nodes of every formula parsed so far and not yet consumed; the
+    /// size of the result once parsing ends.
+    nodes: usize,
 }
 
 /// Parses a formula from the textual syntax; see the module docs.
@@ -129,12 +141,14 @@ pub fn parse_formula(input: &str) -> Result<Formula, ParseError> {
         input: input.as_bytes(),
         pos: 0,
         depth: 0,
+        nodes: 0,
     };
     let formula = parser.iff()?;
     parser.skip_ws();
     if parser.pos != parser.input.len() {
         return Err(parser.error("trailing input"));
     }
+    debug_assert_eq!(parser.nodes, formula.size());
     Ok(formula)
 }
 
@@ -158,6 +172,24 @@ impl<'a> Parser<'a> {
         let parsed = parse(self);
         self.depth -= 1;
         parsed
+    }
+
+    /// Accounts for `added` new nodes of which `merged` fold into an
+    /// operand's (the flattening of `Formula::and`/`Formula::or`); fails
+    /// past [`MAX_NODES`].
+    fn grow(&mut self, added: usize, merged: usize) -> Result<(), ParseError> {
+        self.nodes = self.nodes + added - merged;
+        if self.nodes > MAX_NODES {
+            return Err(self.error(format!("formula desugars to more than {MAX_NODES} nodes")));
+        }
+        Ok(())
+    }
+
+    /// [`Parser::grow`] by the one node that wraps a parsed operand or
+    /// stands alone.
+    fn node(&mut self, formula: Formula) -> Result<Formula, ParseError> {
+        self.grow(1, 0)?;
+        Ok(formula)
     }
 
     fn skip_ws(&mut self) {
@@ -224,6 +256,10 @@ impl<'a> Parser<'a> {
         let mut left = self.imp()?;
         while self.eat("<->") {
             let right = self.imp()?;
+            // `(¬l ∨ r) ∧ (¬r ∨ l)`: five nodes and a copy of each
+            // operand, less an operand `∨` that flattens into its `∨`.
+            let or = |f: &Formula| usize::from(matches!(f, Formula::Or(_)));
+            self.grow(5 + left.size() + right.size(), or(&left) + or(&right))?;
             left = left.iff(right);
         }
         Ok(left)
@@ -236,6 +272,8 @@ impl<'a> Parser<'a> {
         // this point a leading `<` never occurs, so plain matching works.
         if self.eat("->") {
             let right = self.nested(Self::imp)?; // right-associative
+                                                 // `¬l ∨ r`: two nodes, less an `∨` on the right that flattens.
+            self.grow(2, usize::from(matches!(right, Formula::Or(_))))?;
             return Ok(left.implies(right));
         }
         Ok(left)
@@ -250,6 +288,11 @@ impl<'a> Parser<'a> {
                 break;
             }
             let right = self.and()?;
+            let merged = [&left, &right]
+                .into_iter()
+                .filter(|f| matches!(f, Formula::Or(_)))
+                .count();
+            self.grow(1, merged)?;
             left = left.or(right);
         }
         Ok(left)
@@ -264,6 +307,11 @@ impl<'a> Parser<'a> {
                 break;
             }
             let right = self.unary()?;
+            let merged = [&left, &right]
+                .into_iter()
+                .filter(|f| matches!(f, Formula::And(_)))
+                .count();
+            self.grow(1, merged)?;
             left = left.and(right);
         }
         Ok(left)
@@ -272,10 +320,12 @@ impl<'a> Parser<'a> {
     fn unary(&mut self) -> Result<Formula, ParseError> {
         if self.peek() == Some(b'!') {
             self.pos += 1;
-            return Ok(self.nested(Self::unary)?.not());
+            let operand = self.nested(Self::unary)?;
+            return self.node(operand.not());
         }
         if self.eat("¬") {
-            return Ok(self.nested(Self::unary)?.not());
+            let operand = self.nested(Self::unary)?;
+            return self.node(operand.not());
         }
         self.modal()
     }
@@ -294,51 +344,55 @@ impl<'a> Parser<'a> {
         // matched first (longest-match). Unicode alternatives mirror the
         // Display output.
         if self.eat("true") || self.eat("⊤") {
-            return Ok(Formula::True);
+            return self.node(Formula::True);
         }
         if self.eat("false") || self.eat("⊥") {
-            return Ok(Formula::False);
+            return self.node(Formula::False);
         }
         if self.eat("init(") {
             let p = self.processor()?;
             self.expect(")")?;
             self.expect("=")?;
             let v = self.value()?;
-            return Ok(Formula::Initial(p, v));
+            return self.node(Formula::Initial(p, v));
         }
         if self.eat("E0") || self.eat("∃0") {
-            return Ok(Formula::exists(Value::Zero));
+            return self.node(Formula::exists(Value::Zero));
         }
         if self.eat("E1") || self.eat("∃1") {
-            return Ok(Formula::exists(Value::One));
+            return self.node(Formula::exists(Value::One));
         }
         if self.eat("K_") {
             let p = self.processor()?;
-            return Ok(self.parens()?.known_by(p));
+            let operand = self.parens()?;
+            return self.node(operand.known_by(p));
         }
         if self.eat("B^N_") || self.eat("B_") {
             let p = self.processor()?;
-            return Ok(self.parens()?.believed_by(p, NonRigidSet::Nonfaulty));
+            let operand = self.parens()?;
+            return self.node(operand.believed_by(p, NonRigidSet::Nonfaulty));
         }
         if self.eat("B^All_") {
             let p = self.processor()?;
-            return Ok(self.parens()?.believed_by(p, NonRigidSet::Everyone));
+            let operand = self.parens()?;
+            return self.node(operand.believed_by(p, NonRigidSet::Everyone));
         }
         for (token, apply) in OPERATORS {
             if self.eat(token) {
-                return Ok(apply(self.parens()?));
+                let operand = self.parens()?;
+                return self.node(apply(operand));
             }
         }
         if self.eat("N(") {
             let p = self.processor()?;
             self.expect(")")?;
-            return Ok(Formula::Nonfaulty(p));
+            return self.node(Formula::Nonfaulty(p));
         }
         if self.peek() == Some(b'p') {
             // `p1∈N` — the Display form of the nonfaulty atom.
             let p = self.processor()?;
             self.expect("∈N")?;
-            return Ok(Formula::Nonfaulty(p));
+            return self.node(Formula::Nonfaulty(p));
         }
         if self.peek() == Some(b'(') {
             return self.parens();
@@ -483,6 +537,40 @@ mod tests {
         let chain = |k: usize| format!("E0{}", " -> E0".repeat(k));
         assert!(parse_formula(&chain(MAX_DEPTH)).is_ok());
         assert!(parse_formula(&chain(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn size_is_capped_after_desugaring() {
+        // A flattened conjunction of `m` atoms has `m + 1` nodes.
+        let conj = |m: usize| vec!["E0"; m].join(" & ");
+        let at_cap = parse_formula(&conj(MAX_NODES - 1)).unwrap();
+        assert_eq!(at_cap.size(), MAX_NODES);
+        let err = parse_formula(&conj(MAX_NODES)).unwrap_err();
+        assert!(err.message.contains(&MAX_NODES.to_string()), "{err}");
+
+        // Chained `<->` double the size per link: a 200-byte line is
+        // refused quickly instead of building ~2^30 nodes.
+        let iffs = |k: usize| format!("E0{}", " <-> E0".repeat(k));
+        let fits = (1..)
+            .take_while(|&k| parse_formula(&iffs(k)).is_ok())
+            .last();
+        let fits = fits.unwrap();
+        assert!(parse_formula(&iffs(fits)).unwrap().size() <= MAX_NODES);
+        assert!((10..20).contains(&fits), "{fits}");
+        let start = std::time::Instant::now();
+        let err = parse_formula(&iffs(30)).unwrap_err();
+        assert!(err.message.contains("desugars"), "{err}");
+        assert!(start.elapsed() < std::time::Duration::from_secs(1));
+
+        // `parse_formula` debug-asserts its count against the result's
+        // size: exercise every constructor that flattens.
+        for text in [
+            "E0 | E1 | (E0 | E1) <-> (E0 & E1) & E0",
+            "(E0 -> E1 | E0) <-> !(E0 <-> E1 | E1)",
+            "K_1(E0 <-> E1) & CC(E0 -> E1 -> E0) | init(2)=0 | N(1)",
+        ] {
+            parse_formula(text).unwrap();
+        }
     }
 
     #[test]

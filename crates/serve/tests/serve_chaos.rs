@@ -247,6 +247,20 @@ fn formulas_nested_past_the_parser_cap_are_rejected_and_the_daemon_survives() {
 }
 
 #[test]
+fn iff_chains_past_the_parser_size_cap_are_rejected_and_the_daemon_survives() {
+    let server = start(ServeConfig::default());
+    let mut client = server.client();
+    // A ~300-byte frame of 40 chained `<->`: desugaring copies both
+    // operands per link, so without the size cap it would exhaust memory.
+    let formula = format!("E0{}", " <-> E0".repeat(40));
+    let response = client.ask(&format!(r#"{{"op":"check","formula":"{formula}"}}"#));
+    assert!(response.contains(r#""error":"bad-request""#), "{response}");
+    assert!(response.contains("desugars to more than"), "{response}");
+    assert_eq!(client.ask(r#"{"op":"ping"}"#), r#"{"ok":true,"op":"pong"}"#);
+    server.drain();
+}
+
+#[test]
 fn oversized_frames_are_rejected_and_disconnected() {
     let config = ServeConfig {
         max_frame_bytes: 1024,

@@ -49,10 +49,9 @@ use crate::system::{GeneratedSystem, RunId, RunRecord};
 use crate::view::{ViewId, ViewTable};
 use eba_model::symmetry::{canonicalize, MAX_SYMMETRY_N};
 use eba_model::{
-    ArmedBudget, BudgetHit, FailurePattern, HorizonDelta, InitialConfig, ModelError, Round,
-    RunBudget, Scenario, ScenarioSpace, Shard,
+    ArmedBudget, BudgetHit, HorizonDelta, InitialConfig, ModelError, Round, RunBudget, Scenario,
+    ScenarioSpace, Shard,
 };
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::thread;
@@ -284,7 +283,6 @@ impl SystemBuilder {
             merged.runs,
             merged.views,
             merged.table,
-            merged.lookup,
             symmetry,
         );
         Ok((system, merged.report))
@@ -361,7 +359,6 @@ impl SystemBuilder {
             merged.runs,
             merged.views,
             merged.table,
-            merged.lookup,
             symmetry,
         );
         Ok((system, merged.report))
@@ -742,24 +739,21 @@ fn merge(
     let mut table = ViewTable::new();
     let mut views = Vec::new();
     let mut runs: Vec<RunRecord> = Vec::new();
-    let mut lookup = HashMap::new();
     let mut orbit_sizes = Vec::new();
     let mut merged = 0;
     let mut hit = None;
     for part in parts {
-        let remap = table.absorb(&part.table).map_err(EngineFault::Model)?;
-        views.extend(part.views.iter().map(|v| remap[v.index()]));
-        orbit_sizes.extend_from_slice(&part.orbit_sizes);
-        runs.reserve(part.runs.len());
-        for record in part.runs {
-            let id = RunId::try_new(runs.len()).map_err(EngineFault::Model)?;
-            let prior = lookup.insert((record.config.to_bits(), record.pattern.clone()), id);
-            debug_assert!(
-                prior.is_none(),
-                "exhaustive enumeration yielded a duplicate run"
-            );
-            runs.push(record);
+        if merged == 0 {
+            // The first shard's table already lists its views in
+            // sequential first-encounter order: it is the merged table.
+            table = part.table;
+            views = part.views;
+        } else {
+            let remap = table.absorb(&part.table).map_err(EngineFault::Model)?;
+            views.extend(part.views.iter().map(|v| remap[v.index()]));
         }
+        orbit_sizes.extend_from_slice(&part.orbit_sizes);
+        runs.extend(part.runs);
         merged += 1;
         if let Err(view_hit) = armed.check_views(table.len() as u64) {
             hit = Some(view_hit);
@@ -770,7 +764,7 @@ fn merge(
     // `from_parts` finishes by building the columnar `PointStore` over the
     // merged views, so even a budget-partial system carries its columns
     // and CSR bucket partitions.
-    let system = GeneratedSystem::from_parts(scenario, runs, views, table, lookup, symmetry);
+    let system = GeneratedSystem::from_parts(scenario, runs, views, table, symmetry);
     Ok((system, merged, hit))
 }
 
@@ -792,7 +786,6 @@ struct MergedExtend {
     table: ViewTable,
     views: Vec<ViewId>,
     runs: Vec<RunRecord>,
-    lookup: HashMap<(u128, FailurePattern), RunId>,
     orbit_sizes: Vec<u64>,
     report: ExtendReport,
 }
@@ -937,10 +930,11 @@ fn extend_pinned_block(
     Ok(part)
 }
 
-/// Absorbs extension blocks in block order into a merged table that
-/// starts as a base clone. A block table is the base table plus the
-/// block's new views in first-encounter order, so re-interning maps
-/// every base id to itself and appends new views exactly where a
+/// Absorbs extension blocks in block order. A block table is the base
+/// table plus the block's new views in first-encounter order, so the
+/// first block's table is taken as the merged table, and each later
+/// block re-interns only its views past the base prefix, which maps to
+/// itself ([`ViewTable::absorb_suffix`]). New views land exactly where a
 /// sequential extension would have interned them: block boundaries are
 /// invisible to the final `ViewId` numbering, whatever the thread/block
 /// count. The first failed block (in block order) surfaces as the error,
@@ -949,35 +943,41 @@ fn merge_extend_parts(
     base: &GeneratedSystem,
     outcomes: Vec<Result<ExtendBlock, ModelError>>,
 ) -> Result<MergedExtend, ModelError> {
+    let shared = base.table().len();
+    let mut table: Option<ViewTable> = None;
     let mut merged = MergedExtend {
-        table: base.table().clone(),
+        table: ViewTable::new(),
         views: Vec::new(),
         runs: Vec::new(),
-        lookup: HashMap::new(),
         orbit_sizes: Vec::new(),
         report: ExtendReport::default(),
     };
     for outcome in outcomes {
         let part = outcome?;
-        let remap = merged.table.absorb(&part.table)?;
-        merged
-            .views
-            .extend(part.views.iter().map(|v| remap[v.index()]));
-        merged.orbit_sizes.extend_from_slice(&part.orbit_sizes);
-        merged.runs.reserve(part.runs.len());
-        for record in part.runs {
-            let id = RunId::try_new(merged.runs.len())?;
-            let prior = merged
-                .lookup
-                .insert((record.config.to_bits(), record.pattern.clone()), id);
-            debug_assert!(prior.is_none(), "extension blocks yielded a duplicate run");
-            merged.runs.push(record);
+        match table.as_mut() {
+            None => {
+                table = Some(part.table);
+                merged.views = part.views;
+            }
+            Some(table) => {
+                let remap = table.absorb_suffix(&part.table, shared)?;
+                merged.views.extend(part.views.iter().map(|&v| {
+                    if v.index() < shared {
+                        v
+                    } else {
+                        remap[v.index() - shared]
+                    }
+                }));
+            }
         }
+        merged.orbit_sizes.extend_from_slice(&part.orbit_sizes);
+        merged.runs.extend(part.runs);
         merged.report.reused_runs += part.report.reused_runs;
         merged.report.fresh_runs += part.report.fresh_runs;
         merged.report.reused_slots += part.report.reused_slots;
         merged.report.computed_slots += part.report.computed_slots;
     }
+    merged.table = table.unwrap_or_else(|| base.table().clone());
     Ok(merged)
 }
 

@@ -45,7 +45,7 @@ impl View {
                     proc: tp,
                     value: tv,
                 },
-            ) => proc == tp && value == tv,
+            ) => *proc == tp && *value == tv,
             (
                 View::Node { prev, received },
                 crate::ViewNode::Node {
@@ -56,7 +56,7 @@ impl View {
                 if received.len() != treceived.len() {
                     return false;
                 }
-                if !prev.matches(table, *tprev) {
+                if !prev.matches(table, tprev) {
                     return false;
                 }
                 received

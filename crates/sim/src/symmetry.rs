@@ -192,8 +192,8 @@ pub fn for_each_permuted_hashes(table: &ViewTable, n: usize, mut f: impl FnMut(&
         for id in table.ids() {
             let h = match table.node(id) {
                 ViewNode::Leaf { proc, value } => {
-                    let h = mix(1, u128::from(perm.apply(*proc).index() as u64));
-                    mix(h, u128::from(*value as u64))
+                    let h = mix(1, u128::from(perm.apply(proc).index() as u64));
+                    mix(h, u128::from(value as u64))
                 }
                 ViewNode::Node { prev, received } => {
                     let mut h = mix(2, cur[prev.index()]);

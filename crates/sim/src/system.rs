@@ -5,11 +5,13 @@ use crate::exchange::{try_exchange_views, AnyExchange};
 use crate::points::PointStore;
 use crate::symmetry::{self, SymmetryInfo};
 use crate::view::{ViewId, ViewTable};
+use eba_model::fasthash::{FastHasher, FastMap};
 use eba_model::symmetry::Perm;
 use eba_model::{
     sample, FailurePattern, InitialConfig, ModelError, ProcSet, ProcessorId, Scenario, Time,
 };
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Identifies a run within a [`GeneratedSystem`].
@@ -56,6 +58,81 @@ pub struct RunRecord {
     pub nonfaulty: ProcSet,
 }
 
+/// The [`GeneratedSystem::find_run`] index: run ids keyed by a 64-bit
+/// hash of `(config, pattern)` ([`RunIndex::key`]). It holds no copy of
+/// either; a lookup confirms each candidate with the caller's predicate
+/// (against the run records), and a run whose key collides with an
+/// earlier run's waits in a list that lookups of that key scan.
+#[derive(Clone, Debug, Default)]
+struct RunIndex {
+    first: FastMap<u64, RunId>,
+    collided: Vec<(u64, RunId)>,
+}
+
+impl RunIndex {
+    /// The key of the run `(config, pattern)`.
+    fn key(config: &InitialConfig, pattern: &FailurePattern) -> u64 {
+        let mut h = FastHasher::default();
+        h.write_u128(config.to_bits());
+        pattern.hash(&mut h);
+        h.finish()
+    }
+
+    /// Indexes every run of `runs` under its own key.
+    fn build(runs: &[RunRecord]) -> Self {
+        let mut index = RunIndex::default();
+        index.first.reserve(runs.len());
+        for (i, record) in runs.iter().enumerate() {
+            index.insert(
+                RunIndex::key(&record.config, &record.pattern),
+                RunId::new(i),
+            );
+        }
+        index
+    }
+
+    fn insert(&mut self, key: u64, id: RunId) {
+        match self.first.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+            }
+            Entry::Occupied(_) => self.collided.push((key, id)),
+        }
+    }
+
+    /// The run of `runs` that is `(config, pattern)`, if indexed.
+    fn get(
+        &self,
+        runs: &[RunRecord],
+        config: &InitialConfig,
+        pattern: &FailurePattern,
+    ) -> Option<RunId> {
+        self.find(RunIndex::key(config, pattern), |r| {
+            let record = &runs[r.index()];
+            record.config == *config && record.pattern == *pattern
+        })
+    }
+
+    /// The first run indexed under `key` that `is` accepts.
+    fn find(&self, key: u64, is: impl Fn(RunId) -> bool) -> Option<RunId> {
+        let first = *self.first.get(&key)?;
+        if is(first) {
+            return Some(first);
+        }
+        self.collided
+            .iter()
+            .filter(|&&(k, _)| k == key)
+            .map(|&(_, id)| id)
+            .find(|&id| is(id))
+    }
+
+    fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.first.len() * size_of::<(u64, RunId)>()
+            + self.collided.len() * size_of::<(u64, RunId)>()
+    }
+}
+
 /// The set of runs of the full-information protocol for a scenario, with
 /// every processor's view interned at every time.
 ///
@@ -87,7 +164,7 @@ pub struct GeneratedSystem {
     /// Flattened `views[run][time][proc]`.
     views: Vec<ViewId>,
     table: ViewTable,
-    lookup: HashMap<(u128, FailurePattern), RunId>,
+    lookup: RunIndex,
     /// The columnar point store over the same views, built once at system
     /// construction and shared by every clone of the system.
     store: Arc<PointStore>,
@@ -153,20 +230,18 @@ impl GeneratedSystem {
         let exchange = AnyExchange::for_scenario(scenario);
 
         let mut table = ViewTable::new();
-        let mut runs = Vec::new();
+        let mut runs: Vec<RunRecord> = Vec::new();
         let mut views = Vec::with_capacity(run_specs.len() * slots_per_run);
-        let mut lookup = HashMap::new();
+        let mut seen = RunIndex::default();
 
         for (config, pattern) in run_specs {
             scenario
                 .validate_pattern(&pattern)
                 .expect("failure pattern invalid for the scenario");
-            let key = (config.to_bits(), pattern.clone());
-            if lookup.contains_key(&key) {
+            if seen.get(&runs, &config, &pattern).is_some() {
                 continue;
             }
-            let id = RunId::new(runs.len());
-            lookup.insert(key, id);
+            seen.insert(RunIndex::key(&config, &pattern), RunId::new(runs.len()));
             let run_views = try_exchange_views(&exchange, &config, &pattern, horizon, &mut table)
                 .expect("view table overflow");
             for time_views in &run_views {
@@ -180,22 +255,23 @@ impl GeneratedSystem {
             });
         }
 
-        Self::from_parts(*scenario, runs, views, table, lookup, None)
+        Self::from_parts(*scenario, runs, views, table, None)
     }
 
     /// Assembles a system from parts the [`SystemBuilder`] has already
     /// validated (runs in enumeration order, views remapped to `table`),
-    /// finishing with the columnar [`PointStore`] — this is the single
-    /// point where the store is built, so every construction path
-    /// (exhaustive, sampled, sharded, budget-partial) carries one.
+    /// finishing with the `find_run` index and the columnar
+    /// [`PointStore`] — this is the single point where both are built, so
+    /// every construction path (exhaustive, sampled, sharded,
+    /// budget-partial, extended) carries them.
     pub(crate) fn from_parts(
         scenario: Scenario,
         runs: Vec<RunRecord>,
         views: Vec<ViewId>,
         table: ViewTable,
-        lookup: HashMap<(u128, FailurePattern), RunId>,
         symmetry: Option<Arc<SymmetryInfo>>,
     ) -> Self {
+        let lookup = RunIndex::build(&runs);
         let times = scenario.horizon().index() + 1;
         let store = Arc::new(PointStore::build(
             scenario.n(),
@@ -277,13 +353,7 @@ impl GeneratedSystem {
                     + pattern_heap(&r.pattern)
             })
             .sum();
-        // Lookup keys hold a second clone of each pattern.
-        let lookup: usize = self
-            .lookup
-            .keys()
-            .map(|(_, pattern)| size_of::<u128>() + pattern_heap(pattern) + size_of::<RunId>())
-            .sum();
-        runs + lookup
+        runs + self.lookup.approx_bytes()
             + self.views.len() * size_of::<ViewId>()
             + self.table.approx_bytes()
             + self.store.approx_bytes()
@@ -342,9 +412,7 @@ impl GeneratedSystem {
     /// (used to pair *corresponding runs* across protocols).
     #[must_use]
     pub fn find_run(&self, config: &InitialConfig, pattern: &FailurePattern) -> Option<RunId> {
-        self.lookup
-            .get(&(config.to_bits(), pattern.clone()))
-            .copied()
+        self.lookup.get(&self.runs, config, pattern)
     }
 
     /// The orbit accounting of a symmetry-quotiented build, or `None`
@@ -426,6 +494,94 @@ mod tests {
             vec![(config.clone(), pattern.clone()), (config, pattern)],
         );
         assert_eq!(system.num_runs(), 1);
+
+        // Duplicates interleaved with distinct runs keep the first
+        // occurrence, in order.
+        let scenario = Scenario::new(3, 1, FailureMode::Omission, 2).unwrap();
+        let specs: Vec<_> = enumerate::patterns(&scenario)
+            .take(20)
+            .flat_map(|pattern| {
+                let config = InitialConfig::from_bits(3, pattern.faulty_set().len() as u128);
+                [(config.clone(), pattern.clone()), (config, pattern)]
+            })
+            .collect();
+        let mut firsts = specs.clone();
+        firsts.dedup();
+        let system = GeneratedSystem::from_runs(&scenario, [specs.clone(), specs].concat());
+        assert_eq!(system.num_runs(), firsts.len());
+        for (r, (config, pattern)) in system.run_ids().zip(&firsts) {
+            assert_eq!(
+                (&system.run(r).config, &system.run(r).pattern),
+                (config, pattern)
+            );
+        }
+    }
+
+    /// Every run is found by its own `(config, pattern)`.
+    fn assert_finds_every_run(system: &GeneratedSystem) {
+        for r in system.run_ids() {
+            let record = system.run(r);
+            assert_eq!(system.find_run(&record.config, &record.pattern), Some(r));
+        }
+    }
+
+    #[test]
+    fn find_run_finds_every_run_and_nothing_else() {
+        use crate::SystemBuilder;
+        let scenario = Scenario::new(3, 1, FailureMode::Omission, 2).unwrap();
+        let exhaustive = GeneratedSystem::exhaustive(&scenario);
+        let sampled = GeneratedSystem::sampled(&scenario, 60, 11);
+        let (extended, _) = SystemBuilder::new(&scenario.with_horizon(3).unwrap())
+            .extend(&exhaustive)
+            .unwrap();
+        for system in [&exhaustive, &sampled, &extended] {
+            assert_finds_every_run(system);
+        }
+        // The sampled system holds a strict subset of the runs.
+        assert!(sampled.num_runs() < exhaustive.num_runs());
+        let present: std::collections::HashSet<_> = sampled
+            .run_ids()
+            .map(|r| {
+                (
+                    sampled.run(r).config.clone(),
+                    sampled.run(r).pattern.clone(),
+                )
+            })
+            .collect();
+        for r in exhaustive.run_ids() {
+            let record = exhaustive.run(r);
+            let key = (record.config.clone(), record.pattern.clone());
+            assert_eq!(
+                sampled.find_run(&record.config, &record.pattern).is_some(),
+                present.contains(&key)
+            );
+        }
+        // Pairs from another horizon or another `n` are absent.
+        let record = extended.run(RunId::new(extended.num_runs() - 1));
+        assert_eq!(exhaustive.find_run(&record.config, &record.pattern), None);
+        let other_n = FailurePattern::failure_free(4);
+        assert_eq!(
+            exhaustive.find_run(&InitialConfig::uniform(4, Value::One), &other_n),
+            None
+        );
+    }
+
+    #[test]
+    fn run_index_scans_colliding_keys() {
+        let mut index = RunIndex::default();
+        index.insert(7, RunId::new(0));
+        index.insert(9, RunId::new(1));
+        index.insert(7, RunId::new(2));
+        index.insert(7, RunId::new(3));
+        assert_eq!(index.collided.len(), 2);
+        for r in [0, 2, 3] {
+            assert_eq!(index.find(7, |c| c == RunId::new(r)), Some(RunId::new(r)));
+        }
+        // A key's candidates never leak into another key's lookup.
+        assert_eq!(index.find(9, |c| c == RunId::new(2)), None);
+        assert_eq!(index.find(7, |c| c == RunId::new(1)), None);
+        assert_eq!(index.find(8, |_| true), None);
+        assert_eq!(index.find(7, |_| false), None);
     }
 
     #[test]

@@ -30,15 +30,24 @@
 //! [`ViewTable::at_time`]) are FIP-specific; they return `None` (or are
 //! documented to panic) on digest states.
 
+use eba_model::fasthash::FastHasher;
 use eba_model::{
     FailurePattern, InitialConfig, ModelError, ProcSet, ProcessorId, Round, Time, Value,
 };
-use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 pub use crate::exchange::DigestState;
 
 /// The number of views a [`ViewTable`] can hold (`ViewId` is a `u32`).
 pub const VIEW_CAPACITY: u128 = 1 << 32;
+
+/// The empty-slot marker of the hash-consing index. It equals the last id
+/// a full table hands out, so that one view is kept out of the index and
+/// looked up directly (see [`ViewTable::find`]): the marker costs no id.
+const EMPTY: u32 = u32::MAX;
+
+/// The smallest index a table with views allocates.
+const MIN_INDEX: usize = 16;
 
 /// An interned full-information view; equal ids ⟺ identical FIP local
 /// state (within one [`ViewTable`]).
@@ -74,9 +83,10 @@ impl ViewId {
     }
 }
 
-/// The structure of a view: a time-0 leaf or an extension node.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub enum ViewNode {
+/// The structure of a view, borrowed from its [`ViewTable`]: a time-0
+/// leaf, an extension node, or a digest state.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum ViewNode<'a> {
     /// The view of `proc` at time 0: its initial value.
     Leaf {
         /// The view's owner.
@@ -91,13 +101,26 @@ pub enum ViewNode {
         /// `received[j]` is `j`'s view at the previous time if `j`'s
         /// round-`m` message was delivered, `None` otherwise
         /// (`received[owner]` is always `None`; own memory is `prev`).
-        received: Box<[Option<ViewId>]>,
+        received: &'a [Option<ViewId>],
     },
     /// The bounded local state of a digest exchange (see
     /// [`crate::DigestExchange`]). Unlike [`ViewNode::Node`] it holds its
     /// full content by value and references no other table entries, so
-    /// [`ViewTable::absorb`] clones it without remapping.
-    Digest(DigestState),
+    /// [`ViewTable::absorb`] copies it without remapping.
+    Digest(&'a DigestState),
+}
+
+/// Where a view's content lives: a leaf's in its meta row, a node's
+/// received row in the `slots` arena, a digest state in `digests`.
+#[derive(Clone, Copy, Debug)]
+enum Entry {
+    Leaf,
+    Node {
+        prev: ViewId,
+        start: usize,
+        width: u32,
+    },
+    Digest(usize),
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -114,6 +137,14 @@ struct ViewMeta {
 
 /// An interning table for full-information views; see the module docs.
 ///
+/// Storage is flat: per-view columns (where the content lives, the cached
+/// attributes, a 64-bit content hash), every received row back to back in
+/// one `slots` arena, and digest states in a side vector. The
+/// hash-consing index is an open-addressing table of view ids that
+/// compares candidates against those columns, so interning a view the
+/// table already holds allocates nothing, and a clone is a few `memcpy`s
+/// (plus one per digest state).
+///
 /// # Example
 ///
 /// ```
@@ -128,9 +159,39 @@ struct ViewMeta {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ViewTable {
-    nodes: Vec<ViewNode>,
+    entries: Vec<Entry>,
     meta: Vec<ViewMeta>,
-    index: HashMap<ViewNode, ViewId>,
+    hashes: Vec<u64>,
+    slots: Vec<Option<ViewId>>,
+    digests: Vec<DigestState>,
+    /// View ids or [`EMPTY`], at most half full, in a power-of-two table
+    /// probed linearly from the top bits of a view's hash.
+    index: Vec<u32>,
+}
+
+fn leaf_hash(proc: ProcessorId, value: Value) -> u64 {
+    let mut h = FastHasher::default();
+    h.write_u8(1);
+    h.write_usize(proc.index());
+    h.write_u8(value as u8);
+    h.finish()
+}
+
+fn node_hash(prev: ViewId, received: &[Option<ViewId>]) -> u64 {
+    let mut h = FastHasher::default();
+    h.write_u8(2);
+    h.write_u32(prev.0);
+    for slot in received {
+        h.write_u64(slot.map_or(0, |v| u64::from(v.0) + 1));
+    }
+    h.finish()
+}
+
+fn digest_hash(state: &DigestState) -> u64 {
+    let mut h = FastHasher::default();
+    h.write_u8(3);
+    state.hash(&mut h);
+    h.finish()
 }
 
 impl ViewTable {
@@ -143,41 +204,38 @@ impl ViewTable {
     /// Number of distinct views interned so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.entries.len()
     }
 
     /// Whether the table is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Approximate resident heap bytes of the table: node rows (plus
-    /// their boxed payloads), meta rows, and the hash-consing index.
-    /// Counts lengths rather than capacities, so it is a stable lower
-    /// bound usable for relative memory budgeting (the serve pool's LRU
-    /// eviction); it is not an allocator-exact figure.
+    /// Approximate resident heap bytes of the table: the per-view
+    /// columns, the received-row arena, the digest states with their
+    /// boxed payloads, and the hash-consing index. Counts lengths rather
+    /// than capacities, so it is a stable lower bound usable for relative
+    /// memory budgeting (the serve pool's LRU eviction); it is not an
+    /// allocator-exact figure.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        let payload = |node: &ViewNode| match node {
-            ViewNode::Leaf { .. } => 0,
-            ViewNode::Node { received, .. } => received.len() * size_of::<Option<ViewId>>(),
-            ViewNode::Digest(d) => {
-                (d.knowledge.len() + d.zero_knowledge.len()) * size_of::<ProcSet>()
-                    + d.contact.len() * size_of::<u64>()
-            }
-        };
-        // Every node is stored twice (row + index key) and its boxed
-        // payload is shared by neither, so payloads count twice too.
-        let nodes: usize = self
-            .nodes
+        let columns = self.len() * (size_of::<Entry>() + size_of::<ViewMeta>() + size_of::<u64>());
+        let digests: usize = self
+            .digests
             .iter()
-            .map(|n| 2 * (size_of::<ViewNode>() + payload(n)))
+            .map(|d| {
+                size_of::<DigestState>()
+                    + (d.knowledge.len() + d.zero_knowledge.len()) * size_of::<ProcSet>()
+                    + d.contact.len() * size_of::<u64>()
+            })
             .sum();
-        let meta = self.meta.len() * size_of::<ViewMeta>();
-        let index_overhead = self.index.len() * size_of::<ViewId>();
-        nodes + meta + index_overhead
+        columns
+            + self.slots.len() * size_of::<Option<ViewId>>()
+            + digests
+            + self.index.len() * size_of::<u32>()
     }
 
     /// Iterates over every interned [`ViewId`] in interning order.
@@ -188,20 +246,105 @@ impl ViewTable {
     /// is ever needed at call sites.
     pub fn ids(&self) -> impl DoubleEndedIterator<Item = ViewId> + Clone {
         // Interning bounds len to VIEW_CAPACITY, so the cast is lossless.
-        (0..self.nodes.len() as u32).map(ViewId)
+        (0..self.len() as u32).map(ViewId)
     }
 
-    fn try_intern(&mut self, node: ViewNode, meta: ViewMeta) -> Result<ViewId, ModelError> {
-        if let Some(&id) = self.index.get(&node) {
+    /// Where the probe for `hash` starts: the hash's top bits, because the
+    /// multiplicative hasher mixes upward and leaves the low bits weak.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (64 - self.index.len().trailing_zeros())) as usize
+    }
+
+    /// The view with content hash `hash` for which `same` holds, if any.
+    fn find(&self, hash: u64, same: impl Fn(&Self, usize) -> bool) -> Option<ViewId> {
+        if !self.index.is_empty() {
+            let mask = self.index.len() - 1;
+            let mut pos = self.home(hash);
+            loop {
+                let id = self.index[pos];
+                if id == EMPTY {
+                    break;
+                }
+                if self.hashes[id as usize] == hash && same(self, id as usize) {
+                    return Some(ViewId(id));
+                }
+                pos = (pos + 1) & mask;
+            }
+        }
+        // A full table's last id equals `EMPTY` and never enters the index.
+        let last = EMPTY as usize;
+        (self.len() > last && self.hashes[last] == hash && same(self, last))
+            .then_some(ViewId(EMPTY))
+    }
+
+    /// Records the view just appended in the index, rebuilding the index
+    /// at twice the size when the view would fill it past half.
+    fn index_last(&mut self) {
+        if 2 * self.len() > self.index.len() {
+            let capacity = (2 * self.len()).next_power_of_two().max(MIN_INDEX);
+            self.index = vec![EMPTY; capacity];
+            for id in 0..self.len().min(EMPTY as usize) {
+                self.place(id);
+            }
+        } else if self.len() - 1 < EMPTY as usize {
+            self.place(self.len() - 1);
+        }
+    }
+
+    fn place(&mut self, id: usize) {
+        let mask = self.index.len() - 1;
+        let mut pos = self.home(self.hashes[id]);
+        while self.index[pos] != EMPTY {
+            pos = (pos + 1) & mask;
+        }
+        // `id < EMPTY`, so the cast is lossless.
+        self.index[pos] = id as u32;
+    }
+
+    /// Interns the view with content hash `hash` and content `same`
+    /// matches: its existing id, or a new one whose content `store`
+    /// appends.
+    fn intern(
+        &mut self,
+        hash: u64,
+        meta: ViewMeta,
+        same: impl Fn(&Self, usize) -> bool,
+        store: impl FnOnce(&mut Self) -> Entry,
+    ) -> Result<ViewId, ModelError> {
+        if let Some(id) = self.find(hash, same) {
             return Ok(id);
         }
-        let Some(id) = ViewId::try_from_index(self.nodes.len()) else {
+        let Some(id) = ViewId::try_from_index(self.len()) else {
             return Err(ModelError::capacity_exceeded("view table", VIEW_CAPACITY));
         };
-        self.index.insert(node.clone(), id);
-        self.nodes.push(node);
+        let entry = store(self);
+        self.entries.push(entry);
         self.meta.push(meta);
+        self.hashes.push(hash);
+        self.index_last();
         Ok(id)
+    }
+
+    fn intern_node(
+        &mut self,
+        prev: ViewId,
+        received: &[Option<ViewId>],
+        meta: ViewMeta,
+    ) -> Result<ViewId, ModelError> {
+        let same = |t: &Self, id: usize| {
+            matches!(t.entries[id], Entry::Node { prev: p, start, width }
+                if p == prev && t.slots[start..start + width as usize] == *received)
+        };
+        self.intern(node_hash(prev, received), meta, same, |t| {
+            let start = t.slots.len();
+            t.slots.extend_from_slice(received);
+            Entry::Node {
+                prev,
+                start,
+                // A row has one slot per processor, far below `u32::MAX`.
+                width: received.len() as u32,
+            }
+        })
     }
 
     /// Re-interns every view of `other` into `self`, in `other`'s id
@@ -214,22 +357,42 @@ impl ViewTable {
     /// first encounters in exactly the sequential enumeration order, so
     /// the combined table is bit-identical to a sequential build.
     pub fn absorb(&mut self, other: &ViewTable) -> Result<Vec<ViewId>, ModelError> {
-        let mut remap: Vec<ViewId> = Vec::with_capacity(other.len());
-        for (node, meta) in other.nodes.iter().zip(&other.meta) {
-            let translated = match node {
-                // Leaves and digest states are self-contained: their
-                // content (and hence their hash-cons identity) carries no
-                // table-local ids, so absorption is a plain clone.
-                ViewNode::Leaf { .. } | ViewNode::Digest(_) => node.clone(),
-                ViewNode::Node { prev, received } => ViewNode::Node {
-                    prev: remap[prev.index()],
-                    received: received
-                        .iter()
-                        .map(|slot| slot.map(|v| remap[v.index()]))
-                        .collect(),
-                },
+        self.absorb_suffix(other, 0)
+    }
+
+    /// [`ViewTable::absorb`] for a table that shares its first `shared`
+    /// views with `self`, id for id (both grew from clones of one table of
+    /// that length): the shared prefix maps to itself, so only `other`'s
+    /// views from id `shared` on are re-interned. Returns their
+    /// translation: entry `i` is the id in `self` of `other`'s view
+    /// `shared + i`.
+    pub(crate) fn absorb_suffix(
+        &mut self,
+        other: &ViewTable,
+        shared: usize,
+    ) -> Result<Vec<ViewId>, ModelError> {
+        debug_assert!(shared <= self.len().min(other.len()));
+        debug_assert_eq!(self.hashes[..shared], other.hashes[..shared]);
+        let mut remap: Vec<ViewId> = Vec::with_capacity(other.len() - shared);
+        let mut row: Vec<Option<ViewId>> = Vec::new();
+        for id in shared..other.len() {
+            let translate = |v: ViewId| {
+                if v.index() < shared {
+                    v
+                } else {
+                    remap[v.index() - shared]
+                }
             };
-            remap.push(self.try_intern(translated, *meta)?);
+            let mapped = match other.node(ViewId(id as u32)) {
+                ViewNode::Leaf { proc, value } => self.try_leaf(proc, value),
+                ViewNode::Digest(state) => self.try_digest(state.clone()),
+                ViewNode::Node { prev, received } => {
+                    row.clear();
+                    row.extend(received.iter().map(|slot| slot.map(translate)));
+                    self.intern_node(translate(prev), &row, other.meta[id])
+                }
+            }?;
+            remap.push(mapped);
         }
         Ok(remap)
     }
@@ -260,7 +423,12 @@ impl ViewTable {
             },
             heard_from: ProcSet::empty(),
         };
-        self.try_intern(ViewNode::Leaf { proc, value }, meta)
+        let same = |t: &Self, id: usize| {
+            matches!(t.entries[id], Entry::Leaf)
+                && t.meta[id].proc == proc
+                && t.meta[id].own_value == value
+        };
+        self.intern(leaf_hash(proc, value), meta, same, |_| Entry::Leaf)
     }
 
     /// Interns the view obtained by extending `prev` with one round of
@@ -272,17 +440,18 @@ impl ViewTable {
     /// Panics if the table is full (see [`ViewTable::try_extend`]), and in
     /// debug builds if a received view is not at the owner's previous time
     /// or `received[owner]` is not `None`.
-    pub fn extend(&mut self, prev: ViewId, received: Vec<Option<ViewId>>) -> ViewId {
+    pub fn extend(&mut self, prev: ViewId, received: &[Option<ViewId>]) -> ViewId {
         self.try_extend(prev, received)
             .expect("view table overflow")
     }
 
     /// Fallible [`ViewTable::extend`], reporting table overflow as a
-    /// [`ModelError::CapacityExceeded`] instead of panicking.
+    /// [`ModelError::CapacityExceeded`] instead of panicking. Interning a
+    /// view the table already holds allocates nothing.
     pub fn try_extend(
         &mut self,
         prev: ViewId,
-        received: Vec<Option<ViewId>>,
+        received: &[Option<ViewId>],
     ) -> Result<ViewId, ModelError> {
         let prev_meta = self.meta[prev.index()];
         debug_assert!(received
@@ -316,13 +485,7 @@ impl ViewTable {
             known_zeros,
             heard_from,
         };
-        self.try_intern(
-            ViewNode::Node {
-                prev,
-                received: received.into_boxed_slice(),
-            },
-            meta,
-        )
+        self.intern_node(prev, received, meta)
     }
 
     /// Interns the bounded local state of a digest exchange. The cached
@@ -332,9 +495,7 @@ impl ViewTable {
     /// some known processor is *not* known to have started with 0.
     ///
     /// Overflow surfaces as a typed [`ModelError::CapacityExceeded`] —
-    /// the digest path has no panicking intern (satellite audit of the
-    /// raw-index constructors: only [`ViewId::try_from_index`] is used
-    /// here, via `try_intern`).
+    /// the digest path has no panicking intern.
     pub fn try_digest(&mut self, state: DigestState) -> Result<ViewId, ModelError> {
         let known_ones = state.known_procs - state.known_zeros;
         let meta = ViewMeta {
@@ -347,23 +508,40 @@ impl ViewTable {
             known_zeros: state.known_zeros,
             heard_from: state.heard_from,
         };
-        self.try_intern(ViewNode::Digest(state), meta)
+        let same = |t: &Self, id: usize| matches!(t.entries[id], Entry::Digest(d) if t.digests[d] == state);
+        self.intern(digest_hash(&state), meta, same, |t| {
+            t.digests.push(state.clone());
+            Entry::Digest(t.digests.len() - 1)
+        })
     }
 
     /// The digest state of view `id`, or `None` for a full-information
     /// view.
     #[must_use]
     pub fn digest_state(&self, id: ViewId) -> Option<&DigestState> {
-        match self.node(id) {
-            ViewNode::Digest(state) => Some(state),
+        match self.entries[id.index()] {
+            Entry::Digest(d) => Some(&self.digests[d]),
             _ => None,
         }
     }
 
     /// The structure of view `id`.
     #[must_use]
-    pub fn node(&self, id: ViewId) -> &ViewNode {
-        &self.nodes[id.index()]
+    pub fn node(&self, id: ViewId) -> ViewNode<'_> {
+        match self.entries[id.index()] {
+            Entry::Leaf => {
+                let meta = &self.meta[id.index()];
+                ViewNode::Leaf {
+                    proc: meta.proc,
+                    value: meta.own_value,
+                }
+            }
+            Entry::Node { prev, start, width } => ViewNode::Node {
+                prev,
+                received: &self.slots[start..start + width as usize],
+            },
+            Entry::Digest(d) => ViewNode::Digest(&self.digests[d]),
+        }
     }
 
     /// The owner of the view.
@@ -438,9 +616,9 @@ impl ViewTable {
     /// earlier table entries).
     #[must_use]
     pub fn prev(&self, id: ViewId) -> Option<ViewId> {
-        match self.node(id) {
-            ViewNode::Leaf { .. } | ViewNode::Digest(_) => None,
-            ViewNode::Node { prev, .. } => Some(*prev),
+        match self.entries[id.index()] {
+            Entry::Leaf | Entry::Digest(_) => None,
+            Entry::Node { prev, .. } => Some(prev),
         }
     }
 
@@ -469,8 +647,8 @@ impl ViewTable {
             ViewNode::Digest(state) => state.render(),
             ViewNode::Node { prev, received } => {
                 let mut out = String::from("(");
-                out.push_str(&self.render(*prev));
-                for slot in received.iter() {
+                out.push_str(&self.render(prev));
+                for slot in received {
                     out.push('|');
                     match slot {
                         Some(v) => out.push_str(&self.render(*v)),
@@ -569,19 +747,19 @@ pub(crate) fn try_fip_step(
     let n = pattern.n();
     debug_assert_eq!(n, prev_views.len());
     let mut now: Vec<ViewId> = Vec::with_capacity(n);
+    let mut received: Vec<Option<ViewId>> = Vec::with_capacity(n);
     for receiver in ProcessorId::all(n) {
         if pattern.crashed_by(receiver, round.end()) {
             now.push(prev_views[receiver.index()]);
             continue;
         }
-        let received: Vec<Option<ViewId>> = ProcessorId::all(n)
-            .map(|sender| {
-                pattern
-                    .delivers(sender, receiver, round)
-                    .then(|| prev_views[sender.index()])
-            })
-            .collect();
-        now.push(table.try_extend(prev_views[receiver.index()], received)?);
+        received.clear();
+        received.extend(ProcessorId::all(n).map(|sender| {
+            pattern
+                .delivers(sender, receiver, round)
+                .then(|| prev_views[sender.index()])
+        }));
+        now.push(table.try_extend(prev_views[receiver.index()], &received)?);
     }
     Ok(now)
 }
@@ -628,7 +806,7 @@ mod tests {
         let mut t = ViewTable::new();
         let v0 = t.leaf(p(0), Value::One);
         let v1 = t.leaf(p(1), Value::Zero);
-        let ext = t.extend(v0, vec![None, Some(v1), None]);
+        let ext = t.extend(v0, &[None, Some(v1), None]);
         assert_eq!(t.proc(ext), p(0));
         assert_eq!(t.time(ext), Time::new(1));
         assert!(t.exists_zero(ext));
@@ -785,6 +963,218 @@ mod tests {
         let b = t.leaf(p(1), Value::One);
         assert_eq!(t.ids().collect::<Vec<_>>(), vec![a, b]);
         assert!(t.ids().all(|v| v.index() < t.len()));
+    }
+
+    /// The structural interner the flat table replaced, kept as the test
+    /// oracle: a map from each view's owned content to its id.
+    #[derive(Default)]
+    struct Reference {
+        ids: std::collections::HashMap<Owned, ViewId>,
+    }
+
+    #[derive(PartialEq, Eq, Hash)]
+    enum Owned {
+        Leaf(ProcessorId, Value),
+        Node(ViewId, Vec<Option<ViewId>>),
+        Digest(DigestState),
+    }
+
+    impl Reference {
+        fn intern(&mut self, content: Owned) -> ViewId {
+            let next = ViewId::from_index(self.ids.len());
+            *self.ids.entry(content).or_insert(next)
+        }
+    }
+
+    /// Runs the full-information rounds of `(config, pattern)` through
+    /// `flat` and `reference` side by side, asserting that every view gets
+    /// the same id from both.
+    fn lockstep_run(
+        config: &InitialConfig,
+        pattern: &FailurePattern,
+        horizon: Time,
+        flat: &mut ViewTable,
+        reference: &mut Reference,
+    ) -> Vec<Vec<ViewId>> {
+        let n = config.n();
+        let leaves: Vec<ViewId> = ProcessorId::all(n)
+            .map(|q| {
+                let id = flat.leaf(q, config.value(q));
+                assert_eq!(reference.intern(Owned::Leaf(q, config.value(q))), id);
+                id
+            })
+            .collect();
+        let mut views = vec![leaves];
+        for round in Round::upto(horizon) {
+            let prev = views.last().unwrap().clone();
+            let now = try_fip_step(pattern, round, &prev, flat).unwrap();
+            for receiver in ProcessorId::all(n) {
+                let expected = if pattern.crashed_by(receiver, round.end()) {
+                    prev[receiver.index()]
+                } else {
+                    let row = ProcessorId::all(n)
+                        .map(|sender| {
+                            pattern
+                                .delivers(sender, receiver, round)
+                                .then(|| prev[sender.index()])
+                        })
+                        .collect();
+                    reference.intern(Owned::Node(prev[receiver.index()], row))
+                };
+                assert_eq!(now[receiver.index()], expected, "{pattern:?} {round:?}");
+            }
+            views.push(now);
+        }
+        views
+    }
+
+    fn random_runs(
+        mode: eba_model::FailureMode,
+        count: usize,
+        seed: u64,
+    ) -> (eba_model::Scenario, Vec<(InitialConfig, FailurePattern)>) {
+        use rand::SeedableRng;
+        let scenario = eba_model::Scenario::new(4, 2, mode, 3).unwrap();
+        let sampler = eba_model::sample::PatternSampler::new(scenario);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let runs = (0..count)
+            .map(|_| {
+                let config = eba_model::sample::random_config(4, &mut rng);
+                (config, sampler.sample(&mut rng))
+            })
+            .collect();
+        (scenario, runs)
+    }
+
+    fn assert_same_table(a: &ViewTable, b: &ViewTable) {
+        assert_eq!(a.len(), b.len());
+        for id in a.ids() {
+            assert_eq!(a.node(id), b.node(id), "{id:?}");
+            assert_eq!(a.proc(id), b.proc(id));
+            assert_eq!(a.time(id), b.time(id));
+            assert_eq!(a.own_value(id), b.own_value(id));
+            assert_eq!(a.exists_zero(id), b.exists_zero(id));
+            assert_eq!(a.exists_one(id), b.exists_one(id));
+            assert_eq!(a.known_procs(id), b.known_procs(id));
+            assert_eq!(a.known_zeros(id), b.known_zeros(id));
+            assert_eq!(a.heard_from(id), b.heard_from(id));
+        }
+    }
+
+    #[test]
+    fn flat_table_assigns_the_reference_interners_ids() {
+        use eba_model::FailureMode;
+        for (k, mode) in [
+            FailureMode::Crash,
+            FailureMode::Omission,
+            FailureMode::GeneralOmission,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let (scenario, runs) = random_runs(mode, 400, 0xF1A7 + k as u64);
+            let mut flat = ViewTable::new();
+            let mut reference = Reference::default();
+            for (config, pattern) in &runs {
+                let views = lockstep_run(
+                    config,
+                    pattern,
+                    scenario.horizon(),
+                    &mut flat,
+                    &mut reference,
+                );
+                // Re-interning a whole run hits on every view.
+                let len = flat.len();
+                assert_eq!(
+                    fip_views(config, pattern, scenario.horizon(), &mut flat),
+                    views
+                );
+                assert_eq!(flat.len(), len);
+            }
+            assert_eq!(flat.len(), reference.ids.len(), "{mode:?}");
+            // Enough views to have rebuilt the index several times.
+            assert!(flat.len() > 4 * MIN_INDEX, "{mode:?}: {}", flat.len());
+            let columns = flat.len()
+                * (std::mem::size_of::<Entry>()
+                    + std::mem::size_of::<ViewMeta>()
+                    + std::mem::size_of::<u64>());
+            assert!(flat.approx_bytes() > columns + 2 * flat.len() * 4);
+        }
+    }
+
+    #[test]
+    fn flat_table_assigns_the_reference_interners_digest_ids() {
+        use crate::exchange::{try_exchange_views, DigestExchange};
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let (scenario, runs) = random_runs(eba_model::FailureMode::Omission, 120, 0xD16E);
+        let exchange = DigestExchange::new(16);
+        let mut source = ViewTable::new();
+        for (config, pattern) in &runs {
+            try_exchange_views(&exchange, config, pattern, scenario.horizon(), &mut source)
+                .unwrap();
+        }
+        // Every state twice, in a shuffled order: hits and misses interleave.
+        let mut states: Vec<DigestState> = source
+            .ids()
+            .flat_map(|id| {
+                let state = source.digest_state(id).unwrap().clone();
+                [state.clone(), state]
+            })
+            .collect();
+        states.shuffle(&mut rand::rngs::StdRng::seed_from_u64(7));
+        let mut flat = ViewTable::new();
+        let mut reference = Reference::default();
+        for state in states {
+            let id = flat.try_digest(state.clone()).unwrap();
+            assert_eq!(flat.digest_state(id), Some(&state));
+            assert_eq!(reference.intern(Owned::Digest(state)), id);
+        }
+        assert_eq!(flat.len(), source.len());
+    }
+
+    #[test]
+    fn absorb_with_a_shared_prefix_matches_a_full_absorb() {
+        use crate::exchange::{try_exchange_views, AnyExchange, DigestExchange, FullInfoExchange};
+        for exchange in [
+            AnyExchange::Full(FullInfoExchange),
+            AnyExchange::Digest(DigestExchange::new(8)),
+        ] {
+            let (scenario, runs) = random_runs(eba_model::FailureMode::Omission, 160, 0xAB50);
+            let horizon = scenario.horizon();
+            let intern = |table: &mut ViewTable, runs: &[(InitialConfig, FailurePattern)]| {
+                for (config, pattern) in runs {
+                    try_exchange_views(&exchange, config, pattern, horizon, table).unwrap();
+                }
+            };
+            // A base table, and three blocks grown from clones of it whose
+            // runs overlap the base's and each other's.
+            let mut base = ViewTable::new();
+            intern(&mut base, &runs[..60]);
+            let blocks: Vec<ViewTable> = [40..90, 80..130, 120..160]
+                .into_iter()
+                .map(|range| {
+                    let mut block = base.clone();
+                    intern(&mut block, &runs[range]);
+                    block
+                })
+                .collect();
+            let mut full = base.clone();
+            let mut suffix = base.clone();
+            for block in &blocks {
+                let whole = full.absorb(block).unwrap();
+                let tail = suffix.absorb_suffix(block, base.len()).unwrap();
+                assert!(whole[..base.len()].iter().copied().eq(base.ids()));
+                assert_eq!(whole[base.len()..], tail[..]);
+            }
+            assert_same_table(&full, &suffix);
+            // Both equal one table interning the same runs in block order.
+            let mut sequential = base.clone();
+            for range in [40..90, 80..130, 120..160] {
+                intern(&mut sequential, &runs[range]);
+            }
+            assert_same_table(&full, &sequential);
+        }
     }
 
     #[test]

@@ -74,7 +74,6 @@ fn correspondence_n5_t1() {
 /// direction: `F^{Λ,2}` decides no later than `P0opt` everywhere, and in
 /// the witness run strictly earlier.
 #[test]
-#[ignore = "n=4, t=2 exhausts ~100k runs; run with --ignored (covered by exp3)"]
 fn f_lambda_2_strictly_dominates_p0opt_at_t2() {
     let scenario = Scenario::new(4, 2, FailureMode::Crash, 4).unwrap();
     let system = GeneratedSystem::exhaustive(&scenario);
