@@ -5,18 +5,16 @@
 //! and counterexamples/witnesses. See `eba-check --help` for the formula
 //! syntax.
 
-use eba_core::{EngineSession, SessionScope};
+use eba_core::{ConfigError, EngineConfig, EngineOptions, EngineSession, OpenError, Verdict};
 use eba_kripke::explain::Timeline;
 use eba_kripke::parse::parse_formula;
-use eba_kripke::{Evaluator, Formula, KnowledgeCache};
+use eba_kripke::Formula;
 use eba_model::{
     BudgetHit, ExchangeKind, FailureMode, FailurePattern, FaultyBehavior, InitialConfig, ProcSet,
-    ProcessorId, Round, RunBudget, Scenario, Time, Value,
+    ProcessorId, Round, Scenario, Value,
 };
 use eba_serve::install_sigint;
-use eba_sim::{BuildOutcome, GeneratedSystem, SystemBuilder};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 const HELP: &str = "\
@@ -77,11 +75,6 @@ OPTIONS:
                      is bit-identical to independent cold runs of each
                      horizon. Exhaustive only: conflicts with --horizon,
                      --sampled, --timeline, and --deadline/--max-runs
-    --sweep-cold     with --horizon-sweep: rebuild every horizon from
-                     scratch instead of extending — the differential
-                     oracle for the incremental path; prints the same
-                     output (diagnostic `cache:`/`extend:` lines under
-                     --cache-stats excepted)
     --witness        also print a point where the formula holds
     --cache-stats    after the verdict, print knowledge-cache counters
                      (reachability and scope-column hits/misses, interned
@@ -132,22 +125,15 @@ checkpoint and the verdict covers the completed prefix (the same PARTIAL
 banner as --deadline); a --horizon-sweep stops before its next horizon.
 ";
 
+#[derive(Default)]
 struct Options {
-    n: usize,
-    t: usize,
-    mode: FailureMode,
-    exchange: ExchangeKind,
-    horizon: Option<u16>,
+    /// The engine's part: scenario, sampling, symmetry and budget.
+    engine: EngineOptions,
     horizon_sweep: Option<(u16, u16)>,
-    sweep_cold: bool,
-    sampled: Option<(usize, u64)>,
-    symmetry: bool,
     threads: Option<usize>,
     /// Whether `--threads auto` was given (prints the resolved count).
     threads_auto: bool,
     shards: Option<usize>,
-    deadline: Option<Duration>,
-    max_runs: Option<u64>,
     witness: bool,
     cache_stats: bool,
     quiet: bool,
@@ -158,29 +144,8 @@ struct Options {
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut options = Options {
-        n: 3,
-        t: 1,
-        mode: FailureMode::Crash,
-        exchange: ExchangeKind::FullInformation,
-        horizon: None,
-        horizon_sweep: None,
-        sweep_cold: false,
-        sampled: None,
-        symmetry: false,
-        threads: None,
-        threads_auto: false,
-        shards: None,
-        deadline: None,
-        max_runs: None,
-        witness: false,
-        cache_stats: false,
-        quiet: false,
-        timeline: false,
-        config: None,
-        pattern: None,
-        formulas: Vec::new(),
-    };
+    let mut options = Options::default();
+    let engine = &mut options.engine;
     let mut iter = args.iter().peekable();
     let mut positional = Vec::new();
     while let Some(arg) = iter.next() {
@@ -191,10 +156,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         };
         match arg.as_str() {
             "--help" | "-h" => return Err(String::new()),
-            "--n" => options.n = take("--n")?.parse().map_err(|_| "bad --n")?,
-            "--t" => options.t = take("--t")?.parse().map_err(|_| "bad --t")?,
+            "--n" => engine.n = take("--n")?.parse().map_err(|_| "bad --n")?,
+            "--t" => engine.t = take("--t")?.parse().map_err(|_| "bad --t")?,
             "--horizon" => {
-                options.horizon = Some(take("--horizon")?.parse().map_err(|_| "bad --horizon")?);
+                engine.horizon = Some(take("--horizon")?.parse().map_err(|_| "bad --horizon")?);
             }
             "--horizon-sweep" => {
                 let spec = take("--horizon-sweep")?;
@@ -211,18 +176,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 }
                 options.horizon_sweep = Some((from, to));
             }
-            "--sweep-cold" => options.sweep_cold = true,
             "--exchange" => {
-                options.exchange =
+                engine.exchange =
                     ExchangeKind::parse(&take("--exchange")?).map_err(|e| e.to_string())?;
             }
             "--mode" => {
-                options.mode = match take("--mode")?.as_str() {
-                    "crash" => FailureMode::Crash,
-                    "omission" => FailureMode::Omission,
-                    "general-omission" => FailureMode::GeneralOmission,
-                    other => return Err(format!("unknown mode `{other}`")),
-                };
+                engine.mode = FailureMode::parse(&take("--mode")?).map_err(|e| e.to_string())?;
             }
             "--sampled" => {
                 let runs: usize = take("--sampled")?.parse().map_err(|_| "bad run count")?;
@@ -230,10 +189,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 if runs == 0 {
                     return Err("--sampled needs at least 1 run".to_owned());
                 }
-                options.sampled = Some((runs, seed));
+                engine.sampled = Some((runs, seed));
             }
             "--symmetry" => {
-                options.symmetry = match take("--symmetry")?.as_str() {
+                engine.symmetry = match take("--symmetry")?.as_str() {
                     "on" => true,
                     "off" => false,
                     other => return Err(format!("--symmetry needs on|off, got `{other}`")),
@@ -266,14 +225,14 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 if !secs.is_finite() || secs <= 0.0 {
                     return Err("--deadline must be a positive number of seconds".to_owned());
                 }
-                options.deadline = Some(Duration::from_secs_f64(secs));
+                engine.budget = engine.budget.with_deadline(Duration::from_secs_f64(secs));
             }
             "--max-runs" => {
                 let max: u64 = take("--max-runs")?.parse().map_err(|_| "bad --max-runs")?;
                 if max == 0 {
                     return Err("--max-runs must be at least 1".to_owned());
                 }
-                options.max_runs = Some(max);
+                engine.budget = engine.budget.with_max_runs(max);
             }
             "--witness" => options.witness = true,
             "--cache-stats" => options.cache_stats = true,
@@ -402,60 +361,83 @@ fn parse_pattern(spec: &str, scenario: &Scenario) -> Result<FailurePattern, Stri
     Ok(pattern)
 }
 
-fn describe_point(system: &GeneratedSystem, run: eba_sim::RunId, time: Time) -> String {
-    let record = system.run(run);
-    format!(
-        "run {} at {time}: config {} under [{}] (nonfaulty {})",
-        run.index(),
-        record.config,
-        record.pattern,
-        record.nonfaulty,
-    )
+/// The flag phrasing of a [`ConfigError`].
+fn config_message(error: ConfigError) -> String {
+    match error {
+        ConfigError::SymmetryNeedsExhaustive => {
+            "--symmetry quotients the exhaustive system; drop --sampled".into()
+        }
+        ConfigError::SymmetryNeedsFullExchange(exchange) => format!(
+            "--symmetry needs the full-information exchange; `{exchange}` bakes processor \
+             labels into its bounded states"
+        ),
+        ConfigError::BudgetNeedsExhaustive => {
+            "--deadline/--max-runs govern exhaustive generation; drop --sampled".into()
+        }
+        ConfigError::SweepNeedsExhaustive => {
+            "--horizon-sweep needs the exhaustive system; drop --sampled".into()
+        }
+        ConfigError::SweepNeedsExtension(exchange) => format!(
+            "--horizon-sweep needs an exchange supporting session extension; \
+             `{exchange}` is rebuild-only (use full or digest:0, or check horizons individually)"
+        ),
+        ConfigError::Scenario(e) => e.to_string(),
+    }
 }
 
-/// Builds the exhaustive system honoring the thread/shard knobs (the
-/// unbudgeted path; sweeps reject budgets up front). The build is still
-/// governed by an interrupt-only budget so Ctrl-C stops it at the next
-/// shard checkpoint instead of being ignored until completion.
-fn build_exhaustive(
-    scenario: &Scenario,
-    options: &Options,
-    quotient: bool,
-    interrupt: &'static AtomicBool,
-) -> Result<BuildOutcome, String> {
-    let mut builder = SystemBuilder::new(scenario)
-        .budget(RunBudget::unlimited().with_interrupt(interrupt))
-        .symmetry(quotient);
-    if let Some(threads) = options.threads {
-        builder = builder.threads(threads);
+/// The rules only the CLI has: a timeline pins one complete, unreduced
+/// run at one horizon; a sweep sets its own horizons and is never
+/// budgeted; shards split exhaustive generation.
+fn check_cli_rules(options: &Options) -> Result<(), &'static str> {
+    let sampled = options.engine.sampled.is_some();
+    let budgeted = options.engine.budget.is_bounded();
+    let sweep = options.horizon_sweep.is_some();
+    if options.timeline {
+        if options.engine.symmetry {
+            return Err("--timeline pins one concrete run; drop --symmetry");
+        }
+        if sweep {
+            return Err("--timeline checks one run at one horizon; drop --horizon-sweep");
+        }
+        if sampled {
+            return Err("--timeline needs the exhaustive system; drop --sampled");
+        }
+        if budgeted {
+            return Err("--timeline needs the complete system; drop --deadline/--max-runs");
+        }
     }
-    if let Some(shards) = options.shards {
-        builder = builder.shards(shards);
+    if sweep && options.engine.horizon.is_some() {
+        return Err("--horizon conflicts with --horizon-sweep (the sweep sets the horizons)");
     }
-    builder.build_governed().map_err(|e| e.to_string())
+    if sweep && budgeted {
+        return Err("--deadline/--max-runs govern single builds; drop them for --horizon-sweep");
+    }
+    if options.shards.is_some() && sampled {
+        return Err("--shards applies to exhaustive generation; drop --sampled");
+    }
+    Ok(())
 }
 
-/// Whether `--symmetry` applies to `formula`: the quotient preserves
-/// verdicts only for processor-symmetric formulas (DESIGN.md §4i), so a
-/// formula naming specific processors falls back to the unreduced
-/// system, with a notice unless `--quiet`.
-fn quotient_eligible(options: &Options, formula: &Formula) -> bool {
-    if !options.symmetry {
-        return false;
-    }
-    // Parsed formulas cannot reference engine-registered state-set
-    // families, so the family orbit-closure oracle is never consulted.
-    let eligible = formula.symmetric_under_relabeling(&mut |_| true);
-    if !eligible && !options.quiet {
-        println!("symmetry: formula names specific processors; checking the unreduced system");
-    }
-    eligible
-}
-
-/// The `symmetry:` preamble line of a quotiented check.
-fn print_symmetry_line(system: &GeneratedSystem, options: &Options) {
+/// The preamble: the scenario line, the formulas, and the orbit
+/// accounting of a quotiented system.
+fn print_preamble(session: &EngineSession, options: &Options, formulas: &[(String, Formula)]) {
     if options.quiet {
         return;
+    }
+    let system = session.system();
+    println!(
+        "scenario {}: {} runs, {} points ({})",
+        session.scenario(),
+        system.num_runs(),
+        system.num_points(),
+        if options.engine.sampled.is_some() {
+            "sampled"
+        } else {
+            "exhaustive"
+        },
+    );
+    for (_, f) in formulas {
+        println!("formula: {f}");
     }
     if let Some(info) = system.symmetry() {
         println!(
@@ -468,136 +450,80 @@ fn print_symmetry_line(system: &GeneratedSystem, options: &Options) {
     }
 }
 
-/// Evaluates `formula` over every point of `system` and prints the
-/// verdict block (VALID/NOT VALID, counterexample, witness, cache line) —
-/// shared by the single-scenario path and each horizon of a sweep.
-/// Returns whether the formula is valid.
-fn check_valid(
-    system: &GeneratedSystem,
-    formula: &Formula,
-    options: &Options,
-    cache: Option<KnowledgeCache>,
-) -> bool {
-    let mut eval = Evaluator::with_cache(system, cache.unwrap_or_default());
-    if let Some(threads) = options.threads {
-        eval.set_threads(threads);
+/// The `cache:` and `scheduler:` lines of `--cache-stats`.
+fn print_cache_stats(session: &EngineSession, options: &Options) {
+    if options.cache_stats {
+        println!("cache: {}", session.cache().stats());
+        println!("scheduler: {}", eba_sim::scheduler_stats());
     }
-    let satisfied = eval.eval(formula);
-    let holding = satisfied.count_ones();
-    let total = satisfied.len();
-    let valid = holding == total;
-    if valid {
-        println!("VALID ({total} points)");
+}
+
+/// Prints the verdict block (VALID/NOT VALID, counterexample, witness,
+/// cache lines); returns whether the formula is valid.
+fn print_verdict(session: &EngineSession, verdict: &Verdict, options: &Options) -> bool {
+    if verdict.is_valid() {
+        println!("VALID ({} points)", verdict.points);
     } else {
-        println!("NOT VALID: holds at {holding}/{total} points");
-        if let Some((run, time)) = eval.counterexample(formula) {
-            println!("counterexample: {}", describe_point(system, run, time));
+        println!(
+            "NOT VALID: holds at {}/{} points",
+            verdict.holds, verdict.points
+        );
+        if let Some(point) = &verdict.counterexample {
+            println!("counterexample: {point}");
         }
         if options.witness {
-            match satisfied.first_one() {
-                Some(idx) => {
-                    let (run, time) = eval.point_of(idx);
-                    println!("witness: {}", describe_point(system, run, time));
-                }
+            match &verdict.witness {
+                Some(point) => println!("witness: {point}"),
                 None => println!("witness: none (formula is unsatisfiable here)"),
             }
         }
     }
-    if options.cache_stats {
-        println!("cache: {}", eval.knowledge_cache().stats());
-        println!("scheduler: {}", eba_sim::scheduler_stats());
-    }
-    valid
+    print_cache_stats(session, options);
+    verdict.is_valid()
 }
 
-/// The per-horizon preamble of a sweep (always exhaustive, one formula).
-fn print_sweep_preamble(system: &GeneratedSystem, options: &Options, formula: &Formula) {
-    if options.quiet {
-        return;
-    }
-    println!(
-        "scenario {}: {} runs, {} points (exhaustive)",
-        system.scenario(),
-        system.num_runs(),
-        system.num_points(),
-    );
-    println!("formula: {formula}");
-    print_symmetry_line(system, options);
-}
-
-/// Checks one formula at every horizon `from..=to`, either out of one
-/// incremental [`EngineSession`] (the default) or via independent cold
-/// builds (`--sweep-cold`, the differential oracle). Both modes print
-/// identical per-horizon output — CI diffs them — except for the
-/// diagnostic `cache:`/`extend:` lines under `--cache-stats`.
+/// Checks one formula at every horizon of the sweep out of one
+/// incremental [`EngineSession`], built at the first horizon and grown
+/// append-only to each larger one. Each horizon prints what a separate
+/// `--horizon` run prints, after a `== horizon H ==` line (CI diffs the
+/// two), plus an `extend:` line under `--cache-stats`.
 fn run_sweep(
     options: &Options,
-    from: u16,
+    config: &EngineConfig,
+    formulas: &[(String, Formula)],
     to: u16,
-    interrupt: &'static AtomicBool,
 ) -> Result<ExitCode, String> {
-    let formula = parse_formula(&options.formulas[0]).map_err(|e| e.to_string())?;
-    let base_scenario = Scenario::new(options.n, options.t, options.mode, from)
-        .and_then(|s| s.with_exchange(options.exchange))
-        .map_err(|e| e.to_string())?;
-    let quotient = quotient_eligible(options, &formula);
+    let from = config.spec().horizon;
+    let mut session = match EngineSession::open(config) {
+        Ok(session) if session.partial().is_none() => session,
+        // A sweep carries no bounds: only Ctrl-C stops its base build.
+        Ok(_) | Err(OpenError::Exhausted(_)) => {
+            println!("PARTIAL: interrupted; sweep stopped before horizon {from}");
+            return Ok(ExitCode::SUCCESS);
+        }
+        Err(OpenError::Fault(e)) => return Err(e.to_string()),
+    };
     let mut all_valid = true;
-    if options.sweep_cold {
-        for h in from..=to {
-            if h > from && interrupt.load(Ordering::Relaxed) {
-                println!("PARTIAL: interrupted; sweep stopped before horizon {h}");
-                break;
-            }
-            let scenario = base_scenario.with_horizon(h).map_err(|e| e.to_string())?;
-            let system = match build_exhaustive(&scenario, options, quotient, interrupt)? {
-                BuildOutcome::Complete { system, .. } => system,
-                BuildOutcome::Partial { budget_hit, .. } => {
-                    println!("PARTIAL: {budget_hit}; sweep stopped before horizon {h}");
-                    break;
-                }
-            };
-            println!("== horizon {h} ==");
-            print_sweep_preamble(&system, options, &formula);
-            all_valid &= check_valid(&system, &formula, options, None);
-        }
-    } else {
-        let base = match build_exhaustive(&base_scenario, options, quotient, interrupt)? {
-            BuildOutcome::Complete { system, .. } => system,
-            BuildOutcome::Partial { budget_hit, .. } => {
-                println!("PARTIAL: {budget_hit}; sweep stopped before horizon {from}");
-                return Ok(ExitCode::SUCCESS);
-            }
-        };
-        let mut session = EngineSession::from_system(base, SessionScope::FullSpace);
-        if let Some(threads) = options.threads {
-            session.set_threads(threads);
-        }
-        for h in from..=to {
-            if h > from {
-                if interrupt.load(Ordering::Relaxed) {
-                    println!("PARTIAL: interrupted; sweep stopped before horizon {h}");
-                    break;
-                }
-                let report = session.extend_to(h).map_err(|e| e.to_string())?;
-                if options.cache_stats {
+    let interrupt = config.budget().interrupt();
+    let stopped = session
+        .sweep(
+            &formulas[0].1,
+            to,
+            interrupt,
+            |session, extended, verdict| {
+                if let (Some(report), true) = (extended, options.cache_stats) {
                     println!("extend: {report}");
                 }
-            }
-            println!("== horizon {h} ==");
-            print_sweep_preamble(session.system(), options, &formula);
-            all_valid &= check_valid(
-                session.system(),
-                &formula,
-                options,
-                Some(session.cache().clone()),
-            );
-        }
+                println!("== horizon {} ==", session.horizon().ticks());
+                print_preamble(session, options, formulas);
+                all_valid &= print_verdict(session, &verdict, options);
+            },
+        )
+        .map_err(|e| e.to_string())?;
+    if let Some(horizon) = stopped {
+        println!("PARTIAL: interrupted; sweep stopped before horizon {horizon}");
     }
-    Ok(if all_valid {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    })
+    Ok(ExitCode::from(u8::from(!all_valid)))
 }
 
 fn run() -> Result<ExitCode, String> {
@@ -610,10 +536,6 @@ fn run() -> Result<ExitCode, String> {
         }
         Err(message) => return Err(message),
     };
-    // Ctrl-C sets a flag that every governed build polls at its shard
-    // checkpoints; the run then finishes with a PARTIAL prefix verdict
-    // instead of being killed mid-write.
-    let interrupt = install_sigint();
 
     // Only `--threads auto` prints the resolution, so explicit thread
     // counts keep byte-identical output (the parallel-equivalence CI job
@@ -624,64 +546,20 @@ fn run() -> Result<ExitCode, String> {
         }
     }
 
-    if options.sweep_cold && options.horizon_sweep.is_none() {
-        return Err("--sweep-cold needs --horizon-sweep".into());
+    let mut engine = options.engine;
+    if let Some((from, _)) = options.horizon_sweep {
+        engine.horizon = Some(from);
+        engine.sweep = true;
     }
-    if options.symmetry {
-        // Knob validation before any heavy work, mirroring the builder's
-        // own `check_symmetry_supported` but with CLI-level phrasing.
-        if options.sampled.is_some() {
-            return Err("--symmetry quotients the exhaustive system; drop --sampled".into());
-        }
-        if options.timeline {
-            return Err("--timeline pins one concrete run; drop --symmetry".into());
-        }
-        if !options.exchange.is_full() {
-            return Err(format!(
-                "--symmetry needs the full-information exchange; `{}` bakes processor \
-                 labels into its bounded states",
-                options.exchange
-            ));
-        }
-    }
-    if let Some((from, to)) = options.horizon_sweep {
-        // Gate before any heavy work, in the PR 2 knob-validation style:
-        // the session-extension path is only certified for exchanges that
-        // support it (and --sweep-cold's contract is to mirror that path).
-        if !options.exchange.supports_session_extension() {
-            return Err(format!(
-                "--horizon-sweep needs an exchange supporting session extension; \
-                 `{}` is rebuild-only (use full or digest:0, or check horizons individually)",
-                options.exchange
-            ));
-        }
-        if options.horizon.is_some() {
-            return Err(
-                "--horizon conflicts with --horizon-sweep (the sweep sets the horizons)".into(),
-            );
-        }
-        if options.sampled.is_some() {
-            return Err("--horizon-sweep needs the exhaustive system; drop --sampled".into());
-        }
-        if options.timeline {
-            return Err("--timeline checks one run at one horizon; drop --horizon-sweep".into());
-        }
-        if options.deadline.is_some() || options.max_runs.is_some() {
-            return Err(
-                "--deadline/--max-runs govern single builds; drop them for --horizon-sweep".into(),
-            );
-        }
-        return run_sweep(&options, from, to, interrupt);
-    }
-
-    let horizon = options.horizon.unwrap_or(options.t as u16 + 2);
-    let scenario = Scenario::new(options.n, options.t, options.mode, horizon)
-        .and_then(|s| s.with_exchange(options.exchange))
-        .map_err(|e| e.to_string())?;
-
-    if options.timeline && options.sampled.is_some() {
-        return Err("--timeline needs the exhaustive system; drop --sampled".into());
-    }
+    // Ctrl-C sets a flag that every exhaustive build polls at its shard
+    // checkpoints; the run then finishes with a PARTIAL prefix verdict
+    // instead of being killed mid-write.
+    let mut config = EngineConfig::new(engine)
+        .map_err(config_message)?
+        .with_interrupt(install_sigint());
+    check_cli_rules(&options)?;
+    config.threads = options.threads;
+    config.shards = options.shards;
 
     let formulas: Vec<(String, Formula)> = options
         .formulas
@@ -692,134 +570,72 @@ fn run() -> Result<ExitCode, String> {
                 .map_err(|e| e.to_string())
         })
         .collect::<Result<_, _>>()?;
-    let quotient = quotient_eligible(&options, &formulas[0].1);
+    if config.for_formula(&formulas[0].1) && !options.quiet {
+        println!("symmetry: formula names specific processors; checking the unreduced system");
+    }
+    if let Some((_, to)) = options.horizon_sweep {
+        return run_sweep(&options, &config, &formulas, to);
+    }
 
     // Validate the timeline run selection before doing any heavy work or
     // printing the preamble.
+    let n = options.engine.n;
     let timeline_run = if options.timeline {
-        let config = match &options.config {
-            Some(spec) => parse_config(spec, options.n)?,
-            None => InitialConfig::uniform(options.n, Value::One),
+        let initial = match &options.config {
+            Some(spec) => parse_config(spec, n)?,
+            None => InitialConfig::uniform(n, Value::One),
         };
         let pattern = match &options.pattern {
-            Some(spec) => parse_pattern(spec, &scenario)?,
-            None => FailurePattern::failure_free(options.n),
+            Some(spec) => parse_pattern(spec, config.scenario())?,
+            None => FailurePattern::failure_free(n),
         };
-        Some((config, pattern))
+        Some((initial, pattern))
     } else {
         None
     };
 
-    if options.shards.is_some() && options.sampled.is_some() {
-        return Err("--shards applies to exhaustive generation; drop --sampled".into());
-    }
-    let budgeted = options.deadline.is_some() || options.max_runs.is_some();
-    if budgeted && options.sampled.is_some() {
-        return Err("--deadline/--max-runs govern exhaustive generation; drop --sampled".into());
-    }
-    if budgeted && options.timeline {
-        return Err("--timeline needs the complete system; drop --deadline/--max-runs".into());
-    }
-
-    let system = match options.sampled {
-        Some((runs, seed)) => GeneratedSystem::sampled(&scenario, runs, seed),
-        None => {
-            // Every exhaustive build is governed: even without
-            // --deadline/--max-runs the budget carries the Ctrl-C flag,
-            // so an interrupted build degrades to the same PARTIAL
-            // prefix verdict a deadline would produce.
-            let mut budget = RunBudget::unlimited().with_interrupt(interrupt);
-            if let Some(deadline) = options.deadline {
-                budget = budget.with_deadline(deadline);
-            }
-            if let Some(max_runs) = options.max_runs {
-                budget = budget.with_max_runs(max_runs);
-            }
-            let mut builder = SystemBuilder::new(&scenario)
-                .budget(budget)
-                .symmetry(quotient);
-            if let Some(threads) = options.threads {
-                builder = builder.threads(threads);
-            }
-            if let Some(shards) = options.shards {
-                builder = builder.shards(shards);
-            }
-            match builder.build_governed().map_err(|e| e.to_string())? {
-                BuildOutcome::Complete { system, .. } => system,
-                BuildOutcome::Partial {
-                    system,
-                    completed_shards,
-                    total_shards,
-                    budget_hit,
-                    ..
-                } => {
-                    if system.num_runs() == 0 {
-                        return Err(match budget_hit {
-                            BudgetHit::Interrupted => {
-                                "interrupted before any shard completed; no partial verdict"
-                                    .to_owned()
-                            }
-                            _ => format!(
-                                "budget exhausted before any shard completed ({budget_hit}); \
-                                 raise --deadline/--max-runs"
-                            ),
-                        });
-                    }
-                    if options.timeline {
-                        return Err(format!(
-                            "{budget_hit} mid-build; --timeline needs the complete system"
-                        ));
-                    }
-                    println!(
-                        "PARTIAL: {budget_hit}; verdict covers {completed_shards}/{total_shards} \
-                         shards ({} runs)",
-                        system.num_runs(),
-                    );
-                    system
-                }
-            }
+    let session = match EngineSession::open(&config) {
+        Ok(session) => session,
+        Err(OpenError::Exhausted(BudgetHit::Interrupted)) => {
+            return Err("interrupted before any shard completed; no partial verdict".into());
         }
+        Err(OpenError::Exhausted(hit)) => {
+            return Err(format!(
+                "budget exhausted before any shard completed ({hit}); raise --deadline/--max-runs"
+            ));
+        }
+        Err(OpenError::Fault(e)) => return Err(e.to_string()),
     };
-    if !options.quiet {
+    if let Some(partial) = session.partial() {
+        let hit = partial.budget_hit;
+        if options.timeline {
+            return Err(format!(
+                "{hit} mid-build; --timeline needs the complete system"
+            ));
+        }
         println!(
-            "scenario {scenario}: {} runs, {} points ({})",
-            system.num_runs(),
-            system.num_points(),
-            if options.sampled.is_some() {
-                "sampled"
-            } else {
-                "exhaustive"
-            },
+            "PARTIAL: {hit}; verdict covers {}/{} shards ({} runs)",
+            partial.completed_shards,
+            partial.total_shards,
+            session.system().num_runs(),
         );
-        for (_, f) in &formulas {
-            println!("formula: {f}");
-        }
-        print_symmetry_line(&system, &options);
     }
+    print_preamble(&session, &options, &formulas);
 
-    if let Some((config, pattern)) = timeline_run {
-        let mut eval = Evaluator::new(&system);
-        if let Some(threads) = options.threads {
-            eval.set_threads(threads);
-        }
-        let run = system
-            .find_run(&config, &pattern)
+    if let Some((initial, pattern)) = timeline_run {
+        let run = session
+            .system()
+            .find_run(&initial, &pattern)
             .ok_or("run not in the generated system")?;
-        println!("run: {config} under [{pattern}]");
-        let timeline = Timeline::build(&mut eval, run, &formulas);
+        println!("run: {initial} under [{pattern}]");
+        let timeline = Timeline::build(&mut session.evaluator(), run, &formulas);
         println!("{timeline}");
-        if options.cache_stats {
-            println!("cache: {}", eval.knowledge_cache().stats());
-            println!("scheduler: {}", eba_sim::scheduler_stats());
-        }
+        print_cache_stats(&session, &options);
         return Ok(ExitCode::SUCCESS);
     }
 
-    if check_valid(&system, &formulas[0].1, &options, None) {
-        Ok(ExitCode::SUCCESS)
-    } else {
-        Ok(ExitCode::from(1))
-    }
+    let valid = print_verdict(&session, &session.verdict(&formulas[0].1), &options);
+    Ok(ExitCode::from(u8::from(!valid)))
 }
 
 fn main() -> ExitCode {

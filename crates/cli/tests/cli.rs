@@ -140,6 +140,16 @@ fn usage_errors_exit_two() {
 }
 
 #[test]
+fn the_horizon_default_cannot_overflow() {
+    let (_, err, code) = run(&["--t", "65534", "--quiet", "true"]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(
+        err.contains("t = 65534 must be smaller than n = 3"),
+        "{err}"
+    );
+}
+
+#[test]
 fn help_exits_zero() {
     let (stdout, _, code) = run(&["--help"]);
     assert_eq!(code, Some(0));

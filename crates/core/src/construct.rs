@@ -77,6 +77,12 @@ impl<'a> Constructor<'a> {
         }
     }
 
+    /// Creates a constructor around an evaluator (which brings its system,
+    /// cache and thread count).
+    pub(crate) fn from_evaluator(eval: Evaluator<'a>) -> Self {
+        Constructor { eval }
+    }
+
     /// The underlying system.
     #[must_use]
     pub fn system(&self) -> &'a GeneratedSystem {

@@ -18,10 +18,13 @@
 //!   `F^{Λ,2}`, the crash rule `FIP(Z^cr, O^cr)` of Theorem 6.1, the
 //!   0-chain protocol `FIP(Z⁰, O⁰)` and `F*` of Section 6.2, and the
 //!   common-knowledge SBA rule;
+//! * [`EngineConfig`] — the one validated configuration (scenario spec,
+//!   threads, shards, budget, chaos) through which the front ends reach
+//!   the engine;
 //! * [`EngineSession`] — incremental engine sessions: one system grown
 //!   in place by append-only horizon extension, with epoch-scoped
-//!   knowledge caches, serving constructors and evaluators at every
-//!   horizon;
+//!   knowledge caches, serving constructors, evaluators and verdicts at
+//!   every horizon;
 //! * [`chains`] — 0-chains and the `∃0*` predicate;
 //! * [`analysis`] — decision-time breakdowns by failure count and
 //!   configuration class.
@@ -51,6 +54,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod config;
 mod construct;
 mod decision;
 mod domination;
@@ -64,6 +68,7 @@ pub mod analysis;
 pub mod chains;
 pub mod protocols;
 
+pub use config::{ConfigError, EngineConfig, EngineOptions, ScenarioSpec};
 pub use construct::Constructor;
 pub use decision::DecisionPair;
 pub use domination::{dominates, DominationReport};
@@ -73,4 +78,4 @@ pub use optimality::{check_optimality, ConditionCheck, OptimalityReport};
 pub use properties::{
     decision_profile, strict_validity_violations, verify_properties, PropertyReport,
 };
-pub use session::{EngineSession, SessionScope};
+pub use session::{EngineSession, OpenError, Partial, SessionScope, Verdict};

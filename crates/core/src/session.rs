@@ -51,10 +51,13 @@
 //! # }
 //! ```
 
-use crate::Constructor;
-use eba_kripke::{Evaluator, KnowledgeCache};
-use eba_model::{ModelError, Scenario, Time};
-use eba_sim::{ExtendReport, GeneratedSystem, SystemBuilder};
+use crate::{Constructor, EngineConfig};
+use eba_kripke::{Evaluator, Formula, KnowledgeCache};
+use eba_model::{BudgetHit, ModelError, Scenario, Time};
+use eba_sim::chaos::EngineFault;
+use eba_sim::{BuildOutcome, ExtendReport, GeneratedSystem, RunId, SystemBuilder};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// How a session's system tracks its scenario's run space across
 /// extensions.
@@ -72,6 +75,48 @@ pub enum SessionScope {
     PinnedRuns,
 }
 
+/// How far a budget-stopped build got.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Partial {
+    /// Shards in the session's (prefix) system.
+    pub completed_shards: usize,
+    /// Shards of a complete build.
+    pub total_shards: usize,
+    /// The bound that stopped the build.
+    pub budget_hit: BudgetHit,
+}
+
+/// Why [`EngineSession::open`] built no session.
+#[derive(Clone, Debug)]
+pub enum OpenError {
+    /// The build failed (a model error or an unrecovered worker fault).
+    Fault(EngineFault),
+    /// The budget stopped the build before any shard completed.
+    Exhausted(BudgetHit),
+}
+
+/// A formula's verdict over every point of a system, with points
+/// described as `run R at tK: config C under [pattern] (nonfaulty P)`.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Verdict {
+    /// Points where the formula holds.
+    pub holds: usize,
+    /// Points of the system.
+    pub points: usize,
+    /// A point where the formula fails; `None` when it is valid.
+    pub counterexample: Option<String>,
+    /// The first point where the formula holds, if any.
+    pub witness: Option<String>,
+}
+
+impl Verdict {
+    /// Whether the formula holds at every point.
+    #[must_use]
+    pub fn is_valid(&self) -> bool {
+        self.holds == self.points
+    }
+}
+
 /// An incremental engine session; see the module docs.
 #[derive(Debug)]
 pub struct EngineSession {
@@ -80,9 +125,69 @@ pub struct EngineSession {
     scope: SessionScope,
     extensions: Vec<ExtendReport>,
     threads: Option<usize>,
+    partial: Option<Partial>,
 }
 
 impl EngineSession {
+    /// Opens a session on the system `config` selects: the sampled one, or
+    /// the exhaustive one built under the config's budget, threads, shards
+    /// and chaos injector. A budget-stopped build yields a
+    /// [`SessionScope::PinnedRuns`] session over the completed shard
+    /// prefix (see [`partial`](EngineSession::partial)). Extension,
+    /// evaluation and construction then run on the config's threads.
+    ///
+    /// # Errors
+    ///
+    /// [`OpenError::Fault`] when the build fails, [`OpenError::Exhausted`]
+    /// when the budget stopped it before any shard completed.
+    pub fn open(config: &EngineConfig) -> Result<Self, OpenError> {
+        let spec = config.spec();
+        let mut session = if let Some((runs, seed)) = spec.sampled {
+            let system = GeneratedSystem::sampled(config.scenario(), runs, seed);
+            Self::from_system(system, SessionScope::PinnedRuns)
+        } else {
+            let mut builder = SystemBuilder::new(config.scenario())
+                .symmetry(spec.symmetry)
+                .budget(*config.budget());
+            if let Some(threads) = config.threads {
+                builder = builder.threads(threads);
+            }
+            if let Some(shards) = config.shards {
+                builder = builder.shards(shards);
+            }
+            if let Some(chaos) = &config.chaos {
+                builder = builder.chaos(Arc::clone(chaos));
+            }
+            match builder.build_governed().map_err(OpenError::Fault)? {
+                BuildOutcome::Complete { system, .. } => {
+                    Self::from_system(system, SessionScope::FullSpace)
+                }
+                BuildOutcome::Partial {
+                    system,
+                    completed_shards,
+                    total_shards,
+                    budget_hit,
+                    ..
+                } => {
+                    if system.num_runs() == 0 {
+                        return Err(OpenError::Exhausted(budget_hit));
+                    }
+                    let partial = Partial {
+                        completed_shards,
+                        total_shards,
+                        budget_hit,
+                    };
+                    EngineSession {
+                        partial: Some(partial),
+                        ..Self::from_system(system, SessionScope::PinnedRuns)
+                    }
+                }
+            }
+        };
+        session.threads = config.threads;
+        Ok(session)
+    }
+
     /// Opens a [`SessionScope::FullSpace`] session on the exhaustive
     /// system of `scenario`.
     ///
@@ -108,15 +213,19 @@ impl EngineSession {
             scope,
             extensions: Vec::new(),
             threads: None,
+            partial: None,
         }
     }
 
-    /// Pins the worker-thread count used by subsequent
-    /// [`extend_to`](EngineSession::extend_to) calls. Unset, extensions
-    /// use the builder's default (all available cores). The extended
-    /// system is bit-identical either way — this is a throughput knob.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = Some(threads.max(1));
+    /// A copy of this session with a fresh knowledge cache, for a caller
+    /// to grow on its own while this session stays at its horizon.
+    #[must_use]
+    pub fn fork(&self) -> Self {
+        EngineSession {
+            threads: self.threads,
+            partial: self.partial,
+            ..Self::from_system(self.system.clone(), self.scope)
+        }
     }
 
     /// Grows the session's system to `horizon`, reusing base view rows
@@ -175,6 +284,12 @@ impl EngineSession {
         self.scope
     }
 
+    /// How far a budget-stopped build got; `None` for a complete system.
+    #[must_use]
+    pub fn partial(&self) -> Option<Partial> {
+        self.partial
+    }
+
     /// The shared knowledge cache (clone it to share with ad-hoc
     /// evaluators over the session's current system).
     #[must_use]
@@ -202,7 +317,7 @@ impl EngineSession {
     /// extension that invalidates it.
     #[must_use]
     pub fn constructor(&self) -> Constructor<'_> {
-        Constructor::with_cache(&self.system, self.cache.clone())
+        Constructor::from_evaluator(self.evaluator())
     }
 
     /// An [`Evaluator`] over the session's current system, wired to the
@@ -210,7 +325,75 @@ impl EngineSession {
     /// [`constructor`](EngineSession::constructor).
     #[must_use]
     pub fn evaluator(&self) -> Evaluator<'_> {
-        Evaluator::with_cache(&self.system, self.cache.clone())
+        let mut eval = Evaluator::with_cache(&self.system, self.cache.clone());
+        if let Some(threads) = self.threads {
+            eval.set_threads(threads);
+        }
+        eval
+    }
+
+    /// Evaluates `formula` over every point of the session's system.
+    #[must_use]
+    pub fn verdict(&self, formula: &Formula) -> Verdict {
+        let describe = |(run, time): (RunId, Time)| {
+            let record = self.system.run(run);
+            format!(
+                "run {} at {time}: config {} under [{}] (nonfaulty {})",
+                run.index(),
+                record.config,
+                record.pattern,
+                record.nonfaulty,
+            )
+        };
+        let mut eval = self.evaluator();
+        let satisfied = eval.eval(formula);
+        let (holds, points) = (satisfied.count_ones(), satisfied.len());
+        let counterexample = if holds < points {
+            eval.counterexample(formula).map(describe)
+        } else {
+            None
+        };
+        let witness = satisfied
+            .first_one()
+            .map(|idx| describe(eval.point_of(idx)));
+        Verdict {
+            holds,
+            points,
+            counterexample,
+            witness,
+        }
+    }
+
+    /// Checks `formula` at the session's horizon and every larger one up
+    /// to `to`, growing the session in place, and hands each verdict to
+    /// `each` with the extension that reached it. Once `interrupt` is set
+    /// the sweep stops, returning the first horizon it did not check.
+    ///
+    /// # Errors
+    ///
+    /// As [`extend_to`](EngineSession::extend_to).
+    pub fn sweep<F>(
+        &mut self,
+        formula: &Formula,
+        to: u16,
+        interrupt: Option<&AtomicBool>,
+        mut each: F,
+    ) -> Result<Option<u16>, ModelError>
+    where
+        F: FnMut(&EngineSession, Option<&ExtendReport>, Verdict),
+    {
+        let from = self.horizon().ticks();
+        for horizon in from..=to {
+            if interrupt.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+                return Ok(Some(horizon));
+            }
+            let report = (horizon > from)
+                .then(|| self.extend_to(horizon))
+                .transpose()?;
+            let verdict = self.verdict(formula);
+            each(self, report.as_ref(), verdict);
+        }
+        Ok(None)
     }
 }
 

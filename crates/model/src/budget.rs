@@ -121,13 +121,17 @@ impl RunBudget {
         self.max_views
     }
 
+    /// Whether this budget sets a deadline, a run bound or a view bound
+    /// (a cancellation flag alone bounds nothing).
+    #[must_use]
+    pub fn is_bounded(&self) -> bool {
+        self.deadline.is_some() || self.max_runs.is_some() || self.max_views.is_some()
+    }
+
     /// Whether this budget bounds anything at all.
     #[must_use]
     pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-            && self.max_runs.is_none()
-            && self.max_views.is_none()
-            && self.interrupt.is_none()
+        !self.is_bounded() && self.interrupt.is_none()
     }
 
     /// Starts the clock: returns an [`ArmedBudget`] whose deadline counts

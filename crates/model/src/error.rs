@@ -16,6 +16,11 @@ pub enum ModelError {
         /// Human-readable description of the violation.
         reason: String,
     },
+    /// A failure-mode spelling that names no [`crate::FailureMode`].
+    UnknownMode {
+        /// The rejected spelling.
+        spec: String,
+    },
     /// A generated artifact outgrew a fixed-width id space (e.g. more
     /// distinct views than a `u32` view id can index).
     CapacityExceeded {
@@ -58,6 +63,7 @@ impl fmt::Display for ModelError {
             ModelError::InvalidPattern { reason } => {
                 write!(f, "invalid failure pattern: {reason}")
             }
+            ModelError::UnknownMode { spec } => write!(f, "unknown mode `{spec}`"),
             ModelError::CapacityExceeded { what, limit } => {
                 write!(f, "capacity exceeded: {what} holds at most {limit} items")
             }

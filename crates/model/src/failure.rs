@@ -38,6 +38,22 @@ impl FailureMode {
         FailureMode::Omission,
         FailureMode::GeneralOmission,
     ];
+
+    /// Parses the [`fmt::Display`] spelling of a mode.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::UnknownMode`] on any other spelling.
+    pub fn parse(spec: &str) -> Result<Self, ModelError> {
+        match spec {
+            "crash" => Ok(FailureMode::Crash),
+            "omission" => Ok(FailureMode::Omission),
+            "general-omission" => Ok(FailureMode::GeneralOmission),
+            other => Err(ModelError::UnknownMode {
+                spec: other.to_owned(),
+            }),
+        }
+    }
 }
 
 impl fmt::Display for FailureMode {
@@ -537,6 +553,15 @@ mod tests {
 
     fn p(i: usize) -> ProcessorId {
         ProcessorId::new(i)
+    }
+
+    #[test]
+    fn modes_parse_from_their_display_form() {
+        for mode in FailureMode::ALL_EXTENDED {
+            assert_eq!(FailureMode::parse(&mode.to_string()), Ok(mode));
+        }
+        let err = FailureMode::parse("byzantine").unwrap_err();
+        assert_eq!(err.to_string(), "unknown mode `byzantine`");
     }
 
     #[test]

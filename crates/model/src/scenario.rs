@@ -79,13 +79,15 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Same as [`Scenario::new`].
+    /// Same as [`Scenario::new`]. The parameters are validated before
+    /// `t + 2` is computed, so no `t` can overflow the horizon.
     pub fn with_recommended_horizon(
         n: usize,
         t: usize,
         mode: FailureMode,
     ) -> Result<Self, ModelError> {
-        Scenario::new(n, t, mode, t as u16 + 2)
+        let scenario = Scenario::new(n, t, mode, 1)?;
+        scenario.with_horizon(scenario.recommended_horizon().ticks())
     }
 
     /// Number of processors.
@@ -335,6 +337,17 @@ mod tests {
         let s = Scenario::with_recommended_horizon(5, 2, FailureMode::Crash).unwrap();
         assert_eq!(s.horizon(), Time::new(4));
         assert_eq!(s.recommended_horizon(), Time::new(4));
+    }
+
+    #[test]
+    fn recommended_horizon_validates_before_adding() {
+        // `t + 2` would overflow a `u16` horizon; the error is the model's.
+        let err = Scenario::with_recommended_horizon(3, 65534, FailureMode::Crash).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("t = 65534 must be smaller than n = 3"),
+            "{err}"
+        );
     }
 
     #[test]

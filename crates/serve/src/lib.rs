@@ -7,8 +7,8 @@
 //! persistent daemon:
 //!
 //! * a [`pool::SessionPool`] keeps warm [`eba_core::EngineSession`]s
-//!   keyed by the full scenario `(n, t, mode, exchange, horizon,
-//!   sampling)`, shared immutably (`Arc`) by any number of concurrent
+//!   keyed by their [`ScenarioSpec`] `(n, t, mode, exchange, horizon,
+//!   sampling, symmetry)`, shared immutably (`Arc`) by any number of concurrent
 //!   queries, LRU-evicted under a configurable memory budget driven by
 //!   the new resident-bytes accounting;
 //! * a [`server::Server`] answers line-delimited JSON queries
@@ -41,8 +41,9 @@ pub mod query;
 pub mod server;
 pub mod signal;
 
-pub use pool::{PoolKey, PoolStats, RetryPolicy, SessionPool};
-pub use protocol::{CheckRequest, Request, ScenarioSpec, ServeError, SweepRequest};
+pub use eba_core::ScenarioSpec;
+pub use pool::{PoolStats, RetryPolicy, SessionPool};
+pub use protocol::{CheckRequest, Request, ServeError, SweepRequest};
 pub use query::{execute, oracle, QueryContext};
 pub use server::{render_stats_line, ServeConfig, Server, ServerStats, StatsSnapshot};
 pub use signal::install_sigint;

@@ -1,10 +1,11 @@
 //! The warm-session pool: the daemon's working set of engine sessions.
 //!
-//! Every unbudgeted query resolves its scenario to a [`PoolKey`] and
-//! checks out an immutable `Arc<EngineSession>`; queries never mutate a
+//! Every unbudgeted query checks out the immutable `Arc<EngineSession>`
+//! of its [`ScenarioSpec`], the pool key; queries never mutate a
 //! pooled session (evaluation and optimization only need `&self`), so
 //! one session serves any number of concurrent queries, all sharing its
-//! epoch-scoped [`eba_kripke::KnowledgeCache`].
+//! epoch-scoped [`eba_kripke::KnowledgeCache`]. A budgeted query's build
+//! may stop at a prefix system, so it bypasses the pool.
 //!
 //! Robustness properties:
 //!
@@ -28,13 +29,10 @@
 //!   in-flight build mark is removed by a drop guard even if the build
 //!   panics.
 
-use crate::protocol::{ScenarioSpec, ServeError};
-use eba_core::{EngineSession, SessionScope};
-use eba_model::RunBudget;
+use crate::protocol::ServeError;
+use eba_core::{EngineConfig, EngineSession, OpenError, ScenarioSpec};
 use eba_sim::chaos::{EngineFault, FaultInjector};
-use eba_sim::{BuildOutcome, GeneratedSystem, SystemBuilder};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -54,14 +52,6 @@ impl Default for RetryPolicy {
             base_backoff: Duration::from_millis(1),
         }
     }
-}
-
-/// Pool identity of a session: the full scenario (n, t, mode, exchange,
-/// horizon) plus the sampling selector.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct PoolKey {
-    /// The scenario, including exchange and horizon.
-    pub spec: ScenarioSpec,
 }
 
 /// Aggregate pool counters, snapshotted under one lock acquisition.
@@ -88,33 +78,10 @@ struct Entry {
     stamp: u64,
 }
 
-/// One pooled session's identity and symmetry accounting, as reported
-/// by the `stats` frame.
-#[derive(Clone, Debug)]
-pub struct SessionInfo {
-    /// The session's pool key.
-    pub key: PoolKey,
-    /// Runs in the (possibly quotiented) system.
-    pub runs: usize,
-    /// Orbit accounting for quotiented sessions, `None` for unreduced.
-    pub symmetry: Option<SymmetrySnapshot>,
-}
-
-/// Orbit accounting of one quotiented session.
-#[derive(Clone, Copy, Debug)]
-pub struct SymmetrySnapshot {
-    /// Failure-pattern orbits (= representative patterns simulated).
-    pub orbits: usize,
-    /// Raw patterns those orbits stand for.
-    pub raw_patterns: u128,
-    /// `raw_patterns / orbits`, the pattern-axis reduction.
-    pub reduction: f64,
-}
-
 #[derive(Default)]
 struct Inner {
-    map: HashMap<PoolKey, Entry>,
-    building: HashSet<PoolKey>,
+    map: HashMap<ScenarioSpec, Entry>,
+    building: HashSet<ScenarioSpec>,
     stamp: u64,
     hits: u64,
     misses: u64,
@@ -143,7 +110,7 @@ impl std::fmt::Debug for SessionPool {
 /// waiters blocked on the condvar are always released.
 struct BuildGuard<'a> {
     pool: &'a SessionPool,
-    key: PoolKey,
+    key: ScenarioSpec,
     done: bool,
 }
 
@@ -187,15 +154,25 @@ impl SessionPool {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Checks out the session for `key`, building (single-flight) on a
-    /// miss. Returns the session and whether it was a pool hit.
+    /// Checks out the session for `config`'s spec, building
+    /// (single-flight) on a miss. Returns the session and whether it was
+    /// a pool hit. A budgeted config is built privately (never a hit, never
+    /// pooled).
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidScenario`] when the scenario is rejected,
-    /// [`ServeError::EngineFault`] when a build fault survives the
-    /// retry budget.
-    pub fn checkout(&self, key: PoolKey) -> Result<(Arc<EngineSession>, bool), ServeError> {
+    /// [`ServeError::InvalidScenario`] when the build rejects the scenario,
+    /// [`ServeError::BudgetExhausted`] when a budget stopped it before any
+    /// shard completed, [`ServeError::EngineFault`] when a build fault
+    /// survives the retry budget.
+    pub fn checkout(
+        &self,
+        config: &EngineConfig,
+    ) -> Result<(Arc<EngineSession>, bool), ServeError> {
+        if config.budget().is_bounded() {
+            return Ok((Arc::new(self.open(config)?), false));
+        }
+        let key = *config.spec();
         {
             let mut inner = self.lock();
             loop {
@@ -225,8 +202,7 @@ impl SessionPool {
             key,
             done: false,
         };
-        let session = self.build_session(&key)?;
-        let session = Arc::new(session);
+        let session = Arc::new(self.open(config)?);
         let bytes = session_resident_bytes(&session);
         {
             let mut inner = self.lock();
@@ -252,7 +228,7 @@ impl SessionPool {
     /// fits the budget; `keep` (the entry just inserted) is never
     /// evicted, so a single oversized session still serves its query
     /// and is reclaimed by the next insert.
-    fn evict_to_budget(inner: &mut Inner, budget: u64, keep: Option<PoolKey>) {
+    fn evict_to_budget(inner: &mut Inner, budget: u64, keep: Option<ScenarioSpec>) {
         loop {
             let total: u64 = inner.map.values().map(|e| e.bytes).sum();
             if total <= budget {
@@ -277,7 +253,7 @@ impl SessionPool {
     /// Evicts one scenario's session (`Some`) or every session
     /// (`None`); in-flight queries holding the `Arc` are unaffected.
     /// Returns how many entries were dropped.
-    pub fn evict(&self, key: Option<PoolKey>) -> usize {
+    pub fn evict(&self, key: Option<ScenarioSpec>) -> usize {
         let mut inner = self.lock();
         let dropped = match key {
             Some(k) => usize::from(inner.map.remove(&k).is_some()),
@@ -291,38 +267,22 @@ impl SessionPool {
         dropped
     }
 
-    /// Snapshots every pooled session's identity and symmetry
-    /// accounting, in deterministic (scenario-rendered) order.
+    /// Every pooled session, in deterministic (scenario-rendered) order.
     #[must_use]
-    pub fn sessions(&self) -> Vec<SessionInfo> {
+    pub fn sessions(&self) -> Vec<Arc<EngineSession>> {
         let inner = self.lock();
-        let mut infos: Vec<SessionInfo> = inner
-            .map
-            .iter()
-            .map(|(key, entry)| {
-                let system = entry.session.system();
-                SessionInfo {
-                    key: *key,
-                    runs: system.num_runs(),
-                    symmetry: system.symmetry().map(|info| SymmetrySnapshot {
-                        orbits: info.num_orbits(),
-                        raw_patterns: info.raw_patterns_covered(),
-                        reduction: info.reduction_ratio(),
-                    }),
-                }
-            })
-            .collect();
-        infos.sort_by_key(|info| {
+        let mut pooled: Vec<(&ScenarioSpec, &Entry)> = inner.map.iter().collect();
+        pooled.sort_by_key(|(spec, entry)| {
             (
-                format!(
-                    "{}",
-                    info.key.spec.scenario().expect("pooled specs are valid")
-                ),
-                info.key.spec.sampled,
-                info.key.spec.symmetry,
+                entry.session.scenario().to_string(),
+                spec.sampled,
+                spec.symmetry,
             )
         });
-        infos
+        pooled
+            .into_iter()
+            .map(|(_, entry)| Arc::clone(&entry.session))
+            .collect()
     }
 
     /// Current counters and footprint.
@@ -339,16 +299,11 @@ impl SessionPool {
         }
     }
 
-    /// Builds a session for `key` cold, applying chaos injection and
-    /// the transient-fault retry policy.
-    fn build_session(&self, key: &PoolKey) -> Result<EngineSession, ServeError> {
-        let scenario = key.spec.scenario()?;
-        if let Some((runs, seed)) = key.spec.sampled {
-            // The sampled generator is deterministic in (runs, seed) and
-            // not chaos-instrumented; no retry loop needed.
-            let system = GeneratedSystem::sampled(&scenario, runs, seed);
-            return Ok(EngineSession::from_system(system, SessionScope::PinnedRuns));
-        }
+    /// Opens a session for `config` with the pool's chaos injector,
+    /// retrying transient build faults with exponential backoff.
+    fn open(&self, config: &EngineConfig) -> Result<EngineSession, ServeError> {
+        let mut config = config.clone();
+        config.chaos.clone_from(&self.chaos);
         let attempts = self.retry.attempts.max(1);
         let mut last_fault = None;
         for attempt in 0..attempts {
@@ -356,82 +311,21 @@ impl SessionPool {
                 self.lock().retries += 1;
                 std::thread::sleep(self.retry.base_backoff * (1u32 << (attempt - 1)));
             }
-            let mut builder = SystemBuilder::new(&scenario).symmetry(key.spec.symmetry);
-            if let Some(chaos) = &self.chaos {
-                builder = builder.chaos(Arc::clone(chaos));
-            }
-            match builder.build_governed() {
-                Ok(outcome) => {
-                    // With an unlimited budget the outcome is always
-                    // Complete; into_system also covers Partial soundly.
-                    let BuildOutcome::Complete { system, .. } = outcome else {
-                        unreachable!("unbudgeted build cannot be partial");
-                    };
-                    return Ok(EngineSession::from_system(system, SessionScope::FullSpace));
+            match EngineSession::open(&config) {
+                Ok(session) => return Ok(session),
+                Err(OpenError::Exhausted(hit)) => {
+                    return Err(ServeError::BudgetExhausted(format!(
+                        "budget exhausted before any shard completed ({hit}); \
+                         raise deadline_ms/max_runs"
+                    )));
                 }
-                Err(EngineFault::Model(e)) => {
-                    // Model errors are deterministic — unless chaos is
-                    // injecting synthetic capacity faults, in which case
-                    // they are transient like panics.
-                    if self.chaos.is_none() {
-                        return Err(ServeError::InvalidScenario(e.to_string()));
-                    }
-                    last_fault = Some(EngineFault::Model(e));
-                }
-                Err(fault) => last_fault = Some(fault),
-            }
-        }
-        Err(ServeError::EngineFault(format!(
-            "build failed after {attempts} attempts: {}",
-            last_fault.map_or_else(|| "unknown fault".to_owned(), |f| f.to_string())
-        )))
-    }
-
-    /// Builds a **governed** system for a budgeted query: bypasses the
-    /// pool entirely (partial systems must never be pooled) but applies
-    /// the same chaos injection and retry policy.
-    ///
-    /// # Errors
-    ///
-    /// As [`SessionPool::checkout`], plus whatever the budget does.
-    pub fn build_budgeted(
-        &self,
-        spec: &ScenarioSpec,
-        budget: RunBudget,
-        interrupt: Option<&'static AtomicBool>,
-        shards: Option<usize>,
-        threads: Option<usize>,
-    ) -> Result<BuildOutcome, ServeError> {
-        let scenario = spec.scenario()?;
-        let budget = match interrupt {
-            Some(flag) => budget.with_interrupt(flag),
-            None => budget,
-        };
-        let attempts = self.retry.attempts.max(1);
-        let mut last_fault = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.lock().retries += 1;
-                std::thread::sleep(self.retry.base_backoff * (1u32 << (attempt - 1)));
-            }
-            let mut builder = SystemBuilder::new(&scenario)
-                .budget(budget)
-                .symmetry(spec.symmetry);
-            if let Some(shards) = shards {
-                builder = builder.shards(shards);
-            }
-            if let Some(threads) = threads {
-                builder = builder.threads(threads);
-            }
-            if let Some(chaos) = &self.chaos {
-                builder = builder.chaos(Arc::clone(chaos));
-            }
-            match builder.build_governed() {
-                Ok(outcome) => return Ok(outcome),
-                Err(EngineFault::Model(e)) if self.chaos.is_none() => {
+                // Model errors are deterministic — unless chaos is
+                // injecting synthetic capacity faults, in which case they
+                // are transient like panics.
+                Err(OpenError::Fault(EngineFault::Model(e))) if self.chaos.is_none() => {
                     return Err(ServeError::InvalidScenario(e.to_string()));
                 }
-                Err(fault) => last_fault = Some(fault),
+                Err(OpenError::Fault(fault)) => last_fault = Some(fault),
             }
         }
         Err(ServeError::EngineFault(format!(
@@ -444,19 +338,20 @@ impl SessionPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eba_model::{ExchangeKind, FailureMode};
+    use eba_core::{EngineOptions, SessionScope};
+    use eba_model::FailureMode;
     use eba_sim::chaos::{ChaosPlan, FaultKind, FaultSite};
 
-    fn spec(horizon: u16) -> ScenarioSpec {
-        ScenarioSpec {
-            n: 3,
-            t: 1,
-            mode: FailureMode::Crash,
-            exchange: ExchangeKind::FullInformation,
-            horizon,
-            sampled: None,
-            symmetry: false,
-        }
+    fn config_with(horizon: u16, options: EngineOptions) -> EngineConfig {
+        EngineConfig::new(EngineOptions {
+            horizon: Some(horizon),
+            ..options
+        })
+        .unwrap()
+    }
+
+    fn config(horizon: u16) -> EngineConfig {
+        config_with(horizon, EngineOptions::default())
     }
 
     fn unbounded_pool() -> SessionPool {
@@ -466,9 +361,9 @@ mod tests {
     #[test]
     fn checkout_hits_after_a_miss_and_shares_the_session() {
         let pool = unbounded_pool();
-        let key = PoolKey { spec: spec(2) };
-        let (a, hit_a) = pool.checkout(key).unwrap();
-        let (b, hit_b) = pool.checkout(key).unwrap();
+        let key = config(2);
+        let (a, hit_a) = pool.checkout(&key).unwrap();
+        let (b, hit_b) = pool.checkout(&key).unwrap();
         assert!(!hit_a);
         assert!(hit_b);
         assert!(Arc::ptr_eq(&a, &b));
@@ -481,10 +376,10 @@ mod tests {
     fn memory_budget_evicts_least_recently_used() {
         // Budget of one byte: every insert evicts everything else.
         let pool = SessionPool::new(1, RetryPolicy::default(), None);
-        let k2 = PoolKey { spec: spec(2) };
-        let k3 = PoolKey { spec: spec(3) };
-        let (s2, _) = pool.checkout(k2).unwrap();
-        pool.checkout(k3).unwrap();
+        let k2 = config(2);
+        let k3 = config(3);
+        let (s2, _) = pool.checkout(&k2).unwrap();
+        pool.checkout(&k3).unwrap();
         let stats = pool.stats();
         assert_eq!(stats.sessions, 1, "k2 must have been evicted");
         assert!(stats.evictions >= 1);
@@ -498,17 +393,18 @@ mod tests {
 
     #[test]
     fn cache_growth_after_checkout_counts_against_the_memory_budget() {
-        let k2 = PoolKey { spec: spec(2) };
-        let other = PoolKey {
-            spec: ScenarioSpec {
+        let k2 = config(2);
+        let other = config_with(
+            2,
+            EngineOptions {
                 mode: FailureMode::Omission,
-                ..spec(2)
+                ..EngineOptions::default()
             },
-        };
+        );
         // Probe the insert-time footprints of both cold sessions.
         let probe = unbounded_pool();
         let cold = |key| session_resident_bytes(&probe.checkout(key).unwrap().0);
-        let (cold_k2, cold_other) = (cold(k2), cold(other));
+        let (cold_k2, cold_other) = (cold(&k2), cold(&other));
         drop(probe);
 
         // The budget fits both sessions cold, exactly. Warming k2's cache
@@ -516,7 +412,7 @@ mod tests {
         // refresh lets the pool see that growth: without it the second
         // insert would total exactly the budget and evict nothing.
         let pool = SessionPool::new(cold_k2 + cold_other, RetryPolicy::default(), None);
-        let (warm, _) = pool.checkout(k2).unwrap();
+        let (warm, _) = pool.checkout(&k2).unwrap();
         let mut eval = warm.evaluator();
         let f = eba_kripke::parse::parse_formula("CC(E0) -> C(E0)").unwrap();
         let sat = eval.eval(&f);
@@ -526,9 +422,9 @@ mod tests {
             warm_bytes > cold_k2,
             "warming must grow the cache residency: {warm_bytes} vs {cold_k2}"
         );
-        let (_, hit) = pool.checkout(k2).unwrap(); // refreshes entry.bytes
+        let (_, hit) = pool.checkout(&k2).unwrap(); // refreshes entry.bytes
         assert!(hit);
-        pool.checkout(other).unwrap();
+        pool.checkout(&other).unwrap();
         let stats = pool.stats();
         assert_eq!(
             (stats.evictions, stats.sessions),
@@ -540,12 +436,12 @@ mod tests {
     #[test]
     fn explicit_evict_and_full_clear() {
         let pool = unbounded_pool();
-        let k2 = PoolKey { spec: spec(2) };
-        let k3 = PoolKey { spec: spec(3) };
-        pool.checkout(k2).unwrap();
-        pool.checkout(k3).unwrap();
-        assert_eq!(pool.evict(Some(k2)), 1);
-        assert_eq!(pool.evict(Some(k2)), 0, "double evict is a no-op");
+        let k2 = config(2);
+        let k3 = config(3);
+        pool.checkout(&k2).unwrap();
+        pool.checkout(&k3).unwrap();
+        assert_eq!(pool.evict(Some(*k2.spec())), 1);
+        assert_eq!(pool.evict(Some(*k2.spec())), 0, "double evict is a no-op");
         assert_eq!(pool.evict(None), 1);
         assert_eq!(pool.stats().sessions, 0);
     }
@@ -562,8 +458,8 @@ mod tests {
                 .with_fault(FaultSite::BuilderShard, 0, FaultKind::CapacityExhaustion),
         );
         let pool = SessionPool::new(u64::MAX, RetryPolicy::default(), Some(plan.clone()));
-        let key = PoolKey { spec: spec(2) };
-        let (session, hit) = pool.checkout(key).unwrap();
+        let key = config(2);
+        let (session, hit) = pool.checkout(&key).unwrap();
         assert!(!hit);
         assert!(session.system().num_runs() > 0);
         assert!(plan.fired() >= 1, "the chaos plan must actually fire");
@@ -583,26 +479,30 @@ mod tests {
             base_backoff: Duration::from_micros(100),
         };
         let pool = SessionPool::new(u64::MAX, retry, Some(plan));
-        let err = pool.checkout(PoolKey { spec: spec(2) }).unwrap_err();
+        let err = pool.checkout(&config(2)).unwrap_err();
         assert_eq!(err.kind(), "engine-fault");
         assert!(err.to_frame().to_line().contains("2 attempts"), "{err}");
         // The build mark must be gone: a later checkout with a clean
         // pool path (no fault left) would rebuild rather than hang —
         // recurring plans keep firing, so just assert the typed error
         // again rather than a hang.
-        let err2 = pool.checkout(PoolKey { spec: spec(2) }).unwrap_err();
+        let err2 = pool.checkout(&config(2)).unwrap_err();
         assert_eq!(err2.kind(), "engine-fault");
     }
 
     #[test]
     fn sampled_sessions_are_pinned_and_pooled_separately() {
         let pool = unbounded_pool();
-        let mut sampled = spec(2);
-        sampled.sampled = Some((5, 42));
-        let full = PoolKey { spec: spec(2) };
-        let samp = PoolKey { spec: sampled };
-        let (a, _) = pool.checkout(full).unwrap();
-        let (b, _) = pool.checkout(samp).unwrap();
+        let sampled = config_with(
+            2,
+            EngineOptions {
+                sampled: Some((5, 42)),
+                ..EngineOptions::default()
+            },
+        );
+        let full = config(2);
+        let (a, _) = pool.checkout(&full).unwrap();
+        let (b, _) = pool.checkout(&sampled).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
         let sampled_runs = b.system().num_runs();
         assert!(

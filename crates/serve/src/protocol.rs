@@ -22,14 +22,18 @@
 //! single-threaded oracle.
 
 use crate::json::Json;
-use eba_model::{ExchangeKind, FailureMode, Scenario};
+use eba_core::{ConfigError, EngineConfig, EngineOptions, ScenarioSpec};
+use eba_model::{ExchangeKind, FailureMode};
 use std::fmt;
+use std::time::Duration;
 
 /// Default deadline hint returned with `overloaded` frames.
 pub const DEFAULT_RETRY_AFTER_MS: u64 = 100;
 
-/// A parsed request frame.
-#[derive(Clone, PartialEq, Debug)]
+/// A parsed request frame. Engine-touching requests carry a validated
+/// [`EngineConfig`]; the query adds the daemon's thread count, and the
+/// pool its chaos injector.
+#[derive(Clone, Debug)]
 pub enum Request {
     /// Liveness probe.
     Ping,
@@ -37,7 +41,7 @@ pub enum Request {
     Check(CheckRequest),
     /// Run the Theorem 5.2 construction and the Theorem 5.3 optimality
     /// check on a scenario's exhaustive system.
-    Optimize(ScenarioSpec),
+    Optimize(EngineConfig),
     /// Check a formula at every horizon of a range out of one warm
     /// incremental session.
     Sweep(SweepRequest),
@@ -47,73 +51,29 @@ pub enum Request {
     Evict(Option<ScenarioSpec>),
 }
 
-/// The scenario selection shared by all engine-touching ops.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct ScenarioSpec {
-    /// Number of processors.
-    pub n: usize,
-    /// Failure bound.
-    pub t: usize,
-    /// Failure mode.
-    pub mode: FailureMode,
-    /// Information exchange.
-    pub exchange: ExchangeKind,
-    /// Horizon (rounds simulated); defaults to `t + 2`.
-    pub horizon: u16,
-    /// `Some((runs, seed))` for a sampled system instead of the
-    /// exhaustive one.
-    pub sampled: Option<(usize, u64)>,
-    /// Build the symmetry-quotiented system: one representative failure
-    /// pattern per `Sym(n)` orbit, with knowledge evaluated through
-    /// orbit-canonical view classes. Part of the pool key, so quotiented
-    /// and unreduced sessions for the same scenario never alias.
-    pub symmetry: bool,
-}
-
-impl ScenarioSpec {
-    /// Resolves the spec into a validated [`Scenario`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the model's error text when the parameters are rejected.
-    pub fn scenario(&self) -> Result<Scenario, ServeError> {
-        Scenario::new(self.n, self.t, self.mode, self.horizon)
-            .and_then(|s| s.with_exchange(self.exchange))
-            .map_err(|e| ServeError::InvalidScenario(e.to_string()))
-    }
-}
-
-/// A `check` request: scenario + formula + optional budget.
-#[derive(Clone, PartialEq, Debug)]
+/// A `check` request: scenario + formula. A budgeted config
+/// (`deadline_ms`/`max_runs`) bypasses the pool and may return a
+/// `partial` verdict; its `completed_shards`/`total_shards` figures are
+/// only deterministic (and oracle-comparable) when `shards` is pinned.
+#[derive(Clone, Debug)]
 pub struct CheckRequest {
-    /// The scenario to build (or fetch from the pool).
-    pub spec: ScenarioSpec,
+    /// The scenario to build (or fetch from the pool), with its budget
+    /// and shard count.
+    pub config: EngineConfig,
     /// Formula text, in the `eba-check` grammar.
     pub formula: String,
-    /// Wall-clock budget in milliseconds; budgeted checks bypass the
-    /// pool and may return a `partial` verdict.
-    pub deadline_ms: Option<u64>,
-    /// Run-count budget; honored at shard granularity, deterministic.
-    pub max_runs: Option<u64>,
-    /// Explicit shard count for exhaustive generation. The generated
-    /// system is identical for any value; a budgeted query's
-    /// `completed_shards`/`total_shards` figures are only deterministic
-    /// (and oracle-comparable) when this is pinned.
-    pub shards: Option<usize>,
     /// Also report a point where the formula holds.
     pub witness: bool,
 }
 
-/// A `sweep` request: one formula checked at every horizon `from..=to`.
-#[derive(Clone, PartialEq, Debug)]
+/// A `sweep` request: one formula checked at every horizon from the
+/// config's (the frame's `from`) to `to`.
+#[derive(Clone, Debug)]
 pub struct SweepRequest {
-    /// Scenario shape; `spec.horizon` is ignored (`from` is used) and
-    /// `spec.sampled` must be `None` (sweeps are exhaustive-only).
-    pub spec: ScenarioSpec,
+    /// Scenario shape at the first horizon.
+    pub config: EngineConfig,
     /// Formula text.
     pub formula: String,
-    /// First horizon (inclusive).
-    pub from: u16,
     /// Last horizon (inclusive).
     pub to: u16,
 }
@@ -235,34 +195,29 @@ fn field_str<'a>(frame: &'a Json, key: &str) -> Result<Option<&'a str>, ServeErr
     }
 }
 
-fn parse_spec(frame: &Json) -> Result<ScenarioSpec, ServeError> {
-    let n = field_usize(frame, "n", 3)?;
-    let t = field_usize(frame, "t", 1)?;
-    let mode = match field_str(frame, "mode")?.unwrap_or("crash") {
-        "crash" => FailureMode::Crash,
-        "omission" => FailureMode::Omission,
-        "general-omission" => FailureMode::GeneralOmission,
-        other => {
-            return Err(ServeError::BadRequest(format!("unknown mode `{other}`")));
-        }
-    };
-    let exchange = match field_str(frame, "exchange")? {
-        None => ExchangeKind::FullInformation,
-        Some(spec) => {
-            ExchangeKind::parse(spec).map_err(|e| ServeError::BadRequest(e.to_string()))?
-        }
-    };
-    let horizon = match frame.get("horizon") {
-        None => u16::try_from(t + 2)
-            .map_err(|_| ServeError::BadRequest("t too large for a horizon".into()))?,
-        Some(Json::Int(i)) if (1..=i64::from(u16::MAX)).contains(i) => *i as u16,
+/// Reads the scenario fields, with [`EngineOptions::default`] for the
+/// absent ones.
+fn parse_options(frame: &Json) -> Result<EngineOptions, ServeError> {
+    let mut options = EngineOptions::default();
+    let bad = |e: eba_model::ModelError| ServeError::BadRequest(e.to_string());
+    options.n = field_usize(frame, "n", options.n)?;
+    options.t = field_usize(frame, "t", options.t)?;
+    if let Some(spec) = field_str(frame, "mode")? {
+        options.mode = FailureMode::parse(spec).map_err(bad)?;
+    }
+    if let Some(spec) = field_str(frame, "exchange")? {
+        options.exchange = ExchangeKind::parse(spec).map_err(bad)?;
+    }
+    options.horizon = match frame.get("horizon") {
+        None => None,
+        Some(Json::Int(i)) if (1..=i64::from(u16::MAX)).contains(i) => Some(*i as u16),
         Some(_) => {
             return Err(ServeError::BadRequest(
                 "field `horizon` must be a positive integer".into(),
             ));
         }
     };
-    let sampled = match frame.get("sampled") {
+    options.sampled = match frame.get("sampled") {
         None => None,
         Some(Json::Arr(pair)) => match pair.as_slice() {
             [Json::Int(runs), Json::Int(seed)] if *runs > 0 && *seed >= 0 => {
@@ -280,29 +235,23 @@ fn parse_spec(frame: &Json) -> Result<ScenarioSpec, ServeError> {
             ));
         }
     };
-    let symmetry = field_bool(frame, "symmetry")?;
-    if symmetry {
-        if sampled.is_some() {
-            return Err(ServeError::BadRequest(
-                "the symmetry quotient needs the exhaustive system; drop `sampled`".into(),
-            ));
-        }
-        if !exchange.is_full() {
-            return Err(ServeError::BadRequest(format!(
-                "the symmetry quotient requires the full exchange; `{exchange}` bakes \
-                 processor labels into its bounded states"
-            )));
-        }
-    }
-    Ok(ScenarioSpec {
-        n,
-        t,
-        mode,
-        exchange,
-        horizon,
-        sampled,
-        symmetry,
+    options.symmetry = field_bool(frame, "symmetry")?;
+    Ok(options)
+}
+
+/// Validates `options`: a rejected scenario is `invalid-scenario`, a
+/// conflict between fields `bad-request`.
+fn validate(options: EngineOptions) -> Result<EngineConfig, ServeError> {
+    EngineConfig::new(options).map_err(|e| match e {
+        ConfigError::Scenario(e) => ServeError::InvalidScenario(e.to_string()),
+        conflict => ServeError::BadRequest(conflict.to_string()),
     })
+}
+
+fn field_formula(frame: &Json) -> Result<String, ServeError> {
+    Ok(field_str(frame, "formula")?
+        .ok_or_else(|| ServeError::BadRequest("missing field `formula`".into()))?
+        .to_owned())
 }
 
 impl Request {
@@ -323,60 +272,38 @@ impl Request {
         match op {
             "ping" => Ok(Request::Ping),
             "stats" => Ok(Request::Stats),
-            "evict" => {
-                if frame.get("n").is_some() {
-                    Ok(Request::Evict(Some(parse_spec(frame)?)))
-                } else {
-                    Ok(Request::Evict(None))
-                }
-            }
+            "evict" => match frame.get("n") {
+                Some(_) => Ok(Request::Evict(Some(
+                    *validate(parse_options(frame)?)?.spec(),
+                ))),
+                None => Ok(Request::Evict(None)),
+            },
             "check" => {
-                let spec = parse_spec(frame)?;
-                let formula = field_str(frame, "formula")?
-                    .ok_or_else(|| ServeError::BadRequest("missing field `formula`".into()))?
-                    .to_owned();
-                let deadline_ms = field_u64(frame, "deadline_ms")?;
-                let max_runs = field_u64(frame, "max_runs")?;
-                if (deadline_ms.is_some() || max_runs.is_some()) && spec.sampled.is_some() {
-                    return Err(ServeError::BadRequest(
-                        "budgets govern exhaustive generation; drop `sampled`".into(),
-                    ));
+                let mut options = parse_options(frame)?;
+                let formula = field_formula(frame)?;
+                if let Some(ms) = field_u64(frame, "deadline_ms")? {
+                    options.budget = options.budget.with_deadline(Duration::from_millis(ms));
                 }
-                let shards = match field_u64(frame, "shards")? {
-                    Some(s) => Some(usize::try_from(s).map_err(|_| {
-                        ServeError::BadRequest("field `shards` is too large".into())
-                    })?),
-                    None => None,
-                };
+                if let Some(max) = field_u64(frame, "max_runs")? {
+                    options.budget = options.budget.with_max_runs(max);
+                }
+                let shards = field_u64(frame, "shards")?
+                    .map(usize::try_from)
+                    .transpose()
+                    .map_err(|_| ServeError::BadRequest("field `shards` is too large".into()))?;
+                let witness = field_bool(frame, "witness")?;
+                let mut config = validate(options)?;
+                config.shards = shards;
                 Ok(Request::Check(CheckRequest {
-                    spec,
+                    config,
                     formula,
-                    deadline_ms,
-                    max_runs,
-                    shards,
-                    witness: field_bool(frame, "witness")?,
+                    witness,
                 }))
             }
-            "optimize" => {
-                let spec = parse_spec(frame)?;
-                Ok(Request::Optimize(spec))
-            }
+            "optimize" => Ok(Request::Optimize(validate(parse_options(frame)?)?)),
             "sweep" => {
-                let spec = parse_spec(frame)?;
-                if spec.sampled.is_some() {
-                    return Err(ServeError::BadRequest(
-                        "sweeps need the exhaustive system; drop `sampled`".into(),
-                    ));
-                }
-                if !spec.exchange.supports_session_extension() {
-                    return Err(ServeError::BadRequest(format!(
-                        "sweeps need an exchange supporting session extension; `{}` is rebuild-only",
-                        spec.exchange
-                    )));
-                }
-                let formula = field_str(frame, "formula")?
-                    .ok_or_else(|| ServeError::BadRequest("missing field `formula`".into()))?
-                    .to_owned();
+                let mut options = parse_options(frame)?;
+                let formula = field_formula(frame)?;
                 let from = match frame.get("from").and_then(Json::as_i64) {
                     Some(i) if (1..=i64::from(u16::MAX)).contains(&i) => i as u16,
                     _ => {
@@ -393,10 +320,11 @@ impl Request {
                         ));
                     }
                 };
+                options.horizon = Some(from);
+                options.sweep = true;
                 Ok(Request::Sweep(SweepRequest {
-                    spec,
+                    config: validate(options)?,
                     formula,
-                    from,
                     to,
                 }))
             }
@@ -430,12 +358,16 @@ mod tests {
         let Request::Check(check) = req else {
             panic!("wrong op");
         };
-        assert_eq!(check.spec.n, 3);
-        assert_eq!(check.spec.mode, FailureMode::Omission);
-        assert_eq!(check.spec.horizon, 3);
-        assert_eq!(check.max_runs, Some(50));
+        let spec = check.config.spec();
+        assert_eq!(spec.n, 3);
+        assert_eq!(spec.mode, FailureMode::Omission);
+        assert_eq!(spec.horizon, 3);
+        assert_eq!(check.config.budget().max_runs(), Some(50));
         assert!(check.witness);
-        assert!(check.spec.scenario().is_ok());
+        assert_eq!(
+            check.config.scenario().exchange(),
+            ExchangeKind::Digest { bits: 0 }
+        );
     }
 
     #[test]
@@ -445,10 +377,11 @@ mod tests {
         else {
             panic!("wrong op");
         };
-        assert_eq!((check.spec.n, check.spec.t), (3, 1));
-        assert_eq!(check.spec.mode, FailureMode::Crash);
-        assert_eq!(check.spec.horizon, 3, "horizon defaults to t + 2");
-        assert_eq!(check.spec.exchange, ExchangeKind::FullInformation);
+        let spec = check.config.spec();
+        assert_eq!((spec.n, spec.t), (3, 1));
+        assert_eq!(spec.mode, FailureMode::Crash);
+        assert_eq!(spec.horizon, 3, "horizon defaults to t + 2");
+        assert_eq!(spec.exchange, ExchangeKind::FullInformation);
     }
 
     #[test]

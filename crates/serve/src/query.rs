@@ -8,21 +8,21 @@
 //! budget; wall-clock deadlines are inherently timing-dependent and the
 //! suite pins budgets with `max_runs`/`shards` instead).
 //!
-//! Budgeted checks bypass the pool (a partial prefix system must never
-//! be pooled) and run through [`SessionPool::build_budgeted`]; a
-//! deadline or drain interrupt yields the same deterministic `partial`
-//! verdict shape as `eba-check --deadline`'s PARTIAL banner.
+//! Every query reaches the engine through its request's
+//! [`EngineConfig`] and [`SessionPool::checkout`]. Budgeted checks bypass
+//! the pool (a partial prefix system must never be pooled); a deadline or
+//! drain interrupt yields the same deterministic `partial` verdict shape
+//! as `eba-check --deadline`'s PARTIAL banner.
 
 use crate::json::Json;
-use crate::pool::{PoolKey, RetryPolicy, SessionPool};
-use crate::protocol::{CheckRequest, Request, ScenarioSpec, ServeError, SweepRequest};
-use eba_core::{check_optimality, DecisionPair, EngineSession, SessionScope};
+use crate::pool::{RetryPolicy, SessionPool};
+use crate::protocol::{CheckRequest, Request, ServeError, SweepRequest};
+use eba_core::{check_optimality, DecisionPair, EngineConfig, Verdict};
 use eba_kripke::parse::parse_formula;
-use eba_kripke::{Evaluator, Formula};
-use eba_model::{RunBudget, Time};
-use eba_sim::{BuildOutcome, GeneratedSystem};
+use eba_kripke::Formula;
+use eba_sim::symmetry::SymmetryInfo;
+use eba_sim::GeneratedSystem;
 use std::sync::atomic::AtomicBool;
-use std::time::Duration;
 
 /// Everything a query needs besides the request itself.
 #[derive(Clone, Copy, Debug)]
@@ -30,8 +30,9 @@ pub struct QueryContext<'a> {
     /// The warm-session pool.
     pub pool: &'a SessionPool,
     /// Drain flag: set when the server is shutting down; in-flight
-    /// builds stop at their next cooperative checkpoint with a
-    /// deterministic `partial` verdict.
+    /// budgeted builds stop at their next cooperative checkpoint with a
+    /// deterministic `partial` verdict, and sweeps before their next
+    /// horizon.
     pub interrupt: Option<&'static AtomicBool>,
     /// Worker threads for builds and evaluation (`None` = all cores).
     /// Any value yields bit-identical results.
@@ -51,11 +52,11 @@ pub fn execute(req: &Request, ctx: &QueryContext<'_>) -> Result<Json, ServeError
             ("op", Json::Str("pong".into())),
         ])),
         Request::Check(check) => run_check(check, ctx),
-        Request::Optimize(spec) => run_optimize(spec, ctx),
+        Request::Optimize(config) => run_optimize(config, ctx),
         Request::Sweep(sweep) => run_sweep(sweep, ctx),
         Request::Stats => Ok(render_stats(ctx.pool)),
         Request::Evict(spec) => {
-            let evicted = ctx.pool.evict(spec.map(|spec| PoolKey { spec }));
+            let evicted = ctx.pool.evict(*spec);
             Ok(Json::obj([
                 ("ok", Json::Bool(true)),
                 ("op", Json::Str("evict".into())),
@@ -82,191 +83,106 @@ pub fn oracle(req: &Request) -> String {
     }
 }
 
+/// The request's config on the context's thread count. Only a budgeted
+/// build, which yields a prefix anyway, stops at the drain flag; pooled
+/// sessions are complete by construction.
+fn configure(config: &EngineConfig, ctx: &QueryContext<'_>) -> EngineConfig {
+    let mut config = config.clone();
+    config.threads = ctx.threads;
+    match ctx.interrupt {
+        Some(flag) if config.budget().is_bounded() => config.with_interrupt(flag),
+        _ => config,
+    }
+}
+
 fn parse_checked_formula(text: &str) -> Result<Formula, ServeError> {
     parse_formula(text).map_err(|e| ServeError::BadRequest(e.to_string()))
 }
 
-/// Downgrades a `symmetry:true` spec to unreduced when the formula is
-/// not processor-symmetric (the quotient only preserves verdicts for
-/// symmetric formulas — DESIGN.md §4i), noting the fallback in the
-/// response. Parsed formulas cannot reference engine-registered state
-/// sets, so the family orbit-closure oracle is never consulted.
-fn effective_spec(
-    spec: &ScenarioSpec,
-    formula: &Formula,
-    fields: &mut Vec<(&'static str, Json)>,
-) -> ScenarioSpec {
-    let mut spec = *spec;
-    if spec.symmetry && !formula.symmetric_under_relabeling(&mut |_| true) {
-        spec.symmetry = false;
+/// The scenario field of `config`, plus the notice when `formula` drops
+/// the quotient (see [`EngineConfig::for_formula`]).
+fn scenario_fields(config: &mut EngineConfig, formula: &Formula) -> Vec<(&'static str, Json)> {
+    let mut fields = vec![("scenario", Json::Str(config.scenario().to_string()))];
+    if config.for_formula(formula) {
         fields.push((
             "symmetry",
             Json::Str("formula names specific processors; checked unreduced".into()),
         ));
     }
-    spec
+    fields
+}
+
+/// The orbit accounting of a quotiented system.
+fn symmetry_json(info: &SymmetryInfo) -> Json {
+    let reduction = format!("{:.2}", info.reduction_ratio());
+    Json::obj([
+        ("orbits", Json::Int(info.num_orbits() as i64)),
+        (
+            "raw_patterns",
+            Json::Int(info.raw_patterns_covered() as i64),
+        ),
+        ("reduction", Json::Str(reduction)),
+    ])
 }
 
 /// Appends the orbit-accounting field for quotiented systems.
 fn symmetry_fields(system: &GeneratedSystem, fields: &mut Vec<(&'static str, Json)>) {
     if let Some(info) = system.symmetry() {
-        fields.push((
-            "symmetry",
-            Json::obj([
-                ("orbits", Json::Int(info.num_orbits() as i64)),
-                (
-                    "raw_patterns",
-                    Json::Int(info.raw_patterns_covered() as i64),
-                ),
-                (
-                    "reduction",
-                    Json::Str(format!("{:.2}", info.reduction_ratio())),
-                ),
-            ]),
-        ));
+        fields.push(("symmetry", symmetry_json(info)));
     }
 }
 
-fn describe_point(system: &GeneratedSystem, run: eba_sim::RunId, time: Time) -> String {
-    let record = system.run(run);
-    format!(
-        "run {} at {time}: config {} under [{}] (nonfaulty {})",
-        run.index(),
-        record.config,
-        record.pattern,
-        record.nonfaulty,
-    )
-}
-
-/// The VALID/NOT-VALID core shared by checks and sweep horizons:
-/// evaluates `formula` over every point and appends the verdict fields.
-fn verdict_fields(
-    eval: &mut Evaluator<'_>,
-    system: &GeneratedSystem,
-    formula: &Formula,
-    witness: bool,
-    fields: &mut Vec<(&'static str, Json)>,
-) -> bool {
-    let satisfied = eval.eval(formula);
-    let holds = satisfied.count_ones();
-    let points = satisfied.len();
-    let valid = holds == points;
-    fields.push(("valid", Json::Bool(valid)));
-    fields.push(("holds", Json::Int(holds as i64)));
-    fields.push(("points", Json::Int(points as i64)));
-    if !valid {
-        if let Some((run, time)) = eval.counterexample(formula) {
-            fields.push((
-                "counterexample",
-                Json::Str(describe_point(system, run, time)),
-            ));
-        }
+/// The VALID/NOT-VALID fields shared by checks and sweep horizons.
+fn verdict_fields(verdict: &Verdict, witness: bool, fields: &mut Vec<(&'static str, Json)>) {
+    fields.push(("valid", Json::Bool(verdict.is_valid())));
+    fields.push(("holds", Json::Int(verdict.holds as i64)));
+    fields.push(("points", Json::Int(verdict.points as i64)));
+    if let Some(point) = &verdict.counterexample {
+        fields.push(("counterexample", Json::Str(point.clone())));
     }
     if witness {
-        match satisfied.first_one() {
-            Some(idx) => {
-                let (run, time) = eval.point_of(idx);
-                fields.push(("witness", Json::Str(describe_point(system, run, time))));
-            }
-            None => fields.push(("witness", Json::Null)),
-        }
+        let point = verdict.witness.clone().map_or(Json::Null, Json::Str);
+        fields.push(("witness", point));
     }
-    valid
 }
 
 fn run_check(check: &CheckRequest, ctx: &QueryContext<'_>) -> Result<Json, ServeError> {
     let formula = parse_checked_formula(&check.formula)?;
-    let scenario = check.spec.scenario()?;
-    let budgeted = check.deadline_ms.is_some() || check.max_runs.is_some();
-    let mut fields: Vec<(&'static str, Json)> = vec![
-        ("ok", Json::Bool(true)),
-        ("op", Json::Str("check".into())),
-        ("scenario", Json::Str(scenario.to_string())),
-    ];
-    let spec = effective_spec(&check.spec, &formula, &mut fields);
-
-    if budgeted {
-        // Budgeted checks bypass the pool: a prefix system is a valid
-        // object to check but must never be served to later queries.
-        let mut budget = RunBudget::unlimited();
-        if let Some(ms) = check.deadline_ms {
-            budget = budget.with_deadline(Duration::from_millis(ms));
-        }
-        if let Some(max) = check.max_runs {
-            budget = budget.with_max_runs(max);
-        }
-        let outcome =
-            ctx.pool
-                .build_budgeted(&spec, budget, ctx.interrupt, check.shards, ctx.threads)?;
-        let (system, partial) = match outcome {
-            BuildOutcome::Complete { system, .. } => (system, None),
-            BuildOutcome::Partial {
-                system,
-                completed_shards,
-                total_shards,
-                budget_hit,
-                ..
-            } => {
-                if system.num_runs() == 0 {
-                    return Err(ServeError::BudgetExhausted(format!(
-                        "budget exhausted before any shard completed ({budget_hit}); \
-                         raise deadline_ms/max_runs"
-                    )));
-                }
-                (system, Some((budget_hit, completed_shards, total_shards)))
-            }
-        };
-        fields.push(("runs", Json::Int(system.num_runs() as i64)));
-        symmetry_fields(&system, &mut fields);
-        if let Some((hit, completed, total)) = partial {
-            fields.push((
-                "partial",
-                Json::obj([
-                    ("reason", Json::Str(hit.to_string())),
-                    ("completed_shards", Json::Int(completed as i64)),
-                    ("total_shards", Json::Int(total as i64)),
-                ]),
-            ));
-        }
-        let mut eval = Evaluator::new(&system);
-        if let Some(threads) = ctx.threads {
-            eval.set_threads(threads);
-        }
-        verdict_fields(&mut eval, &system, &formula, check.witness, &mut fields);
-        return Ok(Json::obj(fields));
-    }
-
-    let (session, _hit) = ctx.pool.checkout(PoolKey { spec })?;
+    let mut config = configure(&check.config, ctx);
+    let mut fields = vec![("ok", Json::Bool(true)), ("op", Json::Str("check".into()))];
+    fields.extend(scenario_fields(&mut config, &formula));
+    let (session, _hit) = ctx.pool.checkout(&config)?;
     fields.push(("runs", Json::Int(session.system().num_runs() as i64)));
     symmetry_fields(session.system(), &mut fields);
-    let mut eval = session.evaluator();
-    if let Some(threads) = ctx.threads {
-        eval.set_threads(threads);
+    if let Some(partial) = session.partial() {
+        let reason = Json::Str(partial.budget_hit.to_string());
+        let completed = Json::Int(partial.completed_shards as i64);
+        let total = Json::Int(partial.total_shards as i64);
+        let partial = [
+            ("reason", reason),
+            ("completed_shards", completed),
+            ("total_shards", total),
+        ];
+        fields.push(("partial", Json::obj(partial)));
     }
-    verdict_fields(
-        &mut eval,
-        session.system(),
-        &formula,
-        check.witness,
-        &mut fields,
-    );
+    verdict_fields(&session.verdict(&formula), check.witness, &mut fields);
     Ok(Json::obj(fields))
 }
 
-fn run_optimize(spec: &ScenarioSpec, ctx: &QueryContext<'_>) -> Result<Json, ServeError> {
-    let scenario = spec.scenario()?;
+fn run_optimize(config: &EngineConfig, ctx: &QueryContext<'_>) -> Result<Json, ServeError> {
     // The optimization and the Theorem 5.3 check are processor-covariant
     // end to end (the engine twists its belief kernels family-wise under
     // the quotient), so `symmetry:true` needs no formula-eligibility
     // fallback here.
-    let (session, _hit) = ctx.pool.checkout(PoolKey { spec: *spec })?;
+    let config = configure(config, ctx);
+    let (session, _hit) = ctx.pool.checkout(&config)?;
     let mut ctor = session.constructor();
-    let pair = ctor.optimize(&DecisionPair::empty(spec.n));
+    let pair = ctor.optimize(&DecisionPair::empty(config.spec().n));
     let optimal = check_optimality(&mut ctor, &pair).is_optimal();
     let mut fields = vec![
         ("ok", Json::Bool(true)),
         ("op", Json::Str("optimize".into())),
-        ("scenario", Json::Str(scenario.to_string())),
+        ("scenario", Json::Str(config.scenario().to_string())),
         ("runs", Json::Int(session.system().num_runs() as i64)),
         ("points", Json::Int(session.system().num_points() as i64)),
     ];
@@ -277,58 +193,33 @@ fn run_optimize(spec: &ScenarioSpec, ctx: &QueryContext<'_>) -> Result<Json, Ser
 
 fn run_sweep(sweep: &SweepRequest, ctx: &QueryContext<'_>) -> Result<Json, ServeError> {
     let formula = parse_checked_formula(&sweep.formula)?;
-    let mut base_spec = sweep.spec;
-    base_spec.horizon = sweep.from;
-    base_spec.sampled = None;
-    let scenario = base_spec.scenario()?;
-    let mut notice: Vec<(&'static str, Json)> = Vec::new();
-    let base_spec = effective_spec(&base_spec, &formula, &mut notice);
+    let mut config = configure(&sweep.config, ctx);
+    let mut fields = vec![("ok", Json::Bool(true)), ("op", Json::Str("sweep".into()))];
+    fields.extend(scenario_fields(&mut config, &formula));
 
-    // Warm start: clone the pooled base system (cheap — the point store
-    // is behind an Arc) into a private session that this query alone
+    // Warm start: fork the pooled base session (cheap — the point store
+    // is behind an Arc) into a private one that this query alone
     // extends. The pooled entry stays immutable at its own horizon.
-    let (base, _hit) = ctx.pool.checkout(PoolKey { spec: base_spec })?;
-    let mut session = EngineSession::from_system(base.system().clone(), SessionScope::FullSpace);
-    if let Some(threads) = ctx.threads {
-        session.set_threads(threads);
-    }
-
+    let (base, _hit) = ctx.pool.checkout(&config)?;
+    let mut session = base.fork();
     let mut horizons = Vec::new();
     let mut all_valid = true;
-    let mut interrupted = false;
-    for h in sweep.from..=sweep.to {
-        if let Some(flag) = ctx.interrupt {
-            if flag.load(std::sync::atomic::Ordering::Relaxed) {
-                interrupted = true;
-                break;
-            }
-        }
-        if h > sweep.from {
-            session
-                .extend_to(h)
-                .map_err(|e| ServeError::InvalidScenario(e.to_string()))?;
-        }
-        let mut fields: Vec<(&'static str, Json)> = vec![("horizon", Json::Int(i64::from(h)))];
-        fields.push(("runs", Json::Int(session.system().num_runs() as i64)));
-        symmetry_fields(session.system(), &mut fields);
-        let mut eval = session.evaluator();
-        if let Some(threads) = ctx.threads {
-            eval.set_threads(threads);
-        }
-        all_valid &= verdict_fields(&mut eval, session.system(), &formula, false, &mut fields);
-        horizons.push(Json::Obj(
-            fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect(),
-        ));
-    }
-    let mut fields = vec![
-        ("ok", Json::Bool(true)),
-        ("op", Json::Str("sweep".into())),
-        ("scenario", Json::Str(scenario.to_string())),
-    ];
-    fields.extend(notice);
+    let stopped = session
+        .sweep(&formula, sweep.to, ctx.interrupt, |session, _, verdict| {
+            let horizon = i64::from(session.horizon().ticks());
+            let mut fields = vec![
+                ("horizon", Json::Int(horizon)),
+                ("runs", Json::Int(session.system().num_runs() as i64)),
+            ];
+            symmetry_fields(session.system(), &mut fields);
+            verdict_fields(&verdict, false, &mut fields);
+            all_valid &= verdict.is_valid();
+            horizons.push(Json::obj(fields));
+        })
+        .map_err(|e| ServeError::InvalidScenario(e.to_string()))?;
     fields.push(("horizons", Json::Arr(horizons)));
     fields.push(("valid", Json::Bool(all_valid)));
-    if interrupted {
+    if stopped.is_some() {
         fields.push(("partial", Json::Str("interrupted".into())));
     }
     Ok(Json::obj(fields))
@@ -338,25 +229,16 @@ fn render_stats(pool: &SessionPool) -> Json {
     let stats = pool.stats();
     let pooled: Vec<Json> = pool
         .sessions()
-        .into_iter()
-        .map(|info| {
-            let scenario = info
-                .key
-                .spec
-                .scenario()
-                .expect("pooled specs are validated at build");
-            let symmetry = match info.symmetry {
-                Some(snap) => Json::obj([
-                    ("orbits", Json::Int(snap.orbits as i64)),
-                    ("raw_patterns", Json::Int(snap.raw_patterns as i64)),
-                    ("reduction", Json::Str(format!("{:.2}", snap.reduction))),
-                ]),
-                None => Json::Null,
-            };
+        .iter()
+        .map(|session| {
+            let system = session.system();
             Json::obj([
-                ("scenario", Json::Str(scenario.to_string())),
-                ("runs", Json::Int(info.runs as i64)),
-                ("symmetry", symmetry),
+                ("scenario", Json::Str(session.scenario().to_string())),
+                ("runs", Json::Int(system.num_runs() as i64)),
+                (
+                    "symmetry",
+                    system.symmetry().map_or(Json::Null, symmetry_json),
+                ),
             ])
         })
         .collect();
@@ -527,19 +409,18 @@ mod tests {
         assert!(resp.contains(r#""valid":true"#), "{resp}");
         // The pooled session is the unreduced one — a later unreduced
         // query for the same scenario hits it.
-        let (_, hit) = pool
-            .checkout(PoolKey {
-                spec: ScenarioSpec {
-                    n: 3,
-                    t: 1,
-                    mode: eba_model::FailureMode::Crash,
-                    exchange: eba_model::ExchangeKind::FullInformation,
-                    horizon: 3,
-                    sampled: None,
-                    symmetry: false,
-                },
-            })
-            .unwrap();
+        let unreduced = EngineConfig::new(eba_core::EngineOptions {
+            n: 3,
+            t: 1,
+            mode: eba_model::FailureMode::Crash,
+            exchange: eba_model::ExchangeKind::FullInformation,
+            horizon: Some(3),
+            sampled: None,
+            symmetry: false,
+            ..eba_core::EngineOptions::default()
+        })
+        .unwrap();
+        let (_, hit) = pool.checkout(&unreduced).unwrap();
         assert!(hit);
     }
 

@@ -730,6 +730,8 @@ fn build_shard(
 /// hit that stopped the merge early (if any). The shard that crosses the
 /// view bound is the last one included — bounds are honored to within one
 /// shard, mirroring the cooperative per-loop-body deadline semantics.
+/// A deadline or interrupt already cut `parts` to the completed prefix,
+/// so the merge keeps every part and checks only the view bound.
 fn merge(
     scenario: Scenario,
     parts: Vec<ShardBuild>,
@@ -755,9 +757,11 @@ fn merge(
         orbit_sizes.extend_from_slice(&part.orbit_sizes);
         runs.extend(part.runs);
         merged += 1;
-        if let Err(view_hit) = armed.check_views(table.len() as u64) {
-            hit = Some(view_hit);
-            break;
+        if let Some(limit) = armed.budget().max_views() {
+            if table.len() as u64 > limit {
+                hit = Some(BudgetHit::MaxViews { limit });
+                break;
+            }
         }
     }
     let symmetry = symmetry_total.map(|total| Arc::new(SymmetryInfo::new(orbit_sizes, total)));
@@ -1293,6 +1297,48 @@ mod tests {
         };
         assert_eq!(completed_shards, 0);
         assert_eq!(system.num_runs(), 0);
+    }
+
+    #[test]
+    fn interrupted_build_keeps_every_completed_shard() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        static STOP: AtomicBool = AtomicBool::new(false);
+        /// Sets the interrupt flag as shard 2 starts.
+        struct StopAtShardTwo;
+        impl FaultInjector for StopAtShardTwo {
+            fn inject(&self, site: FaultSite, index: usize) -> Result<(), ModelError> {
+                if site == FaultSite::BuilderShard && index == 2 {
+                    STOP.store(true, Ordering::Relaxed);
+                }
+                Ok(())
+            }
+        }
+        let scenario = scenario();
+        let outcome = SystemBuilder::new(&scenario)
+            .threads(1)
+            .shards(8)
+            .budget(RunBudget::unlimited().with_interrupt(&STOP))
+            .chaos(Arc::new(StopAtShardTwo))
+            .build_governed()
+            .unwrap();
+        let BuildOutcome::Partial {
+            system,
+            completed_shards,
+            total_shards,
+            budget_hit,
+            ..
+        } = outcome
+        else {
+            panic!("an interrupted build must yield a partial outcome");
+        };
+        assert_eq!(
+            (completed_shards, total_shards, budget_hit),
+            (2, 8, BudgetHit::Interrupted)
+        );
+        let space = ScenarioSpace::new(scenario);
+        let shards = space.shards(8);
+        let two_shards = (shards[0].len() + shards[1].len()) * space.num_configs();
+        assert_eq!(system.num_runs() as u128, two_shards);
     }
 
     #[test]
