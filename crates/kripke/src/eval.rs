@@ -8,7 +8,7 @@ use crate::plan::FormulaPlan;
 use crate::uf::UnionFind;
 use eba_model::fasthash::{FastMap, FastSet};
 use eba_model::{ModelError, ProcSet, ProcessorId, Time};
-use eba_sim::chaos::{supervised_indexed, FaultInjector, FaultSite, NoChaos};
+use eba_sim::chaos::{FaultInjector, NoChaos};
 use eba_sim::symmetry::{SymmetryInfo, ViewClasses};
 use eba_sim::{GeneratedSystem, RunId, ViewId};
 use std::sync::Arc;
@@ -25,10 +25,6 @@ fn default_threads() -> usize {
 /// Ids interned by the evaluator are `u32`s; this is how many of each
 /// kind it can issue.
 const ID_CAPACITY: u128 = 1 << 32;
-
-/// Point count below which reachability edges are collected on the
-/// calling thread: spawning workers costs more than the scan saves.
-pub(crate) const PARALLEL_POINTS_THRESHOLD: usize = 1 << 12;
 
 /// The reachability structure of a nonrigid set `S` over a generated
 /// system: the point-level components behind `C_S` (the \[DM90\]
@@ -134,7 +130,7 @@ pub struct Evaluator<'a> {
     pub(crate) threads: usize,
     state_sets: Vec<StateSets>,
     run_preds: Vec<Vec<bool>>,
-    point_preds: Vec<Arc<Bitset>>,
+    pub(crate) point_preds: Vec<Arc<Bitset>>,
     pub(crate) cache: FastMap<Formula, Arc<Bitset>>,
     pub(crate) reach_cache: FastMap<NonRigidSet, Arc<Reachability>>,
     pub(crate) scope_cache: FastMap<NonRigidSet, ScopeColumns>,
@@ -153,8 +149,6 @@ pub struct Evaluator<'a> {
     family_closed_memo: FastMap<u32, bool>,
     pub(crate) shared: KnowledgeCache,
     pub(crate) chaos: Arc<dyn FaultInjector>,
-    plan_mode: bool,
-    batch_mode: bool,
 }
 
 impl<'a> Evaluator<'a> {
@@ -191,39 +185,7 @@ impl<'a> Evaluator<'a> {
             family_closed_memo: FastMap::default(),
             shared: cache,
             chaos: Arc::new(NoChaos),
-            plan_mode: true,
-            batch_mode: true,
         }
-    }
-
-    /// Switches between the compiled-plan evaluation pipeline (the
-    /// default) and the recursive reference evaluator. Both produce
-    /// bit-identical results; the recursive path is kept as the oracle
-    /// for differential testing and debugging.
-    pub fn set_plan_mode(&mut self, enabled: bool) {
-        self.plan_mode = enabled;
-    }
-
-    /// Whether formulas are evaluated through compiled plans (see
-    /// [`FormulaPlan`]).
-    #[must_use]
-    pub fn plan_mode(&self) -> bool {
-        self.plan_mode
-    }
-
-    /// Switches batched reachability (the default) on or off. When on,
-    /// plan execution prefetches every nonrigid set a plan needs through
-    /// one [`crate::reach::BatchBuilder`] sweep; when off, each set is
-    /// resolved on demand by the per-set path. Both are bit-identical;
-    /// the per-set path is kept as the differential-test oracle.
-    pub fn set_batch_mode(&mut self, enabled: bool) {
-        self.batch_mode = enabled;
-    }
-
-    /// Whether plan execution batch-prefetches reachability structures.
-    #[must_use]
-    pub fn batch_mode(&self) -> bool {
-        self.batch_mode
     }
 
     /// Sets the number of worker threads used to collect reachability
@@ -350,8 +312,7 @@ impl<'a> Evaluator<'a> {
     /// # Errors
     ///
     /// Returns [`ModelError::CapacityExceeded`] when the `u32` id space
-    /// for point predicates is full — the realistic overflow site, since
-    /// fixpoint iteration registers one predicate per iteration.
+    /// for point predicates is full.
     ///
     /// # Panics
     ///
@@ -417,23 +378,15 @@ impl<'a> Evaluator<'a> {
 
     /// Evaluates a formula, returning the set of points satisfying it.
     ///
-    /// In plan mode (the default) the formula is lowered to a
-    /// [`FormulaPlan`] — a deduplicated DAG of dense-bitset kernels —
-    /// and executed over the system's columnar [`eba_sim::PointStore`];
-    /// otherwise the recursive reference evaluator runs. Both paths
-    /// produce bit-identical bitsets and share the same per-subformula
-    /// memo, so they can be mixed freely on one evaluator.
+    /// The formula is lowered to a [`FormulaPlan`] — a deduplicated DAG
+    /// of dense-bitset kernels — and executed over the system's columnar
+    /// [`eba_sim::PointStore`], with results memoized per subformula.
     pub fn eval(&mut self, formula: &Formula) -> Arc<Bitset> {
         if let Some(cached) = self.cache.get(formula) {
             return Arc::clone(cached);
         }
-        if self.plan_mode {
-            let plan = FormulaPlan::compile(formula);
-            return self.eval_plan(&plan);
-        }
-        let result = Arc::new(self.compute(formula));
-        self.cache.insert(formula.clone(), Arc::clone(&result));
-        result
+        let plan = FormulaPlan::compile(formula);
+        self.eval_plan(&plan)
     }
 
     /// Executes a compiled plan, returning the extension of its root.
@@ -649,22 +602,27 @@ impl<'a> Evaluator<'a> {
         f.quotient_compatible(&mut family_ok)
     }
 
-    fn for_each_view_where(
-        &mut self,
+    fn for_each_view_where(&mut self, p: ProcessorId, formula: &Formula, emit: impl FnMut(ViewId)) {
+        let set = self.eval(formula);
+        self.for_each_view_in(p, &set, emit);
+    }
+
+    /// Emits the views of `p` whose every point lies in `set`.
+    pub(crate) fn for_each_view_in(
+        &self,
         p: ProcessorId,
-        formula: &Formula,
+        set: &Bitset,
         mut emit: impl FnMut(ViewId),
     ) {
-        let set = self.eval(formula);
         // A view qualifies iff its bucket (the points where `p` has it)
-        // is nonempty and contains no point falsifying the formula, so
-        // walk the falsifying points and disqualify their buckets.
+        // is nonempty and contains no point outside `set`, so walk the
+        // falsifying points and disqualify their buckets.
         let store = self.system.points();
         let column = store.column(p);
         let (offsets, _) = store.buckets(p);
         let table = self.system.table();
         let mut bad = vec![false; table.len()];
-        let mut unsat = Bitset::clone(&set);
+        let mut unsat = set.clone();
         unsat.invert();
         for pt in unsat.ones() {
             bad[column[pt].index()] = true;
@@ -687,135 +645,10 @@ impl<'a> Evaluator<'a> {
         out
     }
 
-    fn compute(&mut self, formula: &Formula) -> Bitset {
-        match formula {
-            Formula::True => Bitset::new_true(self.num_points),
-            Formula::False => Bitset::new_false(self.num_points),
-            Formula::Exists(v) => {
-                self.broadcast_run_level(|r| self.system.run(r).config.exists(*v))
-            }
-            Formula::Initial(p, v) => {
-                self.broadcast_run_level(|r| self.system.run(r).config.value(*p) == *v)
-            }
-            Formula::Nonfaulty(p) => {
-                self.broadcast_run_level(|r| self.system.nonfaulty(r).contains(*p))
-            }
-            Formula::StateIn(p, id) => {
-                let sets = &self.state_sets[id.0 as usize];
-                let mut out = Bitset::new_false(self.num_points);
-                for run in self.system.run_ids() {
-                    for time in Time::upto(self.system.horizon()) {
-                        if sets.contains(*p, self.system.view(run, *p, time)) {
-                            out.set(self.point_index(run, time), true);
-                        }
-                    }
-                }
-                out
-            }
-            Formula::RunPred(id) => {
-                let pred = self.run_preds[id.0 as usize].clone();
-                self.broadcast_run_level(|r| pred[r.index()])
-            }
-            Formula::PointPred(id) => (*self.point_preds[id.0 as usize]).clone(),
-            Formula::Not(inner) => {
-                let mut out = (*self.eval(inner)).clone();
-                out.invert();
-                out
-            }
-            Formula::And(fs) => {
-                let mut out = Bitset::new_true(self.num_points);
-                for f in fs {
-                    out &= &self.eval(f);
-                }
-                out
-            }
-            Formula::Or(fs) => {
-                let mut out = Bitset::new_false(self.num_points);
-                for f in fs {
-                    out |= &self.eval(f);
-                }
-                out
-            }
-            Formula::Knows(p, inner) => {
-                let phi = self.eval(inner);
-                self.knowledge_like(*p, &phi, None)
-            }
-            Formula::Believes(p, s, inner) => {
-                let phi = self.eval(inner);
-                self.knowledge_like(*p, &phi, Some(*s))
-            }
-            Formula::Everyone(s, inner) => {
-                let believes: Vec<Bitset> = (0..self.n)
-                    .map(|i| {
-                        let phi = self.eval(inner);
-                        self.knowledge_like(ProcessorId::new(i), &phi, Some(*s))
-                    })
-                    .collect();
-                let mut out = Bitset::new_true(self.num_points);
-                for run in self.system.run_ids() {
-                    for time in Time::upto(self.system.horizon()) {
-                        let idx = self.point_index(run, time);
-                        let members = self.members(*s, run, time);
-                        let ok = members.iter().all(|i| believes[i.index()].get(idx));
-                        out.set(idx, ok);
-                    }
-                }
-                out
-            }
-            Formula::Someone(s, inner) => {
-                let believes: Vec<Bitset> = (0..self.n)
-                    .map(|i| {
-                        let phi = self.eval(inner);
-                        self.knowledge_like(ProcessorId::new(i), &phi, Some(*s))
-                    })
-                    .collect();
-                let mut out = Bitset::new_false(self.num_points);
-                for run in self.system.run_ids() {
-                    for time in Time::upto(self.system.horizon()) {
-                        let idx = self.point_index(run, time);
-                        let members = self.members(*s, run, time);
-                        let ok = members.iter().any(|i| believes[i.index()].get(idx));
-                        out.set(idx, ok);
-                    }
-                }
-                out
-            }
-            Formula::Distributed(s, inner) => {
-                let phi = self.eval(inner);
-                self.distributed_knowledge(*s, &phi)
-            }
-            Formula::Common(s, inner) => {
-                let phi = self.eval(inner);
-                let reach = self.reachability(*s);
-                self.common_from_reach(&phi, &reach)
-            }
-            Formula::ContinualCommon(s, inner) => {
-                let phi = self.eval(inner);
-                let reach = self.reachability(*s);
-                self.continual_common_from_reach(&phi, &reach)
-            }
-            Formula::Always(inner) => {
-                let phi = self.eval(inner);
-                self.always_of(&phi)
-            }
-            Formula::Eventually(inner) => {
-                let phi = self.eval(inner);
-                self.eventually_of(&phi)
-            }
-            Formula::AlwaysAll(inner) => {
-                let phi = self.eval(inner);
-                self.always_all_of(&phi)
-            }
-            Formula::SometimeAll(inner) => {
-                let phi = self.eval(inner);
-                self.sometime_all_of(&phi)
-            }
-        }
-    }
-
     /// `C_S φ` from a reachability structure: φ holds throughout the
-    /// point's component (vacuously where `S` is empty). Shared between
-    /// the recursive evaluator and the plan's `ReachClose` kernel.
+    /// point's component (vacuously where `S` is empty). The plan's
+    /// `ReachClose` kernel; the reference evaluator
+    /// ([`crate::oracle`]) shares it.
     pub(crate) fn common_from_reach(&self, phi: &Bitset, reach: &Reachability) -> Bitset {
         // comp_sat[c] = φ holds at every point of component c. Only the
         // violations matter, so sweep φ's zero bits word-parallel.
@@ -924,22 +757,38 @@ impl<'a> Evaluator<'a> {
     ///
     /// Panics if called on a non-leaf formula — the plan compiler only
     /// emits `Load` for leaves.
-    pub(crate) fn compute_leaf(&mut self, formula: &Formula) -> Bitset {
-        debug_assert!(
-            matches!(
-                formula,
-                Formula::True
-                    | Formula::False
-                    | Formula::Exists(_)
-                    | Formula::Initial(..)
-                    | Formula::Nonfaulty(_)
-                    | Formula::StateIn(..)
-                    | Formula::RunPred(_)
-                    | Formula::PointPred(_)
-            ),
-            "Load kernel applied to a non-leaf formula"
-        );
-        self.compute(formula)
+    pub(crate) fn load_leaf(&self, formula: &Formula) -> Bitset {
+        match formula {
+            Formula::True => Bitset::new_true(self.num_points),
+            Formula::False => Bitset::new_false(self.num_points),
+            Formula::Exists(v) => {
+                self.broadcast_run_level(|r| self.system.run(r).config.exists(*v))
+            }
+            Formula::Initial(p, v) => {
+                self.broadcast_run_level(|r| self.system.run(r).config.value(*p) == *v)
+            }
+            Formula::Nonfaulty(p) => {
+                self.broadcast_run_level(|r| self.system.nonfaulty(r).contains(*p))
+            }
+            Formula::StateIn(p, id) => {
+                let sets = &self.state_sets[id.0 as usize];
+                let mut out = Bitset::new_false(self.num_points);
+                for run in self.system.run_ids() {
+                    for time in Time::upto(self.system.horizon()) {
+                        if sets.contains(*p, self.system.view(run, *p, time)) {
+                            out.set(self.point_index(run, time), true);
+                        }
+                    }
+                }
+                out
+            }
+            Formula::RunPred(id) => {
+                let pred = &self.run_preds[id.0 as usize];
+                self.broadcast_run_level(|r| pred[r.index()])
+            }
+            Formula::PointPred(id) => (*self.point_preds[id.0 as usize]).clone(),
+            _ => panic!("Load kernel applied to a non-leaf formula: {formula}"),
+        }
     }
 
     /// The view-orbit classes of a quotiented system, or `None` on an
@@ -1010,80 +859,13 @@ impl<'a> Evaluator<'a> {
         out
     }
 
-    /// The orbit twist of [`Evaluator::knowledge_like`]: on a quotiented
-    /// system a point is disqualified when the *orbit class* of its view
-    /// equals the class of some falsifying point's view — taken over
-    /// **every** processor `q` there (restricted to `q ∈ S` for `B`).
-    /// Full-information views encode their owner, so cross-processor
-    /// class equality already carries the witnessing relabeling, which
-    /// makes the per-class marking answer the full system's question
-    /// exactly for symmetric `φ` (DESIGN.md §4i).
-    fn knowledge_like_quotient(
-        &mut self,
-        p: ProcessorId,
-        phi: &Bitset,
-        restrict: Option<NonRigidSet>,
-        classes: &ViewClasses,
-    ) -> Bitset {
-        let class_ok = match restrict {
-            None => self.class_ok_unscoped(phi, classes),
-            Some(s) => {
-                let scopes = self.scope_columns(s);
-                self.class_ok_scoped(phi, &scopes, classes)
-            }
-        };
-        self.project_class_ok(p, &class_ok, classes)
-    }
-
-    /// Shared implementation of `K_p` (with `restrict = None`) and `B^S_p`
-    /// (with `restrict = Some(S)`): the result at a point depends only on
-    /// `p`'s view there, and is the conjunction of `φ` over all points
-    /// where `p` has that view (and, for `B`, belongs to `S`).
-    pub(crate) fn knowledge_like(
-        &mut self,
-        p: ProcessorId,
-        phi: &Bitset,
-        restrict: Option<NonRigidSet>,
-    ) -> Bitset {
-        if let Some(classes) = self.classes() {
-            return self.knowledge_like_quotient(p, phi, restrict, classes);
-        }
-        let table_len = self.system.table().len();
-        let mut view_ok = vec![true; table_len];
-        for run in self.system.run_ids() {
-            for time in Time::upto(self.system.horizon()) {
-                let idx = self.point_index(run, time);
-                if phi.get(idx) {
-                    continue;
-                }
-                let in_scope = match restrict {
-                    None => true,
-                    Some(s) => self.members(s, run, time).contains(p),
-                };
-                if in_scope {
-                    let v = self.system.view(run, p, time);
-                    view_ok[v.index()] = false;
-                }
-            }
-        }
-        let mut out = Bitset::new_false(self.num_points);
-        for run in self.system.run_ids() {
-            for time in Time::upto(self.system.horizon()) {
-                let idx = self.point_index(run, time);
-                let v = self.system.view(run, p, time);
-                out.set(idx, view_ok[v.index()]);
-            }
-        }
-        out
-    }
-
     /// `D_S φ`: at a point `p`, φ holds at every point `q` that the
     /// members of `S(p)` *jointly* cannot distinguish from `p` — same
     /// membership-relevant views for every member. Points are bucketed by
     /// `(S(p), members' views)`; `D` holds iff φ holds throughout the
     /// bucket. With `S(p)` empty every point is indistinguishable and the
     /// operator is vacuous (matching `E_S`'s convention).
-    pub(crate) fn distributed_knowledge(&mut self, s: NonRigidSet, phi: &Bitset) -> Bitset {
+    pub(crate) fn distributed_knowledge(&self, s: NonRigidSet, phi: &Bitset) -> Bitset {
         use std::collections::hash_map::Entry;
         if self.symmetry.is_some() {
             return self.distributed_knowledge_quotient(s, phi);
@@ -1140,7 +922,7 @@ impl<'a> Evaluator<'a> {
     /// membership-and-views profile onto the other's, which is joint
     /// indistinguishability in the full system, so the bucket verdicts
     /// answer the full system's `D_S` for symmetric `φ` (DESIGN.md §4i).
-    fn distributed_knowledge_quotient(&mut self, s: NonRigidSet, phi: &Bitset) -> Bitset {
+    fn distributed_knowledge_quotient(&self, s: NonRigidSet, phi: &Bitset) -> Bitset {
         use eba_sim::symmetry::{for_each_permuted_hashes, mix};
         let s_members = self.collect_s_members(s);
         let store = self.system.points();
@@ -1199,30 +981,18 @@ impl<'a> Evaluator<'a> {
     /// Lookup is staged: this evaluator's local memo first, then the
     /// shared [`KnowledgeCache`] (keyed by the set's *content*, so a hit
     /// can come from a different evaluator over the same system), and only
-    /// then a fresh computation, which is published to both.
+    /// then a fresh computation — a one-set
+    /// [`BatchBuilder`](crate::reach::BatchBuilder) sweep — which is
+    /// published to both.
     pub fn reachability(&mut self, s: NonRigidSet) -> Arc<Reachability> {
         if let Some(cached) = self.reach_cache.get(&s) {
             self.shared.note_local_hit(false);
             return Arc::clone(cached);
         }
-        let key = self.hashed_key(s);
-        let built = match self.shared.get(&key) {
-            Some(shared) => {
-                debug_assert_eq!(
-                    shared.num_points(),
-                    self.num_points,
-                    "knowledge cache shared across different systems"
-                );
-                shared
-            }
-            None => {
-                let built = Arc::new(self.build_reachability(s));
-                self.shared.insert(&key, Arc::clone(&built));
-                built
-            }
-        };
-        self.reach_cache.insert(s, Arc::clone(&built));
-        built
+        let mut batch = crate::reach::BatchBuilder::new();
+        batch.request_reachability(s);
+        batch.run(self);
+        Arc::clone(&self.reach_cache[&s])
     }
 
     /// The content key of `s`, canonicalized and hashed **once** per
@@ -1263,93 +1033,21 @@ impl<'a> Evaluator<'a> {
     ///
     /// Lookup is staged like [`Evaluator::reachability`]: the local memo,
     /// then the shared [`KnowledgeCache`] under the set's content key,
-    /// then a fresh columnar build over the [`eba_sim::PointStore`].
+    /// then a one-set [`BatchBuilder`](crate::reach::BatchBuilder) sweep.
     pub fn scope_columns(&mut self, s: NonRigidSet) -> ScopeColumns {
         if let Some(cached) = self.scope_cache.get(&s) {
             self.shared.note_local_hit(true);
             return Arc::clone(cached);
         }
-        let key = self.hashed_key(s);
-        let built = match self.shared.get_scopes(&key) {
-            Some(shared) => {
-                debug_assert!(
-                    shared.iter().all(|b| b.len() == self.num_points),
-                    "knowledge cache shared across different systems"
-                );
-                shared
-            }
-            // `insert_scopes` interns by content: the Arc it hands back
-            // may be an existing, identical column vector.
-            None => self
-                .shared
-                .insert_scopes(&key, Arc::new(self.build_scope_columns(s))),
-        };
-        self.scope_cache.insert(s, Arc::clone(&built));
-        built
+        let mut batch = crate::reach::BatchBuilder::new();
+        batch.request_scopes(s);
+        batch.run(self);
+        Arc::clone(&self.scope_cache[&s])
     }
 
-    fn build_scope_columns(&self, s: NonRigidSet) -> Vec<Bitset> {
-        let store = self.system.points();
-        ProcessorId::all(self.n)
-            .map(|p| match s {
-                NonRigidSet::Everyone => Bitset::new_true(self.num_points),
-                NonRigidSet::Nonfaulty => {
-                    self.broadcast_run_level(|r| self.system.nonfaulty(r).contains(p))
-                }
-                NonRigidSet::NonfaultyAnd(id) => {
-                    let sets = &self.state_sets[id.0 as usize];
-                    // Membership test per interned view, then a column
-                    // scan — no hashing per point.
-                    let mut in_sets = vec![false; self.system.table().len()];
-                    for v in self.system.table().ids() {
-                        in_sets[v.index()] = sets.contains(p, v);
-                    }
-                    let mut out =
-                        self.broadcast_run_level(|r| self.system.nonfaulty(r).contains(p));
-                    for (idx, v) in store.column(p).iter().enumerate() {
-                        if !in_sets[v.index()] {
-                            out.set(idx, false);
-                        }
-                    }
-                    out
-                }
-            })
-            .collect()
-    }
-
-    /// Collects the union edges contributed by processor `i`: one edge per
-    /// `S`-containing point after the first per distinct view of `i`.
-    ///
-    /// Walks the precomputed CSR bucket partition of the
-    /// [`eba_sim::PointStore`] rather than rescanning and hashing views.
-    /// Buckets hold their points in increasing point order, so each
-    /// bucket's first `S`-containing point is exactly the root a
-    /// sequential point scan would pick — the edge *set* (and hence the
-    /// union-find partition) is identical to the scan-based reference.
-    fn collect_reach_edges(&self, i: ProcessorId, s_members: &[ProcSet]) -> Vec<(u32, u32)> {
-        let store = self.system.points();
-        let (offsets, items) = store.buckets(i);
-        let mut edges = Vec::new();
-        for b in offsets.windows(2) {
-            let bucket = &items[b[0] as usize..b[1] as usize];
-            let mut root = u32::MAX;
-            for &idx in bucket {
-                if !s_members[idx as usize].contains(i) {
-                    continue;
-                }
-                if root == u32::MAX {
-                    root = idx;
-                } else {
-                    edges.push((root, idx));
-                }
-            }
-        }
-        edges
-    }
-
-    /// The members of `s` at every point, indexed linearly. Shared by the
-    /// per-set reachability build and the batched sweep
-    /// ([`crate::reach::BatchBuilder`]).
+    /// The members of `s` at every point, indexed linearly. Used by the
+    /// `D_S` quotient kernel and the reference per-set build
+    /// ([`crate::oracle`]).
     pub(crate) fn collect_s_members(&self, s: NonRigidSet) -> Vec<ProcSet> {
         let mut s_members = vec![ProcSet::empty(); self.num_points];
         for run in self.system.run_ids() {
@@ -1369,7 +1067,8 @@ impl<'a> Evaluator<'a> {
     /// verdict — all that `C_S`/`C□_S` ever read — agrees for symmetric
     /// `φ`: full-system chains project onto class chains, and a class
     /// chain lifts to a full-system chain into a relabeled copy of the
-    /// same component (DESIGN.md §4i). Shared with the batched sweep.
+    /// same component (DESIGN.md §4i). Used by the batched sweep and the
+    /// reference per-set build ([`crate::oracle`]).
     pub(crate) fn union_quotient_reach_edges(
         &self,
         s_members: &[ProcSet],
@@ -1390,68 +1089,11 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn build_reachability(&self, s: NonRigidSet) -> Reachability {
-        let s_members = self.collect_s_members(s);
-
-        if let Some(classes) = self.classes() {
-            // The quotient sweep touches every (point, member) pair once
-            // and is far smaller than the unreduced edge collection, so
-            // it always runs sequentially.
-            let mut uf = UnionFind::new(self.num_points);
-            self.union_quotient_reach_edges(&s_members, classes, &mut uf);
-            return self.finish_reachability(s_members, &mut uf);
-        }
-
-        // Point-level union-find: two points are linked when some i ∈ S at
-        // both has the same view at both. Bucket by (i's view). Edge
-        // collection is independent per processor, so it fans out across
-        // the supervised worker pool of `eba_sim::chaos`; the unions are
-        // applied sequentially in processor order afterwards, giving the
-        // exact edge sequence of a single-threaded scan (and hence
-        // identical components) for every thread count. A panicking
-        // worker item is retried and then recomputed sequentially —
-        // `collect_reach_edges` is pure, so recovery is transparent.
-        let workers = self.threads.min(self.n);
-        let per_proc_edges: Vec<Vec<(u32, u32)>> =
-            if workers > 1 && self.num_points >= PARALLEL_POINTS_THRESHOLD {
-                let s_members_ref = &s_members;
-                let chaos = &*self.chaos;
-                let supervised =
-                    supervised_indexed(self.n, workers, FaultSite::ReachabilityWorker, |i| {
-                        if let Err(e) = chaos.inject(FaultSite::ReachabilityWorker, i) {
-                            // Reachability is infallible, so an injected
-                            // capacity fault degrades to a supervised
-                            // panic here rather than a typed error.
-                            panic!("{e}");
-                        }
-                        self.collect_reach_edges(ProcessorId::new(i), s_members_ref)
-                    });
-                match supervised {
-                    Ok((edges, _faults)) => edges,
-                    // A processor that panics on the initial attempt, the
-                    // retry, and the sequential fallback is a
-                    // deterministic bug; surface the typed fault's
-                    // rendering rather than a bare join `expect`.
-                    Err(fault) => panic!("{fault}"),
-                }
-            } else {
-                ProcessorId::all(self.n)
-                    .map(|i| self.collect_reach_edges(i, &s_members))
-                    .collect()
-            };
-        let mut uf = UnionFind::new(self.num_points);
-        for edges in &per_proc_edges {
-            for &(a, b) in edges {
-                uf.union(a as usize, b as usize);
-            }
-        }
-        self.finish_reachability(s_members, &mut uf)
-    }
-
     /// Compacts a fully-unioned point partition into a [`Reachability`]:
     /// component numbering, the run projection, and the `S`-emptiness
-    /// mask. Shared by the per-set build and the batched sweep; given the
-    /// same union sequence, the output is bit-identical either way.
+    /// mask. Used by the batched sweep and the reference per-set build
+    /// ([`crate::oracle`]); given the same partition, the output is
+    /// bit-identical either way.
     pub(crate) fn finish_reachability(
         &self,
         s_members: Vec<ProcSet>,
@@ -1502,7 +1144,9 @@ impl<'a> Evaluator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reach::PARALLEL_POINTS_THRESHOLD;
     use eba_model::{FailureMode, Scenario, Value};
+    use eba_sim::chaos::FaultSite;
 
     fn p(i: usize) -> ProcessorId {
         ProcessorId::new(i)
@@ -1790,11 +1434,11 @@ mod tests {
         // recursive oracle evaluates each `B^S_i ψ_i` on its own.
         let system = crash_system();
         let mut eval = Evaluator::new(&system);
-        let mut oracle = Evaluator::new(&system);
-        oracle.set_plan_mode(false);
+        let mut oracle_eval = Evaluator::new(&system);
         let seen_one = || StateSets::with_value_seen(system.table(), 3, Value::One);
         let id = eval.register_state_sets(seen_one());
-        assert_eq!(oracle.register_state_sets(seen_one()), id);
+        assert_eq!(oracle_eval.register_state_sets(seen_one()), id);
+        let mut oracle = crate::oracle::Oracle::new(&oracle_eval);
         let psi: Vec<Formula> = (0..3)
             .map(|i| Formula::Initial(p(i), Value::One).and(Formula::exists(Value::Zero)))
             .collect();

@@ -10,8 +10,10 @@
 //!   exact set of points of a [`eba_sim::GeneratedSystem`] satisfying it;
 //! * [`FormulaPlan`] ([`plan`]) — formulas compiled to a deduplicated DAG
 //!   of dense-bitset kernels over the columnar [`eba_sim::PointStore`];
-//!   the evaluator's default engine, with the recursive walk kept as a
-//!   reference oracle ([`Evaluator::set_plan_mode`]);
+//!   the evaluator's one engine;
+//! * [`oracle`] — the recursive evaluator, per-set reachability and
+//!   formula-iteration gfp those kernels replaced, kept as reference
+//!   implementations for the differential suites;
 //! * [`StateSets`] / [`NonRigidSet`] — decision-set families and the
 //!   nonrigid sets `N`, `N ∧ A` they induce;
 //! * [`axioms`] — checkers for the S5 properties of `K_i`
@@ -58,6 +60,7 @@ mod uf;
 pub mod axioms;
 pub mod explain;
 pub mod fixpoint;
+pub mod oracle;
 pub mod parse;
 pub mod plan;
 pub mod reach;

@@ -1,10 +1,10 @@
 //! Compiled evaluation plans: formulas lowered to a DAG of dense-bitset
 //! kernels executed over the columnar point store.
 //!
-//! The recursive [`Evaluator`](crate::Evaluator) walks a [`Formula`] tree
-//! and materializes one bitset per node, recomputing knowledge closures
-//! with a per-point scan and hash lookups. A [`FormulaPlan`] performs the
-//! same computation as a flat program:
+//! A recursive evaluator ([`crate::oracle`]) walks a [`Formula`] tree and
+//! materializes one bitset per node, recomputing knowledge closures with
+//! a per-point scan. A [`FormulaPlan`] performs the same computation as a
+//! flat program, and is the only way [`Evaluator`] evaluates:
 //!
 //! 1. **Lowering** ([`FormulaPlan::compile`]) turns the tree into a
 //!    post-order list of [`Kernel`]s, *deduplicating* structurally equal
@@ -20,34 +20,33 @@
 //! 3. **Fixpoints** run as the [`Kernel::GfpIter`] loop: `X ← E_S(φ ∧ X)`
 //!    iterated natively on bitsets, with no per-iteration formula
 //!    construction, hashing, or point-predicate registration. This is
-//!    what [`crate::fixpoint`] uses in plan mode.
+//!    what [`crate::fixpoint`] runs.
 //!
 //! Every kernel is implemented to be extensionally *identical* to the
 //! recursive evaluator — same bits, not just same truth values — and the
 //! `Bitset` representation is canonical, so equality is bit-identity.
 //! The differential suite in `tests/plan_equivalence.rs` enforces this on
-//! random formulas; the recursive path remains available via
-//! [`Evaluator::set_plan_mode`](crate::Evaluator::set_plan_mode) as the
-//! reference oracle.
+//! random formulas against [`crate::oracle`].
 //!
-//! Plan results are recorded in the evaluator's formula-keyed memo for
-//! the nodes worth remembering — leaves, knowledge/reachability closures,
-//! temporal folds, and the root — so mixing plan and recursive evaluation
-//! on one evaluator is safe and cache-coherent. Interior `Not`/`And`/`Or`
-//! nodes are *not* memoized: their kernels are a handful of word ops,
-//! cheaper than hashing their (large) formulas as cache keys. The other
-//! exception is `GfpIter`: its result provably equals `C_S φ` / `C□_S φ`,
-//! but caching it under that key would let the fixpoint result mask the
-//! reachability-based one (or vice versa) and silently weaken
-//! differential tests, so gfp nodes are never memoized.
+//! Before the first kernel runs, every nonrigid set the plan touches is
+//! resolved by one [`crate::reach::BatchBuilder`] sweep. Plan results are
+//! recorded in the evaluator's formula-keyed memo for the nodes worth
+//! remembering — leaves, knowledge/reachability closures, temporal folds,
+//! and the root. Interior `Not`/`And`/`Or` nodes are *not* memoized:
+//! their kernels are a handful of word ops, cheaper than hashing their
+//! (large) formulas as cache keys. The other exception is `GfpIter`: its
+//! result provably equals `C_S φ` / `C□_S φ`, but caching it under that
+//! key would let the fixpoint result mask the reachability-based one (or
+//! vice versa) and silently weaken the tests that compare them, so gfp
+//! nodes are never memoized.
 
 use crate::bitset::Bitset;
 use crate::eval::Evaluator;
-use crate::fixpoint::GfpInterrupt;
 use crate::formula::Formula;
 use crate::nonrigid::NonRigidSet;
+use crate::reach::BatchBuilder;
 use eba_model::fasthash::FastMap;
-use eba_model::{ArmedBudget, ProcessorId, RunBudget};
+use eba_model::ProcessorId;
 use std::sync::Arc;
 
 /// Which knowledge closure a [`Kernel::KnowClose`] computes.
@@ -330,12 +329,10 @@ impl FormulaPlan {
 /// Executes a plan on an evaluator, serving and filling the evaluator's
 /// formula-keyed memo per node; returns the root's extension.
 pub(crate) fn execute(eval: &mut Evaluator<'_>, plan: &FormulaPlan) -> Arc<Bitset> {
-    if eval.batch_mode() {
-        let mut batch = crate::reach::BatchBuilder::new();
-        collect_plan_sets(plan, &mut batch);
-        if !batch.is_empty() {
-            batch.run(eval);
-        }
+    let mut batch = BatchBuilder::new();
+    collect_plan_sets(plan, &mut batch);
+    if !batch.is_empty() {
+        batch.run(eval);
     }
     let mut results: Vec<Option<Arc<Bitset>>> = vec![None; plan.kernels.len()];
     for i in 0..plan.kernels.len() {
@@ -361,11 +358,10 @@ pub(crate) fn execute(eval: &mut Evaluator<'_>, plan: &FormulaPlan) -> Arc<Bitse
 /// Scans a plan's kernels for every nonrigid set they will resolve —
 /// reachability for `ReachClose`, scope columns for scoped `KnowClose`
 /// and `GfpIter` — and adds the requests to `batch`, so one
-/// [`crate::reach::BatchBuilder`] sweep serves the whole plan before
-/// execution starts. Sets already memoized cost one staged lookup each;
-/// the rest share a single traversal of the point store instead of one
-/// per set.
-fn collect_plan_sets(plan: &FormulaPlan, batch: &mut crate::reach::BatchBuilder) {
+/// [`BatchBuilder`] sweep serves the whole plan before execution
+/// starts. Sets already memoized cost one staged lookup each; the rest
+/// share a single traversal of the point store instead of one per set.
+fn collect_plan_sets(plan: &FormulaPlan, batch: &mut BatchBuilder) {
     for kernel in &plan.kernels {
         match kernel {
             Kernel::ReachClose { set, .. } => batch.request_reachability(*set),
@@ -403,7 +399,7 @@ fn run_kernel(
             let f = plan.formulas[i]
                 .as_ref()
                 .expect("Load kernels always carry their leaf formula");
-            eval.compute_leaf(f)
+            eval.load_leaf(f)
         }
         Kernel::Not(a) => {
             let mut out = (*arg(a)).clone();
@@ -452,46 +448,32 @@ fn run_kernel(
         }
         Kernel::GfpIter { set, boxed, input } => {
             let phi = arg(input);
-            // Id exhaustion cannot occur (the loop registers nothing) and
-            // the budget is unlimited, so the iteration cannot interrupt.
-            match gfp_over(eval, *set, &phi, *boxed, &RunBudget::unlimited().arm()) {
-                Ok((bits, _)) => bits,
-                Err(e) => panic!("{e}"),
-            }
+            gfp_over(eval, *set, &phi, *boxed).0
         }
     }
 }
 
-/// `C_S φ` / `C□_S φ` by native gfp iteration; the plan-mode engine
-/// behind [`crate::fixpoint`]'s public entry points.
+/// `C_S φ` / `C□_S φ` by native gfp iteration; the engine behind
+/// [`crate::fixpoint`]'s entry points.
 ///
 /// Returns the satisfaction bitset and the iteration count (including
 /// the final confirming pass) — identical to the formula-iteration
-/// reference for both.
-///
-/// # Errors
-///
-/// Returns [`GfpInterrupt::Budget`] when the budget's deadline fires;
-/// unlike the formula loop, the native loop interns nothing, so
-/// [`GfpInterrupt::Model`] is never produced.
+/// reference ([`crate::oracle`]) for both.
 pub(crate) fn gfp(
     eval: &mut Evaluator<'_>,
     s: NonRigidSet,
     phi: &Formula,
     boxed: bool,
-    budget: &ArmedBudget,
-) -> Result<(Bitset, usize), GfpInterrupt> {
+) -> (Bitset, usize) {
     // One batched sweep covers both the iteration's own scope columns
     // and every set `φ`'s plan will resolve.
     let plan = FormulaPlan::compile(phi);
-    if eval.batch_mode() {
-        let mut batch = crate::reach::BatchBuilder::new();
-        batch.request_scopes(s);
-        collect_plan_sets(&plan, &mut batch);
-        batch.run(eval);
-    }
+    let mut batch = BatchBuilder::new();
+    batch.request_scopes(s);
+    collect_plan_sets(&plan, &mut batch);
+    batch.run(eval);
     let phi_bits = eval.eval_plan(&plan);
-    gfp_over(eval, s, &phi_bits, boxed, budget)
+    gfp_over(eval, s, &phi_bits, boxed)
 }
 
 fn gfp_over(
@@ -499,14 +481,12 @@ fn gfp_over(
     s: NonRigidSet,
     phi_bits: &Bitset,
     boxed: bool,
-    budget: &ArmedBudget,
-) -> Result<(Bitset, usize), GfpInterrupt> {
+) -> (Bitset, usize) {
     let scopes = eval.scope_columns(s);
     let classes = eval.classes();
     let mut current = Bitset::new_true(eval.num_points);
     let mut iterations = 0;
     loop {
-        budget.check_deadline().map_err(GfpInterrupt::Budget)?;
         iterations += 1;
         let mut conj = phi_bits.clone();
         conj &= &current;
@@ -534,7 +514,7 @@ fn gfp_over(
             next = eval.always_all_of(&next);
         }
         if next == current {
-            return Ok((current, iterations));
+            return (current, iterations);
         }
         current = next;
     }
@@ -544,7 +524,7 @@ fn gfp_over(
 /// per-class verdict shared across processors (see
 /// `Evaluator::class_ok_scoped`), so the bucket sweep of [`know_close`]
 /// is replaced by class projection. Results are bit-identical to the
-/// recursive evaluator's quotient kernels.
+/// quotient kernels of the recursive evaluator ([`crate::oracle`]).
 fn know_close_kind_quotient(
     eval: &mut Evaluator<'_>,
     kind: KnowKind,
@@ -621,7 +601,8 @@ fn know_close_kind(eval: &mut Evaluator<'_>, kind: KnowKind, phi: &Bitset) -> Bi
 /// partition: a bucket (all points where `p` has one view) satisfies the
 /// closure iff every in-scope point of the bucket satisfies `φ`; the
 /// result then holds at *every* point of such a bucket. Extensionally
-/// identical to the recursive `Evaluator::knowledge_like` scan.
+/// identical to the per-point scan of the recursive evaluator
+/// ([`crate::oracle`]).
 ///
 /// Since the buckets partition the points, the closure is the complement
 /// of the union of *bad* buckets — those containing a violating point
@@ -707,12 +688,11 @@ mod tests {
     fn plans_match_the_recursive_oracle_on_sample_formulas() {
         let system = crash_system();
         let mut compiled = Evaluator::new(&system);
-        let mut oracle = Evaluator::new(&system);
-        oracle.set_plan_mode(false);
-        assert!(compiled.plan_mode() && !oracle.plan_mode());
+        let mut oracle_eval = Evaluator::new(&system);
         let formulas = sample_formulas(&mut compiled);
         // The same registrations in the same order, so ids line up.
-        let _ = sample_formulas(&mut oracle);
+        let _ = sample_formulas(&mut oracle_eval);
+        let mut oracle = crate::oracle::Oracle::new(&oracle_eval);
         for f in formulas {
             let via_plan = compiled.eval(&f);
             let via_rec = oracle.eval(&f);

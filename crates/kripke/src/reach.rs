@@ -1,13 +1,14 @@
 //! Batched reachability: one sweep over the point store feeding every
 //! pending nonrigid set.
 //!
-//! The per-set path ([`Evaluator::reachability`]) walks the CSR bucket
+//! Building reachability one set at a time walks the CSR bucket
 //! partitions of the [`eba_sim::PointStore`] once *per set*: an optimize
 //! sweep that touches `C□_{N∧A}` for a dozen candidate families `A` pays
 //! for a dozen full traversals, and PR 3's bench record singles this out
 //! as the dominant residual cost. [`BatchBuilder`] collects all the sets
 //! a compiled plan (or an optimize step) is about to need and resolves
-//! them together:
+//! them together; it is also how [`Evaluator::reachability`] and
+//! [`Evaluator::scope_columns`] build a single set they miss:
 //!
 //! 1. **Staged resolution** first drains the evaluator's local memos and
 //!    the shared [`crate::KnowledgeCache`] (under content keys hashed
@@ -18,31 +19,34 @@
 //!    interned view rather than hash probes per point.
 //! 3. **Components.** One CSR traversal per processor collects union
 //!    edges for every pending set simultaneously — fanned out across the
-//!    supervised worker pool of [`eba_sim::chaos`] above the same
-//!    threshold as the per-set path, sequential below it. Within a
-//!    bucket each set chains its `S`-containing points to the first one
-//!    and the chain over a bucket's nonfaulty points is shared between
-//!    sets, so the per-(set, processor) edge lists — and therefore the
-//!    union-find components — are **bit-identical** to the per-set
-//!    path's.
+//!    supervised worker pool of [`eba_sim::chaos`] above a point-count
+//!    threshold, sequential below it. Within a bucket each set chains
+//!    its `S`-containing points to the first one and the chain over a
+//!    bucket's nonfaulty points is shared between sets, so the
+//!    per-(set, processor) edge lists — and therefore the union-find
+//!    components — are **bit-identical** to a per-set build's.
 //! 4. Per set, the resulting `Reachability` is published to the
 //!    evaluator's memo and the shared cache; scope columns fall out of
 //!    the membership vectors for free and are interned by content.
 //!
-//! The per-set path remains intact as the differential-test oracle
-//! ([`Evaluator::set_batch_mode`] switches plan execution between the
-//! two); `tests/plan_equivalence.rs` checks components, run projections,
-//! and scope columns agree bit-for-bit on random set families.
+//! The per-set build is kept as a reference implementation in
+//! [`crate::oracle`]; `tests/plan_equivalence.rs` checks components, run
+//! projections, and scope columns agree bit-for-bit on random set
+//! families.
 
 use crate::bitset::Bitset;
 use crate::cache::HashedReachKey;
-use crate::eval::{Evaluator, Reachability, PARALLEL_POINTS_THRESHOLD};
+use crate::eval::{Evaluator, Reachability};
 use crate::nonrigid::NonRigidSet;
 use crate::uf::UnionFind;
 use eba_model::{ProcSet, ProcessorId};
 use eba_sim::chaos::{supervised_indexed, FaultSite};
 use eba_sim::PointStore;
 use std::sync::Arc;
+
+/// Point count below which union edges are collected on the calling
+/// thread: spawning workers costs more than the scan saves.
+pub(crate) const PARALLEL_POINTS_THRESHOLD: usize = 1 << 12;
 
 /// A batch of nonrigid-set requests resolved in one sweep; see the module
 /// docs.
@@ -166,6 +170,10 @@ impl BatchBuilder {
                     let key = eval.hashed_key(s);
                     match eval.shared.get_scopes(&key) {
                         Some(found) => {
+                            debug_assert!(
+                                found.iter().all(|b| b.len() == eval.num_points()),
+                                "knowledge cache shared across different systems"
+                            );
                             eval.scope_cache.insert(s, found);
                         }
                         None => need_scopes = true,
@@ -221,8 +229,8 @@ impl BatchBuilder {
             // membership vectors (see
             // `Evaluator::union_quotient_reach_edges`) — one pass over
             // (point, member) pairs, small enough to always run
-            // sequentially. Identical partitions to the per-set quotient
-            // path by construction.
+            // sequentially. Identical partitions to the reference per-set
+            // quotient build by construction.
             seq_ufs = (0..edge_slots)
                 .map(|_| UnionFind::new(eval.num_points()))
                 .collect();
@@ -252,7 +260,7 @@ impl BatchBuilder {
 
         // Stage 4: per set, build the Reachability and publish it. The
         // replayed edge lists are applied in processor order — the same
-        // sequence the per-set path uses — but any order would do:
+        // sequence a per-set build uses — but any order would do:
         // `finish_reachability` reads only the partition, and compact
         // numbering is assigned in first-seen point order.
         let n = store.n();
@@ -358,7 +366,7 @@ fn fill_rigid_members(eval: &Evaluator<'_>, sets: &[NonRigidSet]) -> Vec<Vec<Pro
 }
 
 /// Fills the `N ∧ A` membership vectors in one processor-major pass over
-/// the points. Value-identical to the per-set
+/// the points. Value-identical to the per-point
 /// `Evaluator::collect_s_members`: membership is a per-(processor,
 /// interned view) table lookup instead of a hash probe, and whole runs
 /// where the processor is faulty are skipped.
@@ -454,7 +462,7 @@ enum EdgeSpec<'m> {
 /// of *every* set at once: per bucket, each set chains its `S`-containing
 /// points to the first one (buckets are in increasing point order), so
 /// slot `k`'s edge *set* — and hence the union-find partition — equals
-/// the per-set path's. Compact component numbering depends only on the
+/// a per-set build's. Compact component numbering depends only on the
 /// partition (it is assigned in first-seen point order), so the bucket
 /// skips and chain sharing below cannot perturb it.
 ///
@@ -583,10 +591,10 @@ fn union_batch_edges(
 }
 
 /// Parallel edge collection — fanned out over the supervised worker pool
-/// above the same threshold as the per-set path, with the same
-/// chaos-injection site. Panicking on the attempt, the retry, and the
-/// sequential fallback is a deterministic bug, so a surviving fault is
-/// surfaced as a panic.
+/// above [`PARALLEL_POINTS_THRESHOLD`], with one chaos-injection site per
+/// processor. Panicking on the attempt, the retry, and the sequential
+/// fallback is a deterministic bug, so a surviving fault is surfaced as
+/// a panic.
 fn collect_edges_parallel(
     eval: &Evaluator<'_>,
     workers: usize,
@@ -613,8 +621,8 @@ fn collect_edges_parallel(
 }
 
 /// Scope columns from a membership vector: column `p` holds the points
-/// where `p ∈ S(r, k)`. Bit-identical to the per-set
-/// `build_scope_columns` extraction, assembled a word at a time.
+/// where `p ∈ S(r, k)`. Bit-identical to the per-view membership test of
+/// the reference build ([`crate::oracle`]), assembled a word at a time.
 fn columns_from_members(members: &[ProcSet], n: usize) -> Vec<Bitset> {
     ProcessorId::all(n)
         .map(|p| {
@@ -635,6 +643,7 @@ fn columns_from_members(members: &[ProcSet], n: usize) -> Vec<Bitset> {
 mod tests {
     use super::*;
     use crate::nonrigid::StateSets;
+    use crate::oracle::Oracle;
     use eba_model::{FailureMode, Scenario, Value};
     use eba_sim::GeneratedSystem;
 
@@ -646,12 +655,13 @@ mod tests {
     #[test]
     fn batch_matches_per_set_path() {
         let system = system();
-        let mut per_set = Evaluator::new(&system);
+        let mut per_set_eval = Evaluator::new(&system);
         let mut batched = Evaluator::new(&system);
         let sets_a = StateSets::with_value_seen(system.table(), 3, Value::Zero);
-        let id_a = per_set.register_state_sets(sets_a.clone());
+        let id_a = per_set_eval.register_state_sets(sets_a.clone());
         let id_b = batched.register_state_sets(sets_a);
         assert_eq!(id_a, id_b);
+        let mut per_set = Oracle::new(&per_set_eval);
         let family = [
             NonRigidSet::Everyone,
             NonRigidSet::Nonfaulty,
@@ -692,11 +702,12 @@ mod tests {
     #[test]
     fn batch_scopes_match_per_set_columns() {
         let system = system();
-        let mut per_set = Evaluator::new(&system);
+        let mut per_set_eval = Evaluator::new(&system);
         let mut batched = Evaluator::new(&system);
         let family = StateSets::with_value_seen(system.table(), 3, Value::One);
-        let id_a = per_set.register_state_sets(family.clone());
+        let id_a = per_set_eval.register_state_sets(family.clone());
         let id_b = batched.register_state_sets(family);
+        let mut per_set = Oracle::new(&per_set_eval);
         for s in [
             NonRigidSet::Everyone,
             NonRigidSet::Nonfaulty,

@@ -1,7 +1,7 @@
-//! Fault injection, worker supervision, and adversarial schedules.
+//! Fault injection and worker supervision.
 //!
 //! The paper is a theory of computing *under failures*; this module makes
-//! the engine that reproduces it survive its own. It has three parts:
+//! the engine that reproduces it survive its own. It has two parts:
 //!
 //! 1. **Fault injection** — a [`FaultInjector`] is threaded through the
 //!    parallel stages of the engine (the [`SystemBuilder`] shard workers,
@@ -21,23 +21,13 @@
 //!    items are pure functions of their index, so a recovered run is
 //!    bit-identical to an undisturbed one.
 //!
-//! 3. **Adversarial schedules** — [`AdversarySchedule`] generates
-//!    worst-case failure patterns (latest-possible crashes, crash chains,
-//!    asymmetric omission sets) as a first-class run-set input alongside
-//!    exhaustive enumeration and seeded sampling, for scenarios too large
-//!    to enumerate but whose hardest corners are known.
-//!
 //! See DESIGN.md §4c for the supervision policy and the budget semantics
 //! that complement it ([`eba_model::RunBudget`]).
 //!
 //! [`SystemBuilder`]: crate::SystemBuilder
 
 use crate::sched;
-use crate::system::GeneratedSystem;
-use eba_model::{
-    enumerate, sample, FailureMode, FailurePattern, FaultyBehavior, InitialConfig, ModelError,
-    ProcSet, ProcessorId, Round, Scenario,
-};
+use eba_model::ModelError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
@@ -501,277 +491,9 @@ where
     Ok((results, faults))
 }
 
-/// A generator of worst-case failure patterns: the adversary's opening
-/// book, usable as a first-class run-set input alongside exhaustive
-/// enumeration ([`eba_model::enumerate::patterns`]) and seeded sampling.
-///
-/// Exhaustive systems grow exponentially; when a scenario is too large to
-/// enumerate, the schedules here cover the structurally hardest corners —
-/// crashes as late as possible, information chains, asymmetric omission
-/// sets — which drive the lower-bound arguments of the paper and its
-/// successors.
-///
-/// # Example
-///
-/// ```
-/// use eba_model::{FailureMode, Scenario};
-/// use eba_sim::chaos::AdversarySchedule;
-///
-/// # fn main() -> Result<(), eba_model::ModelError> {
-/// let scenario = Scenario::new(4, 2, FailureMode::Crash, 3)?;
-/// let adversary = AdversarySchedule::new(&scenario);
-/// let system = adversary.system();
-/// assert!(system.num_runs() > 0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct AdversarySchedule {
-    scenario: Scenario,
-}
-
-impl AdversarySchedule {
-    /// An adversary for the given scenario.
-    #[must_use]
-    pub fn new(scenario: &Scenario) -> Self {
-        AdversarySchedule {
-            scenario: *scenario,
-        }
-    }
-
-    /// The underlying scenario.
-    #[must_use]
-    pub fn scenario(&self) -> Scenario {
-        self.scenario
-    }
-
-    /// Latest-possible crashes (crash mode only; empty otherwise): for
-    /// every nonempty faulty set, (a) all members crash silently in the
-    /// final round, and (b) all members crash in the final round
-    /// delivering only to the lowest nonfaulty processor — the maximally
-    /// asymmetric late crash.
-    #[must_use]
-    pub fn latest_crashes(&self) -> Vec<FailurePattern> {
-        if self.scenario.mode() != FailureMode::Crash {
-            return Vec::new();
-        }
-        let n = self.scenario.n();
-        let last = Round::new(self.scenario.horizon().ticks());
-        let mut out = Vec::new();
-        for set in self.nonempty_faulty_sets() {
-            let victim = lowest_outside(set, n);
-            for receivers in [ProcSet::empty(), ProcSet::singleton(victim)] {
-                let mut pattern = FailurePattern::failure_free(n);
-                for member in set.iter() {
-                    pattern.set_behavior(
-                        member,
-                        FaultyBehavior::Crash {
-                            round: last,
-                            receivers,
-                        },
-                    );
-                }
-                debug_assert!(self.scenario.validate_pattern(&pattern).is_ok());
-                out.push(pattern);
-            }
-        }
-        out
-    }
-
-    /// Crash chains (crash mode only; empty otherwise): for every nonempty
-    /// faulty set, member `k` (in id order) crashes in round `k + 1`
-    /// delivering only to member `k + 1` — the last member delivers only
-    /// to the lowest nonfaulty processor. This is the adversary behind the
-    /// `t + 1`-round lower bound: information about the failure trickles
-    /// one hop per round.
-    #[must_use]
-    pub fn crash_chains(&self) -> Vec<FailurePattern> {
-        if self.scenario.mode() != FailureMode::Crash {
-            return Vec::new();
-        }
-        let n = self.scenario.n();
-        let horizon = self.scenario.horizon().ticks();
-        let mut out = Vec::new();
-        for set in self.nonempty_faulty_sets() {
-            let members: Vec<ProcessorId> = set.iter().collect();
-            let mut pattern = FailurePattern::failure_free(n);
-            for (k, &member) in members.iter().enumerate() {
-                let round = Round::new((k as u16 + 1).min(horizon));
-                let receiver = members
-                    .get(k + 1)
-                    .copied()
-                    .unwrap_or_else(|| lowest_outside(set, n));
-                pattern.set_behavior(
-                    member,
-                    FaultyBehavior::Crash {
-                        round,
-                        receivers: ProcSet::singleton(receiver),
-                    },
-                );
-            }
-            debug_assert!(self.scenario.validate_pattern(&pattern).is_ok());
-            out.push(pattern);
-        }
-        out
-    }
-
-    /// Wraps per-round send-omission sets in the scenario mode's
-    /// **canonical** behavior encoding: `Omission` under sending
-    /// omissions, `GeneralOmission` with an all-empty receive vector
-    /// under general omissions. Using the canonical encoding keeps
-    /// worst-case patterns `find_run`-compatible with exhaustively
-    /// enumerated systems (the enumerators never emit an `Omission`
-    /// behavior in general-omission mode).
-    fn send_omission_behavior(&self, omissions: Vec<ProcSet>) -> FaultyBehavior {
-        match self.scenario.mode() {
-            FailureMode::GeneralOmission => FaultyBehavior::GeneralOmission {
-                receive: vec![ProcSet::empty(); omissions.len()],
-                send: omissions,
-            },
-            _ => FaultyBehavior::Omission { omissions },
-        }
-    }
-
-    /// Asymmetric omission sets (omission modes only; empty otherwise):
-    /// for every nonempty faulty set, (a) all members omit to the lowest
-    /// nonfaulty processor in every round — one processor is starved of
-    /// all faulty input — and (b) all members omit to the even-indexed
-    /// non-members in every round, splitting the nonfaulty processors
-    /// into two informational halves. Behaviors use the mode's canonical
-    /// encoding (see [`AdversarySchedule::deaf_receivers`] for the
-    /// receive-side plays general omission adds).
-    #[must_use]
-    pub fn asymmetric_omissions(&self) -> Vec<FailurePattern> {
-        if self.scenario.mode() == FailureMode::Crash {
-            return Vec::new();
-        }
-        let n = self.scenario.n();
-        let rounds = self.scenario.horizon().index();
-        let mut out = Vec::new();
-        for set in self.nonempty_faulty_sets() {
-            let starved = ProcSet::singleton(lowest_outside(set, n));
-            let evens: ProcSet = ProcessorId::all(n)
-                .filter(|p| !set.contains(*p) && p.index() % 2 == 0)
-                .collect();
-            for omitted in [starved, evens] {
-                if omitted.is_empty() {
-                    continue;
-                }
-                let mut pattern = FailurePattern::failure_free(n);
-                for member in set.iter() {
-                    pattern.set_behavior(
-                        member,
-                        self.send_omission_behavior(vec![
-                            omitted - ProcSet::singleton(member);
-                            rounds
-                        ]),
-                    );
-                }
-                debug_assert!(self.scenario.validate_pattern(&pattern).is_ok());
-                out.push(pattern);
-            }
-        }
-        out
-    }
-
-    /// Receive-side starvation (general omission only; empty otherwise):
-    /// for every nonempty faulty set, (a) every member is *deaf* — it
-    /// receives no message from anyone in any round, the receive-side
-    /// dual of silence — and (b) every member refuses exactly the
-    /// messages of the lowest nonfaulty processor, so one correct
-    /// processor's information never enters the faulty set. These plays
-    /// only exist under general omission, where the adversary controls
-    /// reception; they are the schedules the sending-omission worst case
-    /// can never exercise.
-    #[must_use]
-    pub fn deaf_receivers(&self) -> Vec<FailurePattern> {
-        if self.scenario.mode() != FailureMode::GeneralOmission {
-            return Vec::new();
-        }
-        let n = self.scenario.n();
-        let rounds = self.scenario.horizon().index();
-        let mut out = Vec::new();
-        for set in self.nonempty_faulty_sets() {
-            let victim = ProcSet::singleton(lowest_outside(set, n));
-            for refused in [ProcSet::full(n), victim] {
-                let mut pattern = FailurePattern::failure_free(n);
-                for member in set.iter() {
-                    pattern.set_behavior(
-                        member,
-                        FaultyBehavior::GeneralOmission {
-                            send: vec![ProcSet::empty(); rounds],
-                            receive: vec![refused - ProcSet::singleton(member); rounds],
-                        },
-                    );
-                }
-                debug_assert!(self.scenario.validate_pattern(&pattern).is_ok());
-                out.push(pattern);
-            }
-        }
-        out
-    }
-
-    /// `count` seeded random patterns (any mode), for padding a worst-case
-    /// schedule with bulk coverage.
-    #[must_use]
-    pub fn sampled(&self, count: usize, seed: u64) -> Vec<FailurePattern> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let sampler = sample::PatternSampler::new(self.scenario);
-        (0..count).map(|_| sampler.sample(&mut rng)).collect()
-    }
-
-    /// The mode-appropriate worst-case schedule: the failure-free pattern
-    /// (so corresponding failure-free runs are always present), then
-    /// latest crashes and crash chains (crash mode), asymmetric
-    /// omissions (omission modes), and deaf receivers (general omission
-    /// only), deduplicated in order.
-    #[must_use]
-    pub fn worst_case(&self) -> Vec<FailurePattern> {
-        let mut out = vec![FailurePattern::failure_free(self.scenario.n())];
-        out.extend(self.latest_crashes());
-        out.extend(self.crash_chains());
-        out.extend(self.asymmetric_omissions());
-        out.extend(self.deaf_receivers());
-        let mut seen = std::collections::HashSet::new();
-        out.retain(|p| seen.insert(p.clone()));
-        out
-    }
-
-    /// The generated system of the worst-case schedule: every initial
-    /// configuration crossed with every [`AdversarySchedule::worst_case`]
-    /// pattern. Polynomially sized where the exhaustive system is
-    /// exponential, yet containing the adversary's strongest plays.
-    #[must_use]
-    pub fn system(&self) -> GeneratedSystem {
-        let configs: Vec<InitialConfig> = InitialConfig::enumerate_all(self.scenario.n()).collect();
-        let mut specs = Vec::new();
-        for pattern in self.worst_case() {
-            for config in &configs {
-                specs.push((config.clone(), pattern.clone()));
-            }
-        }
-        GeneratedSystem::from_runs(&self.scenario, specs)
-    }
-
-    fn nonempty_faulty_sets(&self) -> impl Iterator<Item = ProcSet> {
-        enumerate::faulty_sets(self.scenario.n(), self.scenario.t())
-            .into_iter()
-            .filter(|s| !s.is_empty())
-    }
-}
-
-/// The lowest processor id outside `set` (some processor is always
-/// outside: faulty sets have at most `t < n` members).
-fn lowest_outside(set: ProcSet, n: usize) -> ProcessorId {
-    ProcessorId::all(n)
-        .find(|p| !set.contains(*p))
-        .expect("faulty sets leave at least one processor nonfaulty")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eba_model::Time;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -915,237 +637,5 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    fn crash_scenario() -> Scenario {
-        Scenario::new(4, 2, FailureMode::Crash, 3).unwrap()
-    }
-
-    #[test]
-    fn latest_crashes_are_valid_and_late() {
-        let scenario = crash_scenario();
-        let adversary = AdversarySchedule::new(&scenario);
-        let patterns = adversary.latest_crashes();
-        assert!(!patterns.is_empty());
-        for pattern in &patterns {
-            scenario.validate_pattern(pattern).unwrap();
-            for p in ProcessorId::all(4) {
-                if let Some(FaultyBehavior::Crash { round, .. }) = pattern.behavior(p) {
-                    assert_eq!(round.end(), Time::new(3), "crash is latest-possible");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn crash_chains_escalate_rounds() {
-        let scenario = crash_scenario();
-        let adversary = AdversarySchedule::new(&scenario);
-        let patterns = adversary.crash_chains();
-        assert!(!patterns.is_empty());
-        for pattern in &patterns {
-            scenario.validate_pattern(pattern).unwrap();
-        }
-        // A 2-member chain: first member crashes in round 1 delivering
-        // only to the second member.
-        let two = patterns
-            .iter()
-            .find(|p| p.num_faulty() == 2)
-            .expect("t = 2 produces two-member chains");
-        let members: Vec<ProcessorId> = ProcessorId::all(4)
-            .filter(|&p| two.behavior(p).is_some())
-            .collect();
-        let Some(FaultyBehavior::Crash { round, receivers }) = two.behavior(members[0]) else {
-            panic!("chain member must crash");
-        };
-        assert_eq!(*round, Round::new(1));
-        assert_eq!(*receivers, ProcSet::singleton(members[1]));
-    }
-
-    #[test]
-    fn asymmetric_omissions_are_valid_and_asymmetric() {
-        let scenario = Scenario::new(4, 2, FailureMode::Omission, 3).unwrap();
-        let adversary = AdversarySchedule::new(&scenario);
-        let patterns = adversary.asymmetric_omissions();
-        assert!(!patterns.is_empty());
-        for pattern in &patterns {
-            scenario.validate_pattern(pattern).unwrap();
-            // Some message is omitted and some is delivered in round 1.
-            let faulty: Vec<ProcessorId> = ProcessorId::all(4)
-                .filter(|&p| pattern.behavior(p).is_some())
-                .collect();
-            let omitted_any = faulty
-                .iter()
-                .any(|&p| ProcessorId::all(4).any(|q| !pattern.delivers(p, q, Round::new(1))));
-            assert!(omitted_any);
-        }
-        // Crash mode yields none.
-        assert!(AdversarySchedule::new(&crash_scenario())
-            .asymmetric_omissions()
-            .is_empty());
-    }
-
-    #[test]
-    fn worst_case_schedule_is_deduplicated_and_starts_failure_free() {
-        let adversary = AdversarySchedule::new(&crash_scenario());
-        let patterns = adversary.worst_case();
-        assert_eq!(patterns[0].num_faulty(), 0);
-        let mut dedup = patterns.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), patterns.len());
-    }
-
-    fn general_omission_scenario() -> Scenario {
-        Scenario::new(4, 2, FailureMode::GeneralOmission, 3).unwrap()
-    }
-
-    #[test]
-    fn general_omission_worst_case_is_valid_and_nonempty() {
-        let scenario = general_omission_scenario();
-        let adversary = AdversarySchedule::new(&scenario);
-        let patterns = adversary.worst_case();
-        // Failure-free first, then asymmetric omissions (crash schedules
-        // are crash-mode-only and must not leak in).
-        assert_eq!(patterns[0].num_faulty(), 0);
-        assert!(patterns.len() > 1, "general omission has adversarial plays");
-        assert!(adversary.latest_crashes().is_empty());
-        assert!(adversary.crash_chains().is_empty());
-        for pattern in &patterns {
-            scenario.validate_pattern(pattern).unwrap();
-        }
-        // Deduplicated, like every worst-case schedule.
-        let mut dedup = patterns.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), patterns.len());
-    }
-
-    #[test]
-    fn general_omission_worst_case_extends_the_omission_shape() {
-        // The asymmetric-omission generators are shared by both omission
-        // modes, but general omission re-encodes them canonically (so
-        // they stay `find_run`-compatible with exhaustive enumeration)
-        // and adds receive-side plays no sending-omission schedule has.
-        let go = AdversarySchedule::new(&general_omission_scenario()).worst_case();
-        let so = AdversarySchedule::new(&Scenario::new(4, 2, FailureMode::Omission, 3).unwrap())
-            .worst_case();
-        for pattern in &so {
-            let canonical = reencode_general(pattern);
-            assert!(
-                go.contains(&canonical),
-                "send-omission worst case missing from general omission"
-            );
-        }
-        assert!(
-            go.len() > so.len(),
-            "general omission should add receive-side schedules"
-        );
-        // Every extra pattern refuses at least one reception.
-        let send_side: std::collections::HashSet<_> = so.iter().map(reencode_general).collect();
-        for pattern in go.iter().filter(|p| !send_side.contains(*p)) {
-            let hears_less = ProcessorId::all(4).any(|p| {
-                matches!(
-                    pattern.behavior(p),
-                    Some(FaultyBehavior::GeneralOmission { receive, .. })
-                        if receive.iter().any(|r| !r.is_empty())
-                )
-            });
-            assert!(hears_less, "extra general-omission pattern is send-only");
-        }
-    }
-
-    /// Re-encodes every sending-omission behavior in `pattern` as the
-    /// canonical general-omission behavior with empty receive sets.
-    fn reencode_general(pattern: &FailurePattern) -> FailurePattern {
-        let n = pattern.n();
-        let mut out = FailurePattern::failure_free(n);
-        for p in ProcessorId::all(n) {
-            match pattern.behavior(p) {
-                None => {}
-                Some(FaultyBehavior::Omission { omissions }) => out.set_behavior(
-                    p,
-                    FaultyBehavior::GeneralOmission {
-                        send: omissions.clone(),
-                        receive: vec![ProcSet::empty(); omissions.len()],
-                    },
-                ),
-                Some(other) => out.set_behavior(p, other.clone()),
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn general_omission_adversary_system_embeds_in_the_exhaustive_one() {
-        // Small enough to enumerate exhaustively: every worst-case run
-        // must exist in the exhaustive general-omission system.
-        let scenario = Scenario::new(3, 1, FailureMode::GeneralOmission, 2).unwrap();
-        let adversary = AdversarySchedule::new(&scenario);
-        let system = adversary.system();
-        let exhaustive = GeneratedSystem::exhaustive(&scenario);
-        assert!(system.num_runs() > 0);
-        assert!(system.num_runs() < exhaustive.num_runs());
-        for run in system.run_ids() {
-            let record = system.run(run);
-            assert!(
-                exhaustive
-                    .find_run(&record.config, &record.pattern)
-                    .is_some(),
-                "worst-case run missing from the exhaustive general-omission system"
-            );
-        }
-    }
-
-    #[test]
-    fn general_omission_asymmetric_schedules_starve_a_receiver() {
-        let scenario = general_omission_scenario();
-        let patterns = AdversarySchedule::new(&scenario).asymmetric_omissions();
-        assert!(!patterns.is_empty());
-        // The starved-receiver family must contain, for every nonempty
-        // faulty set, a pattern where some nonfaulty processor receives
-        // no message from any faulty processor in any round.
-        let starving = patterns.iter().filter(|pattern| {
-            let faulty = pattern.faulty_set();
-            ProcessorId::all(4).any(|victim| {
-                !faulty.contains(victim)
-                    && faulty.iter().all(|sender| {
-                        (1..=scenario.horizon().ticks())
-                            .all(|r| !pattern.delivers(sender, victim, Round::new(r)))
-                    })
-            })
-        });
-        let faulty_sets: std::collections::HashSet<ProcSet> =
-            starving.map(FailurePattern::faulty_set).collect();
-        let expected: std::collections::HashSet<ProcSet> = enumerate::faulty_sets(4, 2)
-            .into_iter()
-            .filter(|s| !s.is_empty())
-            .collect();
-        assert_eq!(faulty_sets, expected);
-    }
-
-    #[test]
-    fn adversary_system_is_a_subsystem_of_the_exhaustive_one() {
-        let scenario = Scenario::new(3, 1, FailureMode::Crash, 2).unwrap();
-        let adversary = AdversarySchedule::new(&scenario);
-        let system = adversary.system();
-        let exhaustive = GeneratedSystem::exhaustive(&scenario);
-        assert!(system.num_runs() > 0);
-        assert!(system.num_runs() < exhaustive.num_runs());
-        for run in system.run_ids() {
-            let record = system.run(run);
-            assert!(
-                exhaustive
-                    .find_run(&record.config, &record.pattern)
-                    .is_some(),
-                "adversarial run must exist in the exhaustive system"
-            );
-        }
-    }
-
-    #[test]
-    fn sampled_schedules_are_reproducible() {
-        let adversary = AdversarySchedule::new(&crash_scenario());
-        assert_eq!(adversary.sampled(10, 3), adversary.sampled(10, 3));
     }
 }

@@ -24,10 +24,9 @@
 //!   abstraction (DESIGN.md §4g): the builder simulates whichever
 //!   exchange the scenario declares; [`DigestExchange`] is the bounded
 //!   who-heard-what alternative to full information;
-//! * [`chaos`] — fault injection, `catch_unwind` worker supervision with
-//!   retry and sequential fallback, and adversarial failure schedules;
-//!   with [`eba_model::RunBudget`] this is the robustness substrate of
-//!   the engine (DESIGN.md §4c).
+//! * [`chaos`] — fault injection and `catch_unwind` worker supervision
+//!   with retry and sequential fallback; with [`eba_model::RunBudget`]
+//!   this is the robustness substrate of the engine (DESIGN.md §4c).
 //!
 //! # Example
 //!

@@ -1,12 +1,13 @@
 //! Differential suite for the compiled evaluation plans: on random
 //! formulas and across scenario spaces, the plan pipeline (CSR knowledge
-//! kernels, word-level `E_S`/`S_S`, native gfp iteration) must produce
-//! **bit-identical** extensions to the recursive reference evaluator —
-//! including on chaos-supervised reachability and on budget-partial
-//! systems.
+//! kernels, word-level `E_S`/`S_S`, native gfp iteration, batched
+//! reachability) must produce **bit-identical** extensions to the
+//! reference implementations of `eba_kripke::oracle` — including on
+//! symmetry quotients, on chaos-supervised reachability and on
+//! budget-partial systems.
 
 use eba::prelude::*;
-use eba_kripke::{fixpoint, BatchBuilder, Reachability};
+use eba_kripke::{fixpoint, oracle::Oracle, BatchBuilder, Reachability};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -34,6 +35,44 @@ fn sampled_system() -> &'static GeneratedSystem {
         let scenario = Scenario::new(4, 1, FailureMode::Crash, 3).unwrap();
         GeneratedSystem::sampled(&scenario, 120, 0xEBA)
     })
+}
+
+/// A symmetry quotient with two faults: the plan's orbit-twisted kernels
+/// must match the reference evaluator's on every formula, symmetric or
+/// not.
+fn crash_quotient() -> &'static GeneratedSystem {
+    static SYSTEM: OnceLock<GeneratedSystem> = OnceLock::new();
+    SYSTEM.get_or_init(|| {
+        let scenario = Scenario::new(4, 2, FailureMode::Crash, 3).unwrap();
+        SystemBuilder::new(&scenario)
+            .symmetry(true)
+            .build()
+            .unwrap()
+    })
+}
+
+/// A sending-omission symmetry quotient.
+fn omission_quotient() -> &'static GeneratedSystem {
+    static SYSTEM: OnceLock<GeneratedSystem> = OnceLock::new();
+    SYSTEM.get_or_init(|| {
+        let scenario = Scenario::new(4, 1, FailureMode::Omission, 2).unwrap();
+        SystemBuilder::new(&scenario)
+            .symmetry(true)
+            .build()
+            .unwrap()
+    })
+}
+
+/// The differential inputs by index: three unreduced spaces, then the
+/// two quotients.
+fn input_system(which: usize) -> (&'static GeneratedSystem, &'static str) {
+    match which {
+        0 => (crash_system(), "crash (exhaustive)"),
+        1 => (omission_system(), "omission (exhaustive)"),
+        2 => (sampled_system(), "crash (sampled)"),
+        3 => (crash_quotient(), "crash n=4 t=2 (quotient)"),
+        _ => (omission_quotient(), "omission n=4 t=1 (quotient)"),
+    }
 }
 
 /// A generator of epistemic-temporal formulas over 3 processors (no
@@ -85,11 +124,10 @@ fn assert_plan_matches_oracle(
     label: &str,
 ) -> Result<(), TestCaseError> {
     let mut compiled = Evaluator::new(system);
-    let mut oracle = Evaluator::new(system);
-    oracle.set_plan_mode(false);
-    prop_assert!(compiled.plan_mode(), "plan mode must be the default");
     let via_plan = compiled.eval(phi);
-    let via_rec = oracle.eval(phi);
+    // The oracle keeps its own memos, so sharing the evaluator cannot
+    // serve it the plan's answer.
+    let via_rec = Oracle::new(&compiled).eval(phi);
     prop_assert_eq!(
         &*via_plan,
         &*via_rec,
@@ -101,47 +139,50 @@ fn assert_plan_matches_oracle(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(150))]
 
     /// Core differential property: on random formulas, plan extensions
     /// equal the recursive evaluator's on exhaustive crash and omission
-    /// systems and on a sampled scenario space.
+    /// systems, on a sampled scenario space and on two symmetry
+    /// quotients.
     #[test]
     fn plan_matches_recursive_oracle(
         phi in formula_strategy(),
-        which in 0usize..3,
+        which in 0usize..5,
     ) {
-        let (system, label) = match which {
-            0 => (crash_system(), "crash (exhaustive)"),
-            1 => (omission_system(), "omission (exhaustive)"),
-            _ => (sampled_system(), "crash (sampled)"),
-        };
+        let (system, label) = input_system(which);
         assert_plan_matches_oracle(system, &phi, label)?;
     }
 
-    /// The native `GfpIter` loop (plan mode) matches the formula-iteration
-    /// loop (recursive mode) in result *and* iteration count, for both
-    /// `C_S` and `C□_S`.
+    /// The native `GfpIter` loop matches the oracle's formula-iteration
+    /// loop in result *and* iteration count, for both `C_S` and `C□_S`,
+    /// on exhaustive crash and omission systems and on two symmetry
+    /// quotients.
     #[test]
     fn gfp_kernel_matches_formula_iteration(
         phi in formula_strategy(),
-        crash in proptest::bool::ANY,
+        which in 0usize..4,
         continual in proptest::bool::ANY,
     ) {
-        let system = if crash { crash_system() } else { omission_system() };
+        let system = match which {
+            0 => crash_system(),
+            1 => omission_system(),
+            2 => crash_quotient(),
+            _ => omission_quotient(),
+        };
         let mut plan_eval = Evaluator::new(system);
-        let mut rec_eval = Evaluator::new(system);
-        rec_eval.set_plan_mode(false);
+        let rec_eval = Evaluator::new(system);
+        let mut rec = Oracle::new(&rec_eval);
         let s = NonRigidSet::Nonfaulty;
         let ((a, ia), (b, ib)) = if continual {
             (
                 fixpoint::continual_common_by_gfp(&mut plan_eval, s, &phi),
-                fixpoint::continual_common_by_gfp(&mut rec_eval, s, &phi),
+                rec.continual_common_by_gfp(s, &phi),
             )
         } else {
             (
                 fixpoint::common_by_gfp(&mut plan_eval, s, &phi),
-                fixpoint::common_by_gfp(&mut rec_eval, s, &phi),
+                rec.common_by_gfp(s, &phi),
             )
         };
         prop_assert_eq!(&a, &b, "gfp engines disagree on {}", &phi);
@@ -210,32 +251,29 @@ fn assert_reach_identical(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Batched reachability differential: random nonrigid-set families
     /// resolved by one `BatchBuilder` sweep produce components, run
-    /// projections, *and* scope columns bit-identical to the per-set
-    /// path's, across the three scenario spaces.
+    /// projections, *and* scope columns bit-identical to the oracle's
+    /// per-set builds, across the three scenario spaces and the two
+    /// quotients.
     #[test]
     fn batched_reachability_matches_per_set_path(
         seed in proptest::num::u64::ANY,
         keep_mod in 1u64..5,
-        which in 0usize..3,
+        which in 0usize..5,
     ) {
-        let (system, label) = match which {
-            0 => (crash_system(), "crash (exhaustive)"),
-            1 => (omission_system(), "omission (exhaustive)"),
-            _ => (sampled_system(), "crash (sampled)"),
-        };
+        let (system, label) = input_system(which);
         let mut batched = Evaluator::new(system);
-        let mut per_set = Evaluator::new(system);
-        per_set.set_batch_mode(false);
+        let mut per_set_eval = Evaluator::new(system);
         let fam_a = random_family(system, seed, keep_mod);
         let fam_b = random_family(system, seed ^ 0xABCD, keep_mod);
         let a = batched.register_state_sets(fam_a.clone());
         let b = batched.register_state_sets(fam_b.clone());
-        prop_assert_eq!(a, per_set.register_state_sets(fam_a));
-        prop_assert_eq!(b, per_set.register_state_sets(fam_b));
+        prop_assert_eq!(a, per_set_eval.register_state_sets(fam_a));
+        prop_assert_eq!(b, per_set_eval.register_state_sets(fam_b));
+        let mut per_set = Oracle::new(&per_set_eval);
         let family = [
             NonRigidSet::Everyone,
             NonRigidSet::Nonfaulty,
@@ -293,7 +331,7 @@ fn interned_scope_columns_dedup_identical_memberships() {
 
 /// Chaos supervision must stay invisible to the batched sweep: with a
 /// panic injected into a parallel edge-collection worker, the batch still
-/// produces the per-set path's exact structures.
+/// produces the oracle's exact per-set structures.
 #[test]
 fn batched_reachability_matches_per_set_under_chaos() {
     use eba_sim::chaos::{ChaosPlan, FaultInjector, FaultKind, FaultSite};
@@ -302,9 +340,8 @@ fn batched_reachability_matches_per_set_under_chaos() {
     let scenario = Scenario::new(3, 2, FailureMode::Crash, 3).unwrap();
     let system = GeneratedSystem::exhaustive(&scenario);
 
-    let mut per_set = Evaluator::new(&system);
-    per_set.set_batch_mode(false);
-    per_set.set_threads(1);
+    let per_set_eval = Evaluator::new(&system);
+    let mut per_set = Oracle::new(&per_set_eval);
 
     let chaos =
         Arc::new(ChaosPlan::new().with_fault(FaultSite::ReachabilityWorker, 0, FaultKind::Panic));
@@ -322,7 +359,7 @@ fn batched_reachability_matches_per_set_under_chaos() {
 }
 
 /// Budget-partial systems: the batched sweep over a prefix-of-shards
-/// system agrees with the per-set path on every requested set.
+/// system agrees with the oracle's per-set builds on every requested set.
 #[test]
 fn batched_reachability_matches_per_set_on_budget_partial_system() {
     let scenario = Scenario::new(3, 1, FailureMode::Crash, 3).unwrap();
@@ -341,11 +378,11 @@ fn batched_reachability_matches_per_set_on_budget_partial_system() {
     assert!(system.num_runs() > 0, "need a nonempty partial prefix");
 
     let mut batched = Evaluator::new(&system);
-    let mut per_set = Evaluator::new(&system);
-    per_set.set_batch_mode(false);
+    let mut per_set_eval = Evaluator::new(&system);
     let fam = random_family(&system, 0xEBA, 2);
     let a = batched.register_state_sets(fam.clone());
-    assert_eq!(a, per_set.register_state_sets(fam));
+    assert_eq!(a, per_set_eval.register_state_sets(fam));
+    let mut per_set = Oracle::new(&per_set_eval);
     let family = [
         NonRigidSet::Everyone,
         NonRigidSet::Nonfaulty,
@@ -363,9 +400,41 @@ fn batched_reachability_matches_per_set_on_budget_partial_system() {
     }
 }
 
+/// The decision sets `{ v : B^N_i ψ throughout v }` of the explicit
+/// per-processor formulas, evaluated by the recursive oracle.
+fn oracle_views_believed(eval: &Evaluator<'_>, psi: &Formula) -> StateSets {
+    let n = eval.system().n();
+    let mut oracle = Oracle::new(eval);
+    let mut sets = StateSets::empty(n);
+    for i in ProcessorId::all(n) {
+        let belief = psi.clone().believed_by(i, NonRigidSet::Nonfaulty);
+        oracle.views_where_into(i, &belief, &mut sets);
+    }
+    sets
+}
+
+/// Theorem 5.2's `step_one(step_zero(base))` with every decision set
+/// extracted by [`oracle_views_believed`]: the reference for
+/// `Constructor::optimize`, which prefetches in batches and extracts
+/// with one fused belief sweep.
+fn optimize_by_oracle(system: &GeneratedSystem, base: &DecisionPair) -> DecisionPair {
+    let mut eval = Evaluator::new(system);
+    // Z′_i = B^N_i(∃0 ∧ C□_{N∧O} ∃0); step_one reads only Z′.
+    let o = NonRigidSet::NonfaultyAnd(eval.register_state_sets(base.one().clone()));
+    let c0 = Formula::exists(Value::Zero).continual_common(o);
+    let zero = oracle_views_believed(&eval, &Formula::exists(Value::Zero).and(c0));
+    // Z″_i = B^N_i(∃0 ∧ ¬C□_{N∧Z} ∃1), O″_i = B^N_i(∃1 ∧ C□_{N∧Z} ∃1).
+    let z = NonRigidSet::NonfaultyAnd(eval.register_state_sets(zero));
+    let c1 = Formula::exists(Value::One).continual_common(z);
+    DecisionPair::new(
+        oracle_views_believed(&eval, &Formula::exists(Value::Zero).and(c1.clone().not())),
+        oracle_views_believed(&eval, &Formula::exists(Value::One).and(c1)),
+    )
+}
+
 /// The optimization pipeline must produce the *same decision sets* either
-/// way: `optimize` under plans equals `optimize` under the recursive
-/// evaluator, down to the per-view decision tables.
+/// way: `optimize` under plans equals the construction evaluated by the
+/// recursive oracle, down to the per-view decision tables.
 #[test]
 fn construction_decision_vectors_agree() {
     let system = crash_system();
@@ -375,11 +444,8 @@ fn construction_decision_vectors_agree() {
     ];
     for base in bases {
         let mut plan_ctor = Constructor::new(system);
-        assert!(plan_ctor.evaluator().plan_mode());
-        let mut rec_ctor = Constructor::new(system);
-        rec_ctor.evaluator().set_plan_mode(false);
         let optimized_plan = plan_ctor.optimize(&base);
-        let optimized_rec = rec_ctor.optimize(&base);
+        let optimized_rec = optimize_by_oracle(system, &base);
         assert_eq!(
             optimized_plan, optimized_rec,
             "optimized decision pairs diverge between plan and recursive evaluation"
@@ -414,10 +480,8 @@ fn plan_matches_oracle_under_chaos_supervision() {
         .continual_common(NonRigidSet::Nonfaulty)
         .or(phi.common(NonRigidSet::Everyone).not());
 
-    let mut oracle = Evaluator::new(&system);
-    oracle.set_plan_mode(false);
-    oracle.set_threads(1);
-    let want = oracle.eval(&formula);
+    let oracle_eval = Evaluator::new(&system);
+    let want = Oracle::new(&oracle_eval).eval(&formula);
 
     let chaos =
         Arc::new(ChaosPlan::new().with_fault(FaultSite::ReachabilityWorker, 0, FaultKind::Panic));
@@ -458,11 +522,10 @@ fn plan_matches_oracle_on_budget_partial_system() {
         phi.clone().distributed(NonRigidSet::Everyone).eventually(),
     ] {
         let mut compiled = Evaluator::new(&system);
-        let mut oracle = Evaluator::new(&system);
-        oracle.set_plan_mode(false);
+        let oracle_eval = Evaluator::new(&system);
         assert_eq!(
             *compiled.eval(&formula),
-            *oracle.eval(&formula),
+            *Oracle::new(&oracle_eval).eval(&formula),
             "partial-system extensions diverge on {formula}"
         );
     }

@@ -12,6 +12,7 @@
 use eba::prelude::*;
 use eba::sim::chaos::{ChaosPlan, FaultInjector, FaultKind, FaultSite};
 use eba_kripke::fixpoint;
+use eba_kripke::oracle::Oracle;
 use eba_kripke::parse::parse_formula;
 use eba_model::symmetry::canonicalize;
 use eba_model::{enumerate, ScenarioSpace};
@@ -70,9 +71,9 @@ fn assert_quotient_equivalent(reduced: &GeneratedSystem, full: &GeneratedSystem)
         info.num_orbits() as u128 * space.num_configs()
     );
 
-    // Point-level satisfaction of symmetric formulas, both evaluator
-    // paths: a full-system point (r, t) must agree with its
-    // representative point (resolve(r), t).
+    // Point-level satisfaction of symmetric formulas, by the compiled
+    // plan and by the recursive oracle: a full-system point (r, t) must
+    // agree with its representative point (resolve(r), t).
     let reduced_points = point_index(reduced);
     let transported: Vec<(usize, usize)> = {
         let full_eval = Evaluator::new(full);
@@ -87,20 +88,24 @@ fn assert_quotient_equivalent(reduced: &GeneratedSystem, full: &GeneratedSystem)
             })
             .collect()
     };
-    for plan_mode in [true, false] {
+    for compiled in [true, false] {
         let mut full_eval = Evaluator::new(full);
         let mut reduced_eval = Evaluator::new(reduced);
-        full_eval.set_plan_mode(plan_mode);
-        reduced_eval.set_plan_mode(plan_mode);
         for text in SYMMETRIC_FORMULAS {
             let f = parse_formula(text).unwrap();
-            let full_sat = full_eval.eval(&f).clone();
-            let reduced_sat = reduced_eval.eval(&f).clone();
+            let (full_sat, reduced_sat) = if compiled {
+                (full_eval.eval(&f), reduced_eval.eval(&f))
+            } else {
+                (
+                    Oracle::new(&full_eval).eval(&f),
+                    Oracle::new(&reduced_eval).eval(&f),
+                )
+            };
             for &(full_idx, reduced_idx) in &transported {
                 assert_eq!(
                     full_sat.get(full_idx),
                     reduced_sat.get(reduced_idx),
-                    "`{text}` diverges at full point {full_idx} (plan={plan_mode})"
+                    "`{text}` diverges at full point {full_idx} (plan={compiled})"
                 );
             }
         }
