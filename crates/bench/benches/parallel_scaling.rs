@@ -1,6 +1,7 @@
-//! Thread-scaling sweep for the work-stealing engine: the three
-//! supervised stages — cold build, horizon extension, and batched
-//! reachability — timed at workers ∈ {1, 2, 4, 8} on the same inputs.
+//! Thread-scaling sweep for the work-stealing engine: the two
+//! supervised stages — cold build and horizon extension — timed at
+//! workers ∈ {1, 2, 4, 8} on the same inputs, plus the word-block set
+//! kernels against their scalar loops.
 //!
 //! The output is bit-identical at every worker count (enforced by
 //! `tests/parallel_equivalence.rs`), so this sweep is a pure throughput
@@ -10,8 +11,8 @@
 //! scheduling overhead) and the numbers record that honestly.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eba_kripke::{Bitset, Evaluator, Formula, NonRigidSet};
-use eba_model::{FailureMode, Scenario, Value};
+use eba_kripke::Bitset;
+use eba_model::{FailureMode, Scenario};
 use eba_sim::SystemBuilder;
 use std::hint::black_box;
 
@@ -60,31 +61,6 @@ fn extend_scaling(c: &mut Criterion) {
                         .extend(&base)
                         .expect("extension");
                     black_box((system.num_runs(), report.reused_runs))
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-fn reachability_scaling(c: &mut Criterion) {
-    let scenario = Scenario::new(3, 1, FailureMode::Crash, 3).expect("valid scenario");
-    let system = SystemBuilder::new(&scenario)
-        .threads(1)
-        .build()
-        .expect("build");
-    let phi = Formula::exists(Value::Zero).continual_common(NonRigidSet::Nonfaulty);
-    let mut group = c.benchmark_group("parallel_scaling_reachability");
-    group.sample_size(10);
-    for workers in WORKER_COUNTS {
-        group.bench_with_input(
-            BenchmarkId::new("workers", workers),
-            &workers,
-            |b, &workers| {
-                b.iter(|| {
-                    let mut eval = Evaluator::new(&system);
-                    eval.set_threads(workers);
-                    black_box(eval.eval(&phi).count_ones())
                 });
             },
         );
@@ -202,11 +178,5 @@ fn word_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    build_scaling,
-    extend_scaling,
-    reachability_scaling,
-    word_kernels
-);
+criterion_group!(benches, build_scaling, extend_scaling, word_kernels);
 criterion_main!(benches);

@@ -14,7 +14,9 @@ use eba_model::{
     ProcessorId, Round, Scenario, Value,
 };
 use eba_serve::install_sigint;
-use std::process::ExitCode;
+use std::fmt;
+use std::io::{self, Write};
+use std::process::{self, ExitCode};
 use std::time::Duration;
 
 const HELP: &str = "\
@@ -52,9 +54,9 @@ OPTIONS:
                      with --sampled and --timeline. `off` keeps today's
                      unreduced path, the differential oracle CI diffs
                      against
-    --threads N|auto worker threads for system generation, horizon
-                     extension, and knowledge evaluation (default: all
-                     available cores). `auto` resolves to
+    --threads N|auto worker threads for system generation and horizon
+                     extension (default: all available cores); knowledge
+                     evaluation runs on the main thread. `auto` resolves to
                      std::thread::available_parallelism() and prints the
                      resolved count on a `threads:` preamble line; an
                      explicit N never prints it, so output stays
@@ -77,11 +79,12 @@ OPTIONS:
                      --sampled, --timeline, and --deadline/--max-runs
     --witness        also print a point where the formula holds
     --cache-stats    after the verdict, print knowledge-cache counters
-                     (reachability and scope-column hits/misses, interned
-                     scope dedup) on a `cache:` line, and the
-                     work-stealing pool counters (pool runs, items,
-                     steals, last run's per-worker item counts and busy
-                     spans) on a `scheduler:` line
+                     (reachability and scope-column lookups the shared
+                     cache answered or missed, the epoch and the resident
+                     bytes) on a `cache:` line, and the work-stealing pool
+                     counters (pool runs, items, steals, last run's
+                     per-worker item counts and busy spans) on a
+                     `scheduler:` line
     --quiet          print only the verdict line
     --timeline       timeline mode: print per-time truth values of the
                      FORMULAs along one run, selected with --config and
@@ -118,12 +121,35 @@ EXAMPLES:
         'B_2(E0)' 'B_3(E0)' 'C(E0)'
 
 EXIT CODE: 0 if valid (at every swept horizon, for --horizon-sweep; or
-timeline printed), 1 if not valid, 2 on usage errors.
+timeline printed), 1 if not valid, 2 on usage errors, 141 if stdout
+closes early (e.g. piped into `head`; 128 + SIGPIPE, as a shell reports
+for a C filter): the run then ends at once, printing nothing more.
 
 Ctrl-C is cooperative: an exhaustive build stops at the next shard
 checkpoint and the verdict covers the completed prefix (the same PARTIAL
 banner as --deadline); a --horizon-sweep stops before its next horizon.
 ";
+
+/// Writes to stdout; every byte of stdout goes through here. When the
+/// reader has gone (`eba-check … | head -1`) the run ends at once and
+/// silently with status 141, 128 + SIGPIPE; any other write error ends
+/// it with status 2.
+fn write_out(text: fmt::Arguments<'_>) {
+    if let Err(e) = io::stdout().write_fmt(text) {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            process::exit(141);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        process::exit(2);
+    }
+}
+
+/// `println!` through [`write_out`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 #[derive(Default)]
 struct Options {
@@ -425,7 +451,7 @@ fn print_preamble(session: &EngineSession, options: &Options, formulas: &[(Strin
         return;
     }
     let system = session.system();
-    println!(
+    outln!(
         "scenario {}: {} runs, {} points ({})",
         session.scenario(),
         system.num_runs(),
@@ -437,10 +463,10 @@ fn print_preamble(session: &EngineSession, options: &Options, formulas: &[(Strin
         },
     );
     for (_, f) in formulas {
-        println!("formula: {f}");
+        outln!("formula: {f}");
     }
     if let Some(info) = system.symmetry() {
-        println!(
+        outln!(
             "symmetry: {} orbits cover {}/{} patterns ({:.2}x reduction)",
             info.num_orbits(),
             info.raw_patterns_covered(),
@@ -453,8 +479,8 @@ fn print_preamble(session: &EngineSession, options: &Options, formulas: &[(Strin
 /// The `cache:` and `scheduler:` lines of `--cache-stats`.
 fn print_cache_stats(session: &EngineSession, options: &Options) {
     if options.cache_stats {
-        println!("cache: {}", session.cache().stats());
-        println!("scheduler: {}", eba_sim::scheduler_stats());
+        outln!("cache: {}", session.cache().stats());
+        outln!("scheduler: {}", eba_sim::scheduler_stats());
     }
 }
 
@@ -462,19 +488,20 @@ fn print_cache_stats(session: &EngineSession, options: &Options) {
 /// cache lines); returns whether the formula is valid.
 fn print_verdict(session: &EngineSession, verdict: &Verdict, options: &Options) -> bool {
     if verdict.is_valid() {
-        println!("VALID ({} points)", verdict.points);
+        outln!("VALID ({} points)", verdict.points);
     } else {
-        println!(
+        outln!(
             "NOT VALID: holds at {}/{} points",
-            verdict.holds, verdict.points
+            verdict.holds,
+            verdict.points
         );
         if let Some(point) = &verdict.counterexample {
-            println!("counterexample: {point}");
+            outln!("counterexample: {point}");
         }
         if options.witness {
             match &verdict.witness {
-                Some(point) => println!("witness: {point}"),
-                None => println!("witness: none (formula is unsatisfiable here)"),
+                Some(point) => outln!("witness: {point}"),
+                None => outln!("witness: none (formula is unsatisfiable here)"),
             }
         }
     }
@@ -498,7 +525,7 @@ fn run_sweep(
         Ok(session) if session.partial().is_none() => session,
         // A sweep carries no bounds: only Ctrl-C stops its base build.
         Ok(_) | Err(OpenError::Exhausted(_)) => {
-            println!("PARTIAL: interrupted; sweep stopped before horizon {from}");
+            outln!("PARTIAL: interrupted; sweep stopped before horizon {from}");
             return Ok(ExitCode::SUCCESS);
         }
         Err(OpenError::Fault(e)) => return Err(e.to_string()),
@@ -512,16 +539,16 @@ fn run_sweep(
             interrupt,
             |session, extended, verdict| {
                 if let (Some(report), true) = (extended, options.cache_stats) {
-                    println!("extend: {report}");
+                    outln!("extend: {report}");
                 }
-                println!("== horizon {} ==", session.horizon().ticks());
+                outln!("== horizon {} ==", session.horizon().ticks());
                 print_preamble(session, options, formulas);
                 all_valid &= print_verdict(session, &verdict, options);
             },
         )
         .map_err(|e| e.to_string())?;
     if let Some(horizon) = stopped {
-        println!("PARTIAL: interrupted; sweep stopped before horizon {horizon}");
+        outln!("PARTIAL: interrupted; sweep stopped before horizon {horizon}");
     }
     Ok(ExitCode::from(u8::from(!all_valid)))
 }
@@ -531,7 +558,7 @@ fn run() -> Result<ExitCode, String> {
     let options = match parse_args(&args) {
         Ok(options) => options,
         Err(message) if message.is_empty() => {
-            print!("{HELP}");
+            write_out(format_args!("{HELP}"));
             return Ok(ExitCode::SUCCESS);
         }
         Err(message) => return Err(message),
@@ -542,7 +569,7 @@ fn run() -> Result<ExitCode, String> {
     // diffs runs at --threads 1/2/8).
     if options.threads_auto && !options.quiet {
         if let Some(threads) = options.threads {
-            println!("threads: {threads} (auto)");
+            outln!("threads: {threads} (auto)");
         }
     }
 
@@ -571,7 +598,7 @@ fn run() -> Result<ExitCode, String> {
         })
         .collect::<Result<_, _>>()?;
     if config.for_formula(&formulas[0].1) && !options.quiet {
-        println!("symmetry: formula names specific processors; checking the unreduced system");
+        outln!("symmetry: formula names specific processors; checking the unreduced system");
     }
     if let Some((_, to)) = options.horizon_sweep {
         return run_sweep(&options, &config, &formulas, to);
@@ -613,7 +640,7 @@ fn run() -> Result<ExitCode, String> {
                 "{hit} mid-build; --timeline needs the complete system"
             ));
         }
-        println!(
+        outln!(
             "PARTIAL: {hit}; verdict covers {}/{} shards ({} runs)",
             partial.completed_shards,
             partial.total_shards,
@@ -627,9 +654,9 @@ fn run() -> Result<ExitCode, String> {
             .system()
             .find_run(&initial, &pattern)
             .ok_or("run not in the generated system")?;
-        println!("run: {initial} under [{pattern}]");
+        outln!("run: {initial} under [{pattern}]");
         let timeline = Timeline::build(&mut session.evaluator(), run, &formulas);
-        println!("{timeline}");
+        outln!("{timeline}");
         print_cache_stats(&session, &options);
         return Ok(ExitCode::SUCCESS);
     }

@@ -99,6 +99,25 @@ fn cache_stats_flag_prints_counters() {
 }
 
 #[test]
+fn cache_stats_count_only_lookups_the_shared_cache_answered() {
+    // `CC(E0)` and `C(E0)` share one reachability structure, built once:
+    // the plan's read-backs of its own prefetch are no hits. The resident
+    // bytes are that structure's per-point component ids, per-run
+    // component ids and per-run flags over the 3-processor crash system.
+    let (stdout, _, code) = run(&["--cache-stats", "CC(E0) -> C(E0)"]);
+    assert_eq!(code, Some(0), "{stdout}");
+    let cache_line = stdout
+        .lines()
+        .find(|l| l.starts_with("cache: "))
+        .unwrap_or_else(|| panic!("no cache line in {stdout}"));
+    assert_eq!(
+        cache_line,
+        "cache: reachability 0 hits / 1 misses; scope columns 0 hits / 0 misses; \
+         epoch 0 (0 invalidated); resident ~6216 bytes"
+    );
+}
+
+#[test]
 fn cache_stats_off_by_default() {
     let (stdout, _, code) = run(&["CC(E0) -> C(E0)"]);
     assert_eq!(code, Some(0));
@@ -365,4 +384,33 @@ fn sigint_degrades_to_a_partial_prefix_verdict() {
         stdout.contains("PARTIAL: interrupted") || stderr.contains("interrupted"),
         "no interrupt acknowledgement.\nstdout: {stdout}\nstderr: {stderr}"
     );
+}
+
+#[test]
+fn closed_stdout_ends_the_run_quietly_with_status_141() {
+    use std::process::Stdio;
+
+    // The build takes well over 100 ms, so the reader is gone before the
+    // first line is written.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_eba-check"))
+        .args([
+            "--n",
+            "4",
+            "--t",
+            "1",
+            "--mode",
+            "omission",
+            "--horizon",
+            "3",
+            "CC(E0)",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("output");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(141), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

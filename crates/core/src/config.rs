@@ -140,7 +140,8 @@ pub struct EngineConfig {
     spec: ScenarioSpec,
     scenario: Scenario,
     budget: RunBudget,
-    /// Worker threads for builds and evaluation (`None` = all cores).
+    /// Worker threads for builds and extensions (`None` = all cores);
+    /// evaluation always runs on the calling thread.
     pub threads: Option<usize>,
     /// Shards of an exhaustive build (`None` = four per thread).
     pub shards: Option<usize>,

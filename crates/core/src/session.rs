@@ -133,8 +133,9 @@ impl EngineSession {
     /// the exhaustive one built under the config's budget, threads, shards
     /// and chaos injector. A budget-stopped build yields a
     /// [`SessionScope::PinnedRuns`] session over the completed shard
-    /// prefix (see [`partial`](EngineSession::partial)). Extension,
-    /// evaluation and construction then run on the config's threads.
+    /// prefix (see [`partial`](EngineSession::partial)). Extensions then
+    /// run on the config's threads; evaluation and construction run on
+    /// the calling thread.
     ///
     /// # Errors
     ///
@@ -325,11 +326,7 @@ impl EngineSession {
     /// [`constructor`](EngineSession::constructor).
     #[must_use]
     pub fn evaluator(&self) -> Evaluator<'_> {
-        let mut eval = Evaluator::with_cache(&self.system, self.cache.clone());
-        if let Some(threads) = self.threads {
-            eval.set_threads(threads);
-        }
-        eval
+        Evaluator::with_cache(&self.system, self.cache.clone())
     }
 
     /// Evaluates `formula` over every point of the session's system.

@@ -23,14 +23,9 @@
 //! the digest, with full-key equality resolving (astronomically unlikely)
 //! collisions.
 //!
-//! Scope columns are additionally **interned by content**: two distinct
-//! nonrigid sets that resolve to identical per-processor membership
-//! vectors (common in crash/omission sweeps that keep rebuilding
-//! `N − F(r, t)`-style sets under fresh state-set families) share one
-//! `Arc` instead of storing duplicate column vectors.
-//!
-//! [`KnowledgeCache::stats`] exposes hit/miss/dedup counters; the CLI
-//! prints them under `eba-check --cache-stats`.
+//! [`KnowledgeCache::stats`] counts the hits and misses of those first
+//! requests and reports the resident bytes; the CLI prints them under
+//! `eba-check --cache-stats`.
 //!
 //! A cache is only meaningful for evaluators over the **same generated
 //! system**: reachability indexes the system's points. Sharing one across
@@ -45,10 +40,8 @@
 
 use crate::bitset::Bitset;
 use crate::eval::Reachability;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -183,30 +176,26 @@ struct Counters {
     reach_misses: AtomicU64,
     scope_hits: AtomicU64,
     scope_misses: AtomicU64,
-    scope_interned: AtomicU64,
-    scope_deduped: AtomicU64,
     epoch_invalidated: AtomicU64,
 }
 
 /// A snapshot of a [`KnowledgeCache`]'s counters; see
-/// [`KnowledgeCache::stats`]. Hits count both evaluator-local memo hits
-/// and shared-cache hits (the work was saved either way); misses count
-/// fresh computations.
+/// [`KnowledgeCache::stats`]. The counters see only lookups that reach
+/// the shared cache: an evaluator asks it once per set it does not yet
+/// hold, and answers every later request for that set from its own memo
+/// without counting. So a hit is a structure some other request built (a
+/// different evaluator over the same system, or an earlier query of a
+/// session), and a miss is one built fresh.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CacheStats {
-    /// Reachability lookups answered from a memo or the shared cache.
+    /// Reachability lookups the shared cache answered.
     pub reach_hits: u64,
     /// Reachability structures computed fresh.
     pub reach_misses: u64,
-    /// Scope-column lookups answered from a memo or the shared cache.
+    /// Scope-column lookups the shared cache answered.
     pub scope_hits: u64,
     /// Scope-column vectors extracted fresh.
     pub scope_misses: u64,
-    /// Distinct scope-column contents held by the interning pool.
-    pub scope_interned: u64,
-    /// Freshly extracted scope-column vectors that matched an interned
-    /// entry and were deduplicated to a shared `Arc`.
-    pub scope_deduped: u64,
     /// The cache's current epoch (how many times
     /// [`KnowledgeCache::advance_epoch`] has run).
     pub epoch: u64,
@@ -214,14 +203,12 @@ pub struct CacheStats {
     /// lifetime.
     pub invalidated: u64,
     /// Approximate resident heap bytes of the currently cached
-    /// structures: every live reachability structure, every *distinct*
-    /// interned scope-column vector (shared `Arc`s count once), and the
-    /// content payload of every stored key (a registered family's
-    /// membership words). Computed on demand by walking the cache, so it
-    /// reflects the moment of the
-    /// [`KnowledgeCache::stats`] call; the serve pool's eviction budget
-    /// is driven by this figure plus
-    /// `GeneratedSystem::approx_resident_bytes`.
+    /// structures: every live reachability structure, every scope-column
+    /// vector, and the content payload of every stored key (a registered
+    /// family's membership words). Computed on demand by walking the
+    /// cache, so it reflects the moment of the [`KnowledgeCache::stats`]
+    /// call; the serve pool's eviction budget is driven by this figure
+    /// plus `GeneratedSystem::approx_resident_bytes`.
     pub resident_bytes: u64,
 }
 
@@ -230,14 +217,11 @@ impl fmt::Display for CacheStats {
         write!(
             f,
             "reachability {} hits / {} misses; scope columns {} hits / {} misses; \
-             interned scopes {} unique / {} deduped; epoch {} ({} invalidated); \
-             resident ~{} bytes",
+             epoch {} ({} invalidated); resident ~{} bytes",
             self.reach_hits,
             self.reach_misses,
             self.scope_hits,
             self.scope_misses,
-            self.scope_interned,
-            self.scope_deduped,
             self.epoch,
             self.invalidated,
             self.resident_bytes,
@@ -271,19 +255,11 @@ impl fmt::Display for CacheStats {
 #[derive(Clone, Debug, Default)]
 pub struct KnowledgeCache {
     reach: Arc<Mutex<BucketMap<Arc<Reachability>>>>,
-    scopes: Arc<Mutex<ScopeStore>>,
+    scopes: Arc<Mutex<BucketMap<ScopeColumns>>>,
     counters: Arc<Counters>,
     /// The current epoch; entries inserted under an older epoch are never
     /// served (see [`KnowledgeCache::advance_epoch`]).
     epoch: Arc<AtomicU64>,
-}
-
-/// Scope-column storage: the key-addressed map plus the content-addressed
-/// interning pool (digest buckets of distinct column vectors).
-#[derive(Debug, Default)]
-struct ScopeStore {
-    by_key: BucketMap<ScopeColumns>,
-    pool: HashMap<u64, Vec<ScopeColumns>>,
 }
 
 impl KnowledgeCache {
@@ -314,11 +290,8 @@ impl KnowledgeCache {
         self.len() == 0
     }
 
-    /// A snapshot of the cache's hit/miss/interning counters. Counters
-    /// are monotonic over the cache's lifetime and survive [`clear`]
-    /// (which drops entries, not history).
-    ///
-    /// [`clear`]: KnowledgeCache::clear
+    /// A snapshot of the cache's hit/miss counters, which are monotonic
+    /// over the cache's lifetime, and of its resident bytes.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         let c = &self.counters;
@@ -327,8 +300,6 @@ impl KnowledgeCache {
             reach_misses: c.reach_misses.load(Ordering::Relaxed),
             scope_hits: c.scope_hits.load(Ordering::Relaxed),
             scope_misses: c.scope_misses.load(Ordering::Relaxed),
-            scope_interned: c.scope_interned.load(Ordering::Relaxed),
-            scope_deduped: c.scope_deduped.load(Ordering::Relaxed),
             epoch: self.epoch.load(Ordering::Relaxed),
             invalidated: c.epoch_invalidated.load(Ordering::Relaxed),
             resident_bytes: self.resident_bytes() as u64,
@@ -339,8 +310,7 @@ impl KnowledgeCache {
     /// structures; see [`CacheStats::resident_bytes`]. Stale-epoch
     /// entries are already purged eagerly by
     /// [`advance_epoch`](KnowledgeCache::advance_epoch), so everything
-    /// resident is counted. Interned scope columns shared by several
-    /// keys are counted once, by `Arc` identity.
+    /// resident is counted.
     ///
     /// # Panics
     ///
@@ -355,23 +325,17 @@ impl KnowledgeCache {
             .flatten()
             .map(|(k, _, r)| r.approx_bytes() + sel_bytes(&k.sel))
             .sum();
-        let scopes = self.scopes.lock().expect("knowledge cache poisoned");
-        // The pool holds every distinct column vector exactly once (all
-        // by_key entries alias pool Arcs), so walking it counts shared
-        // columns once.
-        let columns: usize = scopes
-            .pool
+        let scopes: usize = self
+            .scopes
+            .lock()
+            .expect("knowledge cache poisoned")
             .values()
             .flatten()
-            .map(|cols| cols.iter().map(Bitset::approx_bytes).sum::<usize>())
+            .map(|(k, _, cols)| {
+                cols.iter().map(Bitset::approx_bytes).sum::<usize>() + sel_bytes(&k.sel)
+            })
             .sum();
-        let keys: usize = scopes
-            .by_key
-            .values()
-            .flatten()
-            .map(|(k, _, _)| sel_bytes(&k.sel))
-            .sum();
-        reach + columns + keys
+        reach + scopes
     }
 
     /// The cache's current epoch. All entries served by the cache were
@@ -403,38 +367,13 @@ impl KnowledgeCache {
         let mut reach = self.reach.lock().expect("knowledge cache poisoned");
         let mut scopes = self.scopes.lock().expect("knowledge cache poisoned");
         let dropped = reach.values().map(Vec::len).sum::<usize>()
-            + scopes.by_key.values().map(Vec::len).sum::<usize>();
+            + scopes.values().map(Vec::len).sum::<usize>();
         reach.clear();
-        scopes.by_key.clear();
-        scopes.pool.clear();
+        scopes.clear();
         self.counters
             .epoch_invalidated
             .fetch_add(dropped as u64, Ordering::Relaxed);
         self.epoch.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Drops every cached structure (e.g. to bound memory between
-    /// scenarios when reusing one cache handle). Counters are preserved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex is poisoned.
-    pub fn clear(&self) {
-        self.reach.lock().expect("knowledge cache poisoned").clear();
-        let mut scopes = self.scopes.lock().expect("knowledge cache poisoned");
-        scopes.by_key.clear();
-        scopes.pool.clear();
-    }
-
-    /// Counts a lookup answered by an evaluator-local memo, so
-    /// [`stats`](KnowledgeCache::stats) reflects all saved work.
-    pub(crate) fn note_local_hit(&self, scope: bool) {
-        let counter = if scope {
-            &self.counters.scope_hits
-        } else {
-            &self.counters.reach_hits
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn get(&self, key: &HashedReachKey) -> Option<Arc<Reachability>> {
@@ -463,7 +402,7 @@ impl KnowledgeCache {
 
     pub(crate) fn get_scopes(&self, key: &HashedReachKey) -> Option<ScopeColumns> {
         let found = bucket_get(
-            &self.scopes.lock().expect("knowledge cache poisoned").by_key,
+            &self.scopes.lock().expect("knowledge cache poisoned"),
             key,
             self.epoch(),
         );
@@ -476,28 +415,13 @@ impl KnowledgeCache {
         found
     }
 
-    /// Inserts freshly built scope columns under `key`, interning them by
-    /// content first: if an identical column vector is already pooled,
-    /// the shared `Arc` is stored (and returned) instead of `value`.
-    pub(crate) fn insert_scopes(&self, key: &HashedReachKey, value: ScopeColumns) -> ScopeColumns {
-        let mut hasher = DefaultHasher::new();
-        value.hash(&mut hasher);
-        let content = hasher.finish();
-        let mut store = self.scopes.lock().expect("knowledge cache poisoned");
-        let pooled = store.pool.entry(content).or_default();
-        let interned = match pooled.iter().find(|existing| ***existing == **value) {
-            Some(existing) => {
-                self.counters.scope_deduped.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(existing)
-            }
-            None => {
-                pooled.push(Arc::clone(&value));
-                self.counters.scope_interned.fetch_add(1, Ordering::Relaxed);
-                value
-            }
-        };
-        bucket_insert(&mut store.by_key, key, self.epoch(), Arc::clone(&interned));
-        interned
+    pub(crate) fn insert_scopes(&self, key: &HashedReachKey, value: ScopeColumns) {
+        bucket_insert(
+            &mut self.scopes.lock().expect("knowledge cache poisoned"),
+            key,
+            self.epoch(),
+            value,
+        );
     }
 }
 
@@ -533,28 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn scope_interning_dedupes_identical_columns() {
-        let cache = KnowledgeCache::new();
-        let cols = |bit: bool| {
-            let mut b = Bitset::new_false(10);
-            b.set(3, bit);
-            Arc::new(vec![b])
-        };
-        let key_a = key(ReachSel::Nonfaulty);
-        let key_b = key(ReachSel::NonfaultyAnd(vec![Box::from([])]));
-        let a = cache.insert_scopes(&key_a, cols(true));
-        let b = cache.insert_scopes(&key_b, cols(true));
-        assert!(Arc::ptr_eq(&a, &b), "equal contents must share one Arc");
-        let c = cache.insert_scopes(&key_a, cols(false));
-        assert!(!Arc::ptr_eq(&a, &c));
-        let stats = cache.stats();
-        assert_eq!(stats.scope_interned, 2);
-        assert_eq!(stats.scope_deduped, 1);
-        // Both keys resolve to the shared entry.
-        assert!(Arc::ptr_eq(&cache.get_scopes(&key_b).unwrap(), &b));
-    }
-
-    #[test]
     fn advance_epoch_invalidates_point_indexed_entries() {
         let cache = KnowledgeCache::new();
         assert_eq!(cache.epoch(), 0);
@@ -586,18 +488,12 @@ mod tests {
     }
 
     #[test]
-    fn resident_bytes_track_live_entries_and_share_interned_columns() {
+    fn resident_bytes_track_live_entries() {
         let cache = KnowledgeCache::new();
         assert_eq!(cache.resident_bytes(), 0);
         let cols = Arc::new(vec![Bitset::new_false(1024)]);
         let per_vector = cols.iter().map(Bitset::approx_bytes).sum::<usize>();
         cache.insert_scopes(&key(ReachSel::Nonfaulty), Arc::clone(&cols));
-        // A second key with identical content shares the interned Arc:
-        // resident bytes must not double.
-        cache.insert_scopes(
-            &key(ReachSel::NonfaultyAnd(vec![Box::from([])])),
-            Arc::new(vec![Bitset::new_false(1024)]),
-        );
         assert_eq!(cache.resident_bytes(), per_vector);
         assert_eq!(cache.stats().resident_bytes, per_vector as u64);
         // Epoch advance purges everything point-indexed.
@@ -630,13 +526,12 @@ mod tests {
         assert!(cache.get_scopes(&key).is_none());
         cache.insert_scopes(&key, Arc::new(Vec::new()));
         assert!(cache.get_scopes(&key).is_some());
-        cache.note_local_hit(true);
         let stats = cache.stats();
         assert_eq!(stats.scope_misses, 1);
-        assert_eq!(stats.scope_hits, 2);
+        assert_eq!(stats.scope_hits, 1);
         let rendered = stats.to_string();
         assert!(
-            rendered.contains("scope columns 2 hits / 1 misses"),
+            rendered.contains("scope columns 1 hits / 1 misses"),
             "{rendered}"
         );
     }

@@ -8,19 +8,9 @@ use crate::plan::FormulaPlan;
 use crate::uf::UnionFind;
 use eba_model::fasthash::{FastMap, FastSet};
 use eba_model::{ModelError, ProcSet, ProcessorId, Time};
-use eba_sim::chaos::{FaultInjector, NoChaos};
 use eba_sim::symmetry::{SymmetryInfo, ViewClasses};
 use eba_sim::{GeneratedSystem, RunId, ViewId};
 use std::sync::Arc;
-use std::sync::OnceLock;
-use std::thread;
-
-/// Available parallelism, probed once: it is a syscall, and evaluators
-/// are constructed in inner loops.
-fn default_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, |p| p.get()))
-}
 
 /// Ids interned by the evaluator are `u32`s; this is how many of each
 /// kind it can issue.
@@ -38,14 +28,12 @@ const ID_CAPACITY: u128 = 1 << 32;
 #[derive(Clone, Debug)]
 pub struct Reachability {
     /// Per point: compact component id, or `u32::MAX` where `S` is empty.
-    point_comp: Vec<u32>,
+    pub(crate) point_comp: Vec<u32>,
     num_point_comps: usize,
     /// Per run: compact run-component id.
     run_comp: Vec<u32>,
     /// Per run: whether the run contains any point with `S` nonempty.
     run_has_s_points: Vec<bool>,
-    /// Per point: the members of `S` at that point.
-    s_members: Vec<ProcSet>,
 }
 
 impl Reachability {
@@ -73,18 +61,6 @@ impl Reachability {
         self.run_has_s_points[run.index()]
     }
 
-    /// The members of `S` at a point.
-    #[must_use]
-    pub fn members(&self, point: usize) -> ProcSet {
-        self.s_members[point]
-    }
-
-    /// The number of points this structure was computed over.
-    #[must_use]
-    pub fn num_points(&self) -> usize {
-        self.s_members.len()
-    }
-
     /// Approximate resident heap bytes of the structure's per-point and
     /// per-run vectors (for the knowledge cache's memory accounting).
     #[must_use]
@@ -93,7 +69,6 @@ impl Reachability {
         self.point_comp.len() * size_of::<u32>()
             + self.run_comp.len() * size_of::<u32>()
             + self.run_has_s_points.len()
-            + self.s_members.len() * size_of::<ProcSet>()
     }
 }
 
@@ -127,7 +102,6 @@ pub struct Evaluator<'a> {
     pub(crate) n: usize,
     pub(crate) times: usize,
     pub(crate) num_points: usize,
-    pub(crate) threads: usize,
     state_sets: Vec<StateSets>,
     run_preds: Vec<Vec<bool>>,
     pub(crate) point_preds: Vec<Arc<Bitset>>,
@@ -148,12 +122,10 @@ pub struct Evaluator<'a> {
     /// (the check is O(occurring views)).
     family_closed_memo: FastMap<u32, bool>,
     pub(crate) shared: KnowledgeCache,
-    pub(crate) chaos: Arc<dyn FaultInjector>,
 }
 
 impl<'a> Evaluator<'a> {
-    /// Creates an evaluator over `system` with a private knowledge cache
-    /// and one reachability worker per available CPU.
+    /// Creates an evaluator over `system` with a private knowledge cache.
     #[must_use]
     pub fn new(system: &'a GeneratedSystem) -> Self {
         Evaluator::with_cache(system, KnowledgeCache::new())
@@ -173,7 +145,6 @@ impl<'a> Evaluator<'a> {
             n,
             times,
             num_points: system.num_runs() * times,
-            threads: default_threads(),
             state_sets: Vec::new(),
             run_preds: Vec::new(),
             point_preds: Vec::new(),
@@ -184,23 +155,7 @@ impl<'a> Evaluator<'a> {
             symmetry: system.symmetry(),
             family_closed_memo: FastMap::default(),
             shared: cache,
-            chaos: Arc::new(NoChaos),
         }
-    }
-
-    /// Sets the number of worker threads used to collect reachability
-    /// edges (clamped to at least 1). Results are identical for every
-    /// thread count.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Installs a fault injector ([`eba_sim::chaos`]) consulted once per
-    /// reachability worker item. An injected capacity fault at this site
-    /// degrades to a supervised panic (reachability itself is
-    /// infallible); panics and delays behave as at any other site.
-    pub fn set_chaos(&mut self, injector: Arc<dyn FaultInjector>) {
-        self.chaos = injector;
     }
 
     /// The shared knowledge cache backing this evaluator (clone it to
@@ -986,7 +941,6 @@ impl<'a> Evaluator<'a> {
     /// published to both.
     pub fn reachability(&mut self, s: NonRigidSet) -> Arc<Reachability> {
         if let Some(cached) = self.reach_cache.get(&s) {
-            self.shared.note_local_hit(false);
             return Arc::clone(cached);
         }
         let mut batch = crate::reach::BatchBuilder::new();
@@ -1036,7 +990,6 @@ impl<'a> Evaluator<'a> {
     /// then a one-set [`BatchBuilder`](crate::reach::BatchBuilder) sweep.
     pub fn scope_columns(&mut self, s: NonRigidSet) -> ScopeColumns {
         if let Some(cached) = self.scope_cache.get(&s) {
-            self.shared.note_local_hit(true);
             return Arc::clone(cached);
         }
         let mut batch = crate::reach::BatchBuilder::new();
@@ -1091,12 +1044,13 @@ impl<'a> Evaluator<'a> {
 
     /// Compacts a fully-unioned point partition into a [`Reachability`]:
     /// component numbering, the run projection, and the `S`-emptiness
-    /// mask. Used by the batched sweep and the reference per-set build
+    /// mask. The membership vector is read for `S`-emptiness only, not
+    /// kept. Used by the batched sweep and the reference per-set build
     /// ([`crate::oracle`]); given the same partition, the output is
     /// bit-identical either way.
     pub(crate) fn finish_reachability(
         &self,
-        s_members: Vec<ProcSet>,
+        s_members: &[ProcSet],
         uf: &mut UnionFind,
     ) -> Reachability {
         // Compact point components, restricted to S-nonempty points, and
@@ -1136,7 +1090,6 @@ impl<'a> Evaluator<'a> {
             num_point_comps,
             run_comp,
             run_has_s_points,
-            s_members,
         }
     }
 }
@@ -1144,9 +1097,7 @@ impl<'a> Evaluator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reach::PARALLEL_POINTS_THRESHOLD;
     use eba_model::{FailureMode, Scenario, Value};
-    use eba_sim::chaos::FaultSite;
 
     fn p(i: usize) -> ProcessorId {
         ProcessorId::new(i)
@@ -1461,8 +1412,7 @@ mod tests {
         let reach = eval.reachability(NonRigidSet::Nonfaulty);
         for idx in 0..eval.num_points() {
             let (run, time) = eval.point_of(idx);
-            let members = reach.members(idx);
-            assert_eq!(members, eval.members(NonRigidSet::Nonfaulty, run, time));
+            let members = eval.members(NonRigidSet::Nonfaulty, run, time);
             // S nonempty ⟺ the point has a component.
             assert_eq!(members.is_empty(), reach.point_component(idx).is_none());
             if reach.point_component(idx).is_some() {
@@ -1525,34 +1475,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_reachability_matches_sequential() {
-        // Big enough to cross PARALLEL_POINTS_THRESHOLD, so the threaded
-        // edge-collection path actually runs.
-        let scenario = Scenario::new(3, 2, FailureMode::Crash, 3).unwrap();
-        let system = GeneratedSystem::exhaustive(&scenario);
-        assert!(
-            system.num_points() >= PARALLEL_POINTS_THRESHOLD,
-            "test scenario no longer exercises the parallel path"
-        );
-        let mut seq = Evaluator::new(&system);
-        seq.set_threads(1);
-        let mut par = Evaluator::new(&system);
-        par.set_threads(4);
-        for s in [NonRigidSet::Everyone, NonRigidSet::Nonfaulty] {
-            let a = seq.reachability(s);
-            let b = par.reachability(s);
-            assert_eq!(a.num_point_components(), b.num_point_components());
-            for idx in 0..system.num_points() {
-                assert_eq!(
-                    a.point_component(idx),
-                    b.point_component(idx),
-                    "component of point {idx} under {s:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn try_register_issues_sequential_typed_ids() {
         let system = crash_system();
         let mut eval = Evaluator::new(&system);
@@ -1567,39 +1489,6 @@ mod tests {
             .try_register_point_pred(Bitset::new_true(eval.num_points()))
             .unwrap();
         assert!(eval.valid(&Formula::PointPred(pp)));
-    }
-
-    #[test]
-    fn injected_reachability_panic_degrades_to_identical_result() {
-        use eba_sim::chaos::{ChaosPlan, FaultKind};
-        // Big enough to cross PARALLEL_POINTS_THRESHOLD, so the
-        // supervised pool actually runs and the injected panic lands in a
-        // worker, not on the calling thread.
-        let scenario = Scenario::new(3, 2, FailureMode::Crash, 3).unwrap();
-        let system = GeneratedSystem::exhaustive(&scenario);
-        assert!(system.num_points() >= PARALLEL_POINTS_THRESHOLD);
-        let mut baseline = Evaluator::new(&system);
-        baseline.set_threads(1);
-        let base = baseline.reachability(NonRigidSet::Nonfaulty);
-
-        let plan = Arc::new(ChaosPlan::new().with_fault(
-            FaultSite::ReachabilityWorker,
-            0,
-            FaultKind::Panic,
-        ));
-        let mut chaotic = Evaluator::new(&system);
-        chaotic.set_threads(4);
-        chaotic.set_chaos(Arc::clone(&plan) as Arc<dyn FaultInjector>);
-        let got = chaotic.reachability(NonRigidSet::Nonfaulty);
-        assert_eq!(plan.fired(), 1, "the planned panic must have fired");
-        assert_eq!(base.num_point_components(), got.num_point_components());
-        for idx in 0..system.num_points() {
-            assert_eq!(
-                base.point_component(idx),
-                got.point_component(idx),
-                "component of point {idx} after worker recovery"
-            );
-        }
     }
 
     #[test]

@@ -357,7 +357,7 @@ impl<'e, 'a> Oracle<'e, 'a> {
                 union_reach_edges(ev, i, &s_members, &mut uf);
             }
         }
-        ev.finish_reachability(s_members, &mut uf)
+        ev.finish_reachability(&s_members, &mut uf)
     }
 
     fn build_scope_columns(&self, s: NonRigidSet) -> Vec<Bitset> {

@@ -19,7 +19,10 @@ OPTIONS:
     --mem-budget MB    session-pool memory budget    (default 256)
     --read-timeout S   per-connection read timeout   (default 30)
     --retries N        build retry attempts          (default 3)
-    --threads N        worker threads per query      (default: all cores)
+    --threads N        worker threads per query for  (default: all cores)
+                       builds and sweep extensions;
+                       evaluation runs on the query's
+                       own thread
     --help             this text
 
 PROTOCOL (one JSON object per line; see README for the full grammar):

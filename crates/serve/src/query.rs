@@ -34,7 +34,7 @@ pub struct QueryContext<'a> {
     /// deterministic `partial` verdict, and sweeps before their next
     /// horizon.
     pub interrupt: Option<&'static AtomicBool>,
-    /// Worker threads for builds and evaluation (`None` = all cores).
+    /// Worker threads for builds and extensions (`None` = all cores).
     /// Any value yields bit-identical results.
     pub threads: Option<usize>,
 }

@@ -54,7 +54,8 @@ pub struct ServeConfig {
     pub max_frame_bytes: usize,
     /// Transient build fault retry policy.
     pub retry: RetryPolicy,
-    /// Worker threads per query (`None` = all cores).
+    /// Worker threads per query for builds and extensions (`None` = all
+    /// cores).
     pub threads_per_query: Option<usize>,
     /// Chaos injector applied to every build (self-chaos hook).
     pub chaos: Option<Arc<dyn FaultInjector>>,

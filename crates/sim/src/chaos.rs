@@ -4,13 +4,12 @@
 //! the engine that reproduces it survive its own. It has two parts:
 //!
 //! 1. **Fault injection** — a [`FaultInjector`] is threaded through the
-//!    parallel stages of the engine (the [`SystemBuilder`] shard workers,
-//!    the `eba-kripke` reachability workers, the campaign runners) and is
-//!    consulted once per work item. [`ChaosPlan`] injects deterministic
-//!    engine faults — a worker panic in shard `k`, a synthetic capacity
-//!    exhaustion, an artificial delay — from an explicit or seeded plan,
-//!    so every degradation path is testable. [`NoChaos`] is the free
-//!    default.
+//!    parallel stages of the engine (the [`SystemBuilder`] shard workers
+//!    and the campaign runners) and is consulted once per work item.
+//!    [`ChaosPlan`] injects deterministic engine faults — a worker panic
+//!    in shard `k`, a synthetic capacity exhaustion, an artificial delay
+//!    — from an explicit or seeded plan, so every degradation path is
+//!    testable. [`NoChaos`] is the free default.
 //!
 //! 2. **Supervision** — [`supervised_indexed`] is the worker pool used by
 //!    those stages: every work item runs under `catch_unwind`, a panicked
@@ -44,9 +43,6 @@ pub enum FaultSite {
     /// A [`SystemBuilder`](crate::SystemBuilder) shard worker; the item
     /// index is the shard index.
     BuilderShard,
-    /// An `eba-kripke` reachability edge-collection worker; the item index
-    /// is the processor index.
-    ReachabilityWorker,
     /// An `eba-protocols` exhaustive-campaign worker; the item index is
     /// the shard index.
     CampaignShard,
@@ -56,7 +52,6 @@ impl fmt::Display for FaultSite {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FaultSite::BuilderShard => write!(f, "builder shard"),
-            FaultSite::ReachabilityWorker => write!(f, "reachability worker"),
             FaultSite::CampaignShard => write!(f, "campaign shard"),
         }
     }
@@ -522,7 +517,7 @@ mod tests {
 
     #[test]
     fn seeded_plans_are_reproducible() {
-        let sites = [FaultSite::BuilderShard, FaultSite::ReachabilityWorker];
+        let sites = [FaultSite::BuilderShard, FaultSite::CampaignShard];
         let a = ChaosPlan::seeded(42, &sites, 8, 5);
         let b = ChaosPlan::seeded(42, &sites, 8, 5);
         assert_eq!(a.faults.len(), 5);
@@ -566,7 +561,7 @@ mod tests {
         // the supervising thread succeeds.
         let attempts = AtomicUsize::new(0);
         let supervisor = thread::current().id();
-        let (out, faults) = supervised_indexed(4, 2, FaultSite::ReachabilityWorker, |i| {
+        let (out, faults) = supervised_indexed(4, 2, FaultSite::CampaignShard, |i| {
             if i == 0
                 && thread::current().id() != supervisor
                 && attempts.fetch_add(1, Ordering::Relaxed) < 2

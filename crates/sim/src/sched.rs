@@ -149,9 +149,9 @@ impl WorkQueues {
 }
 
 // Process-wide accumulator. Pool runs from every supervised stage
-// (builder shards, reachability workers, campaign shards, extend blocks)
-// fold into the same counters; the `last_*` fields describe the most
-// recent parallel run only.
+// (builder shards, campaign shards, extend blocks) fold into the same
+// counters; the `last_*` fields describe the most recent parallel run
+// only.
 static POOL_RUNS: AtomicU64 = AtomicU64::new(0);
 static ITEMS_EXECUTED: AtomicU64 = AtomicU64::new(0);
 static STEALS: AtomicU64 = AtomicU64::new(0);
