@@ -1,57 +1,16 @@
 //! Incremental horizon sweeps (DESIGN.md §4f): an [`EngineSession`] grows
-//! one system across a range of horizons, reusing base view rows and
-//! epoch-fencing the knowledge cache, versus the cold path that rebuilds
-//! every horizon from scratch. The cold side is the differential oracle
-//! (`tests/incremental_equivalence.rs`), so both sides produce identical
-//! systems — the bench measures the cost of that identical output.
+//! one exhaustive system across a range of horizons, reusing base view
+//! rows and epoch-fencing the knowledge cache, versus the cold path that
+//! rebuilds every horizon from scratch. The cold side is the differential
+//! oracle (`tests/incremental_equivalence.rs`), so both sides produce
+//! identical systems — the bench measures the cost of that identical
+//! output.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use eba_core::{Constructor, DecisionPair, EngineSession, FipDecisions, SessionScope};
+use eba_core::{Constructor, DecisionPair, EngineSession, FipDecisions};
 use eba_model::{FailureMode, Scenario};
 use eba_sim::GeneratedSystem;
 use std::hint::black_box;
-
-/// Pinned-run sweep at paper scale: n=5, t=2, crash, 400 sampled runs,
-/// horizon 2 grown through 6 (four extension steps). Generation only —
-/// the sim-layer reuse is what the session changes.
-fn pinned_sweep_generation(c: &mut Criterion) {
-    let scenario = Scenario::new(5, 2, FailureMode::Crash, 2).expect("valid scenario");
-    let base = GeneratedSystem::sampled(&scenario, 400, 0xEBA);
-    let horizons = [3u16, 4, 5, 6];
-
-    let mut group = c.benchmark_group("horizon_sweep_pinned_n5t2");
-    group.sample_size(10);
-
-    group.bench_function("incremental", |b| {
-        b.iter(|| {
-            let mut session = EngineSession::from_system(base.clone(), SessionScope::PinnedRuns);
-            for h in horizons {
-                session.extend_to(h).expect("horizon grows");
-                black_box(session.system().num_points());
-            }
-        });
-    });
-
-    group.bench_function("cold", |b| {
-        b.iter(|| {
-            for h in horizons {
-                let delta = scenario.extend_horizon(h).expect("horizon grows");
-                let specs: Vec<_> = base
-                    .run_ids()
-                    .map(|r| {
-                        let record = base.run(r);
-                        (record.config.clone(), delta.pad_pattern(&record.pattern))
-                    })
-                    .collect();
-                let target = scenario.with_horizon(h).expect("valid scenario");
-                let system = GeneratedSystem::from_runs(&target, specs);
-                black_box(system.num_points());
-            }
-        });
-    });
-
-    group.finish();
-}
 
 /// Full-space end-to-end sweep: exhaustive n=3, t=1 crash system grown
 /// from horizon 2 through 4, with the Theorem 5.2 optimization re-run at
@@ -66,7 +25,7 @@ fn full_space_sweep_end_to_end(c: &mut Criterion) {
 
     group.bench_function("incremental", |b| {
         b.iter(|| {
-            let mut session = EngineSession::from_system(base.clone(), SessionScope::FullSpace);
+            let mut session = EngineSession::from_system(base.clone());
             for h in horizons {
                 session.extend_to(h).expect("horizon grows");
                 let pair = session.constructor().optimize(&DecisionPair::empty(3));
@@ -93,6 +52,6 @@ fn full_space_sweep_end_to_end(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default();
-    targets = pinned_sweep_generation, full_space_sweep_end_to_end
+    targets = full_space_sweep_end_to_end
 }
 criterion_main!(benches);

@@ -1,5 +1,5 @@
-//! Thread-scaling sweep for the work-stealing engine: the two
-//! supervised stages — cold build and horizon extension — timed at
+//! Thread-scaling sweep for the supervised worker pool: the builder's
+//! one pipeline — as a cold build and as a horizon extension — timed at
 //! workers ∈ {1, 2, 4, 8} on the same inputs, plus the word-block set
 //! kernels against their scalar loops.
 //!

@@ -81,10 +81,9 @@ OPTIONS:
     --cache-stats    after the verdict, print knowledge-cache counters
                      (reachability and scope-column lookups the shared
                      cache answered or missed, the epoch and the resident
-                     bytes) on a `cache:` line, and the work-stealing pool
-                     counters (pool runs, items, steals, last run's
-                     per-worker item counts and busy spans) on a
-                     `scheduler:` line
+                     bytes) on a `cache:` line, and the worker-pool
+                     counters (pool runs, items, last run's per-worker
+                     item counts and busy spans) on a `scheduler:` line
     --quiet          print only the verdict line
     --timeline       timeline mode: print per-time truth values of the
                      FORMULAs along one run, selected with --config and
@@ -130,6 +129,14 @@ checkpoint and the verdict covers the completed prefix (the same PARTIAL
 banner as --deadline); a --horizon-sweep stops before its next horizon.
 ";
 
+/// `eprintln!` that ignores a failed write, so a closed stderr never
+/// turns the run's exit status into a panic's (101).
+macro_rules! errln {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(io::stderr(), $($arg)*);
+    }};
+}
+
 /// Writes to stdout; every byte of stdout goes through here. When the
 /// reader has gone (`eba-check … | head -1`) the run ends at once and
 /// silently with status 141, 128 + SIGPIPE; any other write error ends
@@ -139,7 +146,7 @@ fn write_out(text: fmt::Arguments<'_>) {
         if e.kind() == io::ErrorKind::BrokenPipe {
             process::exit(141);
         }
-        eprintln!("error: cannot write to stdout: {e}");
+        errln!("error: cannot write to stdout: {e}");
         process::exit(2);
     }
 }
@@ -669,8 +676,8 @@ fn main() -> ExitCode {
     match run() {
         Ok(code) => code,
         Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("run `eba-check --help` for usage");
+            errln!("error: {message}");
+            errln!("run `eba-check --help` for usage");
             ExitCode::from(2)
         }
     }

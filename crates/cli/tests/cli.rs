@@ -1,6 +1,6 @@
 //! End-to-end tests of the `eba-check` binary.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn run(args: &[&str]) -> (String, String, Option<i32>) {
     let output = Command::new(env!("CARGO_BIN_EXE_eba-check"))
@@ -413,4 +413,23 @@ fn closed_stdout_ends_the_run_quietly_with_status_141() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert_eq!(output.status.code(), Some(141), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// A closed stderr does not change the exit status: a parse error and a
+/// budget that stops the build before its first shard still exit 2, not
+/// 101 from a panic on the failed write.
+#[test]
+fn errors_keep_status_two_when_stderr_is_closed() {
+    let cases: [&[&str]; 2] = [&["E0 &"], &["--max-runs", "1", "--shards", "1", "C(E0)"]];
+    for args in cases {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let status = Command::new(env!("CARGO_BIN_EXE_eba-check"))
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(writer)
+            .status()
+            .expect("binary runs");
+        assert_eq!(status.code(), Some(2), "{args:?}");
+    }
 }

@@ -78,4 +78,4 @@ pub use optimality::{check_optimality, ConditionCheck, OptimalityReport};
 pub use properties::{
     decision_profile, strict_validity_violations, verify_properties, PropertyReport,
 };
-pub use session::{EngineSession, OpenError, Partial, SessionScope, Verdict};
+pub use session::{EngineSession, OpenError, Partial, Verdict};

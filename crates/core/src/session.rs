@@ -14,9 +14,8 @@
 //!
 //! * **model** — [`eba_model::Scenario::extend_horizon`] produces the
 //!   delta spec and the pattern translation rules;
-//! * **sim** — [`SystemBuilder::extend`] (or
-//!   [`SystemBuilder::extend_pinned`] for sampled/partial bases) reuses
-//!   every surviving base view row and simulates only appended rounds;
+//! * **sim** — [`SystemBuilder::extend`] reuses every surviving base
+//!   view row and simulates only appended rounds;
 //! * **kripke** — [`KnowledgeCache::advance_epoch`] invalidates the
 //!   point-indexed knowledge artifacts (reachability bitsets, scope
 //!   columns), which are sized to the old point set and must never hit
@@ -28,10 +27,13 @@
 //!   re-run at each horizon.
 //!
 //! Incremental growth is **equivalence-checked against cold builds**: the
-//! full-space path re-enumerates the extended pattern space in canonical
-//! order, so run ids, run order, and every decision/optimality artifact
-//! are bit-identical to generating the extended scenario from scratch
+//! extension re-enumerates the extended pattern space in canonical order,
+//! so run ids, run order, and every decision/optimality artifact are
+//! bit-identical to generating the extended scenario from scratch
 //! (`tests/incremental_equivalence.rs` enforces this differentially).
+//! Only a session over an exhaustive system extends: a sampled or
+//! budget-partial session answers queries at its own horizon and is
+//! rebuilt for another one.
 //!
 //! # Example
 //!
@@ -58,22 +60,6 @@ use eba_sim::chaos::EngineFault;
 use eba_sim::{BuildOutcome, ExtendReport, GeneratedSystem, RunId, SystemBuilder};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// How a session's system tracks its scenario's run space across
-/// extensions.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SessionScope {
-    /// The system is the **exhaustive** system of its scenario and stays
-    /// exhaustive: extension re-enumerates the grown pattern space
-    /// ([`SystemBuilder::extend`]), adding fresh runs for patterns that
-    /// only exist at the larger horizon.
-    FullSpace,
-    /// The system is a fixed set of runs (sampled, budget-partial, or
-    /// hand-picked) and extension pads exactly those runs to the larger
-    /// horizon ([`SystemBuilder::extend_pinned`]); the run count never
-    /// changes.
-    PinnedRuns,
-}
 
 /// How far a budget-stopped build got.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -122,7 +108,9 @@ impl Verdict {
 pub struct EngineSession {
     system: GeneratedSystem,
     cache: KnowledgeCache,
-    scope: SessionScope,
+    /// Whether the system is the exhaustive system of its scenario; only
+    /// then does [`extend_to`](EngineSession::extend_to) grow it.
+    exhaustive: bool,
     extensions: Vec<ExtendReport>,
     threads: Option<usize>,
     partial: Option<Partial>,
@@ -131,11 +119,11 @@ pub struct EngineSession {
 impl EngineSession {
     /// Opens a session on the system `config` selects: the sampled one, or
     /// the exhaustive one built under the config's budget, threads, shards
-    /// and chaos injector. A budget-stopped build yields a
-    /// [`SessionScope::PinnedRuns`] session over the completed shard
-    /// prefix (see [`partial`](EngineSession::partial)). Extensions then
-    /// run on the config's threads; evaluation and construction run on
-    /// the calling thread.
+    /// and chaos injector. A budget-stopped build yields a session over
+    /// the completed shard prefix (see [`partial`](EngineSession::partial)).
+    /// Sampled and budget-partial sessions do not extend; an exhaustive
+    /// one extends on the config's threads. Evaluation and construction
+    /// run on the calling thread.
     ///
     /// # Errors
     ///
@@ -144,8 +132,7 @@ impl EngineSession {
     pub fn open(config: &EngineConfig) -> Result<Self, OpenError> {
         let spec = config.spec();
         let mut session = if let Some((runs, seed)) = spec.sampled {
-            let system = GeneratedSystem::sampled(config.scenario(), runs, seed);
-            Self::from_system(system, SessionScope::PinnedRuns)
+            Self::from_system(GeneratedSystem::sampled(config.scenario(), runs, seed))
         } else {
             let mut builder = SystemBuilder::new(config.scenario())
                 .symmetry(spec.symmetry)
@@ -160,9 +147,7 @@ impl EngineSession {
                 builder = builder.chaos(Arc::clone(chaos));
             }
             match builder.build_governed().map_err(OpenError::Fault)? {
-                BuildOutcome::Complete { system, .. } => {
-                    Self::from_system(system, SessionScope::FullSpace)
-                }
+                BuildOutcome::Complete { system, .. } => Self::from_system(system),
                 BuildOutcome::Partial {
                     system,
                     completed_shards,
@@ -180,17 +165,17 @@ impl EngineSession {
                     };
                     EngineSession {
                         partial: Some(partial),
-                        ..Self::from_system(system, SessionScope::PinnedRuns)
+                        ..Self::from_system(system)
                     }
                 }
             }
         };
         session.threads = config.threads;
+        session.exhaustive = spec.sampled.is_none() && session.partial.is_none();
         Ok(session)
     }
 
-    /// Opens a [`SessionScope::FullSpace`] session on the exhaustive
-    /// system of `scenario`.
+    /// Opens a session on the exhaustive system of `scenario`.
     ///
     /// # Errors
     ///
@@ -198,20 +183,18 @@ impl EngineSession {
     /// overflows the run or view id space.
     pub fn exhaustive(scenario: &Scenario) -> Result<Self, ModelError> {
         let system = SystemBuilder::new(scenario).build()?;
-        Ok(Self::from_system(system, SessionScope::FullSpace))
+        Ok(Self::from_system(system))
     }
 
-    /// Opens a session on an existing system. `scope` must reflect how
-    /// the system was built: [`SessionScope::FullSpace`] only for
-    /// exhaustive systems (the extension path re-enumerates the full
-    /// pattern space and cross-checks run counts), and
-    /// [`SessionScope::PinnedRuns`] for anything else.
+    /// Opens a session on an existing **exhaustive** system (a complete
+    /// [`SystemBuilder`] build, quotiented or not): extension
+    /// re-enumerates the full pattern space of the larger horizon.
     #[must_use]
-    pub fn from_system(system: GeneratedSystem, scope: SessionScope) -> Self {
+    pub fn from_system(system: GeneratedSystem) -> Self {
         EngineSession {
             system,
             cache: KnowledgeCache::new(),
-            scope,
+            exhaustive: true,
             extensions: Vec::new(),
             threads: None,
             partial: None,
@@ -225,14 +208,15 @@ impl EngineSession {
         EngineSession {
             threads: self.threads,
             partial: self.partial,
-            ..Self::from_system(self.system.clone(), self.scope)
+            exhaustive: self.exhaustive,
+            ..Self::from_system(self.system.clone())
         }
     }
 
     /// Grows the session's system to `horizon`, reusing base view rows
-    /// per the session's [`SessionScope`], and advances the knowledge
-    /// cache's epoch so no stale point-indexed artifact survives. Returns
-    /// the reuse accounting of this step.
+    /// ([`SystemBuilder::extend`]), and advances the knowledge cache's
+    /// epoch so no stale point-indexed artifact survives. Returns the
+    /// reuse accounting of this step.
     ///
     /// Extension is gated on the scenario's exchange
     /// ([`eba_model::ExchangeKind::supports_session_extension`]):
@@ -242,19 +226,25 @@ impl EngineSession {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidScenario`] unless `horizon` strictly
-    /// exceeds the current one, and [`ModelError::CapacityExceeded`] on
-    /// id-space overflow of the extended system.
+    /// Returns [`ModelError::InvalidScenario`] for a sampled or
+    /// budget-partial session (before touching anything, so the epoch is
+    /// unchanged) and unless `horizon` strictly exceeds the current one,
+    /// and [`ModelError::CapacityExceeded`] on id-space overflow of the
+    /// extended system.
     pub fn extend_to(&mut self, horizon: u16) -> Result<ExtendReport, ModelError> {
+        if !self.exhaustive {
+            return Err(ModelError::InvalidScenario {
+                reason: "only an exhaustive session extends; rebuild a sampled or \
+                         budget-partial session at the target horizon"
+                    .into(),
+            });
+        }
         let target = self.system.scenario().with_horizon(horizon)?;
         let mut builder = SystemBuilder::new(&target);
         if let Some(threads) = self.threads {
             builder = builder.threads(threads);
         }
-        let (system, report) = match self.scope {
-            SessionScope::FullSpace => builder.extend(&self.system)?,
-            SessionScope::PinnedRuns => builder.extend_pinned(&self.system)?,
-        };
+        let (system, report) = builder.extend(&self.system)?;
         self.system = system;
         self.cache.advance_epoch();
         self.extensions.push(report);
@@ -277,12 +267,6 @@ impl EngineSession {
     #[must_use]
     pub fn horizon(&self) -> Time {
         self.system.horizon()
-    }
-
-    /// The session's scope.
-    #[must_use]
-    pub fn scope(&self) -> SessionScope {
-        self.scope
     }
 
     /// How far a budget-stopped build got; `None` for a complete system.
@@ -460,14 +444,30 @@ mod tests {
     }
 
     #[test]
-    fn pinned_sessions_keep_their_run_set() {
-        let base = GeneratedSystem::sampled(&scenario(), 20, 7);
-        let runs = base.num_runs();
-        let mut session = EngineSession::from_system(base, SessionScope::PinnedRuns);
-        let report = session.extend_to(4).unwrap();
-        assert_eq!(session.system().num_runs(), runs);
-        assert_eq!(report.fresh_runs, 0);
-        assert_eq!(report.reused_runs, runs);
-        assert_eq!(session.horizon(), Time::new(4));
+    fn sampled_and_partial_sessions_do_not_extend() {
+        use crate::EngineOptions;
+        use eba_model::RunBudget;
+        let sampled = EngineConfig::new(EngineOptions {
+            sampled: Some((20, 7)),
+            ..EngineOptions::default()
+        })
+        .unwrap();
+        let mut budgeted = EngineConfig::new(EngineOptions {
+            budget: RunBudget::unlimited().with_max_runs(100),
+            ..EngineOptions::default()
+        })
+        .unwrap();
+        budgeted.threads = Some(1);
+        budgeted.shards = Some(4);
+        for config in [sampled, budgeted] {
+            let mut session = EngineSession::open(&config).unwrap();
+            let (runs, horizon) = (session.system().num_runs(), session.horizon());
+            let err = session.extend_to(horizon.ticks() + 1).unwrap_err();
+            assert!(matches!(err, ModelError::InvalidScenario { .. }), "{err}");
+            assert_eq!(session.epoch(), 0, "failed extensions must not advance");
+            assert_eq!(session.system().num_runs(), runs);
+            assert_eq!(session.horizon(), horizon);
+            assert!(session.fork().extend_to(horizon.ticks() + 1).is_err());
+        }
     }
 }

@@ -160,9 +160,6 @@ pub fn run_exhaustive_supervised<P: Protocol + Sync>(
     chaos: &Arc<dyn FaultInjector>,
 ) -> Result<CampaignReport, EngineFault> {
     let workers = threads.max(1);
-    if workers == 1 {
-        return Ok(run_exhaustive(protocol, scenario));
-    }
     let space = ScenarioSpace::new(*scenario);
     let shards = space.shards(workers * 4);
     let configs: Vec<InitialConfig> = InitialConfig::enumerate_all(scenario.n()).collect();
@@ -287,6 +284,23 @@ mod tests {
         assert_eq!(report.stats.histogram(), baseline.stats.histogram());
         assert_eq!(report.messages_delivered, baseline.messages_delivered);
         assert_eq!(report.non_simultaneous, baseline.non_simultaneous);
+    }
+
+    #[test]
+    fn single_worker_campaign_shard_runs_supervised() {
+        use eba_sim::chaos::{ChaosPlan, FaultKind};
+        let scenario = Scenario::new(3, 1, FailureMode::Omission, 2).unwrap();
+        let baseline = run_exhaustive(&Relay::p0(1), &scenario);
+        let plan =
+            Arc::new(ChaosPlan::new().with_fault(FaultSite::CampaignShard, 0, FaultKind::Panic));
+        let chaos: Arc<dyn FaultInjector> = Arc::clone(&plan) as _;
+        let report = run_exhaustive_supervised(&Relay::p0(1), &scenario, 1, &chaos).unwrap();
+        assert_eq!(plan.fired(), 1, "one worker must consult the injector");
+        // The rendering covers runs, decision statistics and violations.
+        assert_eq!(report.to_string(), baseline.to_string());
+        assert_eq!(report.stats.histogram(), baseline.stats.histogram());
+        assert_eq!(report.non_simultaneous, baseline.non_simultaneous);
+        assert_eq!(report.messages_delivered, baseline.messages_delivered);
     }
 
     #[test]

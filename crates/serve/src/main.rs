@@ -1,6 +1,7 @@
 //! The `eba-serve` binary: bind, serve, drain on SIGINT, flush stats.
 
 use eba_serve::{install_sigint, render_stats_line, RetryPolicy, ServeConfig, Server};
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -34,6 +35,14 @@ PROTOCOL (one JSON object per line; see README for the full grammar):
 SIGINT drains gracefully: stop accepting, finish or interrupt in-flight
 queries at their next cooperative budget checkpoint, flush a stats line.
 ";
+
+/// `eprintln!` that ignores a failed write, so a closed stderr never
+/// turns the run's exit status into a panic's (101).
+macro_rules! errln {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(io::stderr(), $($arg)*);
+    }};
+}
 
 fn parse_config(args: &[String]) -> Result<ServeConfig, String> {
     let mut config = ServeConfig {
@@ -107,21 +116,21 @@ fn main() -> ExitCode {
             return ExitCode::SUCCESS;
         }
         Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("run `eba-serve --help` for usage");
+            errln!("error: {message}");
+            errln!("run `eba-serve --help` for usage");
             return ExitCode::from(2);
         }
     };
     let server = match Server::bind(config) {
         Ok(server) => server,
         Err(e) => {
-            eprintln!("error: bind failed: {e}");
+            errln!("error: bind failed: {e}");
             return ExitCode::from(1);
         }
     };
     match server.local_addr() {
-        Ok(addr) => eprintln!("eba-serve listening on {addr}"),
-        Err(_) => eprintln!("eba-serve listening"),
+        Ok(addr) => errln!("eba-serve listening on {addr}"),
+        Err(_) => errln!("eba-serve listening"),
     }
 
     // Bridge SIGINT to the server's drain flag: the handler sets the
@@ -137,6 +146,6 @@ fn main() -> ExitCode {
     });
 
     let snapshot = server.run();
-    eprintln!("{}", render_stats_line(&snapshot));
+    errln!("{}", render_stats_line(&snapshot));
     ExitCode::SUCCESS
 }

@@ -246,7 +246,6 @@ fn render_stats(pool: &SessionPool) -> Json {
     let scheduler = Json::obj([
         ("pools", Json::Int(sched.pools as i64)),
         ("items", Json::Int(sched.items as i64)),
-        ("steals", Json::Int(sched.steals as i64)),
         ("last_workers", Json::Int(sched.last_workers as i64)),
         ("last_items_max", Json::Int(sched.last_items_max as i64)),
         ("last_items_min", Json::Int(sched.last_items_min as i64)),

@@ -1,0 +1,18 @@
+//! End-to-end tests of the `eba-serve` binary's exit status.
+
+use std::process::{Command, Stdio};
+
+/// A closed stderr does not change the exit status: an unknown option
+/// still exits 2, not 101 from a panic on the failed write.
+#[test]
+fn usage_error_keeps_status_two_when_stderr_is_closed() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let status = Command::new(env!("CARGO_BIN_EXE_eba-serve"))
+        .arg("--bogus")
+        .stdout(Stdio::null())
+        .stderr(writer)
+        .status()
+        .expect("binary runs");
+    assert_eq!(status.code(), Some(2));
+}

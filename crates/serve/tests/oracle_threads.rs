@@ -1,6 +1,6 @@
 //! `eba_serve::oracle` answers on one worker thread: its query context
 //! pins `threads: Some(1)`, which must reach the pooled build, the
-//! evaluator and the constructor, so no query starts a work-stealing
+//! evaluator and the constructor, so no query starts a parallel worker
 //! pool. A test binary of its own, because `eba_sim::scheduler_stats()`
 //! counts the pools of the whole process.
 

@@ -32,7 +32,7 @@ use rand::{Rng, SeedableRng};
 use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -325,16 +325,16 @@ where
 
 /// The supervised worker pool behind every parallel stage of the engine.
 ///
-/// Computes `job(0..count)` on up to `workers` threads under a
-/// work-stealing scheduler ([`crate::sched`]): the item index space is
-/// chunked onto a shared injector, each worker drains its own deque from
-/// the front, and idle workers steal half of a victim's deque from the
-/// back. Which thread runs an item is therefore *not* part of the
-/// contract — the contract is **item-indexed determinism under any
-/// schedule**: items must be pure functions of their index (every stage
-/// in this workspace satisfies that), results are scattered into
-/// index-keyed slots, and fault injection keys on the item index, so any
-/// schedule produces output identical to the sequential one.
+/// Computes `job(0..count)` on up to `workers` threads. Each worker
+/// claims the next unclaimed index from one shared counter until the
+/// counter passes `count`, so a free worker always takes the next item
+/// and one slow item never holds back the others. Which thread runs an
+/// item is therefore *not* part of the contract — the contract is
+/// **item-indexed determinism under any schedule**: items must be pure
+/// functions of their index (every stage in this workspace satisfies
+/// that), results are scattered into index-keyed slots, and fault
+/// injection keys on the item index, so any schedule produces output
+/// identical to the sequential one.
 ///
 /// Each item runs under `catch_unwind`; a panicked item is retried once
 /// on a fresh thread, then falls back to sequential execution on the
@@ -359,9 +359,9 @@ where
 /// let job = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9).rotate_left(7);
 /// let (sequential, _) =
 ///     supervised_indexed(64, 1, FaultSite::CampaignShard, job).unwrap();
-/// let (stolen, _) =
+/// let (parallel, _) =
 ///     supervised_indexed(64, 4, FaultSite::CampaignShard, job).unwrap();
-/// assert_eq!(sequential, stolen);
+/// assert_eq!(sequential, parallel);
 /// ```
 ///
 /// # Errors
@@ -389,16 +389,22 @@ where
         }
         return settle(slots, site, &job);
     }
-    let queues = sched::WorkQueues::new(count, workers);
+    // The next unclaimed item. `Relaxed` suffices: the counter publishes
+    // no data, and each worker hands its results back through `join`.
+    let next = AtomicUsize::new(0);
     thread::scope(|scope| {
         let job = &job;
-        let queues = &queues;
+        let next = &next;
         let handles: Vec<_> = (0..workers)
-            .map(|worker| {
+            .map(|_| {
                 scope.spawn(move || {
                     let started = Instant::now();
                     let mut items = Vec::new();
-                    while let Some(index) = queues.next(worker) {
+                    loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        if index >= count {
+                            break;
+                        }
                         let outcome = catch_unwind(AssertUnwindSafe(|| job(index)))
                             .map_err(|payload| panic_message(payload.as_ref()));
                         items.push((index, outcome));
@@ -422,7 +428,7 @@ where
                 }
             }
         }
-        sched::record_run(&per_worker, &spans, queues.steals());
+        sched::record_run(&per_worker, &spans);
     });
     settle(slots, site, &job)
 }
@@ -489,7 +495,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn no_chaos_injects_nothing() {
@@ -632,5 +637,30 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// Concurrent workers run every item exactly once, whatever the
+    /// interleaving: the shared counter neither duplicates nor loses an
+    /// index.
+    #[test]
+    fn concurrent_workers_run_every_item_exactly_once() {
+        const ITEMS: usize = 101;
+        for workers in [2, 3, 8] {
+            let runs: Vec<AtomicUsize> = (0..ITEMS).map(|_| AtomicUsize::new(0)).collect();
+            let (out, faults) = supervised_indexed(ITEMS, workers, FaultSite::CampaignShard, |i| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+                i
+            })
+            .unwrap();
+            assert!(faults.is_empty(), "workers={workers}");
+            assert_eq!(out, (0..ITEMS).collect::<Vec<_>>(), "workers={workers}");
+            for (i, count) in runs.iter().enumerate() {
+                assert_eq!(
+                    count.load(Ordering::Relaxed),
+                    1,
+                    "workers={workers}: item {i}"
+                );
+            }
+        }
     }
 }

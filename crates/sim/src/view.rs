@@ -106,7 +106,7 @@ pub enum ViewNode<'a> {
     /// The bounded local state of a digest exchange (see
     /// [`crate::DigestExchange`]). Unlike [`ViewNode::Node`] it holds its
     /// full content by value and references no other table entries, so
-    /// [`ViewTable::absorb`] copies it without remapping.
+    /// the builder's merge copies it without remapping.
     Digest(&'a DigestState),
 }
 
@@ -347,25 +347,18 @@ impl ViewTable {
         })
     }
 
-    /// Re-interns every view of `other` into `self`, in `other`'s id
-    /// order, and returns the translation table: entry `i` is the id in
-    /// `self` of `other`'s view `i`.
+    /// Re-interns the views of `other` from id `shared` on into `self`,
+    /// in `other`'s id order, and returns their translation: entry `i` is
+    /// the id in `self` of `other`'s view `shared + i`. The first `shared`
+    /// views must be common to both tables, id for id (both grew from
+    /// clones of one table of that length; `shared = 0` for two unrelated
+    /// tables), so that prefix maps to itself.
     ///
     /// Because a table's nodes only ever reference smaller ids, a single
-    /// in-order pass suffices. This is the merge step of the parallel
-    /// system builder: absorbing shard-local tables in shard order visits
-    /// first encounters in exactly the sequential enumeration order, so
-    /// the combined table is bit-identical to a sequential build.
-    pub fn absorb(&mut self, other: &ViewTable) -> Result<Vec<ViewId>, ModelError> {
-        self.absorb_suffix(other, 0)
-    }
-
-    /// [`ViewTable::absorb`] for a table that shares its first `shared`
-    /// views with `self`, id for id (both grew from clones of one table of
-    /// that length): the shared prefix maps to itself, so only `other`'s
-    /// views from id `shared` on are re-interned. Returns their
-    /// translation: entry `i` is the id in `self` of `other`'s view
-    /// `shared + i`.
+    /// in-order pass suffices. This is the merge step of the system
+    /// builder: absorbing block tables in block order visits first
+    /// encounters in exactly the sequential enumeration order, so the
+    /// combined table is bit-identical to a sequential build.
     pub(crate) fn absorb_suffix(
         &mut self,
         other: &ViewTable,
@@ -924,7 +917,7 @@ mod tests {
     #[test]
     fn absorb_reinterns_with_stable_semantics() {
         // Build the same two runs in one table sequentially and in two
-        // tables merged by absorb; ids must coincide.
+        // tables merged by absorb_suffix; ids must coincide.
         let config_a = InitialConfig::from_bits(3, 0b011);
         let config_b = InitialConfig::from_bits(3, 0b101);
         let pattern = FailurePattern::failure_free(3);
@@ -939,8 +932,8 @@ mod tests {
         let shard_b = fip_views(&config_b, &pattern, Time::new(2), &mut right);
 
         let mut merged = ViewTable::new();
-        let remap_left = merged.absorb(&left).unwrap();
-        let remap_right = merged.absorb(&right).unwrap();
+        let remap_left = merged.absorb_suffix(&left, 0).unwrap();
+        let remap_right = merged.absorb_suffix(&right, 0).unwrap();
         assert_eq!(merged.len(), sequential.len());
         for time in 0..=2 {
             for q in 0..3 {
@@ -1162,7 +1155,7 @@ mod tests {
             let mut full = base.clone();
             let mut suffix = base.clone();
             for block in &blocks {
-                let whole = full.absorb(block).unwrap();
+                let whole = full.absorb_suffix(block, 0).unwrap();
                 let tail = suffix.absorb_suffix(block, base.len()).unwrap();
                 assert!(whole[..base.len()].iter().copied().eq(base.ids()));
                 assert_eq!(whole[base.len()..], tail[..]);

@@ -25,7 +25,7 @@ pub use eba_sim as sim;
 pub mod prelude {
     pub use eba_core::{
         check_optimality, dominates, lift_protocol, verify_properties, Constructor, DecisionPair,
-        EngineSession, FipDecisions, SessionScope,
+        EngineSession, FipDecisions,
     };
     pub use eba_kripke::{Evaluator, Formula, KnowledgeCache, NonRigidSet, StateSets};
     pub use eba_model::{BudgetHit, RunBudget};

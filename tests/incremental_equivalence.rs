@@ -3,10 +3,10 @@
 //! identical** to cold-building each horizon from scratch — same runs in
 //! the same order, same view structure, same decisions, same optimality
 //! verdicts, same fixed-point iteration counts — with the cold path
-//! serving as the independent oracle. Sessions opened on chaos-disturbed,
-//! budget-partial, and sampled bases are covered too.
+//! serving as the independent oracle. Sessions opened on chaos-disturbed
+//! bases are covered too. (Sampled and budget-partial sessions do not
+//! extend; `eba_core`'s session tests pin their typed refusal.)
 
-use eba::model::ScenarioSpace;
 use eba::prelude::*;
 use eba::sim::chaos::{ChaosPlan, FaultInjector, FaultKind, FaultSite};
 use eba_core::protocols::{f_lambda_2, zero_chain_pair};
@@ -149,66 +149,10 @@ fn chaos_disturbed_base_extends_identically() {
         .build_governed()
         .unwrap();
     assert!(outcome.is_complete());
-    let mut session =
-        EngineSession::from_system(outcome.into_system(), eba::core::SessionScope::FullSpace);
+    let mut session = EngineSession::from_system(outcome.into_system());
     session.extend_to(3).unwrap();
     let cold = GeneratedSystem::exhaustive(&scenario.with_horizon(3).unwrap());
     assert_systems_equivalent(session.system(), &cold);
-}
-
-#[test]
-fn budget_partial_base_extends_as_pinned_prefix() {
-    let scenario = Scenario::new(3, 2, FailureMode::Crash, 2).unwrap();
-    // A budget of exactly two (of four) shards: the governed build keeps
-    // the longest contiguous prefix of completed shards, so the partial
-    // base is non-empty and deterministic.
-    let space = ScenarioSpace::new(scenario);
-    let shards = space.shards(4);
-    let two_shards = (shards[0].len() + shards[1].len()) * space.num_configs();
-    let outcome = SystemBuilder::new(&scenario)
-        .threads(2)
-        .shards(4)
-        .budget(RunBudget::unlimited().with_max_runs(two_shards as u64))
-        .build_governed()
-        .unwrap();
-    assert!(outcome.budget_hit().is_some(), "budget must bind");
-    let base = outcome.into_system();
-    assert!(base.num_runs() > 0);
-
-    let delta = scenario.extend_horizon(3).unwrap();
-    let specs: Vec<_> = base
-        .run_ids()
-        .map(|r| {
-            let record = base.run(r);
-            (record.config.clone(), delta.pad_pattern(&record.pattern))
-        })
-        .collect();
-
-    let mut session = EngineSession::from_system(base, eba::core::SessionScope::PinnedRuns);
-    let report = session.extend_to(3).unwrap();
-    assert_eq!(report.fresh_runs, 0, "pinned extension only reuses");
-
-    let oracle = GeneratedSystem::from_runs(&scenario.with_horizon(3).unwrap(), specs);
-    assert_systems_equivalent(session.system(), &oracle);
-}
-
-#[test]
-fn sampled_base_extends_as_pinned_runs() {
-    let scenario = Scenario::new(4, 2, FailureMode::Omission, 2).unwrap();
-    let base = GeneratedSystem::sampled(&scenario, 30, 0xEBA);
-    let delta = scenario.extend_horizon(4).unwrap();
-    let specs: Vec<_> = base
-        .run_ids()
-        .map(|r| {
-            let record = base.run(r);
-            (record.config.clone(), delta.pad_pattern(&record.pattern))
-        })
-        .collect();
-
-    let mut session = EngineSession::from_system(base, eba::core::SessionScope::PinnedRuns);
-    session.extend_to(4).unwrap();
-    let oracle = GeneratedSystem::from_runs(&scenario.with_horizon(4).unwrap(), specs);
-    assert_systems_equivalent(session.system(), &oracle);
 }
 
 #[test]
@@ -253,7 +197,7 @@ fn stale_knowledge_artifacts_never_survive_an_extension() {
 fn find_run_is_loadbearing_and_consistent_after_extension() {
     let scenario = Scenario::new(3, 1, FailureMode::Crash, 2).unwrap();
     let base = GeneratedSystem::exhaustive(&scenario);
-    let mut session = EngineSession::from_system(base.clone(), eba::core::SessionScope::FullSpace);
+    let mut session = EngineSession::from_system(base.clone());
     let report = session.extend_to(3).unwrap();
     let extended = session.system();
 

@@ -1,14 +1,15 @@
-//! Differential proof of schedule-independence for the work-stealing
-//! engine (DESIGN.md §4j): every supervised stage must produce output
+//! Differential proof of schedule-independence for the supervised worker
+//! pool (DESIGN.md §4j): every supervised stage must produce output
 //! **bit-identical** to its sequential execution at any worker count —
-//! the deque scheduler may move items between threads freely, but items
-//! are pure functions of their index and faults key on the item index,
-//! so nothing observable may depend on who ran what.
+//! whichever worker is free claims the next item, but items are pure
+//! functions of their index and faults key on the item index, so nothing
+//! observable may depend on who ran what.
 //!
-//! Covers the cold exhaustive build, the horizon-sweep `extend` /
-//! `extend_pinned` paths, seeded chaos campaigns (absorbed-fault sets
-//! included), budget-partial prefixes, and a straggler workload where a
-//! static round-robin split would serialize behind one slow item.
+//! Covers the cold exhaustive build, the horizon-sweep `extend` path
+//! (undisturbed and under injected faults), seeded chaos campaigns
+//! (absorbed-fault sets included), budget-partial prefixes, and a
+//! straggler workload where a static round-robin split would serialize
+//! behind one slow item.
 
 use eba_model::{FailureMode, ProcessorId, RunBudget, Scenario, ScenarioSpace, Time};
 use eba_protocols::runner::{run_exhaustive_supervised, CampaignReport};
@@ -50,7 +51,8 @@ fn assert_identical(a: &GeneratedSystem, b: &GeneratedSystem, what: &str) {
 
 /// The straggler regression: one item takes ~50ms while 63 others are
 /// instant. A static round-robin split pins a quarter of the items
-/// behind the straggler's thread; work stealing drains them elsewhere.
+/// behind the straggler's thread; the shared next-index counter hands
+/// them to whichever worker is free.
 /// Results must be bit-identical to sequential at every worker count,
 /// and on a multi-core host the parallel wall time must beat the serial
 /// sum of sleeps.
@@ -160,36 +162,48 @@ fn horizon_sweep_extend_is_identical_at_every_worker_count() {
     assert_eq!(swept.table().len(), cold.table().len());
 }
 
-/// `extend_pinned` over a sampled base is id-exact across worker
-/// counts: base-run blocks merge in block order with the same absorb
-/// argument as `extend`.
+/// Injected panics and a delay in the extension blocks leave the
+/// extended system id-exact to an undisturbed extension at every worker
+/// count: an extension block is a pure function of its index, so the
+/// supervisor's retry rebuilds it exactly.
 #[test]
-fn pinned_extension_is_identical_at_every_worker_count() {
-    let base_scenario = Scenario::new(4, 2, FailureMode::Crash, 1).unwrap();
-    let base = GeneratedSystem::sampled(&base_scenario, 60, 0xEBA);
-    let target = Scenario::new(4, 2, FailureMode::Crash, 3).unwrap();
-
-    let mut baseline = None;
+fn chaos_disturbed_extensions_are_identical_at_every_worker_count() {
+    let base = SystemBuilder::new(&Scenario::new(3, 1, FailureMode::Omission, 2).unwrap())
+        .threads(1)
+        .build()
+        .unwrap();
+    let target = Scenario::new(3, 1, FailureMode::Omission, 3).unwrap();
+    let (undisturbed, _) = SystemBuilder::new(&target)
+        .threads(1)
+        .shards(4)
+        .extend(&base)
+        .unwrap();
     for workers in WORKER_COUNTS {
-        let (system, report) = SystemBuilder::new(&target)
+        let plan = Arc::new(
+            ChaosPlan::new()
+                .with_fault(FaultSite::BuilderShard, 0, FaultKind::Panic)
+                .with_fault(FaultSite::BuilderShard, 2, FaultKind::Panic)
+                .with_fault(
+                    FaultSite::BuilderShard,
+                    1,
+                    FaultKind::Delay(Duration::from_millis(5)),
+                ),
+        );
+        let (system, _) = SystemBuilder::new(&target)
             .threads(workers)
-            .extend_pinned(&base)
+            .shards(4)
+            .chaos(Arc::clone(&plan) as Arc<dyn FaultInjector>)
+            .extend(&base)
             .unwrap();
-        assert_eq!(report.fresh_runs, 0, "@{workers}");
-        assert_eq!(system.num_runs(), base.num_runs(), "@{workers}");
-        match &baseline {
-            None => baseline = Some(system),
-            Some(first) => {
-                assert_identical(first, &system, &format!("extend_pinned @{workers}"));
-            }
-        }
+        assert_eq!(plan.fired(), 3, "@{workers}: all planned faults fire");
+        assert_identical(&undisturbed, &system, &format!("chaos extend @{workers}"));
     }
 }
 
 /// A seeded chaos campaign reports byte-identical aggregates at every
 /// worker count: faults key on the item index, so the same shards are
-/// disturbed no matter which thread picks them up (workers = 1 runs the
-/// undisturbed sequential path, which the recovered reports must match).
+/// disturbed no matter which thread picks them up (workers = 1 runs them
+/// sequentially under the same supervision).
 #[test]
 fn seeded_chaos_campaign_reports_are_identical_at_every_worker_count() {
     let scenario = Scenario::new(3, 1, FailureMode::Omission, 2).unwrap();
@@ -273,7 +287,7 @@ fn chaos_disturbed_builds_agree_on_faults_and_system_at_every_worker_count() {
 
 /// A run-bound budget stops at the same statically planned shard prefix
 /// at every worker count, and the partial systems are id-exact: the
-/// bound is planned before any work happens, so timing and stealing
+/// bound is planned before any work happens, so timing and scheduling
 /// cannot move it.
 #[test]
 fn budget_partial_prefix_is_identical_at_every_worker_count() {

@@ -300,7 +300,7 @@ fn incremental_extension_preserves_the_quotient() {
         .symmetry(true)
         .build()
         .unwrap();
-    let mut session = EngineSession::from_system(base, SessionScope::FullSpace);
+    let mut session = EngineSession::from_system(base);
     for h in [3u16, 4] {
         session.extend_to(h).unwrap();
         let target = scenario.with_horizon(h).unwrap();
