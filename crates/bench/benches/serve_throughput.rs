@@ -33,7 +33,7 @@ const WORKLOAD: &[&str] = &[
     r#"{"op":"check","formula":"C(E0) -> CC(E0)"}"#,
     r#"{"op":"check","formula":"B_1(E0) -> (N(1) -> E0)","mode":"omission","horizon":2}"#,
     r#"{"op":"check","formula":"K_1(E0) -> E0","mode":"general-omission","horizon":2}"#,
-    r#"{"op":"check","formula":"true","mode":"omission","horizon":2,"shards":64,"max_runs":50}"#,
+    r#"{"op":"check","formula":"true","mode":"omission","horizon":2,"max_runs":50}"#,
     r#"{"op":"check","formula":"CC(E0)","sampled":[20,7]}"#,
     r#"{"op":"ping"}"#,
 ];

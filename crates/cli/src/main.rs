@@ -61,13 +61,14 @@ OPTIONS:
                      resolved count on a `threads:` preamble line; an
                      explicit N never prints it, so output stays
                      byte-identical across explicit thread counts
-    --shards K       split exhaustive generation into K shards (default:
-                     4 per thread; the result is identical for any K)
     --deadline SECS  wall-clock budget for exhaustive generation; on
                      exhaustion the verdict covers only the completed
-                     prefix of shards and a PARTIAL banner is printed
-    --max-runs N     cap on generated runs, honored at shard granularity;
-                     exceeding it also yields a PARTIAL prefix verdict
+                     prefix of failure patterns and a PARTIAL banner is
+                     printed
+    --max-runs N     cap on generated runs, honored per failure pattern:
+                     the system keeps the first floor(N / 2^n) patterns,
+                     the same prefix at every --threads; exceeding it
+                     also yields a PARTIAL prefix verdict
     --horizon-sweep A..B
                      check FORMULA at every horizon A..=B out of ONE
                      incremental engine session: the exhaustive system is
@@ -124,7 +125,7 @@ timeline printed), 1 if not valid, 2 on usage errors, 141 if stdout
 closes early (e.g. piped into `head`; 128 + SIGPIPE, as a shell reports
 for a C filter): the run then ends at once, printing nothing more.
 
-Ctrl-C is cooperative: an exhaustive build stops at the next shard
+Ctrl-C is cooperative: an exhaustive build stops at its next pattern
 checkpoint and the verdict covers the completed prefix (the same PARTIAL
 banner as --deadline); a --horizon-sweep stops before its next horizon.
 ";
@@ -166,7 +167,6 @@ struct Options {
     threads: Option<usize>,
     /// Whether `--threads auto` was given (prints the resolved count).
     threads_auto: bool,
-    shards: Option<usize>,
     witness: bool,
     cache_stats: bool,
     quiet: bool,
@@ -245,13 +245,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     options.threads = Some(threads);
                     options.threads_auto = false;
                 }
-            }
-            "--shards" => {
-                let shards: usize = take("--shards")?.parse().map_err(|_| "bad --shards")?;
-                if shards == 0 {
-                    return Err("--shards must be at least 1".to_owned());
-                }
-                options.shards = Some(shards);
             }
             "--deadline" => {
                 let secs: f64 = take("--deadline")?.parse().map_err(|_| "bad --deadline")?;
@@ -420,7 +413,7 @@ fn config_message(error: ConfigError) -> String {
 
 /// The rules only the CLI has: a timeline pins one complete, unreduced
 /// run at one horizon; a sweep sets its own horizons and is never
-/// budgeted; shards split exhaustive generation.
+/// budgeted.
 fn check_cli_rules(options: &Options) -> Result<(), &'static str> {
     let sampled = options.engine.sampled.is_some();
     let budgeted = options.engine.budget.is_bounded();
@@ -444,9 +437,6 @@ fn check_cli_rules(options: &Options) -> Result<(), &'static str> {
     }
     if sweep && budgeted {
         return Err("--deadline/--max-runs govern single builds; drop them for --horizon-sweep");
-    }
-    if options.shards.is_some() && sampled {
-        return Err("--shards applies to exhaustive generation; drop --sampled");
     }
     Ok(())
 }
@@ -585,7 +575,7 @@ fn run() -> Result<ExitCode, String> {
         engine.horizon = Some(from);
         engine.sweep = true;
     }
-    // Ctrl-C sets a flag that every exhaustive build polls at its shard
+    // Ctrl-C sets a flag that every exhaustive build polls at its pattern
     // checkpoints; the run then finishes with a PARTIAL prefix verdict
     // instead of being killed mid-write.
     let mut config = EngineConfig::new(engine)
@@ -593,7 +583,6 @@ fn run() -> Result<ExitCode, String> {
         .with_interrupt(install_sigint());
     check_cli_rules(&options)?;
     config.threads = options.threads;
-    config.shards = options.shards;
 
     let formulas: Vec<(String, Formula)> = options
         .formulas
@@ -631,11 +620,15 @@ fn run() -> Result<ExitCode, String> {
     let session = match EngineSession::open(&config) {
         Ok(session) => session,
         Err(OpenError::Exhausted(BudgetHit::Interrupted)) => {
-            return Err("interrupted before any shard completed; no partial verdict".into());
+            return Err(
+                "interrupted before the build covered any failure pattern; no partial verdict"
+                    .into(),
+            );
         }
         Err(OpenError::Exhausted(hit)) => {
             return Err(format!(
-                "budget exhausted before any shard completed ({hit}); raise --deadline/--max-runs"
+                "budget exhausted before the build covered any failure pattern ({hit}); \
+                 raise --deadline/--max-runs"
             ));
         }
         Err(OpenError::Fault(e)) => return Err(e.to_string()),
@@ -648,9 +641,9 @@ fn run() -> Result<ExitCode, String> {
             ));
         }
         outln!(
-            "PARTIAL: {hit}; verdict covers {}/{} shards ({} runs)",
-            partial.completed_shards,
-            partial.total_shards,
+            "PARTIAL: {hit}; verdict covers {}/{} failure patterns ({} runs)",
+            partial.patterns,
+            partial.total_patterns,
             session.system().num_runs(),
         );
     }

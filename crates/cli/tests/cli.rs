@@ -253,12 +253,7 @@ fn multiple_formulas_require_timeline() {
 
 #[test]
 fn zero_knobs_exit_two_with_one_line_diagnostics() {
-    for args in [
-        ["--threads", "0"],
-        ["--shards", "0"],
-        ["--max-runs", "0"],
-        ["--deadline", "0"],
-    ] {
+    for args in [["--threads", "0"], ["--max-runs", "0"], ["--deadline", "0"]] {
         let (_, stderr, code) = run(&[args[0], args[1], "E0"]);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         let diagnostic = stderr.lines().next().unwrap_or_default();
@@ -270,6 +265,16 @@ fn zero_knobs_exit_two_with_one_line_diagnostics() {
     let (_, stderr, code) = run(&["--sampled", "0", "7", "E0"]);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("--sampled needs at least 1 run"));
+}
+
+/// No front end sets how a build is split: `--shards` is gone.
+#[test]
+fn shards_is_an_unknown_option() {
+    for value in ["0", "4"] {
+        let (_, stderr, code) = run(&["--shards", value, "true"]);
+        assert_eq!(code, Some(2), "{stderr}");
+        assert!(stderr.contains("unknown option `--shards`"), "{stderr}");
+    }
 }
 
 #[test]
@@ -288,27 +293,55 @@ fn generous_budget_still_reports_complete_verdict() {
 
 #[test]
 fn exhausted_run_budget_prints_partial_banner() {
-    // 3,1,omission,2 has well over 50 runs; with 64 shards each shard is
-    // small enough that a nonempty prefix fits under the cap, so the
-    // verdict must carry a PARTIAL banner.
+    // 3,1,omission,2 has 49 patterns of 8 runs each; 50 runs hold the
+    // first 6 whole patterns, so the verdict carries a PARTIAL banner.
     let (stdout, _, code) = run(&[
         "--mode",
         "omission",
         "--horizon",
         "2",
-        "--shards",
-        "64",
         "--max-runs",
         "50",
-        "--quiet",
         "true",
     ]);
     assert_eq!(code, Some(0), "{stdout}");
     assert!(
-        stdout.contains("PARTIAL: run budget of 50 exhausted"),
+        stdout.starts_with(
+            "PARTIAL: run budget of 50 exhausted; verdict covers 6/49 failure patterns (48 runs)\n\
+             scenario n=3 t=1 mode=omission T=2: 48 runs, 144 points (exhaustive)\n"
+        ),
         "{stdout}"
     );
-    assert!(stdout.contains("shards ("), "{stdout}");
+}
+
+/// A run-bounded verdict depends on the scenario and the bound alone:
+/// the same bytes and exit code at every thread count.
+#[test]
+fn run_budget_partial_is_identical_at_every_thread_count() {
+    for threads in ["1", "2", "4", "8"] {
+        let (stdout, stderr, code) = run(&[
+            "--threads",
+            threads,
+            "--mode",
+            "omission",
+            "--horizon",
+            "2",
+            "--max-runs",
+            "50",
+            "--quiet",
+            "true",
+        ]);
+        assert_eq!(
+            (stdout.as_str(), stderr.as_str(), code),
+            (
+                "PARTIAL: run budget of 50 exhausted; verdict covers 6/49 failure patterns \
+                 (48 runs)\nVALID (144 points)\n",
+                "",
+                Some(0)
+            ),
+            "--threads {threads}"
+        );
+    }
 }
 
 #[test]
@@ -327,9 +360,8 @@ fn sigint_degrades_to_a_partial_prefix_verdict() {
     use std::time::{Duration, Instant};
 
     // A build of 8,884,288 runs, far longer than the 3 s before the
-    // signal (about 40 s on a 2-core host if it ran to completion), split
-    // into many small shards so a prefix completes quickly and the
-    // interrupt flag is polled often.
+    // signal (about 40 s on a 2-core host if it ran to completion); every
+    // block polls the interrupt flag once per failure pattern.
     let mut child = Command::new(env!("CARGO_BIN_EXE_eba-check"))
         .args([
             "--n",
@@ -340,8 +372,6 @@ fn sigint_degrades_to_a_partial_prefix_verdict() {
             "crash",
             "--horizon",
             "3",
-            "--shards",
-            "256",
             "--quiet",
             "true",
         ])
@@ -357,7 +387,7 @@ fn sigint_degrades_to_a_partial_prefix_verdict() {
         .expect("kill runs");
     assert!(status.success(), "kill -INT failed");
 
-    // Cooperative shutdown: the build must stop at the next shard
+    // Cooperative shutdown: the build must stop at the next pattern
     // checkpoint, not run to completion and not die mid-write (which
     // would lose the exit status).
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -373,9 +403,9 @@ fn sigint_degrades_to_a_partial_prefix_verdict() {
     };
     let stdout = String::from_utf8_lossy(&output.stdout);
     let stderr = String::from_utf8_lossy(&output.stderr);
-    // Either a nonempty shard prefix completed (PARTIAL banner + prefix
-    // verdict) or the signal landed before the first checkpoint (typed
-    // error); both are graceful exits, never a signal death.
+    // Either a block completed before the signal (PARTIAL banner +
+    // prefix verdict) or none did (typed error); both are graceful exits,
+    // never a signal death.
     assert!(
         output.status.code().is_some(),
         "process was killed by a signal instead of exiting: {stderr}"
@@ -416,11 +446,11 @@ fn closed_stdout_ends_the_run_quietly_with_status_141() {
 }
 
 /// A closed stderr does not change the exit status: a parse error and a
-/// budget that stops the build before its first shard still exit 2, not
-/// 101 from a panic on the failed write.
+/// budget too small for one failure pattern still exit 2, not 101 from a
+/// panic on the failed write.
 #[test]
 fn errors_keep_status_two_when_stderr_is_closed() {
-    let cases: [&[&str]; 2] = [&["E0 &"], &["--max-runs", "1", "--shards", "1", "C(E0)"]];
+    let cases: [&[&str]; 2] = [&["E0 &"], &["--max-runs", "1", "C(E0)"]];
     for args in cases {
         let (reader, writer) = std::io::pipe().expect("pipe");
         drop(reader);

@@ -143,8 +143,6 @@ pub struct EngineConfig {
     /// Worker threads for builds and extensions (`None` = all cores);
     /// evaluation always runs on the calling thread.
     pub threads: Option<usize>,
-    /// Shards of an exhaustive build (`None` = four per thread).
-    pub shards: Option<usize>,
     /// Fault injector for exhaustive builds (the self-chaos hook).
     pub chaos: Option<Arc<dyn FaultInjector>>,
 }
@@ -155,7 +153,6 @@ impl fmt::Debug for EngineConfig {
             .field("spec", &self.spec)
             .field("budget", &self.budget)
             .field("threads", &self.threads)
-            .field("shards", &self.shards)
             .finish_non_exhaustive()
     }
 }
@@ -205,7 +202,6 @@ impl EngineConfig {
             scenario,
             budget: options.budget,
             threads: None,
-            shards: None,
             chaos: None,
         })
     }
@@ -337,7 +333,6 @@ mod tests {
         for options in kinds {
             let mut config = EngineConfig::new(options).unwrap();
             config.threads = Some(1);
-            config.shards = Some(4);
             let session = EngineSession::open(&config).unwrap();
             assert!(session.system().num_runs() > 0, "{options:?}");
             assert_eq!(

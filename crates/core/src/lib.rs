@@ -19,8 +19,8 @@
 //!   0-chain protocol `FIP(Z⁰, O⁰)` and `F*` of Section 6.2, and the
 //!   common-knowledge SBA rule;
 //! * [`EngineConfig`] — the one validated configuration (scenario spec,
-//!   threads, shards, budget, chaos) through which the front ends reach
-//!   the engine;
+//!   threads, budget, chaos) through which the front ends reach the
+//!   engine;
 //! * [`EngineSession`] — incremental engine sessions: one system grown
 //!   in place by append-only horizon extension, with epoch-scoped
 //!   knowledge caches, serving constructors, evaluators and verdicts at
@@ -78,4 +78,4 @@ pub use optimality::{check_optimality, ConditionCheck, OptimalityReport};
 pub use properties::{
     decision_profile, strict_validity_violations, verify_properties, PropertyReport,
 };
-pub use session::{EngineSession, OpenError, Partial, Verdict};
+pub use session::{EngineSession, OpenError, Verdict};

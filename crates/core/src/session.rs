@@ -57,27 +57,17 @@ use crate::{Constructor, EngineConfig};
 use eba_kripke::{Evaluator, Formula, KnowledgeCache};
 use eba_model::{BudgetHit, ModelError, Scenario, Time};
 use eba_sim::chaos::EngineFault;
-use eba_sim::{BuildOutcome, ExtendReport, GeneratedSystem, RunId, SystemBuilder};
+use eba_sim::{BuildOutcome, ExtendReport, GeneratedSystem, Partial, RunId, SystemBuilder};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// How far a budget-stopped build got.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Partial {
-    /// Shards in the session's (prefix) system.
-    pub completed_shards: usize,
-    /// Shards of a complete build.
-    pub total_shards: usize,
-    /// The bound that stopped the build.
-    pub budget_hit: BudgetHit,
-}
 
 /// Why [`EngineSession::open`] built no session.
 #[derive(Clone, Debug)]
 pub enum OpenError {
     /// The build failed (a model error or an unrecovered worker fault).
     Fault(EngineFault),
-    /// The budget stopped the build before any shard completed.
+    /// The budget stopped the build before it covered any failure
+    /// pattern.
     Exhausted(BudgetHit),
 }
 
@@ -118,9 +108,10 @@ pub struct EngineSession {
 
 impl EngineSession {
     /// Opens a session on the system `config` selects: the sampled one, or
-    /// the exhaustive one built under the config's budget, threads, shards
-    /// and chaos injector. A budget-stopped build yields a session over
-    /// the completed shard prefix (see [`partial`](EngineSession::partial)).
+    /// the exhaustive one built under the config's budget, threads and
+    /// chaos injector. A budget-stopped build yields a session over the
+    /// failure-pattern prefix it covered (see
+    /// [`partial`](EngineSession::partial)).
     /// Sampled and budget-partial sessions do not extend; an exhaustive
     /// one extends on the config's threads. Evaluation and construction
     /// run on the calling thread.
@@ -128,7 +119,7 @@ impl EngineSession {
     /// # Errors
     ///
     /// [`OpenError::Fault`] when the build fails, [`OpenError::Exhausted`]
-    /// when the budget stopped it before any shard completed.
+    /// when the budget stopped it before it covered any pattern.
     pub fn open(config: &EngineConfig) -> Result<Self, OpenError> {
         let spec = config.spec();
         let mut session = if let Some((runs, seed)) = spec.sampled {
@@ -140,34 +131,20 @@ impl EngineSession {
             if let Some(threads) = config.threads {
                 builder = builder.threads(threads);
             }
-            if let Some(shards) = config.shards {
-                builder = builder.shards(shards);
-            }
             if let Some(chaos) = &config.chaos {
                 builder = builder.chaos(Arc::clone(chaos));
             }
             match builder.build_governed().map_err(OpenError::Fault)? {
                 BuildOutcome::Complete { system, .. } => Self::from_system(system),
-                BuildOutcome::Partial {
-                    system,
-                    completed_shards,
-                    total_shards,
-                    budget_hit,
-                    ..
-                } => {
-                    if system.num_runs() == 0 {
-                        return Err(OpenError::Exhausted(budget_hit));
-                    }
-                    let partial = Partial {
-                        completed_shards,
-                        total_shards,
-                        budget_hit,
-                    };
-                    EngineSession {
-                        partial: Some(partial),
-                        ..Self::from_system(system)
-                    }
+                BuildOutcome::Partial { partial, .. } if partial.patterns == 0 => {
+                    return Err(OpenError::Exhausted(partial.budget_hit));
                 }
+                BuildOutcome::Partial {
+                    system, partial, ..
+                } => EngineSession {
+                    partial: Some(partial),
+                    ..Self::from_system(system)
+                },
             }
         };
         session.threads = config.threads;
@@ -458,7 +435,6 @@ mod tests {
         })
         .unwrap();
         budgeted.threads = Some(1);
-        budgeted.shards = Some(4);
         for config in [sampled, budgeted] {
             let mut session = EngineSession::open(&config).unwrap();
             let (runs, horizon) = (session.system().num_runs(), session.horizon());

@@ -5,13 +5,14 @@
 //! by hanging or exhausting memory unless something bounds it. A
 //! [`RunBudget`] declares those bounds — a wall-clock deadline, a maximum
 //! number of runs, a maximum number of interned views — and an
-//! [`ArmedBudget`] (a budget plus a start instant) is checked
-//! *cooperatively* at the natural loop boundaries of the engine:
+//! [`ArmedBudget`] (a budget plus a start instant) governs the one
+//! place the engine does unbounded work, `SystemBuilder` in `eba-sim`:
 //!
-//! * [`Patterns`](crate::enumerate::Patterns) enumeration (per pattern);
-//! * `SystemBuilder` in `eba-sim` (per shard and per pattern within a
-//!   shard);
-//! * greatest-fixed-point iteration in `eba-kripke` (per iteration).
+//! * the run bound is planned before any work, as the longest prefix of
+//!   whole failure patterns whose runs fit under it;
+//! * the deadline, the interrupt flag and the view bound are checked
+//!   *cooperatively* per pattern inside every block of the build, and the
+//!   view bound again after each merged block.
 //!
 //! Exhaustion surfaces as a typed [`BudgetHit`], never as a panic: callers
 //! receive the work completed so far (e.g. the builder's

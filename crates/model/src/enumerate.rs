@@ -16,8 +16,8 @@
 
 use crate::procset::subsets;
 use crate::{
-    ArmedBudget, BudgetHit, FailureMode, FailurePattern, FaultyBehavior, ModelError, ProcSet,
-    ProcessorId, Round, Scenario, Time,
+    FailureMode, FailurePattern, FaultyBehavior, ModelError, ProcSet, ProcessorId, Round, Scenario,
+    Time,
 };
 
 /// Enumerates all crash-mode faulty behaviors of processor `p` in a system
@@ -132,31 +132,9 @@ pub struct Patterns {
     behavior_lists: Vec<Vec<FaultyBehavior>>,
     odometer: Vec<usize>,
     finished: bool,
-    budget: Option<ArmedBudget>,
-    yielded: u64,
-    budget_hit: Option<BudgetHit>,
 }
 
 impl Patterns {
-    /// Governs the remainder of the enumeration by `budget`: the deadline
-    /// is checked before every pattern and `max_runs` bounds the number of
-    /// patterns yielded (each pattern is one unit of enumeration work).
-    /// When a bound trips, the iterator stops yielding and records the
-    /// [`BudgetHit`] — retrievable via [`Patterns::budget_hit`] — so
-    /// callers can distinguish *exhausted* from *cut short*.
-    #[must_use]
-    pub fn governed(mut self, budget: ArmedBudget) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// The budget hit that cut the enumeration short, if any. `None` after
-    /// a complete enumeration (or before one finishes).
-    #[must_use]
-    pub fn budget_hit(&self) -> Option<BudgetHit> {
-        self.budget_hit
-    }
-
     fn load_set(&mut self) {
         let set = self.faulty_sets[self.set_idx];
         self.members = set.iter().collect();
@@ -250,16 +228,8 @@ impl Iterator for Patterns {
         if self.finished {
             return None;
         }
-        if let Some(budget) = self.budget {
-            if let Err(hit) = budget.check_runs(self.yielded + 1) {
-                self.budget_hit = Some(hit);
-                self.finished = true;
-                return None;
-            }
-        }
         let pattern = self.current_pattern();
         self.advance();
-        self.yielded += 1;
         Some(pattern)
     }
 }
@@ -291,9 +261,6 @@ pub fn patterns(scenario: &Scenario) -> Patterns {
         behavior_lists: Vec::new(),
         odometer: Vec::new(),
         finished: false,
-        budget: None,
-        yielded: 0,
-        budget_hit: None,
     };
     iter.load_set();
     iter
@@ -439,48 +406,6 @@ mod tests {
         all.sort();
         all.dedup();
         assert_eq!(all.len(), before);
-    }
-
-    #[test]
-    fn governed_enumeration_stops_at_max_runs() {
-        use crate::RunBudget;
-        let s = Scenario::new(3, 1, FailureMode::Crash, 2).unwrap();
-        let total = count_patterns(&s);
-        assert!(total > 10);
-        let mut iter = patterns(&s).governed(RunBudget::unlimited().with_max_runs(10).arm());
-        let got: Vec<_> = iter.by_ref().collect();
-        assert_eq!(got.len(), 10);
-        assert_eq!(
-            iter.budget_hit(),
-            Some(crate::BudgetHit::MaxRuns { limit: 10 })
-        );
-        // The truncated prefix matches the ungoverned enumeration.
-        let full: Vec<_> = patterns(&s).take(10).collect();
-        assert_eq!(got, full);
-    }
-
-    #[test]
-    fn governed_enumeration_without_pressure_completes() {
-        use crate::RunBudget;
-        let s = Scenario::new(3, 1, FailureMode::Crash, 2).unwrap();
-        let mut iter = patterns(&s).governed(RunBudget::unlimited().with_max_runs(1 << 20).arm());
-        let got = iter.by_ref().count();
-        assert_eq!(got as u128, count_patterns(&s));
-        assert_eq!(iter.budget_hit(), None);
-    }
-
-    #[test]
-    fn governed_enumeration_honors_deadline() {
-        use crate::RunBudget;
-        use std::time::Duration;
-        let s = Scenario::new(3, 2, FailureMode::Omission, 2).unwrap();
-        let mut iter =
-            patterns(&s).governed(RunBudget::unlimited().with_deadline(Duration::ZERO).arm());
-        assert_eq!(iter.next(), None);
-        assert!(matches!(
-            iter.budget_hit(),
-            Some(crate::BudgetHit::Deadline { .. })
-        ));
     }
 
     #[test]

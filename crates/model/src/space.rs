@@ -81,18 +81,22 @@ impl ScenarioSpace {
         InitialConfig::enumerate_all(self.scenario.n())
     }
 
-    /// Splits the pattern axis into at most `requested` contiguous shards.
+    /// Splits the first `patterns` patterns of the axis (all of them when
+    /// `patterns ≥ num_patterns`) into at most `requested` contiguous
+    /// shards.
     ///
     /// Shard sizes differ by at most one pattern, empty shards are never
-    /// produced (so fewer than `requested` shards come back when there are
-    /// fewer patterns than workers), and the division depends only on
-    /// `(scenario, requested)` — the same inputs always produce the same
-    /// shards. `requested` is clamped to at least 1.
+    /// produced (so fewer than `requested` shards come back when the
+    /// prefix holds fewer patterns than that, and none for an empty
+    /// prefix), and the division depends only on `(scenario, patterns,
+    /// requested)` — the same inputs always produce the same shards.
+    /// `requested` is clamped to at least 1.
     #[must_use]
-    pub fn shards(&self, requested: usize) -> Vec<Shard> {
-        let requested = (requested.max(1) as u128).min(self.num_patterns).max(1);
-        let base = self.num_patterns / requested;
-        let extra = self.num_patterns % requested;
+    pub fn shards(&self, patterns: u128, requested: usize) -> Vec<Shard> {
+        let patterns = patterns.min(self.num_patterns);
+        let requested = (requested.max(1) as u128).min(patterns).max(1);
+        let base = patterns / requested;
+        let extra = patterns % requested;
         let mut out = Vec::with_capacity(requested as usize);
         let mut start = 0u128;
         for index in 0..requested {
@@ -226,22 +230,27 @@ mod tests {
     #[test]
     fn shards_partition_the_pattern_axis() {
         let space = space(3, 2, FailureMode::Crash, 2);
-        for k in [1, 2, 3, 5, 8, 1000] {
-            let shards = space.shards(k);
-            assert!(!shards.is_empty());
-            assert!(shards.len() <= k.max(1));
-            assert_eq!(shards[0].start(), 0);
-            assert_eq!(shards.last().unwrap().end(), space.num_patterns());
-            for pair in shards.windows(2) {
-                assert_eq!(pair[0].end(), pair[1].start());
-                // Balanced: sizes differ by at most one.
-                assert!(pair[0].len().abs_diff(pair[1].len()) <= 1);
-            }
-            for (i, shard) in shards.iter().enumerate() {
-                assert_eq!(shard.index(), i);
-                assert!(!shard.is_empty());
+        let total = space.num_patterns();
+        // Prefixes of the axis, the whole axis, and past its end.
+        for prefix in [1, 6, 13, total - 1, total, total + 9] {
+            for k in [1, 2, 3, 5, 8, 1000] {
+                let shards = space.shards(prefix, k);
+                assert!(!shards.is_empty());
+                assert!(shards.len() <= k.max(1));
+                assert_eq!(shards[0].start(), 0);
+                assert_eq!(shards.last().unwrap().end(), prefix.min(total));
+                for pair in shards.windows(2) {
+                    assert_eq!(pair[0].end(), pair[1].start());
+                    // Balanced: sizes differ by at most one.
+                    assert!(pair[0].len().abs_diff(pair[1].len()) <= 1);
+                }
+                for (i, shard) in shards.iter().enumerate() {
+                    assert_eq!(shard.index(), i);
+                    assert!(!shard.is_empty());
+                }
             }
         }
+        assert!(space.shards(0, 4).is_empty());
     }
 
     #[test]
@@ -251,7 +260,7 @@ mod tests {
             let expected = sequential(&space);
             for k in [1, 2, 3, 4, 7] {
                 let mut got = Vec::new();
-                for shard in space.shards(k) {
+                for shard in space.shards(space.num_patterns(), k) {
                     let chunk: Vec<_> = space.shard_patterns(shard).collect();
                     assert_eq!(chunk.len() as u128, shard.len());
                     got.extend(chunk);
@@ -283,7 +292,7 @@ mod tests {
     fn more_workers_than_patterns_collapses_gracefully() {
         let space = space(3, 0, FailureMode::Crash, 1);
         assert_eq!(space.num_patterns(), 1);
-        let shards = space.shards(16);
+        let shards = space.shards(space.num_patterns(), 16);
         assert_eq!(shards.len(), 1);
         assert_eq!(shards[0].len(), 1);
     }

@@ -1,14 +1,12 @@
 //! Campaign runners: execute a protocol across exhaustive or sampled run
 //! sets, validating properties and collecting decision statistics.
 
-use eba_model::{enumerate, sample, FailurePattern, InitialConfig, Scenario, ScenarioSpace};
-use eba_sim::chaos::{supervised_indexed, EngineFault, FaultInjector, FaultSite, NoChaos};
+use eba_model::{enumerate, sample, FailurePattern, InitialConfig, Scenario};
 use eba_sim::stats::DecisionStats;
 use eba_sim::{execute_unchecked, Protocol};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
-use std::sync::Arc;
 
 /// Aggregate results of running one protocol over a set of runs.
 #[derive(Clone, Debug)]
@@ -46,19 +44,6 @@ impl CampaignReport {
     #[must_use]
     pub fn live(&self) -> bool {
         self.safe() && self.decision_violations == 0
-    }
-
-    /// Folds another report (over a disjoint slice of the same campaign)
-    /// into this one. Every field is a sum or a merge, so the result is
-    /// independent of merge order.
-    pub fn merge(&mut self, other: &CampaignReport) {
-        self.runs += other.runs;
-        self.stats.merge(&other.stats);
-        self.agreement_violations += other.agreement_violations;
-        self.validity_violations += other.validity_violations;
-        self.decision_violations += other.decision_violations;
-        self.non_simultaneous += other.non_simultaneous;
-        self.messages_delivered += other.messages_delivered;
     }
 }
 
@@ -123,69 +108,6 @@ pub fn run_exhaustive<P: Protocol>(protocol: &P, scenario: &Scenario) -> Campaig
     run_campaign(protocol, scenario, runs)
 }
 
-/// Runs `protocol` over every run of the scenario, splitting the pattern
-/// axis into [`ScenarioSpace`] shards executed by `threads` worker
-/// threads. Every aggregate in the report is commutative, so the result
-/// equals [`run_exhaustive`] for any thread count.
-pub fn run_exhaustive_threaded<P: Protocol + Sync>(
-    protocol: &P,
-    scenario: &Scenario,
-    threads: usize,
-) -> CampaignReport {
-    match run_exhaustive_supervised(protocol, scenario, threads, &(Arc::new(NoChaos) as _)) {
-        Ok(report) => report,
-        // Unreachable without an injector: supervision retries a panicked
-        // shard and falls back to sequential re-execution before erroring.
-        Err(fault) => panic!("{fault}"),
-    }
-}
-
-/// [`run_exhaustive_threaded`] with explicit worker supervision and fault
-/// injection: each campaign shard runs under `catch_unwind`, a panicked
-/// shard is retried once on a fresh thread and then recomputed
-/// sequentially, and only a persistently failing shard surfaces as a
-/// typed [`EngineFault`]. Aggregates merge in shard order, so the report
-/// is identical to the sequential one whenever `Ok` is returned — even
-/// when recovery paths were taken.
-///
-/// # Errors
-///
-/// Returns [`EngineFault::WorkerPanicked`] when a shard fails all
-/// supervision attempts (in practice only under an injector that fires
-/// three times at the same site).
-pub fn run_exhaustive_supervised<P: Protocol + Sync>(
-    protocol: &P,
-    scenario: &Scenario,
-    threads: usize,
-    chaos: &Arc<dyn FaultInjector>,
-) -> Result<CampaignReport, EngineFault> {
-    let workers = threads.max(1);
-    let space = ScenarioSpace::new(*scenario);
-    let shards = space.shards(workers * 4);
-    let configs: Vec<InitialConfig> = InitialConfig::enumerate_all(scenario.n()).collect();
-    let (partials, _faults) =
-        supervised_indexed(shards.len(), workers, FaultSite::CampaignShard, |index| {
-            if let Err(e) = chaos.inject(FaultSite::CampaignShard, index) {
-                panic!("{e}");
-            }
-            let runs = space.shard_patterns(shards[index]).flat_map(|pattern| {
-                configs
-                    .iter()
-                    .cloned()
-                    .map(move |config| (config, pattern.clone()))
-            });
-            run_campaign(protocol, scenario, runs)
-        })?;
-    let mut merged: Option<CampaignReport> = None;
-    for partial in partials {
-        match &mut merged {
-            None => merged = Some(partial),
-            Some(acc) => acc.merge(&partial),
-        }
-    }
-    Ok(merged.expect("a scenario always has at least one shard"))
-}
-
 /// Runs `protocol` over `count` seeded random runs of the scenario.
 pub fn run_sampled<P: Protocol>(
     protocol: &P,
@@ -229,24 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_campaign_matches_sequential() {
-        let scenario = Scenario::new(3, 1, FailureMode::Omission, 2).unwrap();
-        let sequential = run_exhaustive(&Relay::p0(1), &scenario);
-        for threads in [1, 2, 5] {
-            let threaded = run_exhaustive_threaded(&Relay::p0(1), &scenario, threads);
-            assert_eq!(threaded.runs, sequential.runs, "{threads} threads");
-            assert_eq!(threaded.stats.histogram(), sequential.stats.histogram());
-            assert_eq!(threaded.stats.undecided(), sequential.stats.undecided());
-            assert_eq!(threaded.messages_delivered, sequential.messages_delivered);
-            assert_eq!(
-                threaded.agreement_violations,
-                sequential.agreement_violations
-            );
-            assert_eq!(threaded.non_simultaneous, sequential.non_simultaneous);
-        }
-    }
-
-    #[test]
     fn sampled_campaigns_are_reproducible() {
         let scenario = Scenario::new(8, 2, FailureMode::Crash, 4).unwrap();
         let a = run_sampled(&P0Opt::new(2), &scenario, 100, 7);
@@ -268,59 +172,6 @@ mod tests {
         let scenario = Scenario::new(8, 3, FailureMode::Omission, 5).unwrap();
         let report = run_sampled(&ChainOmission::new(8), &scenario, 200, 11);
         assert!(report.live(), "{report}");
-    }
-
-    #[test]
-    fn injected_campaign_shard_panic_degrades_to_identical_report() {
-        use eba_sim::chaos::{ChaosPlan, FaultKind};
-        let scenario = Scenario::new(3, 1, FailureMode::Omission, 2).unwrap();
-        let baseline = run_exhaustive(&Relay::p0(1), &scenario);
-        let plan = ChaosPlan::new().with_fault(FaultSite::CampaignShard, 0, FaultKind::Panic);
-        let plan = Arc::new(plan);
-        let chaos: Arc<dyn FaultInjector> = Arc::clone(&plan) as _;
-        let report = run_exhaustive_supervised(&Relay::p0(1), &scenario, 4, &chaos).unwrap();
-        assert_eq!(plan.fired(), 1, "the injected fault must actually fire");
-        assert_eq!(report.runs, baseline.runs);
-        assert_eq!(report.stats.histogram(), baseline.stats.histogram());
-        assert_eq!(report.messages_delivered, baseline.messages_delivered);
-        assert_eq!(report.non_simultaneous, baseline.non_simultaneous);
-    }
-
-    #[test]
-    fn single_worker_campaign_shard_runs_supervised() {
-        use eba_sim::chaos::{ChaosPlan, FaultKind};
-        let scenario = Scenario::new(3, 1, FailureMode::Omission, 2).unwrap();
-        let baseline = run_exhaustive(&Relay::p0(1), &scenario);
-        let plan =
-            Arc::new(ChaosPlan::new().with_fault(FaultSite::CampaignShard, 0, FaultKind::Panic));
-        let chaos: Arc<dyn FaultInjector> = Arc::clone(&plan) as _;
-        let report = run_exhaustive_supervised(&Relay::p0(1), &scenario, 1, &chaos).unwrap();
-        assert_eq!(plan.fired(), 1, "one worker must consult the injector");
-        // The rendering covers runs, decision statistics and violations.
-        assert_eq!(report.to_string(), baseline.to_string());
-        assert_eq!(report.stats.histogram(), baseline.stats.histogram());
-        assert_eq!(report.non_simultaneous, baseline.non_simultaneous);
-        assert_eq!(report.messages_delivered, baseline.messages_delivered);
-    }
-
-    #[test]
-    fn persistent_campaign_shard_panic_is_a_typed_fault() {
-        use eba_sim::chaos::{ChaosPlan, FaultKind};
-        let scenario = Scenario::new(3, 1, FailureMode::Omission, 2).unwrap();
-        let chaos: Arc<dyn FaultInjector> = Arc::new(ChaosPlan::new().with_recurring_fault(
-            FaultSite::CampaignShard,
-            2,
-            FaultKind::Panic,
-            3,
-        ));
-        let fault = run_exhaustive_supervised(&Relay::p0(1), &scenario, 4, &chaos).unwrap_err();
-        match fault {
-            EngineFault::WorkerPanicked { site, index, .. } => {
-                assert_eq!(site, FaultSite::CampaignShard);
-                assert_eq!(index, 2);
-            }
-            other => panic!("expected a worker fault, got {other}"),
-        }
     }
 
     #[test]

@@ -112,8 +112,17 @@ fn main() -> ExitCode {
     let config = match parse_config(&args) {
         Ok(config) => config,
         Err(message) if message.is_empty() => {
-            print!("{HELP}");
-            return ExitCode::SUCCESS;
+            // A reader that has gone (`eba-serve --help | head -1`) ends the
+            // run with status 141, 128 + SIGPIPE, as for `eba-check`.
+            let mut out = io::stdout().lock();
+            return match out.write_all(HELP.as_bytes()).and_then(|()| out.flush()) {
+                Ok(()) => ExitCode::SUCCESS,
+                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::from(141),
+                Err(e) => {
+                    errln!("error: cannot write to stdout: {e}");
+                    ExitCode::from(2)
+                }
+            };
         }
         Err(message) => {
             errln!("error: {message}");

@@ -162,8 +162,8 @@ impl SessionPool {
     /// # Errors
     ///
     /// [`ServeError::InvalidScenario`] when the build rejects the scenario,
-    /// [`ServeError::BudgetExhausted`] when a budget stopped it before any
-    /// shard completed, [`ServeError::EngineFault`] when a build fault
+    /// [`ServeError::BudgetExhausted`] when a budget stopped it before it
+    /// covered any pattern, [`ServeError::EngineFault`] when a build fault
     /// survives the retry budget.
     pub fn checkout(
         &self,
@@ -315,8 +315,8 @@ impl SessionPool {
                 Ok(session) => return Ok(session),
                 Err(OpenError::Exhausted(hit)) => {
                     return Err(ServeError::BudgetExhausted(format!(
-                        "budget exhausted before any shard completed ({hit}); \
-                         raise deadline_ms/max_runs"
+                        "budget exhausted before the build covered any failure pattern \
+                         ({hit}); raise deadline_ms/max_runs"
                     )));
                 }
                 // Model errors are deterministic — unless chaos is

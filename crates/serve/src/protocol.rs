@@ -10,7 +10,7 @@
 //! | `bad-frame`        | not JSON, not an object, oversize, missing op  |
 //! | `bad-request`      | unknown op, bad field, unparsable formula      |
 //! | `invalid-scenario` | the scenario parameters are rejected by model  |
-//! | `budget-exhausted` | budget ran out before any shard completed      |
+//! | `budget-exhausted` | budget ran out before any pattern was covered  |
 //! | `overloaded`       | admission queue full; `retry_after_ms` hints   |
 //! | `engine-fault`     | an engine fault survived the retry budget      |
 //! | `shutting-down`    | the server is draining; reconnect elsewhere    |
@@ -53,12 +53,12 @@ pub enum Request {
 
 /// A `check` request: scenario + formula. A budgeted config
 /// (`deadline_ms`/`max_runs`) bypasses the pool and may return a
-/// `partial` verdict; its `completed_shards`/`total_shards` figures are
-/// only deterministic (and oracle-comparable) when `shards` is pinned.
+/// `partial` verdict over a failure-pattern prefix. A `max_runs` prefix
+/// depends on the request alone, so it is oracle-comparable on any host;
+/// a deadline prefix depends on timing.
 #[derive(Clone, Debug)]
 pub struct CheckRequest {
-    /// The scenario to build (or fetch from the pool), with its budget
-    /// and shard count.
+    /// The scenario to build (or fetch from the pool), with its budget.
     pub config: EngineConfig,
     /// Formula text, in the `eba-check` grammar.
     pub formula: String,
@@ -89,7 +89,8 @@ pub enum ServeError {
     BadRequest(String),
     /// The model rejected the scenario parameters.
     InvalidScenario(String),
-    /// A budget expired before any shard completed; nothing to report.
+    /// A budget expired before the build covered any failure pattern;
+    /// nothing to report.
     BudgetExhausted(String),
     /// Admission control shed this query.
     Overloaded {
@@ -287,15 +288,9 @@ impl Request {
                 if let Some(max) = field_u64(frame, "max_runs")? {
                     options.budget = options.budget.with_max_runs(max);
                 }
-                let shards = field_u64(frame, "shards")?
-                    .map(usize::try_from)
-                    .transpose()
-                    .map_err(|_| ServeError::BadRequest("field `shards` is too large".into()))?;
                 let witness = field_bool(frame, "witness")?;
-                let mut config = validate(options)?;
-                config.shards = shards;
                 Ok(Request::Check(CheckRequest {
-                    config,
+                    config: validate(options)?,
                     formula,
                     witness,
                 }))

@@ -6,7 +6,8 @@
 //! Responses therefore carry **no** timing, host, or pool-state fields:
 //! a response is a pure function of the request (given a deterministic
 //! budget; wall-clock deadlines are inherently timing-dependent and the
-//! suite pins budgets with `max_runs`/`shards` instead).
+//! suite bounds builds with `max_runs` instead, whose pattern prefix
+//! depends on the request alone).
 //!
 //! Every query reaches the engine through its request's
 //! [`EngineConfig`] and [`SessionPool::checkout`]. Budgeted checks bypass
@@ -155,13 +156,10 @@ fn run_check(check: &CheckRequest, ctx: &QueryContext<'_>) -> Result<Json, Serve
     fields.push(("runs", Json::Int(session.system().num_runs() as i64)));
     symmetry_fields(session.system(), &mut fields);
     if let Some(partial) = session.partial() {
-        let reason = Json::Str(partial.budget_hit.to_string());
-        let completed = Json::Int(partial.completed_shards as i64);
-        let total = Json::Int(partial.total_shards as i64);
         let partial = [
-            ("reason", reason),
-            ("completed_shards", completed),
-            ("total_shards", total),
+            ("reason", Json::Str(partial.budget_hit.to_string())),
+            ("patterns", Json::Int(partial.patterns as i64)),
+            ("total_patterns", Json::Int(partial.total_patterns as i64)),
         ];
         fields.push(("partial", Json::obj(partial)));
     }
@@ -323,12 +321,15 @@ mod tests {
     fn budgeted_check_returns_a_deterministic_partial() {
         let pool = SessionPool::new(u64::MAX, RetryPolicy::default(), None);
         let line = r#"{"op":"check","formula":"true","mode":"omission","horizon":2,
-                       "shards":64,"max_runs":50}"#;
+                       "max_runs":50}"#;
         let a = run(&pool, line);
         let b = oracle(&Request::from_line(line).unwrap());
         assert_eq!(a, b);
+        // 50 runs hold 6 whole patterns of 8 configurations each.
         assert!(
-            a.contains(r#""partial":{"reason":"run budget of 50 exhausted""#),
+            a.contains(
+                r#""partial":{"reason":"run budget of 50 exhausted","patterns":6,"total_patterns":49}"#
+            ),
             "{a}"
         );
         assert!(
@@ -338,10 +339,10 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhausted_before_any_shard_is_a_typed_error() {
+    fn budget_below_one_pattern_is_a_typed_error() {
         let pool = SessionPool::new(u64::MAX, RetryPolicy::default(), None);
-        // max_runs=1 with one shard: the single shard exceeds the budget.
-        let line = r#"{"op":"check","formula":"true","shards":1,"max_runs":1}"#;
+        // max_runs=1 holds no whole pattern of 8 configurations.
+        let line = r#"{"op":"check","formula":"true","max_runs":1}"#;
         let resp = run(&pool, line);
         assert!(resp.contains(r#""error":"budget-exhausted""#), "{resp}");
     }

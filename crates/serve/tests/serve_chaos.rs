@@ -92,7 +92,8 @@ impl Client {
 
 /// The mixed workload: crash, omission, and general-omission scenarios;
 /// check/optimize/sweep ops; valid and invalid formulas; a witness
-/// query; and a deterministically budgeted partial (pinned shards).
+/// query; and a run-budgeted partial, whose pattern prefix depends on
+/// the request alone.
 /// Every line's response is a pure function of the line.
 fn workload() -> Vec<&'static str> {
     vec![
@@ -101,7 +102,7 @@ fn workload() -> Vec<&'static str> {
         r#"{"op":"check","formula":"B_1(E0) -> (N(1) -> E0)","mode":"omission","horizon":2}"#,
         r#"{"op":"check","formula":"K_1(E0) -> E0","mode":"general-omission","horizon":2}"#,
         r#"{"op":"check","formula":"CC(E0) -> C(E0)","witness":true}"#,
-        r#"{"op":"check","formula":"true","mode":"omission","horizon":2,"shards":64,"max_runs":50}"#,
+        r#"{"op":"check","formula":"true","mode":"omission","horizon":2,"max_runs":50}"#,
         r#"{"op":"check","formula":"this is not a formula"}"#,
         r#"{"op":"check","formula":"CC(E0)","sampled":[20,7]}"#,
         r#"{"op":"optimize","n":3,"t":1,"mode":"crash","horizon":3}"#,
@@ -312,20 +313,40 @@ fn slow_loris_clients_are_disconnected_without_hurting_others() {
     assert!(snapshot.bad_connections >= 1, "{snapshot:?}");
 }
 
+/// A run-budgeted check answers with the same pattern prefix at every
+/// thread count, byte-identical to the single-threaded oracle: the
+/// prefix depends on the request alone, not on how the daemon splits
+/// the build.
+#[test]
+fn run_budgeted_partial_matches_the_oracle_at_every_thread_count() {
+    let line = r#"{"op":"check","formula":"true","mode":"omission","horizon":2,"max_runs":50}"#;
+    let expected = oracle(&Request::from_line(line).unwrap());
+    assert!(
+        expected.contains(
+            r#""partial":{"reason":"run budget of 50 exhausted","patterns":6,"total_patterns":49}"#
+        ),
+        "{expected}"
+    );
+    for threads in [1, 4, 8] {
+        let server = start(ServeConfig {
+            threads_per_query: Some(threads),
+            ..ServeConfig::default()
+        });
+        assert_eq!(server.client().ask(line), expected, "{threads} threads");
+        server.drain();
+    }
+}
+
 #[test]
 fn admission_control_sheds_with_a_retry_hint_when_saturated() {
-    // One slot, no queue; recurring build delays on every shard keep
-    // the slot busy long enough for the prober to collide with it.
-    let mut plan = ChaosPlan::new();
-    for shard in 0..32 {
-        plan = plan.with_recurring_fault(
-            FaultSite::BuilderShard,
-            shard,
-            FaultKind::Delay(Duration::from_millis(100)),
-            u32::MAX,
-        );
-    }
-    let chaos = Arc::new(plan);
+    // One slot, no queue; a delay in the build's first block, which every
+    // block split has, keeps the slot busy long enough for the prober to
+    // collide with it.
+    let chaos = Arc::new(ChaosPlan::new().with_fault(
+        FaultSite::BuilderShard,
+        0,
+        FaultKind::Delay(Duration::from_millis(800)),
+    ));
     let config = ServeConfig {
         max_active: 1,
         max_waiting: 0,
@@ -336,9 +357,10 @@ fn admission_control_sheds_with_a_retry_hint_when_saturated() {
     let addr = server.addr;
     let slow = thread::spawn(move || {
         let mut client = Client::connect(addr);
-        // Many shards, each delayed: the build holds the slot long
-        // enough for the prober to collide with it.
-        client.ask(r#"{"op":"check","formula":"true","mode":"omission","horizon":2,"shards":32,"max_runs":100000}"#)
+        // A budgeted check bypasses the pool, so its build always runs.
+        client.ask(
+            r#"{"op":"check","formula":"true","mode":"omission","horizon":2,"max_runs":100000}"#,
+        )
     });
     thread::sleep(Duration::from_millis(120));
     let mut prober = server.client();

@@ -4,8 +4,9 @@
 //! build ([`SystemBuilder::build_governed`]) and a horizon extension
 //! ([`SystemBuilder::extend`]):
 //!
-//! 1. **split** — the scenario's pattern axis is split into deterministic
-//!    contiguous blocks by [`ScenarioSpace::shards`];
+//! 1. **split** — the scenario's pattern axis (under a run bound, its
+//!    planned prefix) is split into deterministic contiguous blocks by
+//!    [`ScenarioSpace::shards`];
 //! 2. **build** — each block enumerates its `(pattern, config)` slice
 //!    into its own [`ViewTable`]: an empty one for a cold build, a clone
 //!    of the base table for an extension. A run whose base-horizon
@@ -34,14 +35,18 @@
 //! all three attempts surfaces — as a typed [`EngineFault`] from
 //! [`SystemBuilder::build_governed`].
 //!
-//! A [`RunBudget`] bounds a cold build cooperatively. The run bound is
-//! *planned statically* at shard granularity (each shard's run count is
-//! known before any work), so the set of built shards — and therefore the
-//! partial system — is deterministic. The wall-clock deadline is checked
-//! per pattern inside every shard and the view bound per pattern and per
-//! merged shard; exhaustion yields [`BuildOutcome::Partial`] carrying the
-//! longest contiguous prefix of completed shards, never a hang or a
-//! panic. An extension runs under an unlimited budget.
+//! A [`RunBudget`] bounds a cold build. The run bound is *planned before
+//! any work*, per failure pattern: the build enumerates the longest prefix
+//! of whole patterns whose raw runs (`2^n` per pattern, counted before
+//! the quotient skips any) fit under the bound, and only that prefix is
+//! split into blocks. A run-bounded system thus depends on the scenario
+//! and the bound alone, never on the thread or block count. The
+//! wall-clock deadline and the interrupt are checked per pattern inside
+//! every block, and the view bound per pattern and per merged block;
+//! those stops keep the longest contiguous prefix of completed blocks.
+//! Exhaustion yields [`BuildOutcome::Partial`] with the [`Partial`]
+//! accounting of the prefix, never a hang or a panic. An extension runs
+//! under an unlimited budget.
 //!
 //! Id-space overflows surface as [`ModelError::CapacityExceeded`] from
 //! [`SystemBuilder::build`] instead of panicking mid-generation.
@@ -154,9 +159,11 @@ impl SystemBuilder {
         self
     }
 
-    /// Sets the number of shards (clamped to at least 1). Defaults to
-    /// four per worker thread. The result is identical for every shard
-    /// count; this knob only tunes load balance against merge overhead.
+    /// Sets the number of blocks the pattern axis is split into (clamped
+    /// to at least 1), overriding the default of four per worker thread
+    /// for a cold build and two for an extension. A complete system and a
+    /// run-bounded prefix are identical for every block count; the
+    /// differential suites set this to force arbitrary splits.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards.max(1));
@@ -291,12 +298,11 @@ impl SystemBuilder {
     /// Builds the exhaustive system under the configured budget and fault
     /// injector, with supervised workers.
     ///
-    /// Returns [`BuildOutcome::Complete`] when every shard was built and
-    /// merged, or [`BuildOutcome::Partial`] — the longest contiguous
-    /// prefix of completed shards plus the [`BudgetHit`] that stopped the
-    /// build — when the budget ran out. Worker faults the supervisor
-    /// absorbed along the way are listed in the outcome's
-    /// [`BuildReport`].
+    /// Returns [`BuildOutcome::Complete`] when every pattern was built and
+    /// merged, or [`BuildOutcome::Partial`] — the system of a pattern
+    /// prefix and its [`Partial`] accounting — when the budget ran out.
+    /// Worker faults the supervisor absorbed along the way are listed in
+    /// the outcome's [`BuildReport`].
     ///
     /// # Errors
     ///
@@ -338,23 +344,17 @@ impl SystemBuilder {
         } else {
             SHARDS_PER_THREAD
         };
-        let shards = space.shards(self.blocks(per_thread));
-        let total_shards = shards.len();
+        let (prefix, mut hit) = plan_run_bound(&space, &armed);
+        let shards = space.shards(prefix, self.blocks(per_thread));
 
-        // Plan the run bound statically: shard k's run count is
-        // `shards[k].len() × |configs|` before any work happens, so the
-        // set of shards inside the budget — and hence the partial system —
-        // is deterministic, independent of timing and parallelism.
-        let (planned, mut hit) = plan_run_bound(&shards, configs.len() as u128, &armed);
-
-        let workers = self.threads.min(planned.len().max(1));
+        let workers = self.threads.min(shards.len().max(1));
         let chaos = &*self.chaos;
         let (outcomes, worker_faults) =
-            supervised_indexed(planned.len(), workers, FaultSite::BuilderShard, |index| {
+            supervised_indexed(shards.len(), workers, FaultSite::BuilderShard, |index| {
                 chaos
                     .inject(FaultSite::BuilderShard, index)
                     .map_err(ShardError::Model)?;
-                build_block(&space, &configs, planned[index], &armed, symmetry, base)
+                build_block(&space, &configs, shards[index], &armed, symmetry, base)
             })?;
 
         // The first stopped shard (in shard order) ends the usable prefix;
@@ -373,7 +373,7 @@ impl SystemBuilder {
         }
 
         let shared = base.map_or(0, |(system, _)| system.table().len());
-        let (merged, completed_shards, merge_hit) = merge(parts, shared, &armed)?;
+        let (merged, completed, merge_hit) = merge(parts, shared, &armed)?;
         if let Some(view_hit) = merge_hit {
             hit = Some(view_hit);
         }
@@ -389,17 +389,16 @@ impl SystemBuilder {
             merged.table,
             symmetry,
         );
-        let report = BuildReport {
-            worker_faults,
-            total_shards,
-        };
+        let report = BuildReport { worker_faults };
         let outcome = match hit {
             None => BuildOutcome::Complete { system, report },
             Some(budget_hit) => BuildOutcome::Partial {
                 system,
-                completed_shards,
-                total_shards,
-                budget_hit,
+                partial: Partial {
+                    patterns: shards[..completed].iter().map(Shard::len).sum(),
+                    total_patterns: space.num_patterns(),
+                    budget_hit,
+                },
                 report,
             },
         };
@@ -421,29 +420,40 @@ fn unwrap_fault<T>(result: Result<T, EngineFault>) -> Result<T, ModelError> {
 /// What a supervised, governed build produced.
 #[derive(Debug)]
 pub enum BuildOutcome {
-    /// Every shard was built and merged.
+    /// Every pattern was built and merged.
     Complete {
         /// The complete exhaustive system.
         system: GeneratedSystem,
-        /// Supervision summary (absorbed worker faults, shard count).
+        /// Supervision summary (absorbed worker faults).
         report: BuildReport,
     },
-    /// The budget ran out; the longest contiguous prefix of completed
-    /// shards was merged. Run- and view-bound prefixes are deterministic
-    /// (statically planned / merge-order checked); a deadline prefix
-    /// depends on timing but the result is always a valid prefix system.
+    /// The budget ran out; the system of a pattern prefix was merged. A
+    /// run-bound prefix depends on the scenario and the bound alone; a
+    /// view-bound, deadline or interrupt prefix is the longest run of
+    /// completed blocks, so it depends on the block split (and a deadline
+    /// prefix on timing), but it is always a valid prefix system.
     Partial {
-        /// The system of the completed shard prefix (possibly empty).
+        /// The system of the pattern prefix (possibly empty).
         system: GeneratedSystem,
-        /// How many shards made it into `system`.
-        completed_shards: usize,
-        /// How many shards a complete build would have had.
-        total_shards: usize,
-        /// The bound that stopped the build.
-        budget_hit: BudgetHit,
-        /// Supervision summary (absorbed worker faults, shard count).
+        /// How far the build got, and what stopped it.
+        partial: Partial,
+        /// Supervision summary (absorbed worker faults).
         report: BuildReport,
     },
+}
+
+/// How far a budget-stopped build got. The system holds the runs of the
+/// first `patterns` failure patterns of the enumeration (only their
+/// canonical ones under the symmetry quotient), each crossed with every
+/// initial configuration.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Partial {
+    /// Failure patterns of the enumeration prefix the system covers.
+    pub patterns: u128,
+    /// Failure patterns of a complete build.
+    pub total_patterns: u128,
+    /// The bound that stopped the build.
+    pub budget_hit: BudgetHit,
 }
 
 impl BuildOutcome {
@@ -476,11 +486,11 @@ impl BuildOutcome {
     pub fn budget_hit(&self) -> Option<BudgetHit> {
         match self {
             BuildOutcome::Complete { .. } => None,
-            BuildOutcome::Partial { budget_hit, .. } => Some(*budget_hit),
+            BuildOutcome::Partial { partial, .. } => Some(partial.budget_hit),
         }
     }
 
-    /// Whether every shard completed.
+    /// Whether every pattern was built.
     #[must_use]
     pub fn is_complete(&self) -> bool {
         matches!(self, BuildOutcome::Complete { .. })
@@ -493,8 +503,6 @@ pub struct BuildReport {
     /// Worker faults the supervisor absorbed (each recovered by retry or
     /// sequential fallback); empty in an undisturbed build.
     pub worker_faults: Vec<WorkerFault>,
-    /// The number of shards of a complete build.
-    pub total_shards: usize,
 }
 
 /// What one horizon extension reused versus recomputed (see
@@ -558,27 +566,21 @@ enum ShardError {
     Budget(BudgetHit),
 }
 
-/// Keeps the longest shard prefix whose cumulative run count stays within
-/// the budget's run bound, returning the kept prefix and the hit (if the
-/// bound truncated anything).
-fn plan_run_bound(
-    shards: &[Shard],
-    num_configs: u128,
-    armed: &ArmedBudget,
-) -> (Vec<Shard>, Option<BudgetHit>) {
-    let Some(limit) = armed.budget().max_runs() else {
-        return (shards.to_vec(), None);
-    };
-    let mut planned = Vec::with_capacity(shards.len());
-    let mut runs: u128 = 0;
-    for &shard in shards {
-        runs += shard.len() * num_configs;
-        if runs > u128::from(limit) {
-            return (planned, Some(BudgetHit::MaxRuns { limit }));
-        }
-        planned.push(shard);
+/// The pattern prefix a build enumerates: every pattern, or under a run
+/// bound the longest prefix of whole patterns whose raw runs (every
+/// configuration of each, before the quotient skips any) fit under it,
+/// ⌊max_runs / 2^n⌋ patterns, with the hit when the bound cut the axis
+/// short. It is planned before any work from the scenario and the bound
+/// alone, so the same prefix is built at every thread and block count.
+fn plan_run_bound(space: &ScenarioSpace, armed: &ArmedBudget) -> (u128, Option<BudgetHit>) {
+    let total = space.num_patterns();
+    match armed.budget().max_runs() {
+        Some(limit) if u128::from(limit) / space.num_configs() < total => (
+            u128::from(limit) / space.num_configs(),
+            Some(BudgetHit::MaxRuns { limit }),
+        ),
+        _ => (total, None),
     }
-    (planned, None)
 }
 
 /// The output of one block: its runs and flattened view rows (ids valid
@@ -987,71 +989,62 @@ mod tests {
     }
 
     #[test]
-    fn run_budget_yields_deterministic_shard_prefix() {
+    fn run_budget_keeps_the_whole_pattern_prefix_at_every_split() {
         let scenario = scenario();
         let space = ScenarioSpace::new(scenario);
-        let shards = space.shards(4);
-        let num_configs = space.num_configs();
-        // Budget exactly covers the first two shards.
-        let two_shards = (shards[0].len() + shards[1].len()) * num_configs;
-        let outcome = SystemBuilder::new(&scenario)
-            .threads(4)
-            .shards(4)
-            .budget(RunBudget::unlimited().with_max_runs(two_shards as u64))
-            .build_governed()
-            .unwrap();
-        let BuildOutcome::Partial {
-            system,
-            completed_shards,
-            total_shards,
-            budget_hit,
-            ..
-        } = outcome
-        else {
-            panic!("run budget must yield a partial outcome");
-        };
-        assert_eq!(completed_shards, 2);
-        assert_eq!(total_shards, 4);
-        assert_eq!(
-            budget_hit,
-            BudgetHit::MaxRuns {
-                limit: two_shards as u64
+        // Seven whole patterns and part of an eighth: the part is dropped.
+        let limit = 7 * space.num_configs() as u64 + 5;
+        let full = SystemBuilder::new(&scenario).threads(1).build().unwrap();
+        for (threads, shards) in [(1, 1), (1, 4), (4, 4), (2, 9), (3, 1000)] {
+            let outcome = SystemBuilder::new(&scenario)
+                .threads(threads)
+                .shards(shards)
+                .budget(RunBudget::unlimited().with_max_runs(limit))
+                .build_governed()
+                .unwrap();
+            let BuildOutcome::Partial {
+                system, partial, ..
+            } = outcome
+            else {
+                panic!("run budget must yield a partial outcome");
+            };
+            assert_eq!(
+                partial,
+                Partial {
+                    patterns: 7,
+                    total_patterns: space.num_patterns(),
+                    budget_hit: BudgetHit::MaxRuns { limit },
+                },
+                "{threads} threads, {shards} shards"
+            );
+            assert_eq!(system.num_runs() as u128, 7 * space.num_configs());
+            // The prefix is the first runs of a full build: partial
+            // results are usable, not garbage.
+            for r in system.run_ids() {
+                assert_eq!(system.run(r).config, full.run(r).config);
+                assert_eq!(system.run(r).pattern, full.run(r).pattern);
             }
-        );
-        assert_eq!(system.num_runs() as u128, two_shards);
-
-        // The prefix is bit-identical to the same shards of a full build:
-        // partial results are usable, not garbage.
-        let full = SystemBuilder::new(&scenario)
-            .threads(1)
-            .shards(4)
-            .build()
-            .unwrap();
-        for r in system.run_ids() {
-            assert_eq!(system.run(r).config, full.run(r).config);
-            assert_eq!(system.run(r).pattern, full.run(r).pattern);
         }
     }
 
     #[test]
-    fn zero_run_budget_yields_empty_partial() {
-        let outcome = SystemBuilder::new(&scenario())
-            .threads(2)
-            .shards(4)
-            .budget(RunBudget::unlimited().with_max_runs(0))
-            .build_governed()
-            .unwrap();
-        assert_eq!(outcome.budget_hit(), Some(BudgetHit::MaxRuns { limit: 0 }));
-        let BuildOutcome::Partial {
-            system,
-            completed_shards,
-            ..
-        } = outcome
-        else {
-            panic!("expected partial");
-        };
-        assert_eq!(completed_shards, 0);
-        assert_eq!(system.num_runs(), 0);
+    fn run_budget_below_one_pattern_yields_empty_partial() {
+        for limit in [0, 7] {
+            let outcome = SystemBuilder::new(&scenario())
+                .threads(2)
+                .budget(RunBudget::unlimited().with_max_runs(limit))
+                .build_governed()
+                .unwrap();
+            assert_eq!(outcome.budget_hit(), Some(BudgetHit::MaxRuns { limit }));
+            let BuildOutcome::Partial {
+                system, partial, ..
+            } = outcome
+            else {
+                panic!("expected partial");
+            };
+            assert_eq!(partial.patterns, 0);
+            assert_eq!(system.num_runs(), 0);
+        }
     }
 
     #[test]
@@ -1077,23 +1070,23 @@ mod tests {
             .build_governed()
             .unwrap();
         let BuildOutcome::Partial {
-            system,
-            completed_shards,
-            total_shards,
-            budget_hit,
-            ..
+            system, partial, ..
         } = outcome
         else {
             panic!("an interrupted build must yield a partial outcome");
         };
-        assert_eq!(
-            (completed_shards, total_shards, budget_hit),
-            (2, 8, BudgetHit::Interrupted)
-        );
         let space = ScenarioSpace::new(scenario);
-        let shards = space.shards(8);
-        let two_shards = (shards[0].len() + shards[1].len()) * space.num_configs();
-        assert_eq!(system.num_runs() as u128, two_shards);
+        let shards = space.shards(space.num_patterns(), 8);
+        let two_shards = shards[0].len() + shards[1].len();
+        assert_eq!(
+            partial,
+            Partial {
+                patterns: two_shards,
+                total_patterns: space.num_patterns(),
+                budget_hit: BudgetHit::Interrupted,
+            }
+        );
+        assert_eq!(system.num_runs() as u128, two_shards * space.num_configs());
     }
 
     #[test]
@@ -1126,16 +1119,13 @@ mod tests {
             .build_governed()
             .unwrap();
         let BuildOutcome::Partial {
-            system,
-            completed_shards,
-            budget_hit,
-            ..
+            system, partial, ..
         } = outcome
         else {
             panic!("view budget must yield a partial outcome");
         };
-        assert_eq!(budget_hit, BudgetHit::MaxViews { limit: 1 });
-        assert!(completed_shards < 4);
+        assert_eq!(partial.budget_hit, BudgetHit::MaxViews { limit: 1 });
+        assert!(partial.patterns < partial.total_patterns);
         assert!(system.num_runs() < full.num_runs());
     }
 
@@ -1331,15 +1321,22 @@ mod tests {
     #[test]
     fn unbudgeted_governed_build_is_complete_and_identical() {
         let scenario = scenario();
-        let outcome = SystemBuilder::new(&scenario)
-            .threads(3)
-            .shards(5)
-            .build_governed()
-            .unwrap();
-        assert!(outcome.is_complete());
-        assert!(outcome.report().worker_faults.is_empty());
-        assert_eq!(outcome.report().total_shards, 5);
         let baseline = SystemBuilder::new(&scenario).threads(1).build().unwrap();
-        assert_identical(&baseline, outcome.system());
+        // A run bound that holds every pattern cuts nothing.
+        let every_run = ScenarioSpace::new(scenario).total_runs() as u64;
+        for budget in [
+            RunBudget::unlimited(),
+            RunBudget::unlimited().with_max_runs(every_run),
+        ] {
+            let outcome = SystemBuilder::new(&scenario)
+                .threads(3)
+                .shards(5)
+                .budget(budget)
+                .build_governed()
+                .unwrap();
+            assert!(outcome.is_complete());
+            assert!(outcome.report().worker_faults.is_empty());
+            assert_identical(&baseline, outcome.system());
+        }
     }
 }

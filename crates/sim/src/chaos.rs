@@ -4,15 +4,15 @@
 //! the engine that reproduces it survive its own. It has two parts:
 //!
 //! 1. **Fault injection** — a [`FaultInjector`] is threaded through the
-//!    parallel stages of the engine (the [`SystemBuilder`] shard workers
-//!    and the campaign runners) and is consulted once per work item.
+//!    parallel stage of the engine (the [`SystemBuilder`] block workers)
+//!    and is consulted once per work item.
 //!    [`ChaosPlan`] injects deterministic engine faults — a worker panic
 //!    in shard `k`, a synthetic capacity exhaustion, an artificial delay
 //!    — from an explicit or seeded plan, so every degradation path is
 //!    testable. [`NoChaos`] is the free default.
 //!
 //! 2. **Supervision** — [`supervised_indexed`] is the worker pool used by
-//!    those stages: every work item runs under `catch_unwind`, a panicked
+//!    that stage: every work item runs under `catch_unwind`, a panicked
 //!    item is retried once on a fresh thread and then falls back to
 //!    sequential execution on the supervising thread, and only a fault
 //!    that defeats all three attempts surfaces — as a typed
@@ -43,16 +43,12 @@ pub enum FaultSite {
     /// A [`SystemBuilder`](crate::SystemBuilder) shard worker; the item
     /// index is the shard index.
     BuilderShard,
-    /// An `eba-protocols` exhaustive-campaign worker; the item index is
-    /// the shard index.
-    CampaignShard,
 }
 
 impl fmt::Display for FaultSite {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FaultSite::BuilderShard => write!(f, "builder shard"),
-            FaultSite::CampaignShard => write!(f, "campaign shard"),
         }
     }
 }
@@ -358,9 +354,9 @@ where
 ///
 /// let job = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9).rotate_left(7);
 /// let (sequential, _) =
-///     supervised_indexed(64, 1, FaultSite::CampaignShard, job).unwrap();
+///     supervised_indexed(64, 1, FaultSite::BuilderShard, job).unwrap();
 /// let (parallel, _) =
-///     supervised_indexed(64, 4, FaultSite::CampaignShard, job).unwrap();
+///     supervised_indexed(64, 4, FaultSite::BuilderShard, job).unwrap();
 /// assert_eq!(sequential, parallel);
 /// ```
 ///
@@ -522,7 +518,7 @@ mod tests {
 
     #[test]
     fn seeded_plans_are_reproducible() {
-        let sites = [FaultSite::BuilderShard, FaultSite::CampaignShard];
+        let sites = [FaultSite::BuilderShard];
         let a = ChaosPlan::seeded(42, &sites, 8, 5);
         let b = ChaosPlan::seeded(42, &sites, 8, 5);
         assert_eq!(a.faults.len(), 5);
@@ -566,7 +562,7 @@ mod tests {
         // the supervising thread succeeds.
         let attempts = AtomicUsize::new(0);
         let supervisor = thread::current().id();
-        let (out, faults) = supervised_indexed(4, 2, FaultSite::CampaignShard, |i| {
+        let (out, faults) = supervised_indexed(4, 2, FaultSite::BuilderShard, |i| {
             if i == 0
                 && thread::current().id() != supervisor
                 && attempts.fetch_add(1, Ordering::Relaxed) < 2
@@ -584,7 +580,7 @@ mod tests {
     #[test]
     fn defeating_all_attempts_yields_a_typed_fault() {
         let result: Result<(Vec<usize>, _), _> =
-            supervised_indexed(4, 2, FaultSite::CampaignShard, |i| {
+            supervised_indexed(4, 2, FaultSite::BuilderShard, |i| {
                 if i == 1 {
                     panic!("unrecoverable");
                 }
@@ -594,12 +590,12 @@ mod tests {
         assert_eq!(
             fault,
             EngineFault::WorkerPanicked {
-                site: FaultSite::CampaignShard,
+                site: FaultSite::BuilderShard,
                 index: 1,
                 message: "unrecoverable".to_owned(),
             }
         );
-        assert!(fault.to_string().contains("campaign shard #1"));
+        assert!(fault.to_string().contains("builder shard #1"));
     }
 
     #[test]
@@ -647,7 +643,7 @@ mod tests {
         const ITEMS: usize = 101;
         for workers in [2, 3, 8] {
             let runs: Vec<AtomicUsize> = (0..ITEMS).map(|_| AtomicUsize::new(0)).collect();
-            let (out, faults) = supervised_indexed(ITEMS, workers, FaultSite::CampaignShard, |i| {
+            let (out, faults) = supervised_indexed(ITEMS, workers, FaultSite::BuilderShard, |i| {
                 runs[i].fetch_add(1, Ordering::Relaxed);
                 i
             })

@@ -60,7 +60,7 @@ pub mod sched;
 pub mod stats;
 pub mod symmetry;
 
-pub use builder::{BuildOutcome, BuildReport, ExtendReport, SystemBuilder, RUN_CAPACITY};
+pub use builder::{BuildOutcome, BuildReport, ExtendReport, Partial, SystemBuilder, RUN_CAPACITY};
 pub use exchange::{
     try_exchange_views, AnyExchange, DigestExchange, DigestState, Exchange, FullInfoExchange,
     CONTACT_WINDOW,

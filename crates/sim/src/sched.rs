@@ -18,9 +18,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 // Process-wide accumulator. Pool runs from every supervised stage
-// (builder shards, extension blocks, campaign shards) fold into the same
-// counters; the `last_*` fields describe the most recent parallel run
-// only.
+// (cold-build shards, extension blocks) fold into the same counters; the
+// `last_*` fields describe the most recent parallel run only.
 static POOL_RUNS: AtomicU64 = AtomicU64::new(0);
 static ITEMS_EXECUTED: AtomicU64 = AtomicU64::new(0);
 static LAST_WORKERS: AtomicU64 = AtomicU64::new(0);

@@ -69,22 +69,6 @@ impl DecisionStats {
         }
     }
 
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &DecisionStats) {
-        if self.histogram.len() < other.histogram.len() {
-            self.histogram.resize(other.histogram.len(), 0);
-        }
-        for (i, &c) in other.histogram.iter().enumerate() {
-            self.histogram[i] += c;
-        }
-        for v in 0..2 {
-            self.per_value[v].count += other.per_value[v].count;
-            self.per_value[v].sum += other.per_value[v].sum;
-            self.per_value[v].max = self.per_value[v].max.max(other.per_value[v].max);
-        }
-        self.undecided += other.undecided;
-    }
-
     /// Number of recorded decisions.
     #[must_use]
     pub fn decided(&self) -> u64 {
@@ -200,20 +184,6 @@ mod tests {
         assert_eq!(s.mean_time(), None);
         assert_eq!(s.max_time(), None);
         assert_eq!(s.max_time_for(Value::Zero), None);
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = DecisionStats::new();
-        a.record(d(Value::Zero, 1));
-        let mut b = DecisionStats::new();
-        b.record(d(Value::One, 4));
-        b.record(None);
-        a.merge(&b);
-        assert_eq!(a.decided(), 2);
-        assert_eq!(a.undecided(), 1);
-        assert_eq!(a.max_time(), Some(Time::new(4)));
-        assert_eq!(a.histogram(), &[0, 1, 0, 0, 1]);
     }
 
     #[test]

@@ -1,15 +1,13 @@
 //! Acceptance tests for the engine's fault tolerance (DESIGN.md §4c):
 //! an injected panic in any single worker must leave results
 //! bit-identical, and an exceeded `RunBudget` must terminate promptly
-//! with a typed `Partial` outcome — across the builder, the knowledge
-//! engine, and the campaign runner together.
+//! with a typed `Partial` outcome — across the builder and the knowledge
+//! engine together.
 
 use eba_kripke::{Evaluator, Formula, NonRigidSet};
 use eba_model::{FailureMode, RunBudget, Scenario, ScenarioSpace};
-use eba_protocols::runner::{run_exhaustive, run_exhaustive_supervised};
-use eba_protocols::Relay;
 use eba_sim::chaos::{ChaosPlan, FaultInjector, FaultKind, FaultSite};
-use eba_sim::{BuildOutcome, SystemBuilder};
+use eba_sim::{BuildOutcome, Partial, SystemBuilder};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -17,15 +15,13 @@ fn scenario() -> Scenario {
     Scenario::new(3, 1, FailureMode::Omission, 2).unwrap()
 }
 
-/// End-to-end: a panicked builder shard *and* a panicked campaign shard
-/// are both absorbed by supervision, and every downstream artifact — the
-/// generated system, a knowledge verdict, and the campaign report — is
-/// identical to a fault-free execution.
+/// End-to-end: a panicked builder shard is absorbed by supervision, and
+/// every downstream artifact — the generated system and a knowledge
+/// verdict — is identical to a fault-free execution.
 #[test]
 fn single_worker_panics_leave_all_results_bit_identical() {
     let scenario = scenario();
     let baseline = SystemBuilder::new(&scenario).threads(1).build().unwrap();
-    let baseline_report = run_exhaustive(&Relay::p0(1), &scenario);
     let formula = Formula::exists(eba_model::Value::Zero).common(NonRigidSet::Nonfaulty);
     let baseline_verdict = {
         let mut eval = Evaluator::new(&baseline);
@@ -59,53 +55,35 @@ fn single_worker_panics_leave_all_results_bit_identical() {
         let verdict = Arc::unwrap_or_clone(eval.eval(&formula));
         assert_eq!(verdict, baseline_verdict, "shard {victim}");
     }
-
-    let plan = Arc::new(ChaosPlan::new().with_fault(FaultSite::CampaignShard, 3, FaultKind::Panic));
-    let chaos: Arc<dyn FaultInjector> = Arc::clone(&plan) as _;
-    let report = run_exhaustive_supervised(&Relay::p0(1), &scenario, 4, &chaos).unwrap();
-    assert_eq!(plan.fired(), 1);
-    assert_eq!(report.runs, baseline_report.runs);
-    assert_eq!(report.stats.histogram(), baseline_report.stats.histogram());
-    assert_eq!(
-        report.messages_delivered,
-        baseline_report.messages_delivered
-    );
 }
 
-/// An exceeded run budget yields `Partial` with the statically planned
-/// shard prefix, and the prefix is the one a complete build would have
-/// produced.
+/// An exceeded run budget yields `Partial` with the pattern prefix planned
+/// from the bound alone — ⌊max_runs / 2^n⌋ whole patterns — and the
+/// prefix is the one a complete build would have produced.
 #[test]
 fn exceeded_run_budget_is_a_typed_deterministic_partial() {
     let scenario = scenario();
     let space = ScenarioSpace::new(scenario);
-    let shards = space.shards(4);
-    let num_configs = space.num_configs();
-    let first_two: u64 = shards[..2]
-        .iter()
-        .map(|s| u64::try_from(s.len() * num_configs).unwrap())
-        .sum();
+    let limit = 100;
+    let patterns = u128::from(limit) / space.num_configs();
     let outcome = SystemBuilder::new(&scenario)
-        .shards(4)
-        .budget(RunBudget::unlimited().with_max_runs(first_two))
+        .budget(RunBudget::unlimited().with_max_runs(limit))
         .build_governed()
         .unwrap();
     match outcome {
         BuildOutcome::Partial {
-            system,
-            completed_shards,
-            total_shards,
-            budget_hit,
-            ..
+            system, partial, ..
         } => {
-            assert_eq!(completed_shards, 2);
-            assert_eq!(total_shards, 4);
-            assert_eq!(system.num_runs() as u64, first_two);
             assert_eq!(
-                budget_hit,
-                eba_model::BudgetHit::MaxRuns { limit: first_two }
+                partial,
+                Partial {
+                    patterns,
+                    total_patterns: space.num_patterns(),
+                    budget_hit: eba_model::BudgetHit::MaxRuns { limit },
+                }
             );
-            let full = SystemBuilder::new(&scenario).shards(4).build().unwrap();
+            assert_eq!(system.num_runs() as u128, patterns * space.num_configs());
+            let full = SystemBuilder::new(&scenario).build().unwrap();
             for (run, full_run) in system.run_ids().zip(full.run_ids()) {
                 assert_eq!(system.run(run).pattern, full.run(full_run).pattern);
                 assert_eq!(system.run(run).config, full.run(full_run).config);
@@ -130,9 +108,9 @@ fn deadline_budget_terminates_within_twice_the_deadline() {
         .unwrap();
     let elapsed = start.elapsed();
     match outcome {
-        BuildOutcome::Partial { budget_hit, .. } => {
+        BuildOutcome::Partial { partial, .. } => {
             assert_eq!(
-                budget_hit,
+                partial.budget_hit,
                 eba_model::BudgetHit::Deadline { limit: deadline }
             );
         }

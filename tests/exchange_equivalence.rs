@@ -193,18 +193,16 @@ fn chaos_disturbed_digest_build_is_undisturbed() {
 
 #[test]
 fn budget_partial_digest_prefix_matches_full_info_prefix() {
-    // The same two-of-four-shards budget applied under both exchanges
+    // The same budget of half the patterns applied under both exchanges
     // must keep the same deterministic run prefix, and the digest prefix
     // must be lossless against the full-info prefix.
     let full_scenario = Scenario::new(3, 2, FailureMode::Crash, 2).unwrap();
     let space = ScenarioSpace::new(full_scenario);
-    let shards = space.shards(4);
-    let two_shards = (shards[0].len() + shards[1].len()) * space.num_configs();
+    let half = space.num_patterns() / 2 * space.num_configs();
     let budgeted = |scenario: &Scenario| {
         let outcome = SystemBuilder::new(scenario)
             .threads(2)
-            .shards(4)
-            .budget(RunBudget::unlimited().with_max_runs(two_shards as u64))
+            .budget(RunBudget::unlimited().with_max_runs(half as u64))
             .build_governed()
             .unwrap();
         assert!(outcome.budget_hit().is_some(), "budget must bind");

@@ -5,15 +5,13 @@
 //! functions of their index and faults key on the item index, so nothing
 //! observable may depend on who ran what.
 //!
-//! Covers the cold exhaustive build, the horizon-sweep `extend` path
-//! (undisturbed and under injected faults), seeded chaos campaigns
-//! (absorbed-fault sets included), budget-partial prefixes, and a
+//! Covers the cold exhaustive build (undisturbed and under injected
+//! faults, absorbed-fault sets included), the horizon-sweep `extend` path
+//! (undisturbed and under injected faults), budget-partial prefixes, and a
 //! straggler workload where a static round-robin split would serialize
 //! behind one slow item.
 
 use eba_model::{FailureMode, ProcessorId, RunBudget, Scenario, ScenarioSpace, Time};
-use eba_protocols::runner::{run_exhaustive_supervised, CampaignReport};
-use eba_protocols::Relay;
 use eba_sim::chaos::{supervised_indexed, ChaosPlan, FaultInjector, FaultKind, FaultSite};
 use eba_sim::{BuildOutcome, GeneratedSystem, SystemBuilder};
 use std::sync::Arc;
@@ -69,13 +67,13 @@ fn straggler_workload_is_bit_identical_and_not_serialized() {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .rotate_left(17)
     };
-    let (sequential, faults) = supervised_indexed(ITEMS, 1, FaultSite::CampaignShard, job).unwrap();
+    let (sequential, faults) = supervised_indexed(ITEMS, 1, FaultSite::BuilderShard, job).unwrap();
     assert!(faults.is_empty());
 
     for workers in [2, 4, 8] {
         let started = Instant::now();
         let (parallel, faults) =
-            supervised_indexed(ITEMS, workers, FaultSite::CampaignShard, job).unwrap();
+            supervised_indexed(ITEMS, workers, FaultSite::BuilderShard, job).unwrap();
         let elapsed = started.elapsed();
         assert!(faults.is_empty(), "{workers} workers");
         assert_eq!(sequential, parallel, "{workers} workers");
@@ -200,50 +198,6 @@ fn chaos_disturbed_extensions_are_identical_at_every_worker_count() {
     }
 }
 
-/// A seeded chaos campaign reports byte-identical aggregates at every
-/// worker count: faults key on the item index, so the same shards are
-/// disturbed no matter which thread picks them up (workers = 1 runs them
-/// sequentially under the same supervision).
-#[test]
-fn seeded_chaos_campaign_reports_are_identical_at_every_worker_count() {
-    let scenario = Scenario::new(3, 1, FailureMode::Omission, 2).unwrap();
-    let assert_reports_equal = |a: &CampaignReport, b: &CampaignReport, what: &str| {
-        assert_eq!(a.runs, b.runs, "{what}: runs");
-        assert_eq!(a.stats.histogram(), b.stats.histogram(), "{what}: stats");
-        assert_eq!(
-            a.agreement_violations, b.agreement_violations,
-            "{what}: agreement"
-        );
-        assert_eq!(
-            a.validity_violations, b.validity_violations,
-            "{what}: validity"
-        );
-        assert_eq!(
-            a.decision_violations, b.decision_violations,
-            "{what}: decision"
-        );
-        assert_eq!(
-            a.non_simultaneous, b.non_simultaneous,
-            "{what}: simultaneity"
-        );
-        assert_eq!(
-            a.messages_delivered, b.messages_delivered,
-            "{what}: messages"
-        );
-    };
-
-    let mut baseline: Option<CampaignReport> = None;
-    for workers in WORKER_COUNTS {
-        let plan = Arc::new(ChaosPlan::seeded(0xEBA, &[FaultSite::CampaignShard], 16, 4));
-        let chaos: Arc<dyn FaultInjector> = Arc::clone(&plan) as _;
-        let report = run_exhaustive_supervised(&Relay::p0(1), &scenario, workers, &chaos).unwrap();
-        match &baseline {
-            None => baseline = Some(report),
-            Some(first) => assert_reports_equal(first, &report, &format!("campaign @{workers}")),
-        }
-    }
-}
-
 /// Injected builder panics leave the system id-exact and the absorbed
 /// `WorkerFault` set identical at every worker count: supervision
 /// records faults by item index in `settle`'s index-order pass, so the
@@ -285,43 +239,43 @@ fn chaos_disturbed_builds_agree_on_faults_and_system_at_every_worker_count() {
     }
 }
 
-/// A run-bound budget stops at the same statically planned shard prefix
-/// at every worker count, and the partial systems are id-exact: the
-/// bound is planned before any work happens, so timing and scheduling
-/// cannot move it.
+/// A run-bound budget keeps the same pattern prefix at every worker count
+/// and the default block split each count brings: ⌊max_runs / 2^n⌋ whole
+/// patterns, planned from the scenario and the bound before any work. The
+/// partial systems are id-exact to the first runs of a complete build.
 #[test]
 fn budget_partial_prefix_is_identical_at_every_worker_count() {
     let scenario = Scenario::new(3, 1, FailureMode::Omission, 2).unwrap();
     let space = ScenarioSpace::new(scenario);
-    let shards = space.shards(8);
-    let num_configs = space.num_configs();
-    let first_three: u64 = shards[..3]
-        .iter()
-        .map(|s| u64::try_from(s.len() * num_configs).unwrap())
-        .sum();
+    let complete = SystemBuilder::new(&scenario).threads(1).build().unwrap();
+    // 13 whole patterns and part of a fourteenth.
+    let limit = 13 * space.num_configs() as u64 + 3;
+    let prefix_runs = 13 * space.num_configs() as usize;
+    let complete_prefix = GeneratedSystem::from_runs(
+        &scenario,
+        complete
+            .run_ids()
+            .take(prefix_runs)
+            .map(|r| {
+                let record = complete.run(r);
+                (record.config.clone(), record.pattern.clone())
+            })
+            .collect(),
+    );
 
-    let mut baseline: Option<GeneratedSystem> = None;
     for workers in WORKER_COUNTS {
         let outcome = SystemBuilder::new(&scenario)
             .threads(workers)
-            .shards(8)
-            .budget(RunBudget::unlimited().with_max_runs(first_three))
+            .budget(RunBudget::unlimited().with_max_runs(limit))
             .build_governed()
             .unwrap();
         match outcome {
             BuildOutcome::Partial {
-                system,
-                completed_shards,
-                ..
+                system, partial, ..
             } => {
-                assert_eq!(completed_shards, 3, "@{workers}");
-                assert_eq!(system.num_runs() as u64, first_three, "@{workers}");
-                match &baseline {
-                    None => baseline = Some(system),
-                    Some(first) => {
-                        assert_identical(first, &system, &format!("partial @{workers}"));
-                    }
-                }
+                assert_eq!(partial.patterns, 13, "@{workers}");
+                assert_eq!(partial.total_patterns, space.num_patterns(), "@{workers}");
+                assert_identical(&complete_prefix, &system, &format!("partial @{workers}"));
             }
             BuildOutcome::Complete { .. } => panic!("@{workers}: budget should bite"),
         }

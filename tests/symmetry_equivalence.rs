@@ -236,16 +236,15 @@ fn chaos_disturbed_quotient_build_is_identical_to_a_clean_one() {
 
 #[test]
 fn budget_partial_quotient_prefix_matches_its_orbit_closure() {
-    // A run budget cuts the quotiented build to a prefix of shards. The
+    // A run budget cuts the quotiented build to a prefix of patterns. The
     // oracle for that prefix is the *orbit closure* of the kept
     // representative patterns — every raw pattern whose canonical form
     // was kept, crossed with every config — built unreduced.
     let scenario = Scenario::new(3, 2, FailureMode::Crash, 2).unwrap();
     let space = ScenarioSpace::new(scenario);
-    // Run budgets are planned against raw (pre-skip) per-shard pattern
-    // counts, so size the budget to admit exactly two of four shards.
-    let shards = space.shards(4);
-    let two_shards = (shards[0].len() + shards[1].len()) * space.num_configs();
+    // Run budgets are planned against raw (pre-skip) pattern counts, so
+    // size the budget to admit exactly half the raw patterns.
+    let half = space.num_patterns() / 2 * space.num_configs();
     let reduced_total = SystemBuilder::new(&scenario)
         .symmetry(true)
         .build()
@@ -255,20 +254,22 @@ fn budget_partial_quotient_prefix_matches_its_orbit_closure() {
         .threads(1)
         .shards(4)
         .symmetry(true)
-        .budget(RunBudget::unlimited().with_max_runs(two_shards as u64))
+        .budget(RunBudget::unlimited().with_max_runs(half as u64))
         .build_governed()
         .unwrap();
     let BuildOutcome::Partial {
         system: reduced,
-        budget_hit,
+        partial,
         ..
     } = outcome
     else {
         panic!("the budget must bind");
     };
+    assert_eq!(partial.patterns, space.num_patterns() / 2);
     assert!(
         reduced.num_runs() > 0,
-        "prefix must be non-empty: {budget_hit}"
+        "prefix must be non-empty: {}",
+        partial.budget_hit
     );
     assert!(reduced.num_runs() < reduced_total);
 
