@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eba_model::sample::{self, PatternSampler};
-use eba_model::{FailureMode, Scenario, Time};
+use eba_model::{ExchangeKind, FailureMode, Scenario, Time};
 use eba_sim::ViewTable;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,12 +25,14 @@ fn view_interning(c: &mut Criterion) {
             |b, (config, pattern)| {
                 b.iter(|| {
                     let mut table = ViewTable::new();
-                    black_box(eba_sim::fip_views(
+                    black_box(eba_sim::try_exchange_views(
+                        ExchangeKind::FullInformation,
                         config,
                         pattern,
                         scenario.horizon(),
                         &mut table,
-                    ));
+                    ))
+                    .expect("view table overflow");
                 });
             },
         );
@@ -52,12 +54,14 @@ fn interning_shared_across_runs(c: &mut Criterion) {
         b.iter(|| {
             let mut table = ViewTable::new();
             for (config, pattern) in &runs {
-                black_box(eba_sim::fip_views(
+                black_box(eba_sim::try_exchange_views(
+                    ExchangeKind::FullInformation,
                     config,
                     pattern,
                     Time::new(4),
                     &mut table,
-                ));
+                ))
+                .expect("view table overflow");
             }
             black_box(table.len());
         });

@@ -152,6 +152,18 @@ fn iff_chains_past_the_size_cap_exit_two_not_exhaust_memory() {
 }
 
 #[test]
+fn samples_past_the_run_id_space_exit_two_not_abort() {
+    // 2 × 10^12 runs could never get run ids; the count is refused
+    // before anything is sampled or allocated.
+    let (_, stderr, code) = run(&["--sampled", "1000000000000", "1", "--quiet", "true"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("capacity exceeded: run ids holds at most 4294967296 items"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn usage_errors_exit_two() {
     let (_, stderr, code) = run(&["--mode", "byzantine", "E0"]);
     assert_eq!(code, Some(2));

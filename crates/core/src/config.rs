@@ -9,6 +9,7 @@
 use eba_kripke::Formula;
 use eba_model::{ExchangeKind, FailureMode, ModelError, RunBudget, Scenario};
 use eba_sim::chaos::FaultInjector;
+use eba_sim::RUN_CAPACITY;
 use std::fmt;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -188,6 +189,14 @@ impl EngineConfig {
         }
         .and_then(|s| s.with_exchange(exchange))
         .map_err(ConfigError::Scenario)?;
+        // A sampled system holds up to two runs per sample (the sample
+        // and its configuration's failure-free run).
+        if let Some((runs, _)) = options.sampled {
+            if 2 * runs as u128 > RUN_CAPACITY {
+                let e = ModelError::capacity_exceeded("run ids", RUN_CAPACITY);
+                return Err(ConfigError::Scenario(e));
+            }
+        }
         let spec = ScenarioSpec {
             n,
             t,
@@ -296,6 +305,18 @@ mod tests {
                 "{options:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_sample_the_run_ids_cannot_index_is_a_capacity_error() {
+        let sampled = |runs| EngineOptions {
+            sampled: Some((runs, 1)),
+            ..EngineOptions::default()
+        };
+        let full = ModelError::capacity_exceeded("run ids", RUN_CAPACITY);
+        let err = EngineConfig::new(sampled((1 << 31) + 1)).unwrap_err();
+        assert_eq!(err, ConfigError::Scenario(full));
+        assert!(EngineConfig::new(sampled(1 << 31)).is_ok());
     }
 
     #[test]

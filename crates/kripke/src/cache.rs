@@ -10,9 +10,9 @@
 //! any number of evaluators, including the fresh evaluators the
 //! construction pipeline spins up per optimization step. Lookups take a
 //! mutex, but only on the first request per `(evaluator, set)` pair; after
-//! that the evaluator's local memo answers. The compiled evaluation plans
-//! (`plan` module) share their per-processor *scope columns* here too,
-//! under the same content keys.
+//! that the evaluator's local memo answers. The evaluator's knowledge
+//! kernels share their per-processor *scope columns* here too, under the
+//! same content keys.
 //!
 //! Content keys can be expensive to canonicalize and to hash (a
 //! `NonfaultyAnd` key carries every view of a state-set family), so the
@@ -47,7 +47,7 @@ use std::sync::{Arc, Mutex};
 
 /// Per-processor scope columns of a nonrigid set: entry `p` is the set of
 /// points at which processor `p` belongs to `S(r, k)`. Built once per
-/// `(system, set)` by the compiled-plan kernels and shared here alongside
+/// `(system, set)` by the knowledge kernels and shared here alongside
 /// reachability, under the same content key.
 pub type ScopeColumns = Arc<Vec<Bitset>>;
 
@@ -68,8 +68,9 @@ pub(crate) struct ReachKey {
     /// the same scenario share exchange fingerprints but index entirely
     /// different point spaces (and their reachability partitions answer
     /// different questions), so their entries must never be
-    /// interchangeable even when one cache handle is shared across both
-    /// (the session's asymmetric-formula fallback does exactly that).
+    /// interchangeable even when a library caller shares one cache handle
+    /// across both. (Both front ends drop the quotient before they open a
+    /// session, so each of their systems has its own cache.)
     pub(crate) symmetry: u64,
     /// Which nonrigid set, by content.
     pub(crate) sel: ReachSel,

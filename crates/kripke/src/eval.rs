@@ -4,7 +4,7 @@ use crate::bitset::Bitset;
 use crate::cache::{HashedReachKey, KnowledgeCache, ReachKey, ReachSel, ScopeColumns};
 use crate::formula::Formula;
 use crate::nonrigid::{NonRigidSet, PointPredId, RunPredId, StateSets, StateSetsId};
-use crate::plan::FormulaPlan;
+use crate::plan::NodeTable;
 use crate::uf::UnionFind;
 use eba_model::fasthash::{FastMap, FastSet};
 use eba_model::{ModelError, ProcSet, ProcessorId, Time};
@@ -76,8 +76,10 @@ impl Reachability {
 ///
 /// Points of the system are indexed linearly (`run × (horizon + 1) +
 /// time`); every formula evaluates to the [`Bitset`] of points satisfying
-/// it, cached by formula structure. State-set families and per-run
-/// predicates are registered up front and referenced by id from formulas.
+/// it. The evaluator hash-conses every subformula it lowers into one node
+/// table and keeps each node's result, so a subformula shared between
+/// formulas is evaluated once. State-set families and per-run predicates
+/// are registered up front and referenced by id from formulas.
 ///
 /// # Example
 ///
@@ -105,7 +107,7 @@ pub struct Evaluator<'a> {
     state_sets: Vec<StateSets>,
     run_preds: Vec<Vec<bool>>,
     pub(crate) point_preds: Vec<Arc<Bitset>>,
-    pub(crate) cache: FastMap<Formula, Arc<Bitset>>,
+    pub(crate) nodes: NodeTable,
     pub(crate) reach_cache: FastMap<NonRigidSet, Arc<Reachability>>,
     pub(crate) scope_cache: FastMap<NonRigidSet, ScopeColumns>,
     /// Content keys are canonicalized and hashed once per set, then
@@ -148,7 +150,7 @@ impl<'a> Evaluator<'a> {
             state_sets: Vec::new(),
             run_preds: Vec::new(),
             point_preds: Vec::new(),
-            cache: FastMap::default(),
+            nodes: NodeTable::default(),
             reach_cache: FastMap::default(),
             scope_cache: FastMap::default(),
             key_memo: FastMap::default(),
@@ -333,23 +335,14 @@ impl<'a> Evaluator<'a> {
 
     /// Evaluates a formula, returning the set of points satisfying it.
     ///
-    /// The formula is lowered to a [`FormulaPlan`] — a deduplicated DAG
-    /// of dense-bitset kernels — and executed over the system's columnar
-    /// [`eba_sim::PointStore`], with results memoized per subformula.
+    /// The formula's unseen subformulas are appended to the evaluator's
+    /// node table as dense-bitset kernels and run over the system's
+    /// columnar [`eba_sim::PointStore`]; subformulas evaluated before are
+    /// served from their nodes' kept results.
     pub fn eval(&mut self, formula: &Formula) -> Arc<Bitset> {
-        if let Some(cached) = self.cache.get(formula) {
-            return Arc::clone(cached);
-        }
-        let plan = FormulaPlan::compile(formula);
-        self.eval_plan(&plan)
-    }
-
-    /// Executes a compiled plan, returning the extension of its root.
-    ///
-    /// Every cacheable node's result is recorded in (and served from)
-    /// the same formula-keyed memo that [`Evaluator::eval`] uses.
-    pub fn eval_plan(&mut self, plan: &FormulaPlan) -> Arc<Bitset> {
-        crate::plan::execute(self, plan)
+        let root = self.nodes.lower(formula);
+        crate::plan::run_pending(self, None);
+        self.nodes.result(root)
     }
 
     /// Whether the formula holds at the given point.
@@ -399,8 +392,8 @@ impl<'a> Evaluator<'a> {
     /// holds, inserted into `sets` — value-identical to calling
     /// [`Evaluator::views_where_into`] with `ψ.believed_by(i, scope)`
     /// per processor, but `ψ` is evaluated **once** and each processor
-    /// costs one bucket sweep instead of a formula build, a plan
-    /// compile, and a closure kernel.
+    /// costs one bucket sweep instead of a formula build, a lowering,
+    /// and a closure kernel.
     ///
     /// The fusion is sound because `B^S_i ψ` is constant across a bucket
     /// (all its points share `i`'s view): it fails somewhere in bucket
@@ -601,7 +594,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// `C_S φ` from a reachability structure: φ holds throughout the
-    /// point's component (vacuously where `S` is empty). The plan's
+    /// point's component (vacuously where `S` is empty). The
     /// `ReachClose` kernel; the reference evaluator
     /// ([`crate::oracle`]) shares it.
     pub(crate) fn common_from_reach(&self, phi: &Bitset, reach: &Reachability) -> Bitset {
@@ -705,13 +698,13 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    /// Evaluates a leaf formula (no subformulas) directly; the plan's
-    /// `Load` kernel.
+    /// Evaluates a leaf formula (no subformulas) directly; the `Load`
+    /// kernel.
     ///
     /// # Panics
     ///
-    /// Panics if called on a non-leaf formula — the plan compiler only
-    /// emits `Load` for leaves.
+    /// Panics if called on a non-leaf formula — lowering only emits
+    /// `Load` for leaves.
     pub(crate) fn load_leaf(&self, formula: &Formula) -> Bitset {
         match formula {
             Formula::True => Bitset::new_true(self.num_points),
@@ -983,7 +976,7 @@ impl<'a> Evaluator<'a> {
 
     /// The per-processor scope columns of `s`: entry `p` is the bitset of
     /// points at which `p ∈ S(r, k)` (the column form of
-    /// [`Evaluator::members`], used by the plan kernels).
+    /// [`Evaluator::members`], used by the knowledge kernels).
     ///
     /// Lookup is staged like [`Evaluator::reachability`]: the local memo,
     /// then the shared [`KnowledgeCache`] under the set's content key,
@@ -1381,7 +1374,7 @@ mod tests {
 
     #[test]
     fn family_believes_matches_per_processor_beliefs() {
-        // The unreduced branch runs the plan's bucket-sweep closure; the
+        // The unreduced branch runs the kernels' bucket-sweep closure; the
         // recursive oracle evaluates each `B^S_i ψ_i` on its own.
         let system = crash_system();
         let mut eval = Evaluator::new(&system);

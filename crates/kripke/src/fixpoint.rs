@@ -21,11 +21,11 @@ use eba_model::Time;
 /// Returns the satisfaction bitset and the number of iterations needed
 /// (including the final confirming pass).
 ///
-/// The loop runs as the compiled `GfpIter` kernel — a native bitset
-/// iteration over the columnar point store that never constructs
-/// intermediate formulas (see [`crate::plan`]) — after one
-/// [`crate::reach::BatchBuilder`] sweep has resolved the iteration's
-/// scope columns and every nonrigid set of `φ`'s plan. The formula
+/// The loop is a native bitset iteration over the columnar point store
+/// that never constructs intermediate formulas. It starts after `φ` is
+/// evaluated in the evaluator's node table, with one
+/// [`crate::reach::BatchBuilder`] sweep resolving the iteration's scope
+/// columns and every nonrigid set of `φ`'s new nodes. The formula
 /// iteration it replaced is kept as [`crate::oracle::Oracle::common_by_gfp`],
 /// with the same iterates and iteration counts.
 pub fn common_by_gfp(eval: &mut Evaluator<'_>, s: NonRigidSet, phi: &Formula) -> (Bitset, usize) {

@@ -14,9 +14,10 @@
 //!   (eventually), `□̄` (at all times — past, present and future), and its
 //!   dual `◇̄`.
 //!
-//! Formulas are plain data (`Eq + Hash`), so the evaluator can memoize
-//! them; references to state sets and run predicates go through ids
-//! registered with the [`crate::Evaluator`].
+//! Formulas are plain data (`Eq + Hash`), so the evaluator can hash-cons
+//! their leaves and the reference oracle can memoize them; references to
+//! state sets and run predicates go through ids registered with the
+//! [`crate::Evaluator`].
 
 use crate::nonrigid::{NonRigidSet, PointPredId, RunPredId, StateSetsId};
 use eba_model::{ProcessorId, Value};

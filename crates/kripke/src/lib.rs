@@ -6,11 +6,11 @@
 //!
 //! * [`Formula`] — the epistemic-temporal language: `K_i`, `B^S_i`, `E_S`,
 //!   `S_S` (someone), `D_S` (distributed), `C_S`, `C□_S`, `□`, `◇`, `□̄`;
-//! * [`Evaluator`] — a memoizing model checker mapping each formula to the
-//!   exact set of points of a [`eba_sim::GeneratedSystem`] satisfying it;
-//! * [`FormulaPlan`] ([`plan`]) — formulas compiled to a deduplicated DAG
-//!   of dense-bitset kernels over the columnar [`eba_sim::PointStore`];
-//!   the evaluator's one engine;
+//! * [`Evaluator`] — a model checker mapping each formula to the exact
+//!   set of points of a [`eba_sim::GeneratedSystem`] satisfying it: it
+//!   hash-conses every subformula into one table of dense-bitset kernels
+//!   over the columnar [`eba_sim::PointStore`] and keeps every node's
+//!   result, its one engine;
 //! * [`oracle`] — the recursive evaluator, per-set reachability and
 //!   formula-iteration gfp those kernels replaced, kept as reference
 //!   implementations for the differential suites;
@@ -55,6 +55,7 @@ mod eval;
 mod formula;
 mod kernels;
 mod nonrigid;
+mod plan;
 mod uf;
 
 pub mod axioms;
@@ -62,7 +63,6 @@ pub mod explain;
 pub mod fixpoint;
 pub mod oracle;
 pub mod parse;
-pub mod plan;
 pub mod reach;
 
 pub use bitset::Bitset;
@@ -70,6 +70,5 @@ pub use cache::{CacheStats, KnowledgeCache, ScopeColumns};
 pub use eval::{Evaluator, Reachability};
 pub use formula::Formula;
 pub use nonrigid::{NonRigidSet, PointPredId, RunPredId, StateSets, StateSetsId, ViewSet};
-pub use plan::{FormulaPlan, Kernel, KnowKind, TemporalOp};
 pub use reach::BatchBuilder;
 pub use uf::UnionFind;

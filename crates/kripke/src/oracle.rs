@@ -1,9 +1,10 @@
 //! Reference implementations of the knowledge operators, kept for the
 //! differential suites.
 //!
-//! Production evaluation has one path per operator: compiled plans
-//! ([`crate::plan`]) over batched reachability ([`crate::reach`]), with
-//! the Lemma 3.4 fixed points run as the native `GfpIter` loop. This
+//! Production evaluation has one path per operator: the evaluator's
+//! hash-consed bitset kernels over batched reachability
+//! ([`crate::reach`]), with the Lemma 3.4 fixed points run as a native
+//! bitset loop ([`crate::fixpoint`]). This
 //! module keeps the direct implementations those paths replaced, so the
 //! suites can check them bit for bit:
 //!
@@ -17,7 +18,7 @@
 //!
 //! An [`Oracle`] borrows an [`Evaluator`] for its system and registered
 //! families but keeps memos of its own: it never reads or fills the
-//! evaluator's formula memo, its reachability and scope memos, or the
+//! evaluator's node table, its reachability and scope memos, or the
 //! [`crate::KnowledgeCache`]. A differential assertion therefore never
 //! compares a production result with itself. No production code calls
 //! this module, so the linker drops it from release binaries.

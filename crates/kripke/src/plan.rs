@@ -1,26 +1,30 @@
-//! Compiled evaluation plans: formulas lowered to a DAG of dense-bitset
-//! kernels executed over the columnar point store.
+//! Formulas lowered to hash-consed dense-bitset kernels over the columnar
+//! point store.
 //!
 //! A recursive evaluator ([`crate::oracle`]) walks a [`Formula`] tree and
 //! materializes one bitset per node, recomputing knowledge closures with
-//! a per-point scan. A [`FormulaPlan`] performs the same computation as a
-//! flat program, and is the only way [`Evaluator`] evaluates:
+//! a per-point scan. The [`Evaluator`] instead owns a *node table*: one
+//! [`Kernel`] per distinct subformula it has seen, numbered in
+//! topological order, and one result per node that has run.
 //!
-//! 1. **Lowering** ([`FormulaPlan::compile`]) turns the tree into a
-//!    post-order list of [`Kernel`]s, *deduplicating* structurally equal
-//!    subformulas — `φ ∨ ¬φ` evaluates `φ` once — so the plan is a DAG
-//!    rather than a tree.
-//! 2. **Execution** ([`Evaluator::eval_plan`](crate::Evaluator::eval_plan))
-//!    runs the kernels in order. Knowledge kernels walk the precomputed
-//!    CSR bucket partitions of the [`eba_sim::PointStore`] (all points
-//!    sharing one processor's view are contiguous), and the group
-//!    operators `E_S`/`S_S` fold per-processor results with word-level
-//!    bitset ops ([`Bitset::and_implication`] / [`Bitset::or_conjunction`])
-//!    against cached per-processor *scope columns*.
-//! 3. **Fixpoints** run as the [`Kernel::GfpIter`] loop: `X ← E_S(φ ∧ X)`
-//!    iterated natively on bitsets, with no per-iteration formula
-//!    construction, hashing, or point-predicate registration. This is
-//!    what [`crate::fixpoint`] runs.
+//! 1. **Lowering** ([`NodeTable::lower`]) walks a formula children-first
+//!    and looks each kernel up in the table. A kernel names its inputs by
+//!    node id and a leaf carries its (shallow) formula, so the kernel is
+//!    its own hash-cons key and a lookup hashes O(1) words per node.
+//!    Structurally equal subformulas — within one formula (`φ ∨ ¬φ`
+//!    evaluates `φ` once) or across every formula the evaluator has
+//!    seen — are one node; only unseen ones are appended.
+//! 2. **Execution** ([`run_pending`]) runs the appended nodes in id
+//!    order. Knowledge kernels walk the precomputed CSR bucket partitions
+//!    of the [`eba_sim::PointStore`] (all points sharing one processor's
+//!    view are contiguous), and the group operators `E_S`/`S_S` fold
+//!    per-processor results with word-level bitset ops
+//!    ([`Bitset::and_implication`] / [`Bitset::or_conjunction`]) against
+//!    cached per-processor *scope columns*.
+//! 3. **Fixpoints** ([`gfp`], behind [`crate::fixpoint`]) lower `φ` the
+//!    same way and iterate `X ← E_S(φ ∧ X)` natively on bitsets, with no
+//!    per-iteration formula construction, hashing, or point-predicate
+//!    registration.
 //!
 //! Every kernel is implemented to be extensionally *identical* to the
 //! recursive evaluator — same bits, not just same truth values — and the
@@ -28,17 +32,11 @@
 //! The differential suite in `tests/plan_equivalence.rs` enforces this on
 //! random formulas against [`crate::oracle`].
 //!
-//! Before the first kernel runs, every nonrigid set the plan touches is
-//! resolved by one [`crate::reach::BatchBuilder`] sweep. Plan results are
-//! recorded in the evaluator's formula-keyed memo for the nodes worth
-//! remembering — leaves, knowledge/reachability closures, temporal folds,
-//! and the root. Interior `Not`/`And`/`Or` nodes are *not* memoized:
-//! their kernels are a handful of word ops, cheaper than hashing their
-//! (large) formulas as cache keys. The other exception is `GfpIter`: its
-//! result provably equals `C_S φ` / `C□_S φ`, but caching it under that
-//! key would let the fixpoint result mask the reachability-based one (or
-//! vice versa) and silently weaken the tests that compare them, so gfp
-//! nodes are never memoized.
+//! Before the first appended kernel runs, every nonrigid set the appended
+//! nodes touch is resolved by one [`BatchBuilder`] sweep. Every node keeps
+//! its result for the evaluator's lifetime, so the nodes without a result
+//! are exactly the ones the last lowering appended, and re-evaluating a
+//! formula (or any subformula of one already evaluated) runs no kernel.
 
 use crate::bitset::Bitset;
 use crate::eval::Evaluator;
@@ -47,11 +45,12 @@ use crate::nonrigid::NonRigidSet;
 use crate::reach::BatchBuilder;
 use eba_model::fasthash::FastMap;
 use eba_model::ProcessorId;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Which knowledge closure a [`Kernel::KnowClose`] computes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum KnowKind {
+pub(crate) enum KnowKind {
     /// `K_p φ` — knowledge of processor `p`.
     Knows(ProcessorId),
     /// `B^S_p φ` — belief of `p` relative to the nonrigid set `S`.
@@ -66,7 +65,7 @@ pub enum KnowKind {
 
 /// Which per-run temporal fold a [`Kernel::Temporal`] computes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum TemporalOp {
+pub(crate) enum TemporalOp {
     /// `□φ` — at every time from now on.
     Always,
     /// `◇φ` — at some time from now on.
@@ -77,13 +76,13 @@ pub enum TemporalOp {
     SometimeAll,
 }
 
-/// One node of a compiled plan. Inputs are indices of earlier nodes
-/// (plans are in topological order by construction).
-#[derive(Clone, Debug)]
-pub enum Kernel {
+/// One node of the node table, and its hash-cons key. Inputs are ids of
+/// earlier nodes (the table is in topological order by construction).
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub(crate) enum Kernel {
     /// Evaluate a leaf formula (`True`, `∃v`, `init`, registered
     /// predicates, …) directly into a bitset.
-    Load,
+    Load(Formula),
     /// Pointwise complement of the input.
     Not(u32),
     /// Pointwise conjunction of the inputs (empty = all-true).
@@ -115,129 +114,29 @@ pub enum Kernel {
         /// The node holding `φ`.
         input: u32,
     },
-    /// The greatest-fixed-point loop `X ← E_S(φ ∧ X)` (boxed:
-    /// `X ← □̄ E_S(φ ∧ X)`) from `X = True`, run natively on bitsets.
-    GfpIter {
-        /// The nonrigid set `S`.
-        set: NonRigidSet,
-        /// Whether each step is boxed (`E□_S`, yielding `C□_S`).
-        boxed: bool,
-        /// The node holding `φ`.
-        input: u32,
-    },
 }
 
-/// A formula compiled to a deduplicated DAG of bitset kernels; see the
-/// module docs.
-///
-/// # Example
-///
-/// ```
-/// use eba_kripke::{Evaluator, Formula, FormulaPlan};
-/// use eba_model::{FailureMode, Scenario, Value};
-/// use eba_sim::GeneratedSystem;
-///
-/// # fn main() -> Result<(), eba_model::ModelError> {
-/// let scenario = Scenario::new(3, 1, FailureMode::Crash, 2)?;
-/// let system = GeneratedSystem::exhaustive(&scenario);
-/// let phi = Formula::exists(Value::Zero);
-/// // φ ∨ ¬φ: three kernels (φ is shared), not four.
-/// let plan = FormulaPlan::compile(&phi.clone().or(phi.not()));
-/// assert_eq!(plan.len(), 3);
-/// let mut eval = Evaluator::new(&system);
-/// assert!(eval.eval_plan(&plan).all());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, Debug)]
-pub struct FormulaPlan {
+/// The hash-consed nodes an [`Evaluator`] has lowered, in id order, and
+/// the result of every node that has run; see the module docs.
+#[derive(Default)]
+pub(crate) struct NodeTable {
+    ids: FastMap<Kernel, u32>,
     kernels: Vec<Kernel>,
-    /// Per node: the subformula it computes, used as the evaluator's memo
-    /// key — or `None` for nodes that skip the memo (cheap word-level
-    /// boolean ops, and gfp nodes which must never be memoized).
-    formulas: Vec<Option<Formula>>,
+    results: Vec<Arc<Bitset>>,
 }
 
-/// The structural identity of a plan node: its operator plus the ids of
-/// its already-lowered inputs. Keying the compile-time memo on this
-/// instead of the `Formula` makes dedup `O(1)` hashing per node (child
-/// ids, not whole subtrees); since leaves are keyed by their (shallow)
-/// formula, equal keys coincide with structurally equal subformulas.
-#[derive(PartialEq, Eq, Hash)]
-enum NodeKey {
-    Leaf(Formula),
-    Not(u32),
-    And(Vec<u32>),
-    Or(Vec<u32>),
-    Know(KnowKind, u32),
-    Reach(NonRigidSet, bool, u32),
-    Temporal(TemporalOp, u32),
-}
-
-impl FormulaPlan {
-    /// Lowers a formula into a plan whose last node computes it.
-    #[must_use]
-    pub fn compile(root: &Formula) -> Self {
-        let mut plan = FormulaPlan {
-            kernels: Vec::new(),
-            formulas: Vec::new(),
-        };
-        let mut memo = FastMap::default();
-        let root_id = plan.lower(root, &mut memo) as usize;
-        debug_assert_eq!(root_id + 1, plan.kernels.len());
-        // The root always participates in the evaluator's memo, even when
-        // it is a boolean node, so re-evaluating the same formula hits
-        // the cache instead of re-running the plan.
-        if plan.formulas[root_id].is_none() {
-            plan.formulas[root_id] = Some(root.clone());
-        }
-        plan
-    }
-
-    /// Lowers `φ` and appends a [`Kernel::GfpIter`] root computing the
-    /// greatest fixed point of `X ← E_S(φ ∧ X)` (boxed: `E□_S`) — that
-    /// is, `C_S φ` (`C□_S φ`) by iteration rather than reachability.
-    #[must_use]
-    pub fn compile_gfp(s: NonRigidSet, phi: &Formula, boxed: bool) -> Self {
-        let mut plan = FormulaPlan {
-            kernels: Vec::new(),
-            formulas: Vec::new(),
-        };
-        let mut memo = FastMap::default();
-        let input = plan.lower(phi, &mut memo);
-        plan.kernels.push(Kernel::GfpIter {
-            set: s,
-            boxed,
+impl NodeTable {
+    /// Interns `f` children-first, appending a node for every subformula
+    /// not seen before, and returns the id of the node computing `f`.
+    pub(crate) fn lower(&mut self, f: &Formula) -> u32 {
+        let know = |kind, input| Kernel::KnowClose { kind, input };
+        let reach = |set, continual, input| Kernel::ReachClose {
+            set,
+            continual,
             input,
-        });
-        plan.formulas.push(None);
-        plan
-    }
-
-    /// Number of kernels (deduplicated nodes) in the plan.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.kernels.len()
-    }
-
-    /// Whether the plan has no kernels (never true for compiled plans).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.kernels.is_empty()
-    }
-
-    /// The kernels in execution (topological) order; the last is the
-    /// root.
-    #[must_use]
-    pub fn kernels(&self) -> &[Kernel] {
-        &self.kernels
-    }
-
-    fn lower(&mut self, f: &Formula, memo: &mut FastMap<NodeKey, u32>) -> u32 {
-        // Children first, so the key is over already-deduplicated ids.
-        // `memoize` marks nodes that participate in the evaluator's
-        // formula-keyed result cache (see the module docs).
-        let (key, memoize) = match f {
+        };
+        let temporal = |op, input| Kernel::Temporal { op, input };
+        let kernel = match f {
             Formula::True
             | Formula::False
             | Formula::Exists(_)
@@ -245,183 +144,95 @@ impl FormulaPlan {
             | Formula::Nonfaulty(_)
             | Formula::StateIn(..)
             | Formula::RunPred(_)
-            | Formula::PointPred(_) => (NodeKey::Leaf(f.clone()), true),
-            Formula::Not(inner) => (NodeKey::Not(self.lower(inner, memo)), false),
-            Formula::And(fs) => (
-                NodeKey::And(fs.iter().map(|g| self.lower(g, memo)).collect()),
-                false,
-            ),
-            Formula::Or(fs) => (
-                NodeKey::Or(fs.iter().map(|g| self.lower(g, memo)).collect()),
-                false,
-            ),
-            Formula::Knows(p, inner) => (
-                NodeKey::Know(KnowKind::Knows(*p), self.lower(inner, memo)),
-                true,
-            ),
-            Formula::Believes(p, s, inner) => (
-                NodeKey::Know(KnowKind::Believes(*p, *s), self.lower(inner, memo)),
-                true,
-            ),
-            Formula::Everyone(s, inner) => (
-                NodeKey::Know(KnowKind::Everyone(*s), self.lower(inner, memo)),
-                true,
-            ),
-            Formula::Someone(s, inner) => (
-                NodeKey::Know(KnowKind::Someone(*s), self.lower(inner, memo)),
-                true,
-            ),
-            Formula::Distributed(s, inner) => (
-                NodeKey::Know(KnowKind::Distributed(*s), self.lower(inner, memo)),
-                true,
-            ),
-            Formula::Common(s, inner) => (NodeKey::Reach(*s, false, self.lower(inner, memo)), true),
-            Formula::ContinualCommon(s, inner) => {
-                (NodeKey::Reach(*s, true, self.lower(inner, memo)), true)
+            | Formula::PointPred(_) => Kernel::Load(f.clone()),
+            Formula::Not(inner) => Kernel::Not(self.lower(inner)),
+            Formula::And(fs) => Kernel::And(fs.iter().map(|g| self.lower(g)).collect()),
+            Formula::Or(fs) => Kernel::Or(fs.iter().map(|g| self.lower(g)).collect()),
+            Formula::Knows(p, inner) => know(KnowKind::Knows(*p), self.lower(inner)),
+            Formula::Believes(p, s, inner) => know(KnowKind::Believes(*p, *s), self.lower(inner)),
+            Formula::Everyone(s, inner) => know(KnowKind::Everyone(*s), self.lower(inner)),
+            Formula::Someone(s, inner) => know(KnowKind::Someone(*s), self.lower(inner)),
+            Formula::Distributed(s, inner) => know(KnowKind::Distributed(*s), self.lower(inner)),
+            Formula::Common(s, inner) => reach(*s, false, self.lower(inner)),
+            Formula::ContinualCommon(s, inner) => reach(*s, true, self.lower(inner)),
+            Formula::Always(inner) => temporal(TemporalOp::Always, self.lower(inner)),
+            Formula::Eventually(inner) => temporal(TemporalOp::Eventually, self.lower(inner)),
+            Formula::AlwaysAll(inner) => temporal(TemporalOp::AlwaysAll, self.lower(inner)),
+            Formula::SometimeAll(inner) => temporal(TemporalOp::SometimeAll, self.lower(inner)),
+        };
+        match self.ids.entry(kernel) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let id = u32::try_from(self.kernels.len()).expect("node table exceeds u32 ids");
+                self.kernels.push(e.key().clone());
+                e.insert(id);
+                id
             }
-            Formula::Always(inner) => (
-                NodeKey::Temporal(TemporalOp::Always, self.lower(inner, memo)),
-                true,
-            ),
-            Formula::Eventually(inner) => (
-                NodeKey::Temporal(TemporalOp::Eventually, self.lower(inner, memo)),
-                true,
-            ),
-            Formula::AlwaysAll(inner) => (
-                NodeKey::Temporal(TemporalOp::AlwaysAll, self.lower(inner, memo)),
-                true,
-            ),
-            Formula::SometimeAll(inner) => (
-                NodeKey::Temporal(TemporalOp::SometimeAll, self.lower(inner, memo)),
-                true,
-            ),
-        };
-        if let Some(&id) = memo.get(&key) {
-            return id;
         }
-        let kernel = match &key {
-            NodeKey::Leaf(_) => Kernel::Load,
-            NodeKey::Not(a) => Kernel::Not(*a),
-            NodeKey::And(ids) => Kernel::And(ids.clone()),
-            NodeKey::Or(ids) => Kernel::Or(ids.clone()),
-            NodeKey::Know(kind, input) => Kernel::KnowClose {
-                kind: *kind,
-                input: *input,
-            },
-            NodeKey::Reach(set, continual, input) => Kernel::ReachClose {
-                set: *set,
-                continual: *continual,
-                input: *input,
-            },
-            NodeKey::Temporal(op, input) => Kernel::Temporal {
-                op: *op,
-                input: *input,
-            },
-        };
-        let id = u32::try_from(self.kernels.len()).expect("plan larger than the formula");
-        self.kernels.push(kernel);
-        self.formulas.push(memoize.then(|| f.clone()));
-        memo.insert(key, id);
-        id
+    }
+
+    /// The result of a node that has run.
+    pub(crate) fn result(&self, id: u32) -> Arc<Bitset> {
+        Arc::clone(&self.results[id as usize])
     }
 }
 
-/// Executes a plan on an evaluator, serving and filling the evaluator's
-/// formula-keyed memo per node; returns the root's extension.
-pub(crate) fn execute(eval: &mut Evaluator<'_>, plan: &FormulaPlan) -> Arc<Bitset> {
+/// Runs every node without a result, in id order, after one
+/// [`BatchBuilder`] sweep has resolved each nonrigid set they read —
+/// reachability for `ReachClose`, scope columns for scoped `KnowClose` —
+/// plus the scope columns of `scopes` (the gfp loop's own set). Sets
+/// already memoized cost one staged lookup each; the rest share a single
+/// traversal of the point store instead of one per set.
+pub(crate) fn run_pending(eval: &mut Evaluator<'_>, scopes: Option<NonRigidSet>) {
+    let first = eval.nodes.results.len();
     let mut batch = BatchBuilder::new();
-    collect_plan_sets(plan, &mut batch);
+    if let Some(s) = scopes {
+        batch.request_scopes(s);
+    }
+    for kernel in &eval.nodes.kernels[first..] {
+        match kernel {
+            Kernel::ReachClose { set, .. } => batch.request_reachability(*set),
+            Kernel::KnowClose {
+                kind: KnowKind::Believes(_, s) | KnowKind::Everyone(s) | KnowKind::Someone(s),
+                ..
+            } => batch.request_scopes(*s),
+            _ => {}
+        }
+    }
     if !batch.is_empty() {
         batch.run(eval);
     }
-    let mut results: Vec<Option<Arc<Bitset>>> = vec![None; plan.kernels.len()];
-    for i in 0..plan.kernels.len() {
-        if let Some(f) = &plan.formulas[i] {
-            if let Some(cached) = eval.cache.get(f) {
-                results[i] = Some(Arc::clone(cached));
-                continue;
-            }
-        }
-        let bits = run_kernel(eval, plan, i, &results);
-        let arc = Arc::new(bits);
-        if let Some(f) = &plan.formulas[i] {
-            eval.cache.insert(f.clone(), Arc::clone(&arc));
-        }
-        results[i] = Some(arc);
-    }
-    results
-        .pop()
-        .flatten()
-        .expect("compiled plans have at least one kernel")
-}
-
-/// Scans a plan's kernels for every nonrigid set they will resolve —
-/// reachability for `ReachClose`, scope columns for scoped `KnowClose`
-/// and `GfpIter` — and adds the requests to `batch`, so one
-/// [`BatchBuilder`] sweep serves the whole plan before execution
-/// starts. Sets already memoized cost one staged lookup each; the rest
-/// share a single traversal of the point store instead of one per set.
-fn collect_plan_sets(plan: &FormulaPlan, batch: &mut BatchBuilder) {
-    for kernel in &plan.kernels {
-        match kernel {
-            Kernel::ReachClose { set, .. } => batch.request_reachability(*set),
-            Kernel::KnowClose { kind, .. } => match kind {
-                KnowKind::Believes(_, s) | KnowKind::Everyone(s) | KnowKind::Someone(s) => {
-                    batch.request_scopes(*s);
-                }
-                KnowKind::Knows(_) | KnowKind::Distributed(_) => {}
-            },
-            Kernel::GfpIter { set, .. } => batch.request_scopes(*set),
-            Kernel::Load
-            | Kernel::Not(_)
-            | Kernel::And(_)
-            | Kernel::Or(_)
-            | Kernel::Temporal { .. } => {}
-        }
+    for id in first..eval.nodes.kernels.len() {
+        let kernel = eval.nodes.kernels[id].clone();
+        let bits = run_kernel(eval, &kernel);
+        eval.nodes.results.push(Arc::new(bits));
     }
 }
 
-fn run_kernel(
-    eval: &mut Evaluator<'_>,
-    plan: &FormulaPlan,
-    i: usize,
-    results: &[Option<Arc<Bitset>>],
-) -> Bitset {
-    let arg = |id: &u32| -> Arc<Bitset> {
-        Arc::clone(
-            results[*id as usize]
-                .as_ref()
-                .expect("plan inputs precede their consumers"),
-        )
-    };
-    match &plan.kernels[i] {
-        Kernel::Load => {
-            let f = plan.formulas[i]
-                .as_ref()
-                .expect("Load kernels always carry their leaf formula");
-            eval.load_leaf(f)
-        }
+fn run_kernel(eval: &mut Evaluator<'_>, kernel: &Kernel) -> Bitset {
+    match kernel {
+        Kernel::Load(leaf) => eval.load_leaf(leaf),
         Kernel::Not(a) => {
-            let mut out = (*arg(a)).clone();
+            let mut out = Bitset::clone(&eval.nodes.results[*a as usize]);
             out.invert();
             out
         }
         Kernel::And(inputs) => {
             let mut out = Bitset::new_true(eval.num_points);
-            for id in inputs {
-                out &= &arg(id);
+            for &id in inputs {
+                out &= eval.nodes.results[id as usize].as_ref();
             }
             out
         }
         Kernel::Or(inputs) => {
             let mut out = Bitset::new_false(eval.num_points);
-            for id in inputs {
-                out |= &arg(id);
+            for &id in inputs {
+                out |= eval.nodes.results[id as usize].as_ref();
             }
             out
         }
         Kernel::KnowClose { kind, input } => {
-            let phi = arg(input);
+            let phi = eval.nodes.result(*input);
             know_close_kind(eval, *kind, &phi)
         }
         Kernel::ReachClose {
@@ -429,7 +240,7 @@ fn run_kernel(
             continual,
             input,
         } => {
-            let phi = arg(input);
+            let phi = eval.nodes.result(*input);
             let reach = eval.reachability(*set);
             if *continual {
                 eval.continual_common_from_reach(&phi, &reach)
@@ -438,17 +249,13 @@ fn run_kernel(
             }
         }
         Kernel::Temporal { op, input } => {
-            let phi = arg(input);
+            let phi = &eval.nodes.results[*input as usize];
             match op {
-                TemporalOp::Always => eval.always_of(&phi),
-                TemporalOp::Eventually => eval.eventually_of(&phi),
-                TemporalOp::AlwaysAll => eval.always_all_of(&phi),
-                TemporalOp::SometimeAll => eval.sometime_all_of(&phi),
+                TemporalOp::Always => eval.always_of(phi),
+                TemporalOp::Eventually => eval.eventually_of(phi),
+                TemporalOp::AlwaysAll => eval.always_all_of(phi),
+                TemporalOp::SometimeAll => eval.sometime_all_of(phi),
             }
-        }
-        Kernel::GfpIter { set, boxed, input } => {
-            let phi = arg(input);
-            gfp_over(eval, *set, &phi, *boxed).0
         }
     }
 }
@@ -466,13 +273,10 @@ pub(crate) fn gfp(
     boxed: bool,
 ) -> (Bitset, usize) {
     // One batched sweep covers both the iteration's own scope columns
-    // and every set `φ`'s plan will resolve.
-    let plan = FormulaPlan::compile(phi);
-    let mut batch = BatchBuilder::new();
-    batch.request_scopes(s);
-    collect_plan_sets(&plan, &mut batch);
-    batch.run(eval);
-    let phi_bits = eval.eval_plan(&plan);
+    // and every set `φ`'s new nodes will resolve.
+    let root = eval.nodes.lower(phi);
+    run_pending(eval, Some(s));
+    let phi_bits = eval.nodes.result(root);
     gfp_over(eval, s, &phi_bits, boxed)
 }
 
@@ -702,47 +506,34 @@ mod tests {
 
     #[test]
     fn compilation_deduplicates_shared_subformulas() {
+        let system = crash_system();
+        let mut eval = Evaluator::new(&system);
         let phi = Formula::exists(Value::Zero).known_by(p(0));
         // (K φ) ∧ ¬(K φ) shares the K φ node *and* its leaf.
-        let f = phi.clone().and(phi.not());
-        let plan = FormulaPlan::compile(&f);
-        assert_eq!(plan.len(), 4, "expected leaf, K, ¬, ∧");
-        assert!(matches!(plan.kernels()[0], Kernel::Load));
-        assert!(matches!(plan.kernels()[3], Kernel::And(_)));
+        let _ = eval.eval(&phi.clone().and(phi.not()));
+        let kernels = &eval.nodes.kernels;
+        assert_eq!(kernels.len(), 4, "expected leaf, K, ¬, ∧");
+        assert!(matches!(kernels[0], Kernel::Load(_)));
+        assert!(matches!(kernels[3], Kernel::And(_)));
     }
 
     #[test]
-    fn gfp_plan_matches_reachability_closure() {
+    fn evaluated_nodes_are_never_lowered_or_run_again() {
         let system = crash_system();
         let mut eval = Evaluator::new(&system);
-        let phi = Formula::exists(Value::One);
-        for (boxed, closure) in [
-            (false, phi.clone().common(NonRigidSet::Nonfaulty)),
-            (true, phi.clone().continual_common(NonRigidSet::Nonfaulty)),
-        ] {
-            let plan = FormulaPlan::compile_gfp(NonRigidSet::Nonfaulty, &phi, boxed);
-            assert!(matches!(
-                plan.kernels().last(),
-                Some(Kernel::GfpIter { .. })
-            ));
-            let via_gfp = eval.eval_plan(&plan);
-            let via_reach = eval.eval(&closure);
-            assert_eq!(*via_gfp, *via_reach, "gfp kernel differs (boxed={boxed})");
-        }
-    }
-
-    #[test]
-    fn gfp_results_are_not_memoized_under_closure_keys() {
-        let system = crash_system();
-        let mut eval = Evaluator::new(&system);
-        let phi = Formula::exists(Value::Zero);
-        let plan = FormulaPlan::compile_gfp(NonRigidSet::Nonfaulty, &phi, false);
-        let _ = eval.eval_plan(&plan);
-        // The closure formula must still be computed from reachability,
-        // not served from a cache entry the gfp loop planted.
-        assert!(!eval
-            .cache
-            .contains_key(&phi.clone().common(NonRigidSet::Nonfaulty)));
+        let common = Formula::exists(Value::Zero).common(NonRigidSet::Nonfaulty);
+        let first = eval.eval(&common);
+        let (nodes, results) = (eval.nodes.kernels.len(), eval.nodes.results.len());
+        assert_eq!((nodes, results), (2, 2), "expected leaf and C");
+        // Again: no node appended, no kernel run, the same result.
+        let again = eval.eval(&common);
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(eval.nodes.kernels.len(), nodes);
+        assert_eq!(eval.nodes.results.len(), results);
+        // C(E0) ∧ E1 reuses C(E0) and appends only the E1 leaf and the ∧.
+        let _ = eval.eval(&common.and(Formula::exists(Value::One)));
+        assert_eq!(eval.nodes.kernels.len(), nodes + 2);
+        assert_eq!(eval.nodes.results.len(), results + 2);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! sweep that touches `C□_{N∧A}` for a dozen candidate families `A` pays
 //! for a dozen full traversals, and PR 3's bench record singles this out
 //! as the dominant residual cost. [`BatchBuilder`] collects all the sets
-//! a compiled plan (or an optimize step) is about to need and resolves
+//! an evaluation (or an optimize step) is about to need and resolves
 //! them together; it is also how [`Evaluator::reachability`] and
 //! [`Evaluator::scope_columns`] build a single set they miss:
 //!

@@ -37,10 +37,10 @@ use std::time::{Duration, Instant};
 ///
 /// let budget = RunBudget::unlimited()
 ///     .with_deadline(Duration::from_secs(30))
-///     .with_max_runs(1_000_000);
+///     .with_max_views(1_000_000);
 /// let armed = budget.arm();
-/// assert!(armed.check_runs(999).is_ok());
-/// assert!(armed.check_runs(2_000_000).is_err());
+/// assert!(armed.check_views(999).is_ok());
+/// assert!(armed.check_views(2_000_000).is_err());
 /// ```
 #[derive(Clone, Copy, Default, Debug)]
 pub struct RunBudget {
@@ -98,12 +98,6 @@ impl RunBudget {
         self
     }
 
-    /// The configured deadline, if any.
-    #[must_use]
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-
     /// The attached cancellation flag, if any.
     #[must_use]
     pub fn interrupt(&self) -> Option<&'static AtomicBool> {
@@ -127,12 +121,6 @@ impl RunBudget {
     #[must_use]
     pub fn is_bounded(&self) -> bool {
         self.deadline.is_some() || self.max_runs.is_some() || self.max_views.is_some()
-    }
-
-    /// Whether this budget bounds anything at all.
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        !self.is_bounded() && self.interrupt.is_none()
     }
 
     /// Starts the clock: returns an [`ArmedBudget`] whose deadline counts
@@ -162,12 +150,6 @@ impl ArmedBudget {
         &self.budget
     }
 
-    /// Time elapsed since the budget was armed.
-    #[must_use]
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
     /// Checks the cancellation flag and the wall-clock deadline.
     ///
     /// # Errors
@@ -183,19 +165,6 @@ impl ArmedBudget {
         }
         match self.budget.deadline {
             Some(limit) if self.start.elapsed() >= limit => Err(BudgetHit::Deadline { limit }),
-            _ => Ok(()),
-        }
-    }
-
-    /// Checks the deadline and the run bound against `runs_done`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`BudgetHit`] describing the first exceeded bound.
-    pub fn check_runs(&self, runs_done: u64) -> Result<(), BudgetHit> {
-        self.check_deadline()?;
-        match self.budget.max_runs {
-            Some(limit) if runs_done > limit => Err(BudgetHit::MaxRuns { limit }),
             _ => Ok(()),
         }
     }
@@ -261,16 +230,7 @@ mod tests {
     fn unlimited_budget_always_passes() {
         let armed = RunBudget::unlimited().arm();
         assert!(armed.check_deadline().is_ok());
-        assert!(armed.check_runs(u64::MAX).is_ok());
         assert!(armed.check_views(u64::MAX).is_ok());
-        assert!(RunBudget::unlimited().is_unlimited());
-    }
-
-    #[test]
-    fn run_bound_is_inclusive() {
-        let armed = RunBudget::unlimited().with_max_runs(10).arm();
-        assert!(armed.check_runs(10).is_ok());
-        assert_eq!(armed.check_runs(11), Err(BudgetHit::MaxRuns { limit: 10 }));
     }
 
     #[test]
@@ -289,7 +249,7 @@ mod tests {
         ));
         // And the deadline hit takes precedence in combined checks.
         assert!(matches!(
-            armed.check_runs(0),
+            armed.check_views(0),
             Err(BudgetHit::Deadline { .. })
         ));
     }
@@ -300,7 +260,6 @@ mod tests {
             .with_deadline(Duration::from_secs(3600))
             .arm();
         assert!(armed.check_deadline().is_ok());
-        assert!(armed.elapsed() < Duration::from_secs(3600));
     }
 
     #[test]
@@ -308,14 +267,11 @@ mod tests {
         let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
         let armed = RunBudget::unlimited().with_interrupt(flag).arm();
         assert!(armed.check_deadline().is_ok());
-        assert!(armed.check_runs(u64::MAX).is_ok());
+        assert!(armed.check_views(u64::MAX).is_ok());
         flag.store(true, Ordering::Relaxed);
         assert_eq!(armed.check_deadline(), Err(BudgetHit::Interrupted));
-        assert_eq!(armed.check_runs(0), Err(BudgetHit::Interrupted));
         assert_eq!(armed.check_views(0), Err(BudgetHit::Interrupted));
-        // An interrupt budget bounds something, and the flag survives
-        // round-trips through the accessor.
-        assert!(!RunBudget::unlimited().with_interrupt(flag).is_unlimited());
+        // The flag survives round-trips through the accessor.
         assert!(armed.budget().interrupt().is_some());
     }
 

@@ -340,7 +340,7 @@ mod tests {
     use super::*;
     use eba_core::EngineOptions;
     use eba_model::FailureMode;
-    use eba_sim::chaos::{ChaosPlan, FaultKind, FaultSite};
+    use eba_sim::chaos::{ChaosPlan, FaultKind};
 
     fn config_with(horizon: u16, options: EngineOptions) -> EngineConfig {
         EngineConfig::new(EngineOptions {
@@ -454,8 +454,8 @@ mod tests {
         // typed EngineFault::Model.
         let plan = Arc::new(
             ChaosPlan::new()
-                .with_fault(FaultSite::BuilderShard, 0, FaultKind::CapacityExhaustion)
-                .with_fault(FaultSite::BuilderShard, 0, FaultKind::CapacityExhaustion),
+                .with_fault(0, FaultKind::CapacityExhaustion)
+                .with_fault(0, FaultKind::CapacityExhaustion),
         );
         let pool = SessionPool::new(u64::MAX, RetryPolicy::default(), Some(plan.clone()));
         let key = config(2);
@@ -469,7 +469,6 @@ mod tests {
     #[test]
     fn persistent_faults_exhaust_the_retry_budget_and_surface_typed() {
         let plan = Arc::new(ChaosPlan::new().with_recurring_fault(
-            FaultSite::BuilderShard,
             0,
             FaultKind::CapacityExhaustion,
             u32::MAX,

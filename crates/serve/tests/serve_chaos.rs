@@ -8,7 +8,7 @@
 //! disconnected, and SIGINT drains gracefully.
 
 use eba_serve::{oracle, Request, RetryPolicy, ServeConfig, Server, SessionPool, StatsSnapshot};
-use eba_sim::chaos::{ChaosPlan, FaultKind, FaultSite};
+use eba_sim::chaos::{ChaosPlan, FaultKind};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -134,13 +134,13 @@ fn soak_sixteen_concurrent_clients_with_chaos_match_the_oracle() {
     // Seeded bounded chaos over the build stage: panics (absorbed by
     // shard supervision), capacity faults (retried by the pool), and
     // delays (jitter). The retry budget outlasts the plan's fire count.
-    let chaos = Arc::new(ChaosPlan::seeded(0xEBA5, &[FaultSite::BuilderShard], 8, 6));
+    let chaos = Arc::new(ChaosPlan::seeded(0xEBA5, 8, 6));
     let config = ServeConfig {
         retry: RetryPolicy {
             attempts: 10,
             base_backoff: Duration::from_micros(200),
         },
-        chaos: Some(chaos),
+        chaos: Some(chaos.clone()),
         ..ServeConfig::default()
     };
     let server = start(config);
@@ -195,6 +195,7 @@ fn soak_sixteen_concurrent_clients_with_chaos_match_the_oracle() {
     let snapshot = server.drain();
     assert_eq!(snapshot.panics, 0, "no query may panic: {snapshot:?}");
     assert!(snapshot.queries >= 16 * 2 * 11, "{snapshot:?}");
+    assert!(chaos.fired() >= 1, "the chaos plan must actually fire");
 }
 
 #[test]
@@ -257,6 +258,27 @@ fn iff_chains_past_the_parser_size_cap_are_rejected_and_the_daemon_survives() {
     let response = client.ask(&format!(r#"{{"op":"check","formula":"{formula}"}}"#));
     assert!(response.contains(r#""error":"bad-request""#), "{response}");
     assert!(response.contains("desugars to more than"), "{response}");
+    assert_eq!(client.ask(r#"{"op":"ping"}"#), r#"{"ok":true,"op":"pong"}"#);
+    server.drain();
+}
+
+#[test]
+fn samples_past_the_run_id_space_are_rejected_and_the_daemon_survives() {
+    let server = start(ServeConfig::default());
+    let mut client = server.client();
+    // A 59-byte frame asking for 10^12 samples: their runs could never
+    // get run ids, and without the capacity check sampling them would
+    // exhaust memory before the first run is built.
+    let frame = r#"{"op":"check","formula":"true","sampled":[1000000000000,1]}"#;
+    let response = client.ask(frame);
+    assert!(
+        response.contains(r#""error":"invalid-scenario""#),
+        "{response}"
+    );
+    assert!(
+        response.contains("capacity exceeded: run ids holds at most 4294967296 items"),
+        "{response}"
+    );
     assert_eq!(client.ask(r#"{"op":"ping"}"#), r#"{"ok":true,"op":"pong"}"#);
     server.drain();
 }
@@ -342,11 +364,8 @@ fn admission_control_sheds_with_a_retry_hint_when_saturated() {
     // One slot, no queue; a delay in the build's first block, which every
     // block split has, keeps the slot busy long enough for the prober to
     // collide with it.
-    let chaos = Arc::new(ChaosPlan::new().with_fault(
-        FaultSite::BuilderShard,
-        0,
-        FaultKind::Delay(Duration::from_millis(800)),
-    ));
+    let chaos =
+        Arc::new(ChaosPlan::new().with_fault(0, FaultKind::Delay(Duration::from_millis(800))));
     let config = ServeConfig {
         max_active: 1,
         max_waiting: 0,
@@ -378,12 +397,8 @@ fn admission_control_sheds_with_a_retry_hint_when_saturated() {
 
 #[test]
 fn injected_persistent_faults_surface_as_typed_engine_fault_frames() {
-    let chaos = Arc::new(ChaosPlan::new().with_recurring_fault(
-        FaultSite::BuilderShard,
-        0,
-        FaultKind::CapacityExhaustion,
-        u32::MAX,
-    ));
+    let chaos =
+        Arc::new(ChaosPlan::new().with_recurring_fault(0, FaultKind::CapacityExhaustion, u32::MAX));
     let config = ServeConfig {
         retry: RetryPolicy {
             attempts: 2,

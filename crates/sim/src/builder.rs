@@ -51,10 +51,8 @@
 //! Id-space overflows surface as [`ModelError::CapacityExceeded`] from
 //! [`SystemBuilder::build`] instead of panicking mid-generation.
 
-use crate::chaos::{
-    supervised_indexed, EngineFault, FaultInjector, FaultSite, NoChaos, WorkerFault,
-};
-use crate::exchange::{try_exchange_views, AnyExchange, Exchange};
+use crate::chaos::{supervised_indexed, EngineFault, FaultInjector, NoChaos, WorkerFault};
+use crate::exchange::{self, try_exchange_views};
 use crate::symmetry::SymmetryInfo;
 use crate::system::{GeneratedSystem, RunRecord};
 use crate::view::{ViewId, ViewTable};
@@ -235,7 +233,7 @@ impl SystemBuilder {
     /// re-interns only the views past it, so run ids, view ids, and view
     /// content are bit-identical for every thread/block count. The
     /// builder's `threads`, `shards`, and `chaos` knobs are honored
-    /// (chaos is consulted once per block at [`FaultSite::BuilderShard`]);
+    /// (chaos is consulted once per block, by block index);
     /// the budget applies to cold builds only and is ignored here. A
     /// symmetric base extends into a symmetric system.
     ///
@@ -349,13 +347,10 @@ impl SystemBuilder {
 
         let workers = self.threads.min(shards.len().max(1));
         let chaos = &*self.chaos;
-        let (outcomes, worker_faults) =
-            supervised_indexed(shards.len(), workers, FaultSite::BuilderShard, |index| {
-                chaos
-                    .inject(FaultSite::BuilderShard, index)
-                    .map_err(ShardError::Model)?;
-                build_block(&space, &configs, shards[index], &armed, symmetry, base)
-            })?;
+        let (outcomes, worker_faults) = supervised_indexed(shards.len(), workers, |index| {
+            chaos.inject(index).map_err(ShardError::Model)?;
+            build_block(&space, &configs, shards[index], &armed, symmetry, base)
+        })?;
 
         // The first stopped shard (in shard order) ends the usable prefix;
         // a model-level error there is a hard failure, a budget stop is a
@@ -619,8 +614,8 @@ fn build_block(
     let horizon = scenario.horizon();
     let n = scenario.n();
     // `Scenario::extend_into` already enforced the exchange's extension
-    // policy, so dispatching here is sound.
-    let exchange = AnyExchange::for_scenario(&scenario);
+    // policy, so stepping a base row here is sound.
+    let kind = scenario.exchange();
     let slots_per_run = (horizon.index() + 1) * n;
     let mut block = Block {
         table: base.map_or_else(ViewTable::new, |(system, _)| system.table().clone()),
@@ -654,8 +649,7 @@ fn build_block(
                 block.views.extend_from_slice(row);
                 let mut prev = row[row.len() - n..].to_vec();
                 for round in Round::upto(horizon).skip(row.len() / n - 1) {
-                    let now = exchange
-                        .try_step(&mut block.table, &pattern, round, &prev)
+                    let now = exchange::try_step(kind, &mut block.table, &pattern, round, &prev)
                         .map_err(ShardError::Model)?;
                     block.views.extend_from_slice(&now);
                     prev = now;
@@ -665,7 +659,7 @@ fn build_block(
                 block.report.computed_slots += slots_per_run - row.len();
             } else {
                 let run_views =
-                    try_exchange_views(&exchange, config, &pattern, horizon, &mut block.table)
+                    try_exchange_views(kind, config, &pattern, horizon, &mut block.table)
                         .map_err(ShardError::Model)?;
                 for time_views in &run_views {
                     block.views.extend_from_slice(time_views);
@@ -889,8 +883,7 @@ mod tests {
             .unwrap();
         // Panic in shard 0 of a 4-shard parallel build; the supervisor's
         // retry rebuilds the shard and the result must not change.
-        let plan =
-            Arc::new(ChaosPlan::new().with_fault(FaultSite::BuilderShard, 0, FaultKind::Panic));
+        let plan = Arc::new(ChaosPlan::new().with_fault(0, FaultKind::Panic));
         let outcome = SystemBuilder::new(&scenario)
             .threads(4)
             .shards(4)
@@ -910,11 +903,7 @@ mod tests {
         let scenario = scenario();
         let baseline = SystemBuilder::new(&scenario).threads(1).build().unwrap();
         for shard in 0..4 {
-            let plan = Arc::new(ChaosPlan::new().with_fault(
-                FaultSite::BuilderShard,
-                shard,
-                FaultKind::Panic,
-            ));
+            let plan = Arc::new(ChaosPlan::new().with_fault(shard, FaultKind::Panic));
             let outcome = SystemBuilder::new(&scenario)
                 .threads(4)
                 .shards(4)
@@ -930,12 +919,7 @@ mod tests {
     fn persistent_shard_panic_falls_back_to_sequential_then_errors() {
         let scenario = scenario();
         // Two firings: initial + retry panic, sequential fallback succeeds.
-        let plan = Arc::new(ChaosPlan::new().with_recurring_fault(
-            FaultSite::BuilderShard,
-            1,
-            FaultKind::Panic,
-            2,
-        ));
+        let plan = Arc::new(ChaosPlan::new().with_recurring_fault(1, FaultKind::Panic, 2));
         let baseline = SystemBuilder::new(&scenario).threads(1).build().unwrap();
         let outcome = SystemBuilder::new(&scenario)
             .threads(4)
@@ -947,12 +931,7 @@ mod tests {
         assert_identical(&baseline, outcome.system());
 
         // Three firings defeat all attempts: a typed fault, not an abort.
-        let hostile = Arc::new(ChaosPlan::new().with_recurring_fault(
-            FaultSite::BuilderShard,
-            1,
-            FaultKind::Panic,
-            3,
-        ));
+        let hostile = Arc::new(ChaosPlan::new().with_recurring_fault(1, FaultKind::Panic, 3));
         let fault = SystemBuilder::new(&scenario)
             .threads(4)
             .shards(4)
@@ -961,21 +940,13 @@ mod tests {
             .unwrap_err();
         assert!(matches!(
             fault,
-            EngineFault::WorkerPanicked {
-                site: FaultSite::BuilderShard,
-                index: 1,
-                ..
-            }
+            EngineFault::WorkerPanicked { index: 1, .. }
         ));
     }
 
     #[test]
     fn injected_capacity_fault_is_a_typed_model_error() {
-        let plan = Arc::new(ChaosPlan::new().with_fault(
-            FaultSite::BuilderShard,
-            2,
-            FaultKind::CapacityExhaustion,
-        ));
+        let plan = Arc::new(ChaosPlan::new().with_fault(2, FaultKind::CapacityExhaustion));
         let fault = SystemBuilder::new(&scenario())
             .threads(4)
             .shards(4)
@@ -1054,8 +1025,8 @@ mod tests {
         /// Sets the interrupt flag as shard 2 starts.
         struct StopAtShardTwo;
         impl FaultInjector for StopAtShardTwo {
-            fn inject(&self, site: FaultSite, index: usize) -> Result<(), ModelError> {
-                if site == FaultSite::BuilderShard && index == 2 {
+            fn inject(&self, index: usize) -> Result<(), ModelError> {
+                if index == 2 {
                     STOP.store(true, Ordering::Relaxed);
                 }
                 Ok(())

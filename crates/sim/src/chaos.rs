@@ -36,24 +36,7 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// A parallel stage of the engine at which faults can be injected and
-/// workers are supervised.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum FaultSite {
-    /// A [`SystemBuilder`](crate::SystemBuilder) shard worker; the item
-    /// index is the shard index.
-    BuilderShard,
-}
-
-impl fmt::Display for FaultSite {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultSite::BuilderShard => write!(f, "builder shard"),
-        }
-    }
-}
-
-/// The kind of engine fault a [`ChaosPlan`] injects at a site.
+/// The kind of engine fault a [`ChaosPlan`] injects into a work item.
 #[derive(Clone, Copy, Debug)]
 pub enum FaultKind {
     /// The worker panics (exercises `catch_unwind` supervision).
@@ -66,19 +49,21 @@ pub enum FaultKind {
     Delay(Duration),
 }
 
-/// Deterministic injection of engine faults into supervised stages.
+/// Deterministic injection of engine faults into the supervised builder
+/// blocks.
 ///
-/// Implementations are consulted once per work item (`site`, `index`)
-/// and may panic, sleep, or return a synthetic error; returning `Ok(())`
+/// Implementations are consulted once per work item — a
+/// [`SystemBuilder`](crate::SystemBuilder) block, by block index — and
+/// may panic, sleep, or return a synthetic error; returning `Ok(())`
 /// leaves the item undisturbed. Production code uses [`NoChaos`].
 pub trait FaultInjector: Send + Sync {
-    /// Called by a worker before processing item `index` of `site`.
+    /// Called by a worker before processing block `index`.
     ///
     /// # Errors
     ///
     /// Returns a synthetic [`ModelError`] when the plan injects a
     /// capacity-exhaustion fault here.
-    fn inject(&self, site: FaultSite, index: usize) -> Result<(), ModelError>;
+    fn inject(&self, index: usize) -> Result<(), ModelError>;
 }
 
 /// The default injector: never injects anything.
@@ -86,15 +71,14 @@ pub trait FaultInjector: Send + Sync {
 pub struct NoChaos;
 
 impl FaultInjector for NoChaos {
-    fn inject(&self, _site: FaultSite, _index: usize) -> Result<(), ModelError> {
+    fn inject(&self, _index: usize) -> Result<(), ModelError> {
         Ok(())
     }
 }
 
-/// One planned fault: fires at (`site`, `index`) up to `fires` times.
+/// One planned fault: fires at item `index` up to `fires` times.
 #[derive(Debug)]
 struct PlannedFault {
-    site: FaultSite,
     index: usize,
     kind: FaultKind,
     fires: u32,
@@ -113,12 +97,12 @@ struct PlannedFault {
 /// # Example
 ///
 /// ```
-/// use eba_sim::chaos::{ChaosPlan, FaultInjector, FaultKind, FaultSite};
+/// use eba_sim::chaos::{ChaosPlan, FaultInjector, FaultKind};
 ///
-/// let plan = ChaosPlan::new().with_fault(FaultSite::BuilderShard, 0, FaultKind::Panic);
-/// // The first visit to shard 0 panics; the retry goes through.
-/// assert!(std::panic::catch_unwind(|| plan.inject(FaultSite::BuilderShard, 0)).is_err());
-/// assert!(plan.inject(FaultSite::BuilderShard, 0).is_ok());
+/// let plan = ChaosPlan::new().with_fault(0, FaultKind::Panic);
+/// // The first visit to block 0 panics; the retry goes through.
+/// assert!(std::panic::catch_unwind(|| plan.inject(0)).is_err());
+/// assert!(plan.inject(0).is_ok());
 /// assert_eq!(plan.fired(), 1);
 /// ```
 #[derive(Default, Debug)]
@@ -133,25 +117,18 @@ impl ChaosPlan {
         ChaosPlan::default()
     }
 
-    /// Adds a fault that fires exactly once at (`site`, `index`).
+    /// Adds a fault that fires exactly once at item `index`.
     #[must_use]
-    pub fn with_fault(self, site: FaultSite, index: usize, kind: FaultKind) -> Self {
-        self.with_recurring_fault(site, index, kind, 1)
+    pub fn with_fault(self, index: usize, kind: FaultKind) -> Self {
+        self.with_recurring_fault(index, kind, 1)
     }
 
-    /// Adds a fault that fires on the first `fires` visits to
-    /// (`site`, `index`). With `fires >= 3` a panic fault defeats the
-    /// initial attempt, the retry, *and* the sequential fallback.
+    /// Adds a fault that fires on the first `fires` visits to item
+    /// `index`. With `fires >= 3` a panic fault defeats the initial
+    /// attempt, the retry, *and* the sequential fallback.
     #[must_use]
-    pub fn with_recurring_fault(
-        mut self,
-        site: FaultSite,
-        index: usize,
-        kind: FaultKind,
-        fires: u32,
-    ) -> Self {
+    pub fn with_recurring_fault(mut self, index: usize, kind: FaultKind, fires: u32) -> Self {
         self.faults.push(PlannedFault {
-            site,
             index,
             kind,
             fires,
@@ -160,26 +137,21 @@ impl ChaosPlan {
         self
     }
 
-    /// A seeded plan of `faults` random faults across the given sites and
-    /// item indices `0..max_index`. The same seed always yields the same
-    /// plan, so chaos campaigns are reproducible.
+    /// A seeded plan of `faults` random faults across item indices
+    /// `0..max_index`. The same seed always yields the same plan, so chaos
+    /// campaigns are reproducible.
     #[must_use]
-    pub fn seeded(seed: u64, sites: &[FaultSite], max_index: usize, faults: usize) -> Self {
-        assert!(
-            !sites.is_empty(),
-            "seeded chaos plan needs at least one site"
-        );
+    pub fn seeded(seed: u64, max_index: usize, faults: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut plan = ChaosPlan::new();
         for _ in 0..faults {
-            let site = sites[rng.gen_range(0..sites.len())];
             let index = rng.gen_range(0..max_index.max(1));
             let kind = match rng.gen_range(0..4u32) {
                 0 | 1 => FaultKind::Panic,
                 2 => FaultKind::CapacityExhaustion,
                 _ => FaultKind::Delay(Duration::from_millis(rng.gen_range(1..5u64))),
             };
-            plan = plan.with_fault(site, index, kind);
+            plan = plan.with_fault(index, kind);
         }
         plan
     }
@@ -195,9 +167,9 @@ impl ChaosPlan {
 }
 
 impl FaultInjector for ChaosPlan {
-    fn inject(&self, site: FaultSite, index: usize) -> Result<(), ModelError> {
+    fn inject(&self, index: usize) -> Result<(), ModelError> {
         for fault in &self.faults {
-            if fault.site != site || fault.index != index {
+            if fault.index != index {
                 continue;
             }
             // Claim one firing; another thread may have used the last one.
@@ -210,7 +182,7 @@ impl FaultInjector for ChaosPlan {
             }
             match fault.kind {
                 FaultKind::Panic => {
-                    panic!("chaos: injected panic at {site} #{index}")
+                    panic!("chaos: injected panic at builder shard #{index}")
                 }
                 FaultKind::CapacityExhaustion => {
                     return Err(ModelError::capacity_exceeded("chaos-injected capacity", 0));
@@ -226,9 +198,7 @@ impl FaultInjector for ChaosPlan {
 /// this record says what it survived.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct WorkerFault {
-    /// The stage the fault occurred in.
-    pub site: FaultSite,
-    /// The index of the work item whose worker panicked.
+    /// The index of the work item (builder block) whose worker panicked.
     pub index: usize,
     /// How many attempts panicked before one succeeded (1 = the retry
     /// succeeded, 2 = only the sequential fallback did).
@@ -241,8 +211,8 @@ impl fmt::Display for WorkerFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} #{} panicked {} time(s) before recovery: {}",
-            self.site, self.index, self.attempts, self.message
+            "builder shard #{} panicked {} time(s) before recovery: {}",
+            self.index, self.attempts, self.message
         )
     }
 }
@@ -255,9 +225,7 @@ pub enum EngineFault {
     /// sequential fallback — the computation itself is broken (or a chaos
     /// plan was configured to defeat supervision).
     WorkerPanicked {
-        /// The stage the worker belonged to.
-        site: FaultSite,
-        /// The index of the work item.
+        /// The index of the work item (builder block).
         index: usize,
         /// The final panic payload, as text.
         message: String,
@@ -270,13 +238,10 @@ pub enum EngineFault {
 impl fmt::Display for EngineFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineFault::WorkerPanicked {
-                site,
-                index,
-                message,
-            } => write!(
+            EngineFault::WorkerPanicked { index, message } => write!(
                 f,
-                "{site} #{index} panicked on every attempt (initial, retry, sequential): {message}"
+                "builder shard #{index} panicked on every attempt (initial, retry, sequential): \
+                 {message}"
             ),
             EngineFault::Model(e) => write!(f, "{e}"),
         }
@@ -350,13 +315,11 @@ where
 /// The worker count never changes the output:
 ///
 /// ```
-/// use eba_sim::chaos::{supervised_indexed, FaultSite};
+/// use eba_sim::chaos::supervised_indexed;
 ///
 /// let job = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9).rotate_left(7);
-/// let (sequential, _) =
-///     supervised_indexed(64, 1, FaultSite::BuilderShard, job).unwrap();
-/// let (parallel, _) =
-///     supervised_indexed(64, 4, FaultSite::BuilderShard, job).unwrap();
+/// let (sequential, _) = supervised_indexed(64, 1, job).unwrap();
+/// let (parallel, _) = supervised_indexed(64, 4, job).unwrap();
 /// assert_eq!(sequential, parallel);
 /// ```
 ///
@@ -367,7 +330,6 @@ where
 pub fn supervised_indexed<T, F>(
     count: usize,
     workers: usize,
-    site: FaultSite,
     job: F,
 ) -> Result<(Vec<T>, Vec<WorkerFault>), EngineFault>
 where
@@ -383,7 +345,7 @@ where
                 .map_err(|payload| panic_message(payload.as_ref()));
             *slot = Some(outcome);
         }
-        return settle(slots, site, &job);
+        return settle(slots, &job);
     }
     // The next unclaimed item. `Relaxed` suffices: the counter publishes
     // no data, and each worker hands its results back through `join`.
@@ -426,7 +388,7 @@ where
         }
         sched::record_run(&per_worker, &spans);
     });
-    settle(slots, site, &job)
+    settle(slots, &job)
 }
 
 /// The shared retry ladder: resolve every failed or unreported slot with
@@ -435,7 +397,6 @@ where
 /// surfaces as [`EngineFault::WorkerPanicked`].
 fn settle<T, F>(
     slots: Vec<Option<Result<T, String>>>,
-    site: FaultSite,
     job: &F,
 ) -> Result<(Vec<T>, Vec<WorkerFault>), EngineFault>
 where
@@ -457,7 +418,6 @@ where
         match attempt_on_fresh_thread(job, index) {
             Ok(value) => {
                 faults.push(WorkerFault {
-                    site,
                     index,
                     attempts: 1,
                     message: first_message,
@@ -468,7 +428,6 @@ where
             Err(_) => match catch_unwind(AssertUnwindSafe(|| job(index))) {
                 Ok(value) => {
                     faults.push(WorkerFault {
-                        site,
                         index,
                         attempts: 2,
                         message: first_message,
@@ -477,7 +436,6 @@ where
                 }
                 Err(payload) => {
                     return Err(EngineFault::WorkerPanicked {
-                        site,
                         index,
                         message: panic_message(payload.as_ref()),
                     });
@@ -494,36 +452,33 @@ mod tests {
 
     #[test]
     fn no_chaos_injects_nothing() {
-        assert!(NoChaos.inject(FaultSite::BuilderShard, 0).is_ok());
+        assert!(NoChaos.inject(0).is_ok());
     }
 
     #[test]
     fn planned_panic_fires_exactly_once() {
-        let plan = ChaosPlan::new().with_fault(FaultSite::BuilderShard, 2, FaultKind::Panic);
-        assert!(plan.inject(FaultSite::BuilderShard, 1).is_ok());
-        let caught = catch_unwind(AssertUnwindSafe(|| plan.inject(FaultSite::BuilderShard, 2)));
+        let plan = ChaosPlan::new().with_fault(2, FaultKind::Panic);
+        assert!(plan.inject(1).is_ok());
+        let caught = catch_unwind(AssertUnwindSafe(|| plan.inject(2)));
         assert!(caught.is_err());
         // Second visit (the supervisor's retry) is clean.
-        assert!(plan.inject(FaultSite::BuilderShard, 2).is_ok());
+        assert!(plan.inject(2).is_ok());
         assert_eq!(plan.fired(), 1);
     }
 
     #[test]
     fn capacity_fault_is_a_typed_error() {
-        let plan =
-            ChaosPlan::new().with_fault(FaultSite::BuilderShard, 0, FaultKind::CapacityExhaustion);
-        let err = plan.inject(FaultSite::BuilderShard, 0).unwrap_err();
+        let plan = ChaosPlan::new().with_fault(0, FaultKind::CapacityExhaustion);
+        let err = plan.inject(0).unwrap_err();
         assert!(matches!(err, ModelError::CapacityExceeded { .. }));
     }
 
     #[test]
     fn seeded_plans_are_reproducible() {
-        let sites = [FaultSite::BuilderShard];
-        let a = ChaosPlan::seeded(42, &sites, 8, 5);
-        let b = ChaosPlan::seeded(42, &sites, 8, 5);
+        let a = ChaosPlan::seeded(42, 8, 5);
+        let b = ChaosPlan::seeded(42, 8, 5);
         assert_eq!(a.faults.len(), 5);
         for (fa, fb) in a.faults.iter().zip(&b.faults) {
-            assert_eq!(fa.site, fb.site);
             assert_eq!(fa.index, fb.index);
             assert_eq!(
                 std::mem::discriminant(&fa.kind),
@@ -534,7 +489,7 @@ mod tests {
 
     #[test]
     fn supervised_pool_computes_in_order_without_faults() {
-        let (out, faults) = supervised_indexed(17, 4, FaultSite::BuilderShard, |i| i * i).unwrap();
+        let (out, faults) = supervised_indexed(17, 4, |i| i * i).unwrap();
         assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
         assert!(faults.is_empty());
     }
@@ -542,7 +497,7 @@ mod tests {
     #[test]
     fn supervised_pool_recovers_from_a_single_panic() {
         let attempts = AtomicUsize::new(0);
-        let (out, faults) = supervised_indexed(8, 4, FaultSite::BuilderShard, |i| {
+        let (out, faults) = supervised_indexed(8, 4, |i| {
             if i == 3 && attempts.fetch_add(1, Ordering::Relaxed) == 0 {
                 panic!("boom in item 3");
             }
@@ -562,7 +517,7 @@ mod tests {
         // the supervising thread succeeds.
         let attempts = AtomicUsize::new(0);
         let supervisor = thread::current().id();
-        let (out, faults) = supervised_indexed(4, 2, FaultSite::BuilderShard, |i| {
+        let (out, faults) = supervised_indexed(4, 2, |i| {
             if i == 0
                 && thread::current().id() != supervisor
                 && attempts.fetch_add(1, Ordering::Relaxed) < 2
@@ -579,18 +534,16 @@ mod tests {
 
     #[test]
     fn defeating_all_attempts_yields_a_typed_fault() {
-        let result: Result<(Vec<usize>, _), _> =
-            supervised_indexed(4, 2, FaultSite::BuilderShard, |i| {
-                if i == 1 {
-                    panic!("unrecoverable");
-                }
-                i
-            });
+        let result: Result<(Vec<usize>, _), _> = supervised_indexed(4, 2, |i| {
+            if i == 1 {
+                panic!("unrecoverable");
+            }
+            i
+        });
         let fault = result.unwrap_err();
         assert_eq!(
             fault,
             EngineFault::WorkerPanicked {
-                site: FaultSite::BuilderShard,
                 index: 1,
                 message: "unrecoverable".to_owned(),
             }
@@ -603,7 +556,7 @@ mod tests {
         // A single-core host (workers == 1) must absorb a transient
         // panic exactly like the parallel pool: one retry, same results.
         let attempts = AtomicUsize::new(0);
-        let (out, faults) = supervised_indexed(3, 1, FaultSite::BuilderShard, |i| {
+        let (out, faults) = supervised_indexed(3, 1, |i| {
             if i == 1 && attempts.fetch_add(1, Ordering::Relaxed) == 0 {
                 panic!("transient fault on a single-core host");
             }
@@ -618,20 +571,15 @@ mod tests {
 
     #[test]
     fn sequential_pool_surfaces_a_persistent_panic_as_a_typed_fault() {
-        let result: Result<(Vec<usize>, _), _> =
-            supervised_indexed(3, 1, FaultSite::BuilderShard, |i| {
-                if i == 1 {
-                    panic!("unrecoverable");
-                }
-                i
-            });
+        let result: Result<(Vec<usize>, _), _> = supervised_indexed(3, 1, |i| {
+            if i == 1 {
+                panic!("unrecoverable");
+            }
+            i
+        });
         assert!(matches!(
             result.unwrap_err(),
-            EngineFault::WorkerPanicked {
-                site: FaultSite::BuilderShard,
-                index: 1,
-                ..
-            }
+            EngineFault::WorkerPanicked { index: 1, .. }
         ));
     }
 
@@ -643,7 +591,7 @@ mod tests {
         const ITEMS: usize = 101;
         for workers in [2, 3, 8] {
             let runs: Vec<AtomicUsize> = (0..ITEMS).map(|_| AtomicUsize::new(0)).collect();
-            let (out, faults) = supervised_indexed(ITEMS, workers, FaultSite::BuilderShard, |i| {
+            let (out, faults) = supervised_indexed(ITEMS, workers, |i| {
                 runs[i].fetch_add(1, Ordering::Relaxed);
                 i
             })

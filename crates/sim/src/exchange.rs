@@ -1,31 +1,33 @@
 //! Executable information exchanges (DESIGN.md §4g).
 //!
 //! The model layer describes *which* exchange a scenario runs
-//! ([`ExchangeKind`]); this module maps the descriptor to an executable
-//! implementation: what a processor's time-0 state is, and how one round
-//! of receptions advances it. Everything downstream — the system builder,
-//! the point store, the knowledge machinery — consumes only interned
-//! [`ViewId`]s, so an exchange is exactly a pair of interning kernels:
+//! ([`ExchangeKind`]); this module executes it: what a processor's time-0
+//! state is, and how one round of receptions advances it. Everything
+//! downstream — the system builder, the point store, the knowledge
+//! machinery — consumes only interned [`ViewId`]s, so an exchange is
+//! exactly a pair of interning kernels, which `try_leaf` and `try_step`
+//! select by matching on the kind:
 //!
-//! * [`FullInfoExchange`] — the paper's FIP: the state is the hash-consed
-//!   view tree, delegated to [`ViewTable::try_leaf`] and the shared
-//!   round kernel behind [`crate::try_fip_views`];
-//! * [`DigestExchange`] — a bounded who-heard-what summary in the style
+//! * `FullInformation` — the paper's FIP: the state is the hash-consed
+//!   view tree, interned by [`ViewTable::try_leaf`] and the round kernel
+//!   the horizon-extension path shares;
+//! * `Digest { bits }` — a bounded who-heard-what summary in the style
 //!   of the limited-information-exchange papers (van der Meyden,
 //!   arXiv 2508.03418; Alpturer–Ruj, arXiv 2511.22380): per-processor
 //!   knowledge sets, a who-heard-from-whom-when contact matrix, and an
-//!   optional content fingerprint — `O(n²)` words of state regardless of
-//!   the horizon.
+//!   optional content fingerprint of `bits` bits — `O(n²)` words of state
+//!   regardless of the horizon.
 //!
-//! Dispatch is by enum ([`AnyExchange`]) rather than by generic so
-//! [`crate::GeneratedSystem`] stays non-generic and no type parameter
-//! ripples into the kripke/core layers.
+//! Both kernels are deterministic and *Markovian in the interned state* —
+//! the time-`m` states are a function of the time-`m−1` states and the
+//! round's deliveries only — which is what makes block-parallel builds
+//! and append-only horizon extension sound.
 
 use crate::view::{try_fip_step, ViewId, ViewTable};
 use eba_model::fasthash::FastHasher;
 use eba_model::{
-    ExchangeKind, FailurePattern, InitialConfig, ModelError, ProcSet, ProcessorId, Round, Scenario,
-    Time, Value,
+    ExchangeKind, FailurePattern, InitialConfig, ModelError, ProcSet, ProcessorId, Round, Time,
+    Value,
 };
 use std::hash::Hasher;
 
@@ -36,7 +38,7 @@ use std::hash::Hasher;
 /// forget old timing and coarsen — which is the digest's scale unlock.
 pub const CONTACT_WINDOW: u16 = 4;
 
-/// The bounded local state of a [`DigestExchange`] processor: who it has
+/// The bounded local state of a digest-exchange processor: who it has
 /// heard about (transitively), who it knows started with 0, one level
 /// deeper — the "who-heard-what" of the limited-exchange papers — what it
 /// knows *every other processor* knows, and a who-heard-from-whom-*when*
@@ -128,313 +130,206 @@ impl DigestState {
     }
 }
 
-/// An executable information exchange: the interning kernels the system
-/// builder runs for every simulated run. Implementations must be
-/// deterministic and *Markovian in the interned state* — the time-`m`
-/// states must be a function of the time-`m−1` states and the round's
-/// deliveries only — which is what makes shard-parallel builds and
-/// append-only horizon extension sound.
-pub trait Exchange {
-    /// The model-level descriptor this implementation executes.
-    fn kind(&self) -> ExchangeKind;
-
-    /// Interns the time-0 state of `proc` with initial value `value` in
-    /// an `n`-processor system.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::CapacityExceeded`] if the table is full.
-    fn try_leaf(
-        &self,
-        table: &mut ViewTable,
-        proc: ProcessorId,
-        n: usize,
-        value: Value,
-    ) -> Result<ViewId, ModelError>;
-
-    /// Advances every processor's state by one round: `prev_views[p]` is
-    /// `p`'s state at `round.start()`, the result holds the states at
-    /// `round.end()`. Crashed processors' states freeze (the exchange
-    /// must push `prev_views[p]` unchanged), exactly as in the FIP
-    /// kernel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::CapacityExceeded`] if the table is full.
-    fn try_step(
-        &self,
-        table: &mut ViewTable,
-        pattern: &FailurePattern,
-        round: Round,
-        prev_views: &[ViewId],
-    ) -> Result<Vec<ViewId>, ModelError>;
-}
-
-/// The paper's full-information protocol as an [`Exchange`]: thin
-/// delegation to the hash-consed view-tree kernels.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FullInfoExchange;
-
-impl Exchange for FullInfoExchange {
-    fn kind(&self) -> ExchangeKind {
-        ExchangeKind::FullInformation
-    }
-
-    fn try_leaf(
-        &self,
-        table: &mut ViewTable,
-        proc: ProcessorId,
-        _n: usize,
-        value: Value,
-    ) -> Result<ViewId, ModelError> {
-        table.try_leaf(proc, value)
-    }
-
-    fn try_step(
-        &self,
-        table: &mut ViewTable,
-        pattern: &FailurePattern,
-        round: Round,
-        prev_views: &[ViewId],
-    ) -> Result<Vec<ViewId>, ModelError> {
-        try_fip_step(pattern, round, prev_views, table)
+/// Interns the time-0 state of `proc` with initial value `value` in an
+/// `n`-processor system under `kind`.
+///
+/// # Errors
+///
+/// Returns [`ModelError::CapacityExceeded`] if the table is full.
+fn try_leaf(
+    kind: ExchangeKind,
+    table: &mut ViewTable,
+    proc: ProcessorId,
+    n: usize,
+    value: Value,
+) -> Result<ViewId, ModelError> {
+    match kind {
+        ExchangeKind::FullInformation => table.try_leaf(proc, value),
+        ExchangeKind::Digest { bits } => digest_leaf(bits, table, proc, n, value),
     }
 }
 
-/// A bounded digest exchange; see the module docs and
-/// [`ExchangeKind::Digest`]. Each round a processor sends its
-/// [`DigestState`] (size `O(n)` words) instead of its entire history;
-/// receivers merge the knowledge sets pointwise.
-#[derive(Clone, Copy, Debug)]
-pub struct DigestExchange {
+/// Advances every processor's state by one round under `kind`:
+/// `prev_views[p]` is `p`'s state at `round.start()`, the result holds
+/// the states at `round.end()`. Crashed processors' states freeze.
+///
+/// # Errors
+///
+/// Returns [`ModelError::CapacityExceeded`] if the table is full.
+pub(crate) fn try_step(
+    kind: ExchangeKind,
+    table: &mut ViewTable,
+    pattern: &FailurePattern,
+    round: Round,
+    prev_views: &[ViewId],
+) -> Result<Vec<ViewId>, ModelError> {
+    match kind {
+        ExchangeKind::FullInformation => try_fip_step(pattern, round, prev_views, table),
+        ExchangeKind::Digest { bits } => digest_step(bits, table, pattern, round, prev_views),
+    }
+}
+
+/// A fingerprint truncated to the exchange's width (`0..=64` bits,
+/// validated at the model layer).
+fn truncate(bits: u8, fp: u64) -> u64 {
+    match bits {
+        0 => 0,
+        64 => fp,
+        bits => fp & ((1u64 << bits) - 1),
+    }
+}
+
+/// The digest exchange's time-0 state: the owner knows its own value.
+fn digest_leaf(
     bits: u8,
+    table: &mut ViewTable,
+    proc: ProcessorId,
+    n: usize,
+    value: Value,
+) -> Result<ViewId, ModelError> {
+    let known_zeros = if value == Value::Zero {
+        ProcSet::singleton(proc)
+    } else {
+        ProcSet::empty()
+    };
+    let mut knowledge = vec![ProcSet::empty(); n].into_boxed_slice();
+    let mut zero_knowledge = vec![ProcSet::empty(); n].into_boxed_slice();
+    knowledge[proc.index()] = ProcSet::singleton(proc);
+    zero_knowledge[proc.index()] = known_zeros;
+    let fingerprint = if bits == 0 {
+        0
+    } else {
+        let mut h = FastHasher::default();
+        h.write_u8(0x4c); // leaf tag
+        h.write_usize(proc.index());
+        h.write_u8(value as u8);
+        truncate(bits, h.finish())
+    };
+    table.try_digest(DigestState {
+        proc,
+        time: Time::ZERO,
+        own_value: value,
+        known_procs: ProcSet::singleton(proc),
+        known_zeros,
+        heard_from: ProcSet::empty(),
+        knowledge,
+        zero_knowledge,
+        contact: vec![0u64; n * n].into_boxed_slice(),
+        fingerprint,
+    })
 }
 
-impl DigestExchange {
-    /// A digest exchange with the given fingerprint width (`0..=64`,
-    /// validated at the model layer).
-    #[must_use]
-    pub fn new(bits: u8) -> Self {
-        DigestExchange { bits }
-    }
-
-    fn truncate(&self, fp: u64) -> u64 {
-        match self.bits {
-            0 => 0,
-            64 => fp,
-            bits => fp & ((1u64 << bits) - 1),
+/// One digest-exchange round: each processor sends its [`DigestState`]
+/// (size `O(n)` words) instead of its entire history, and receivers
+/// merge the knowledge sets pointwise.
+fn digest_step(
+    bits: u8,
+    table: &mut ViewTable,
+    pattern: &FailurePattern,
+    round: Round,
+    prev_views: &[ViewId],
+) -> Result<Vec<ViewId>, ModelError> {
+    let n = pattern.n();
+    debug_assert_eq!(n, prev_views.len());
+    let mut now: Vec<ViewId> = Vec::with_capacity(n);
+    for receiver in ProcessorId::all(n) {
+        // Crash-freeze, identical to the FIP kernel: a crashed
+        // processor's interned state stops advancing.
+        if pattern.crashed_by(receiver, round.end()) {
+            now.push(prev_views[receiver.index()]);
+            continue;
         }
-    }
-}
-
-impl Exchange for DigestExchange {
-    fn kind(&self) -> ExchangeKind {
-        ExchangeKind::Digest { bits: self.bits }
-    }
-
-    fn try_leaf(
-        &self,
-        table: &mut ViewTable,
-        proc: ProcessorId,
-        n: usize,
-        value: Value,
-    ) -> Result<ViewId, ModelError> {
-        let known_zeros = if value == Value::Zero {
-            ProcSet::singleton(proc)
-        } else {
-            ProcSet::empty()
-        };
-        let mut knowledge = vec![ProcSet::empty(); n].into_boxed_slice();
-        let mut zero_knowledge = vec![ProcSet::empty(); n].into_boxed_slice();
-        knowledge[proc.index()] = ProcSet::singleton(proc);
-        zero_knowledge[proc.index()] = known_zeros;
-        let fingerprint = if self.bits == 0 {
-            0
-        } else {
+        let prev = table
+            .digest_state(prev_views[receiver.index()])
+            .expect("digest step over non-digest state")
+            .clone();
+        let mut known_procs = prev.known_procs;
+        let mut known_zeros = prev.known_zeros;
+        let mut heard_from = ProcSet::empty();
+        let mut knowledge = prev.knowledge.clone();
+        let mut zero_knowledge = prev.zero_knowledge.clone();
+        let mut contact = prev.contact.clone();
+        let mut h = (bits > 0).then(|| {
             let mut h = FastHasher::default();
-            h.write_u8(0x4c); // leaf tag
-            h.write_usize(proc.index());
-            h.write_u8(value as u8);
-            self.truncate(h.finish())
-        };
-        table.try_digest(DigestState {
-            proc,
-            time: Time::ZERO,
-            own_value: value,
-            known_procs: ProcSet::singleton(proc),
-            known_zeros,
-            heard_from: ProcSet::empty(),
-            knowledge,
-            zero_knowledge,
-            contact: vec![0u64; n * n].into_boxed_slice(),
-            fingerprint,
-        })
-    }
-
-    fn try_step(
-        &self,
-        table: &mut ViewTable,
-        pattern: &FailurePattern,
-        round: Round,
-        prev_views: &[ViewId],
-    ) -> Result<Vec<ViewId>, ModelError> {
-        let n = pattern.n();
-        debug_assert_eq!(n, prev_views.len());
-        let mut now: Vec<ViewId> = Vec::with_capacity(n);
-        for receiver in ProcessorId::all(n) {
-            // Crash-freeze, identical to the FIP kernel: a crashed
-            // processor's interned state stops advancing.
-            if pattern.crashed_by(receiver, round.end()) {
-                now.push(prev_views[receiver.index()]);
+            h.write_u8(0x53); // step tag
+            h.write_u64(prev.fingerprint);
+            h
+        });
+        for sender in ProcessorId::all(n) {
+            if !pattern.delivers(sender, receiver, round) {
+                if let Some(h) = h.as_mut() {
+                    h.write_u8(0); // undelivered marker, keeps positions aligned
+                }
                 continue;
             }
-            let prev = table
-                .digest_state(prev_views[receiver.index()])
-                .expect("digest step over non-digest state")
-                .clone();
-            let mut known_procs = prev.known_procs;
-            let mut known_zeros = prev.known_zeros;
-            let mut heard_from = ProcSet::empty();
-            let mut knowledge = prev.knowledge.clone();
-            let mut zero_knowledge = prev.zero_knowledge.clone();
-            let mut contact = prev.contact.clone();
-            let mut h = (self.bits > 0).then(|| {
-                let mut h = FastHasher::default();
-                h.write_u8(0x53); // step tag
-                h.write_u64(prev.fingerprint);
-                h
-            });
-            for sender in ProcessorId::all(n) {
-                if !pattern.delivers(sender, receiver, round) {
-                    if let Some(h) = h.as_mut() {
-                        h.write_u8(0); // undelivered marker, keeps positions aligned
-                    }
-                    continue;
-                }
-                let sent = table
-                    .digest_state(prev_views[sender.index()])
-                    .expect("digest step over non-digest state");
-                known_procs = known_procs | sent.known_procs;
-                known_zeros = known_zeros | sent.known_zeros;
-                heard_from.insert(sender);
-                // Pointwise merge of the who-heard-what matrix, plus the
-                // sender's own first-order sets as its row: knowledge is
-                // monotone, so union is the correct combination.
-                for (mine, theirs) in knowledge.iter_mut().zip(sent.knowledge.iter()) {
-                    *mine = *mine | *theirs;
-                }
-                for (mine, theirs) in zero_knowledge.iter_mut().zip(sent.zero_knowledge.iter()) {
-                    *mine = *mine | *theirs;
-                }
-                knowledge[sender.index()] = knowledge[sender.index()] | sent.known_procs;
-                zero_knowledge[sender.index()] = zero_knowledge[sender.index()] | sent.known_zeros;
-                // Contact knowledge is monotone, so union is the correct
-                // combination, exactly as for the knowledge matrices.
-                for (mine, theirs) in contact.iter_mut().zip(sent.contact.iter()) {
-                    *mine |= *theirs;
-                }
-                // The owner's own row is exact: it heard from `sender`
-                // in this round.
-                contact[receiver.index() * n + sender.index()] |=
-                    1u64 << (u32::from(round.number()) - 1).min(63);
-                if let Some(h) = h.as_mut() {
-                    h.write_u8(1); // delivered marker
-                    h.write_u64(sent.fingerprint);
-                }
+            let sent = table
+                .digest_state(prev_views[sender.index()])
+                .expect("digest step over non-digest state");
+            known_procs = known_procs | sent.known_procs;
+            known_zeros = known_zeros | sent.known_zeros;
+            heard_from.insert(sender);
+            // Pointwise merge of the who-heard-what matrix, plus the
+            // sender's own first-order sets as its row: knowledge is
+            // monotone, so union is the correct combination.
+            for (mine, theirs) in knowledge.iter_mut().zip(sent.knowledge.iter()) {
+                *mine = *mine | *theirs;
             }
-            // Slide the contact window: rounds at or before
-            // `round − CONTACT_WINDOW` are forgotten. Every state at a
-            // given time applies the same mask, so the forgetting is
-            // deterministic and merge-order independent.
-            if round.number() > CONTACT_WINDOW {
-                let aged = u32::from(round.number() - CONTACT_WINDOW);
-                let keep = 1u64.checked_shl(aged).map_or(0, |b| !(b - 1));
-                for e in contact.iter_mut() {
-                    *e &= keep;
-                }
+            for (mine, theirs) in zero_knowledge.iter_mut().zip(sent.zero_knowledge.iter()) {
+                *mine = *mine | *theirs;
             }
-            // Self-knowledge is exact, not an approximation carried over
-            // from older digests.
-            knowledge[receiver.index()] = known_procs;
-            zero_knowledge[receiver.index()] = known_zeros;
-            let fingerprint = h.map_or(0, |h| self.truncate(h.finish()));
-            now.push(table.try_digest(DigestState {
-                proc: receiver,
-                time: prev.time.next(),
-                own_value: prev.own_value,
-                known_procs,
-                known_zeros,
-                heard_from,
-                knowledge,
-                zero_knowledge,
-                contact,
-                fingerprint,
-            })?);
+            knowledge[sender.index()] = knowledge[sender.index()] | sent.known_procs;
+            zero_knowledge[sender.index()] = zero_knowledge[sender.index()] | sent.known_zeros;
+            // Contact knowledge is monotone, so union is the correct
+            // combination, exactly as for the knowledge matrices.
+            for (mine, theirs) in contact.iter_mut().zip(sent.contact.iter()) {
+                *mine |= *theirs;
+            }
+            // The owner's own row is exact: it heard from `sender`
+            // in this round.
+            contact[receiver.index() * n + sender.index()] |=
+                1u64 << (u32::from(round.number()) - 1).min(63);
+            if let Some(h) = h.as_mut() {
+                h.write_u8(1); // delivered marker
+                h.write_u64(sent.fingerprint);
+            }
         }
-        Ok(now)
-    }
-}
-
-/// Enum dispatch over every shipped exchange, so the generated system and
-/// all downstream layers stay non-generic.
-#[derive(Clone, Copy, Debug)]
-pub enum AnyExchange {
-    /// The paper's full-information protocol.
-    Full(FullInfoExchange),
-    /// A bounded who-heard-what digest.
-    Digest(DigestExchange),
-}
-
-impl AnyExchange {
-    /// The executable exchange for a scenario's descriptor.
-    #[must_use]
-    pub fn for_scenario(scenario: &Scenario) -> Self {
-        match scenario.exchange() {
-            ExchangeKind::FullInformation => AnyExchange::Full(FullInfoExchange),
-            ExchangeKind::Digest { bits } => AnyExchange::Digest(DigestExchange::new(bits)),
+        // Slide the contact window: rounds at or before
+        // `round − CONTACT_WINDOW` are forgotten. Every state at a
+        // given time applies the same mask, so the forgetting is
+        // deterministic and merge-order independent.
+        if round.number() > CONTACT_WINDOW {
+            let aged = u32::from(round.number() - CONTACT_WINDOW);
+            let keep = 1u64.checked_shl(aged).map_or(0, |b| !(b - 1));
+            for e in contact.iter_mut() {
+                *e &= keep;
+            }
         }
+        // Self-knowledge is exact, not an approximation carried over
+        // from older digests.
+        knowledge[receiver.index()] = known_procs;
+        zero_knowledge[receiver.index()] = known_zeros;
+        let fingerprint = h.map_or(0, |h| truncate(bits, h.finish()));
+        now.push(table.try_digest(DigestState {
+            proc: receiver,
+            time: prev.time.next(),
+            own_value: prev.own_value,
+            known_procs,
+            known_zeros,
+            heard_from,
+            knowledge,
+            zero_knowledge,
+            contact,
+            fingerprint,
+        })?);
     }
-}
-
-impl Exchange for AnyExchange {
-    fn kind(&self) -> ExchangeKind {
-        match self {
-            AnyExchange::Full(e) => e.kind(),
-            AnyExchange::Digest(e) => e.kind(),
-        }
-    }
-
-    fn try_leaf(
-        &self,
-        table: &mut ViewTable,
-        proc: ProcessorId,
-        n: usize,
-        value: Value,
-    ) -> Result<ViewId, ModelError> {
-        match self {
-            AnyExchange::Full(e) => e.try_leaf(table, proc, n, value),
-            AnyExchange::Digest(e) => e.try_leaf(table, proc, n, value),
-        }
-    }
-
-    fn try_step(
-        &self,
-        table: &mut ViewTable,
-        pattern: &FailurePattern,
-        round: Round,
-        prev_views: &[ViewId],
-    ) -> Result<Vec<ViewId>, ModelError> {
-        match self {
-            AnyExchange::Full(e) => e.try_step(table, pattern, round, prev_views),
-            AnyExchange::Digest(e) => e.try_step(table, pattern, round, prev_views),
-        }
-    }
+    Ok(now)
 }
 
 /// Computes every processor's interned state at every time of the run
-/// determined by `(config, pattern)` under `exchange`, up to `horizon` —
-/// the exchange-generic form of [`crate::try_fip_views`] (and exactly it
-/// when `exchange` is full-information).
+/// determined by `(config, pattern)` under the exchange `kind`, up to
+/// `horizon`. Under full information a crashed processor's view is
+/// frozen at its crash; a crashed processor is faulty, so its post-crash
+/// view never participates in any `N`-relative knowledge test.
 ///
 /// Returns `views[time][proc]`.
 ///
@@ -445,8 +340,8 @@ impl Exchange for AnyExchange {
 /// # Panics
 ///
 /// Panics if `config` and `pattern` disagree on `n`.
-pub fn try_exchange_views<E: Exchange + ?Sized>(
-    exchange: &E,
+pub fn try_exchange_views(
+    kind: ExchangeKind,
     config: &InitialConfig,
     pattern: &FailurePattern,
     horizon: Time,
@@ -457,12 +352,12 @@ pub fn try_exchange_views<E: Exchange + ?Sized>(
     let mut views: Vec<Vec<ViewId>> = Vec::with_capacity(horizon.index() + 1);
     let mut leaves = Vec::with_capacity(n);
     for p in ProcessorId::all(n) {
-        leaves.push(exchange.try_leaf(table, p, n, config.value(p))?);
+        leaves.push(try_leaf(kind, table, p, n, config.value(p))?);
     }
     views.push(leaves);
     for round in Round::upto(horizon) {
         let prev_views = views.last().expect("time 0 is always present");
-        let now = exchange.try_step(table, pattern, round, prev_views)?;
+        let now = try_step(kind, table, pattern, round, prev_views)?;
         views.push(now);
     }
     Ok(views)
@@ -485,7 +380,7 @@ mod tests {
         table: &mut ViewTable,
     ) -> Vec<Vec<ViewId>> {
         try_exchange_views(
-            &DigestExchange::new(bits),
+            ExchangeKind::Digest { bits },
             config,
             pattern,
             Time::new(horizon),
@@ -495,24 +390,16 @@ mod tests {
     }
 
     #[test]
-    fn full_info_exchange_matches_fip_views() {
-        let config = InitialConfig::from_bits(3, 0b011);
-        let pattern = FailurePattern::failure_free(3);
-        let mut a = ViewTable::new();
-        let via_exchange =
-            try_exchange_views(&FullInfoExchange, &config, &pattern, Time::new(2), &mut a).unwrap();
-        let mut b = ViewTable::new();
-        let direct = crate::try_fip_views(&config, &pattern, Time::new(2), &mut b).unwrap();
-        assert_eq!(via_exchange, direct);
-        assert_eq!(a.len(), b.len());
-    }
-
-    #[test]
     fn digest_leaf_state() {
         let mut t = ViewTable::new();
-        let id = DigestExchange::new(0)
-            .try_leaf(&mut t, p(1), 3, Value::Zero)
-            .unwrap();
+        let id = try_leaf(
+            ExchangeKind::Digest { bits: 0 },
+            &mut t,
+            p(1),
+            3,
+            Value::Zero,
+        )
+        .unwrap();
         let s = t.digest_state(id).unwrap();
         assert_eq!(s.proc, p(1));
         assert_eq!(s.known_procs, ProcSet::singleton(p(1)));
@@ -633,8 +520,18 @@ mod tests {
         // Full information never forgets: the same two runs stay
         // distinguishable for p1 forever.
         let mut ft = ViewTable::new();
-        let full_a = crate::try_fip_views(&config, &clean, Time::new(horizon), &mut ft).unwrap();
-        let full_b = crate::try_fip_views(&config, &lossy, Time::new(horizon), &mut ft).unwrap();
+        let full = |pattern, table: &mut ViewTable| {
+            try_exchange_views(
+                ExchangeKind::FullInformation,
+                &config,
+                pattern,
+                Time::new(horizon),
+                table,
+            )
+            .unwrap()
+        };
+        let full_a = full(&clean, &mut ft);
+        let full_b = full(&lossy, &mut ft);
         assert_ne!(full_a[horizon as usize][1], full_b[horizon as usize][1]);
     }
 
@@ -681,20 +578,5 @@ mod tests {
                 assert_eq!(shard.render(v), merged.render(remap[v.index()]));
             }
         }
-    }
-
-    #[test]
-    fn any_exchange_dispatches_by_scenario() {
-        let full = Scenario::new(3, 1, eba_model::FailureMode::Crash, 2).unwrap();
-        assert!(matches!(
-            AnyExchange::for_scenario(&full),
-            AnyExchange::Full(_)
-        ));
-        let digest = full
-            .with_exchange(ExchangeKind::Digest { bits: 8 })
-            .unwrap();
-        let e = AnyExchange::for_scenario(&digest);
-        assert!(matches!(e, AnyExchange::Digest(_)));
-        assert_eq!(e.kind(), ExchangeKind::Digest { bits: 8 });
     }
 }

@@ -1,6 +1,6 @@
 //! The full-information protocol as an ordinary message-level
 //! [`Protocol`], used to differentially test the executor against the
-//! hash-consed [`crate::fip_views`] fast path.
+//! hash-consed [`crate::try_exchange_views`] fast path.
 //!
 //! The state is a literal view tree (Section 2.4): the initial value at
 //! time 0, and at time `m` the previous state plus each received state.

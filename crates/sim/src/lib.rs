@@ -19,11 +19,11 @@
 //!   whose output is bit-identical for every thread/shard count;
 //! * [`PointStore`] — the columnar (struct-of-arrays) point store built
 //!   alongside every system: per-processor view columns and CSR bucket
-//!   partitions that back the compiled evaluation plans of `eba-kripke`;
-//! * [`Exchange`] / [`AnyExchange`] — the information-exchange
-//!   abstraction (DESIGN.md §4g): the builder simulates whichever
-//!   exchange the scenario declares; [`DigestExchange`] is the bounded
-//!   who-heard-what alternative to full information;
+//!   partitions that back the knowledge kernels of `eba-kripke`;
+//! * [`try_exchange_views`] — the information exchanges (DESIGN.md §4g):
+//!   the builder simulates whichever [`eba_model::ExchangeKind`] the
+//!   scenario declares, full information or the bounded who-heard-what
+//!   digest ([`DigestState`]);
 //! * [`chaos`] — fault injection and `catch_unwind` worker supervision
 //!   with retry and sequential fallback; with [`eba_model::RunBudget`]
 //!   this is the robustness substrate of the engine (DESIGN.md §4c).
@@ -61,10 +61,7 @@ pub mod stats;
 pub mod symmetry;
 
 pub use builder::{BuildOutcome, BuildReport, ExtendReport, Partial, SystemBuilder, RUN_CAPACITY};
-pub use exchange::{
-    try_exchange_views, AnyExchange, DigestExchange, DigestState, Exchange, FullInfoExchange,
-    CONTACT_WINDOW,
-};
+pub use exchange::{try_exchange_views, DigestState, CONTACT_WINDOW};
 pub use executor::{execute, execute_unchecked, ExecError};
 pub use full_info::{FullInformation, View};
 pub use points::PointStore;
@@ -72,4 +69,4 @@ pub use protocol::Protocol;
 pub use sched::{scheduler_stats, SchedulerStats};
 pub use system::{GeneratedSystem, RunId, RunRecord};
 pub use trace::{Decision, Trace};
-pub use view::{fip_views, try_fip_views, ViewId, ViewNode, ViewTable, VIEW_CAPACITY};
+pub use view::{ViewId, ViewNode, ViewTable, VIEW_CAPACITY};

@@ -282,9 +282,9 @@ impl ViewClasses {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::view::fip_views;
+    use crate::exchange::try_exchange_views;
     use eba_model::symmetry::orbit_members;
-    use eba_model::{enumerate, FailureMode, ProcessorId, Scenario, Value};
+    use eba_model::{enumerate, ExchangeKind, FailureMode, ProcessorId, Scenario, Value};
 
     fn p(i: usize) -> ProcessorId {
         ProcessorId::new(i)
@@ -299,7 +299,14 @@ mod tests {
         let mut rows = Vec::new();
         for pattern in enumerate::patterns(scenario) {
             for config in InitialConfig::enumerate_all(scenario.n()) {
-                let views = fip_views(&config, &pattern, scenario.horizon(), &mut table);
+                let views = try_exchange_views(
+                    ExchangeKind::FullInformation,
+                    &config,
+                    &pattern,
+                    scenario.horizon(),
+                    &mut table,
+                )
+                .unwrap();
                 rows.push((config, pattern.clone(), views));
             }
         }

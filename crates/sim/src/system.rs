@@ -1,7 +1,7 @@
 //! Generated systems: the set of runs of the full-information protocol.
 
 use crate::builder::{SystemBuilder, RUN_CAPACITY};
-use crate::exchange::{try_exchange_views, AnyExchange};
+use crate::exchange::try_exchange_views;
 use crate::points::PointStore;
 use crate::symmetry::{self, SymmetryInfo};
 use crate::view::{ViewId, ViewTable};
@@ -206,7 +206,7 @@ impl GeneratedSystem {
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(seed);
         let sampler = sample::PatternSampler::new(*scenario);
-        let mut runs = Vec::with_capacity(num_runs * 2);
+        let mut runs = Vec::new();
         for _ in 0..num_runs {
             let config = sample::random_config(scenario.n(), &mut rng);
             let pattern = sampler.sample(&mut rng);
@@ -227,7 +227,7 @@ impl GeneratedSystem {
         let n = scenario.n();
         let horizon = scenario.horizon();
         let slots_per_run = (horizon.index() + 1) * n;
-        let exchange = AnyExchange::for_scenario(scenario);
+        let exchange = scenario.exchange();
 
         let mut table = ViewTable::new();
         let mut runs: Vec<RunRecord> = Vec::new();
@@ -242,7 +242,7 @@ impl GeneratedSystem {
                 continue;
             }
             seen.insert(RunIndex::key(&config, &pattern), RunId::new(runs.len()));
-            let run_views = try_exchange_views(&exchange, &config, &pattern, horizon, &mut table)
+            let run_views = try_exchange_views(exchange, &config, &pattern, horizon, &mut table)
                 .expect("view table overflow");
             for time_views in &run_views {
                 views.extend_from_slice(time_views);

@@ -20,7 +20,7 @@
 //! # Beyond full information
 //!
 //! Since the exchange abstraction (DESIGN.md §4g) the table interns the
-//! local state of *any* [`crate::Exchange`], not just FIP view trees:
+//! local state of *any* exchange, not just FIP view trees:
 //! [`ViewNode::Digest`] holds the bounded who-heard-what state of the
 //! digest exchanges. Everything the downstream layers rely on is
 //! unchanged — equal `ViewId`s still mean identical local state, and the
@@ -31,9 +31,7 @@
 //! documented to panic) on digest states.
 
 use eba_model::fasthash::FastHasher;
-use eba_model::{
-    FailurePattern, InitialConfig, ModelError, ProcSet, ProcessorId, Round, Time, Value,
-};
+use eba_model::{FailurePattern, ModelError, ProcSet, ProcessorId, Round, Time, Value};
 use std::hash::{Hash, Hasher};
 
 pub use crate::exchange::DigestState;
@@ -104,7 +102,7 @@ pub enum ViewNode<'a> {
         received: &'a [Option<ViewId>],
     },
     /// The bounded local state of a digest exchange (see
-    /// [`crate::DigestExchange`]). Unlike [`ViewNode::Node`] it holds its
+    /// [`eba_model::ExchangeKind::Digest`]). Unlike [`ViewNode::Node`] it holds its
     /// full content by value and references no other table entries, so
     /// the builder's merge copies it without remapping.
     Digest(&'a DigestState),
@@ -675,59 +673,11 @@ impl ViewTable {
     }
 }
 
-/// Computes the full-information views of every processor at every time of
-/// the run determined by `(config, pattern)`, up to `horizon`.
-///
-/// Returns `views[time][proc]`. A crashed processor's view is frozen at
-/// its crash; a crashed processor is faulty, so its post-crash view never
-/// participates in any `N`-relative knowledge test.
-///
-/// # Panics
-///
-/// Panics if `config` and `pattern` disagree on `n`, or if the table
-/// overflows (see [`try_fip_views`]).
-#[must_use]
-pub fn fip_views(
-    config: &InitialConfig,
-    pattern: &FailurePattern,
-    horizon: Time,
-    table: &mut ViewTable,
-) -> Vec<Vec<ViewId>> {
-    try_fip_views(config, pattern, horizon, table).expect("view table overflow")
-}
-
-/// Fallible [`fip_views`], reporting table overflow as a
-/// [`ModelError::CapacityExceeded`] instead of panicking.
-///
-/// # Panics
-///
-/// Panics if `config` and `pattern` disagree on `n`.
-pub fn try_fip_views(
-    config: &InitialConfig,
-    pattern: &FailurePattern,
-    horizon: Time,
-    table: &mut ViewTable,
-) -> Result<Vec<Vec<ViewId>>, ModelError> {
-    let n = config.n();
-    assert_eq!(n, pattern.n());
-    let mut views: Vec<Vec<ViewId>> = Vec::with_capacity(horizon.index() + 1);
-    let mut leaves = Vec::with_capacity(n);
-    for p in ProcessorId::all(n) {
-        leaves.push(table.try_leaf(p, config.value(p))?);
-    }
-    views.push(leaves);
-    for round in Round::upto(horizon) {
-        let prev_views = views.last().expect("time 0 is always present");
-        let now = try_fip_step(pattern, round, prev_views, table)?;
-        views.push(now);
-    }
-    Ok(views)
-}
-
 /// Advances every processor's full-information view by one round:
 /// `prev_views[p]` is `p`'s view at `round.start()`, the result is the
-/// views at `round.end()`. This is the shared kernel of [`try_fip_views`]
-/// and of the horizon-extension path ([`crate::SystemBuilder::extend`]),
+/// views at `round.end()`. This is the shared kernel of cold builds
+/// ([`crate::try_exchange_views`]) and of the horizon-extension path
+/// ([`crate::SystemBuilder::extend`]),
 /// which replays only the appended rounds on top of reused base-horizon
 /// prefixes — sharing the loop body is what makes extension bit-identical
 /// in view *content* to a cold build.
@@ -760,7 +710,24 @@ pub(crate) fn try_fip_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eba_model::FaultyBehavior;
+    use crate::exchange::try_exchange_views;
+    use eba_model::{ExchangeKind, FaultyBehavior, InitialConfig};
+
+    fn full_views(
+        config: &InitialConfig,
+        pattern: &FailurePattern,
+        horizon: Time,
+        table: &mut ViewTable,
+    ) -> Vec<Vec<ViewId>> {
+        try_exchange_views(
+            ExchangeKind::FullInformation,
+            config,
+            pattern,
+            horizon,
+            table,
+        )
+        .unwrap()
+    }
 
     fn p(i: usize) -> ProcessorId {
         ProcessorId::new(i)
@@ -817,7 +784,7 @@ mod tests {
         let mut t = ViewTable::new();
         let config = InitialConfig::from_bits(3, 0b011);
         let pattern = FailurePattern::failure_free(3);
-        let views = fip_views(&config, &pattern, Time::new(2), &mut t);
+        let views = full_views(&config, &pattern, Time::new(2), &mut t);
         for (q, &v) in views[1].iter().enumerate() {
             assert_eq!(t.known_procs(v), ProcSet::full(3));
             assert!(t.exists_zero(v));
@@ -839,13 +806,13 @@ mod tests {
                 receivers: ProcSet::empty(),
             },
         );
-        let run_a = fip_views(
+        let run_a = full_views(
             &InitialConfig::from_bits(3, 0b110),
             &pattern,
             Time::new(2),
             &mut t,
         );
-        let run_b = fip_views(
+        let run_b = full_views(
             &InitialConfig::from_bits(3, 0b111),
             &pattern,
             Time::new(2),
@@ -864,13 +831,13 @@ mod tests {
     fn fip_views_distinguish_once_information_flows() {
         let mut t = ViewTable::new();
         let pattern = FailurePattern::failure_free(3);
-        let run_a = fip_views(
+        let run_a = full_views(
             &InitialConfig::from_bits(3, 0b110),
             &pattern,
             Time::new(2),
             &mut t,
         );
-        let run_b = fip_views(
+        let run_b = full_views(
             &InitialConfig::from_bits(3, 0b111),
             &pattern,
             Time::new(2),
@@ -892,7 +859,7 @@ mod tests {
                 receivers: ProcSet::empty(),
             },
         );
-        let views = fip_views(
+        let views = full_views(
             &InitialConfig::uniform(3, Value::One),
             &pattern,
             Time::new(3),
@@ -908,7 +875,7 @@ mod tests {
         let mut t = ViewTable::new();
         let config = InitialConfig::uniform(2, Value::One);
         let pattern = FailurePattern::failure_free(2);
-        let views = fip_views(&config, &pattern, Time::new(3), &mut t);
+        let views = full_views(&config, &pattern, Time::new(3), &mut t);
         let late = views[3][0];
         assert_eq!(t.at_time(late, Time::new(1)), views[1][0]);
         assert_eq!(t.at_time(late, Time::new(3)), late);
@@ -923,13 +890,13 @@ mod tests {
         let pattern = FailurePattern::failure_free(3);
 
         let mut sequential = ViewTable::new();
-        let seq_a = fip_views(&config_a, &pattern, Time::new(2), &mut sequential);
-        let seq_b = fip_views(&config_b, &pattern, Time::new(2), &mut sequential);
+        let seq_a = full_views(&config_a, &pattern, Time::new(2), &mut sequential);
+        let seq_b = full_views(&config_b, &pattern, Time::new(2), &mut sequential);
 
         let mut left = ViewTable::new();
-        let shard_a = fip_views(&config_a, &pattern, Time::new(2), &mut left);
+        let shard_a = full_views(&config_a, &pattern, Time::new(2), &mut left);
         let mut right = ViewTable::new();
-        let shard_b = fip_views(&config_b, &pattern, Time::new(2), &mut right);
+        let shard_b = full_views(&config_b, &pattern, Time::new(2), &mut right);
 
         let mut merged = ViewTable::new();
         let remap_left = merged.absorb_suffix(&left, 0).unwrap();
@@ -1079,7 +1046,7 @@ mod tests {
                 // Re-interning a whole run hits on every view.
                 let len = flat.len();
                 assert_eq!(
-                    fip_views(config, pattern, scenario.horizon(), &mut flat),
+                    full_views(config, pattern, scenario.horizon(), &mut flat),
                     views
                 );
                 assert_eq!(flat.len(), len);
@@ -1097,15 +1064,13 @@ mod tests {
 
     #[test]
     fn flat_table_assigns_the_reference_interners_digest_ids() {
-        use crate::exchange::{try_exchange_views, DigestExchange};
         use rand::seq::SliceRandom;
         use rand::SeedableRng;
         let (scenario, runs) = random_runs(eba_model::FailureMode::Omission, 120, 0xD16E);
-        let exchange = DigestExchange::new(16);
+        let exchange = ExchangeKind::Digest { bits: 16 };
         let mut source = ViewTable::new();
         for (config, pattern) in &runs {
-            try_exchange_views(&exchange, config, pattern, scenario.horizon(), &mut source)
-                .unwrap();
+            try_exchange_views(exchange, config, pattern, scenario.horizon(), &mut source).unwrap();
         }
         // Every state twice, in a shuffled order: hits and misses interleave.
         let mut states: Vec<DigestState> = source
@@ -1128,16 +1093,15 @@ mod tests {
 
     #[test]
     fn absorb_with_a_shared_prefix_matches_a_full_absorb() {
-        use crate::exchange::{try_exchange_views, AnyExchange, DigestExchange, FullInfoExchange};
         for exchange in [
-            AnyExchange::Full(FullInfoExchange),
-            AnyExchange::Digest(DigestExchange::new(8)),
+            ExchangeKind::FullInformation,
+            ExchangeKind::Digest { bits: 8 },
         ] {
             let (scenario, runs) = random_runs(eba_model::FailureMode::Omission, 160, 0xAB50);
             let horizon = scenario.horizon();
             let intern = |table: &mut ViewTable, runs: &[(InitialConfig, FailurePattern)]| {
                 for (config, pattern) in runs {
-                    try_exchange_views(&exchange, config, pattern, horizon, table).unwrap();
+                    try_exchange_views(exchange, config, pattern, horizon, table).unwrap();
                 }
             };
             // A base table, and three blocks grown from clones of it whose
@@ -1179,7 +1143,7 @@ mod tests {
                 omissions: vec![ProcSet::singleton(p(1))],
             },
         );
-        let views = fip_views(
+        let views = full_views(
             &InitialConfig::uniform(2, Value::One),
             &pattern,
             Time::new(1),

@@ -6,7 +6,7 @@
 
 use eba_kripke::{Evaluator, Formula, NonRigidSet};
 use eba_model::{FailureMode, RunBudget, Scenario, ScenarioSpace};
-use eba_sim::chaos::{ChaosPlan, FaultInjector, FaultKind, FaultSite};
+use eba_sim::chaos::{ChaosPlan, FaultInjector, FaultKind};
 use eba_sim::{BuildOutcome, Partial, SystemBuilder};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,11 +29,7 @@ fn single_worker_panics_leave_all_results_bit_identical() {
     };
 
     for victim in 0..4 {
-        let plan = Arc::new(ChaosPlan::new().with_fault(
-            FaultSite::BuilderShard,
-            victim,
-            FaultKind::Panic,
-        ));
+        let plan = Arc::new(ChaosPlan::new().with_fault(victim, FaultKind::Panic));
         let outcome = SystemBuilder::new(&scenario)
             .threads(4)
             .shards(4)

@@ -15,7 +15,7 @@
 
 use eba::model::ScenarioSpace;
 use eba::prelude::*;
-use eba::sim::chaos::{ChaosPlan, FaultInjector, FaultKind, FaultSite};
+use eba::sim::chaos::{ChaosPlan, FaultInjector, FaultKind};
 use eba::sim::ViewId;
 use eba_core::protocols::{f_lambda_2, zero_chain_pair};
 use eba_kripke::fixpoint;
@@ -177,7 +177,7 @@ fn chaos_disturbed_digest_build_is_undisturbed() {
     // and must leave no trace: the chaos build equals the plain build,
     // and both equal the full-info oracle.
     let scenario = digest(&Scenario::new(3, 2, FailureMode::Crash, 2).unwrap(), 0);
-    let plan = Arc::new(ChaosPlan::new().with_fault(FaultSite::BuilderShard, 1, FaultKind::Panic));
+    let plan = Arc::new(ChaosPlan::new().with_fault(1, FaultKind::Panic));
     let outcome = SystemBuilder::new(&scenario)
         .threads(4)
         .shards(4)

@@ -8,7 +8,7 @@
 //! extend; `eba_core`'s session tests pin their typed refusal.)
 
 use eba::prelude::*;
-use eba::sim::chaos::{ChaosPlan, FaultInjector, FaultKind, FaultSite};
+use eba::sim::chaos::{ChaosPlan, FaultInjector, FaultKind};
 use eba_core::protocols::{f_lambda_2, zero_chain_pair};
 use eba_kripke::fixpoint;
 use eba_kripke::parse::parse_formula;
@@ -141,7 +141,7 @@ fn chaos_disturbed_base_extends_identically() {
     // A shard panic during base generation is absorbed by supervision and
     // must leave no trace in the extended system.
     let scenario = Scenario::new(3, 2, FailureMode::Crash, 2).unwrap();
-    let plan = Arc::new(ChaosPlan::new().with_fault(FaultSite::BuilderShard, 1, FaultKind::Panic));
+    let plan = Arc::new(ChaosPlan::new().with_fault(1, FaultKind::Panic));
     let outcome = SystemBuilder::new(&scenario)
         .threads(4)
         .shards(4)

@@ -12,7 +12,7 @@
 //! behind one slow item.
 
 use eba_model::{FailureMode, ProcessorId, RunBudget, Scenario, ScenarioSpace, Time};
-use eba_sim::chaos::{supervised_indexed, ChaosPlan, FaultInjector, FaultKind, FaultSite};
+use eba_sim::chaos::{supervised_indexed, ChaosPlan, FaultInjector, FaultKind};
 use eba_sim::{BuildOutcome, GeneratedSystem, SystemBuilder};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,13 +67,12 @@ fn straggler_workload_is_bit_identical_and_not_serialized() {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .rotate_left(17)
     };
-    let (sequential, faults) = supervised_indexed(ITEMS, 1, FaultSite::BuilderShard, job).unwrap();
+    let (sequential, faults) = supervised_indexed(ITEMS, 1, job).unwrap();
     assert!(faults.is_empty());
 
     for workers in [2, 4, 8] {
         let started = Instant::now();
-        let (parallel, faults) =
-            supervised_indexed(ITEMS, workers, FaultSite::BuilderShard, job).unwrap();
+        let (parallel, faults) = supervised_indexed(ITEMS, workers, job).unwrap();
         let elapsed = started.elapsed();
         assert!(faults.is_empty(), "{workers} workers");
         assert_eq!(sequential, parallel, "{workers} workers");
@@ -179,13 +178,9 @@ fn chaos_disturbed_extensions_are_identical_at_every_worker_count() {
     for workers in WORKER_COUNTS {
         let plan = Arc::new(
             ChaosPlan::new()
-                .with_fault(FaultSite::BuilderShard, 0, FaultKind::Panic)
-                .with_fault(FaultSite::BuilderShard, 2, FaultKind::Panic)
-                .with_fault(
-                    FaultSite::BuilderShard,
-                    1,
-                    FaultKind::Delay(Duration::from_millis(5)),
-                ),
+                .with_fault(0, FaultKind::Panic)
+                .with_fault(2, FaultKind::Panic)
+                .with_fault(1, FaultKind::Delay(Duration::from_millis(5))),
         );
         let (system, _) = SystemBuilder::new(&target)
             .threads(workers)
@@ -207,14 +202,10 @@ fn chaos_disturbed_builds_agree_on_faults_and_system_at_every_worker_count() {
     let scenario = Scenario::new(3, 1, FailureMode::Omission, 2).unwrap();
     let make_plan = || {
         ChaosPlan::new()
-            .with_fault(FaultSite::BuilderShard, 0, FaultKind::Panic)
-            .with_fault(FaultSite::BuilderShard, 3, FaultKind::Panic)
-            .with_fault(FaultSite::BuilderShard, 7, FaultKind::Panic)
-            .with_fault(
-                FaultSite::BuilderShard,
-                5,
-                FaultKind::Delay(Duration::from_millis(5)),
-            )
+            .with_fault(0, FaultKind::Panic)
+            .with_fault(3, FaultKind::Panic)
+            .with_fault(7, FaultKind::Panic)
+            .with_fault(5, FaultKind::Delay(Duration::from_millis(5)))
     };
 
     let mut baseline: Option<(GeneratedSystem, Vec<_>)> = None;

@@ -153,7 +153,7 @@ proptest! {
         assert_plan_matches_oracle(system, &phi, label)?;
     }
 
-    /// The native `GfpIter` loop matches the oracle's formula-iteration
+    /// The native gfp loop matches the oracle's formula-iteration
     /// loop in result *and* iteration count, for both `C_S` and `C□_S`,
     /// on exhaustive crash and omission systems and on two symmetry
     /// quotients.

@@ -10,7 +10,7 @@
 //! closure of the kept prefix), and across incremental `extend_to`.
 
 use eba::prelude::*;
-use eba::sim::chaos::{ChaosPlan, FaultInjector, FaultKind, FaultSite};
+use eba::sim::chaos::{ChaosPlan, FaultInjector, FaultKind};
 use eba_kripke::fixpoint;
 use eba_kripke::oracle::Oracle;
 use eba_kripke::parse::parse_formula;
@@ -206,7 +206,7 @@ fn chaos_disturbed_quotient_build_is_identical_to_a_clean_one() {
     // A shard panic during the quotiented build is absorbed by
     // supervision and must leave no trace: same runs, same decisions.
     let scenario = Scenario::new(3, 1, FailureMode::Omission, 2).unwrap();
-    let plan = Arc::new(ChaosPlan::new().with_fault(FaultSite::BuilderShard, 1, FaultKind::Panic));
+    let plan = Arc::new(ChaosPlan::new().with_fault(1, FaultKind::Panic));
     let outcome = SystemBuilder::new(&scenario)
         .threads(4)
         .shards(4)
