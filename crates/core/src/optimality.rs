@@ -1,7 +1,7 @@
 //! The optimality characterization of Theorem 5.3.
 
 use crate::{Constructor, DecisionPair};
-use eba_kripke::{BatchBuilder, Formula, NonRigidSet, StateSetsId};
+use eba_kripke::{BatchBuilder, Formula, NonRigidSet};
 use eba_model::{ProcessorId, Time, Value};
 use eba_sim::RunId;
 use std::fmt;
@@ -105,70 +105,16 @@ pub fn check_optimality(ctor: &mut Constructor<'_>, pair: &DecisionPair) -> Opti
     let c0 = Formula::exists(Value::Zero).continual_common(NonRigidSet::NonfaultyAnd(o_id));
     let c1 = Formula::exists(Value::One).continual_common(NonRigidSet::NonfaultyAnd(z_id));
 
-    if ctor.system().symmetry().is_some() {
-        return check_optimality_quotient(ctor, n, z_id, o_id, &c0, &c1);
-    }
-
-    let mut checks = Vec::with_capacity(2 * n);
-    for i in ProcessorId::all(n) {
-        let decide0 = Formula::StateIn(i, z_id);
-        let decide1 = Formula::StateIn(i, o_id);
-
-        // decide_i(0) ⇔ B^N_i(∃0 ∧ C□_{N∧O}∃0 ∧ ¬decide_i(1)).
-        let rhs0 = Formula::exists(Value::Zero)
-            .and(c0.clone())
-            .and(decide1.clone().not())
-            .believed_by(i, NonRigidSet::Nonfaulty);
-        let cond0 = Formula::Nonfaulty(i).implies(decide0.clone().iff(rhs0));
-
-        // decide_i(1) ⇔ B^N_i(∃1 ∧ C□_{N∧Z}∃1 ∧ ¬decide_i(0)).
-        let rhs1 = Formula::exists(Value::One)
-            .and(c1.clone())
-            .and(decide0.clone().not())
-            .believed_by(i, NonRigidSet::Nonfaulty);
-        let cond1 = Formula::Nonfaulty(i).implies(decide1.iff(rhs1));
-
-        for (value, cond) in [(Value::Zero, cond0), (Value::One, cond1)] {
-            let counterexample = ctor.evaluator().counterexample(&cond);
-            checks.push(ConditionCheck {
-                proc: i,
-                value,
-                holds: counterexample.is_none(),
-                counterexample,
-            });
-        }
-    }
-    OptimalityReport { checks }
-}
-
-/// The Theorem 5.3 check over a symmetry-quotiented system.
-///
-/// The per-processor conditions are *equivariant*, not symmetric:
-/// relabeling by `σ` maps processor `i`'s condition onto `σ(i)`'s. Two
-/// consequences (DESIGN.md §4i):
-///
-/// * the belief kernels must be twisted family-wise — processor `q`'s
-///   view at a falsifying point is checked against `ψ_q`, not `ψ_i` —
-///   which is what [`eba_kripke::Evaluator::family_believes`] computes;
-/// * full-system validity of any one processor's condition is the
-///   conjunction over the *whole family* of representative-validity, so
-///   the per-processor verdicts coincide. A check whose own condition
-///   holds on representatives but whose family fails reports the first
-///   failing member's representative counterexample (the full-system
-///   failing point for `i` is a relabeling of it).
-fn check_optimality_quotient(
-    ctor: &mut Constructor<'_>,
-    n: usize,
-    z_id: StateSetsId,
-    o_id: StateSetsId,
-    c0: &Formula,
-    c1: &Formula,
-) -> OptimalityReport {
-    type FamilyFailures = Vec<Option<(RunId, Time)>>;
-    let mut per_value: Vec<(Value, FamilyFailures)> = Vec::with_capacity(2);
-    for (value, decide_id, other_id, closure) in
-        [(Value::Zero, z_id, o_id, c0), (Value::One, o_id, z_id, c1)]
-    {
+    // Per value, the first failing point of every processor's condition.
+    // The conditions form an *equivariant* family — relabeling by `σ`
+    // maps processor `i`'s condition onto `σ(i)`'s — so the belief
+    // columns come from one family fold (DESIGN.md §4i).
+    let eval = ctor.evaluator();
+    let mut per_value = Vec::with_capacity(2);
+    for (value, decide_id, other_id, closure) in [
+        (Value::Zero, z_id, o_id, &c0),
+        (Value::One, o_id, z_id, &c1),
+    ] {
         let psi: Vec<Formula> = ProcessorId::all(n)
             .map(|j| {
                 Formula::exists(value)
@@ -176,7 +122,6 @@ fn check_optimality_quotient(
                     .and(Formula::StateIn(j, other_id).not())
             })
             .collect();
-        let eval = ctor.evaluator();
         let believes = eval.family_believes(NonRigidSet::Nonfaulty, &psi);
         let fails: Vec<Option<(RunId, Time)>> = ProcessorId::all(n)
             .zip(&believes)
@@ -198,12 +143,19 @@ fn check_optimality_quotient(
             .collect();
         per_value.push((value, fails));
     }
+
+    // A check holds on the full system iff every processor of its orbit
+    // satisfies its own condition here: on a quotient every processor,
+    // unreduced `i` alone. A failing check reports `i`'s own failing
+    // point, else the first failing orbit member's (on a quotient, a
+    // relabeling of the full-system point where `i` fails).
     let mut checks = Vec::with_capacity(2 * n);
     for i in ProcessorId::all(n) {
+        let orbit = eval.orbit(i);
         for (value, fails) in &per_value {
-            let holds = fails.iter().all(Option::is_none);
+            let holds = orbit.iter().all(|j| fails[j.index()].is_none());
             let counterexample =
-                fails[i.index()].or_else(|| fails.iter().flatten().next().copied());
+                fails[i.index()].or_else(|| orbit.iter().find_map(|j| fails[j.index()]));
             checks.push(ConditionCheck {
                 proc: i,
                 value: *value,

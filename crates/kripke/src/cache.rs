@@ -146,26 +146,23 @@ impl HashedReachKey {
 }
 
 /// Digest-keyed bucket map: entries whose keys share a digest live in one
-/// bucket and are resolved by full-key equality. Every entry is tagged
-/// with the cache **epoch** it was inserted under; lookups only serve
-/// entries of the current epoch (see [`KnowledgeCache::advance_epoch`]).
-type BucketMap<V> = HashMap<u64, Vec<(ReachKey, u64, V)>>;
+/// bucket and are resolved by full-key equality. Every resident entry
+/// belongs to the current epoch: [`KnowledgeCache::advance_epoch`] empties
+/// both maps before it bumps the epoch.
+type BucketMap<V> = HashMap<u64, Vec<(ReachKey, V)>>;
 
-fn bucket_get<V: Clone>(map: &BucketMap<V>, key: &HashedReachKey, epoch: u64) -> Option<V> {
+fn bucket_get<V: Clone>(map: &BucketMap<V>, key: &HashedReachKey) -> Option<V> {
     map.get(&key.hash)?
         .iter()
-        .find(|(k, e, _)| *e == epoch && *k == key.key)
-        .map(|(_, _, v)| v.clone())
+        .find(|(k, _)| *k == key.key)
+        .map(|(_, v)| v.clone())
 }
 
-fn bucket_insert<V>(map: &mut BucketMap<V>, key: &HashedReachKey, epoch: u64, value: V) {
+fn bucket_insert<V>(map: &mut BucketMap<V>, key: &HashedReachKey, value: V) {
     let bucket = map.entry(key.hash).or_default();
-    match bucket.iter_mut().find(|(k, _, _)| *k == key.key) {
-        Some(slot) => {
-            slot.1 = epoch;
-            slot.2 = value;
-        }
-        None => bucket.push((key.key.clone(), epoch, value)),
+    match bucket.iter_mut().find(|(k, _)| *k == key.key) {
+        Some(slot) => slot.1 = value,
+        None => bucket.push((key.key.clone(), value)),
     }
 }
 
@@ -258,8 +255,8 @@ pub struct KnowledgeCache {
     reach: Arc<Mutex<BucketMap<Arc<Reachability>>>>,
     scopes: Arc<Mutex<BucketMap<ScopeColumns>>>,
     counters: Arc<Counters>,
-    /// The current epoch; entries inserted under an older epoch are never
-    /// served (see [`KnowledgeCache::advance_epoch`]).
+    /// The current epoch; [`KnowledgeCache::advance_epoch`] drops every
+    /// entry before it moves on, so no older entry is ever served.
     epoch: Arc<AtomicU64>,
 }
 
@@ -324,7 +321,7 @@ impl KnowledgeCache {
             .expect("knowledge cache poisoned")
             .values()
             .flatten()
-            .map(|(k, _, r)| r.approx_bytes() + sel_bytes(&k.sel))
+            .map(|(k, r)| r.approx_bytes() + sel_bytes(&k.sel))
             .sum();
         let scopes: usize = self
             .scopes
@@ -332,7 +329,7 @@ impl KnowledgeCache {
             .expect("knowledge cache poisoned")
             .values()
             .flatten()
-            .map(|(k, _, cols)| {
+            .map(|(k, cols)| {
                 cols.iter().map(Bitset::approx_bytes).sum::<usize>() + sel_bytes(&k.sel)
             })
             .sum();
@@ -378,11 +375,7 @@ impl KnowledgeCache {
     }
 
     pub(crate) fn get(&self, key: &HashedReachKey) -> Option<Arc<Reachability>> {
-        let found = bucket_get(
-            &self.reach.lock().expect("knowledge cache poisoned"),
-            key,
-            self.epoch(),
-        );
+        let found = bucket_get(&self.reach.lock().expect("knowledge cache poisoned"), key);
         let counter = if found.is_some() {
             &self.counters.reach_hits
         } else {
@@ -396,17 +389,12 @@ impl KnowledgeCache {
         bucket_insert(
             &mut self.reach.lock().expect("knowledge cache poisoned"),
             key,
-            self.epoch(),
             value,
         );
     }
 
     pub(crate) fn get_scopes(&self, key: &HashedReachKey) -> Option<ScopeColumns> {
-        let found = bucket_get(
-            &self.scopes.lock().expect("knowledge cache poisoned"),
-            key,
-            self.epoch(),
-        );
+        let found = bucket_get(&self.scopes.lock().expect("knowledge cache poisoned"), key);
         let counter = if found.is_some() {
             &self.counters.scope_hits
         } else {
@@ -420,7 +408,6 @@ impl KnowledgeCache {
         bucket_insert(
             &mut self.scopes.lock().expect("knowledge cache poisoned"),
             key,
-            self.epoch(),
             value,
         );
     }

@@ -4,7 +4,7 @@ use crate::bitset::Bitset;
 use crate::cache::{HashedReachKey, KnowledgeCache, ReachKey, ReachSel, ScopeColumns};
 use crate::formula::Formula;
 use crate::nonrigid::{NonRigidSet, PointPredId, RunPredId, StateSets, StateSetsId};
-use crate::plan::NodeTable;
+use crate::plan::{Falsified, NodeTable, ViewPartition};
 use crate::uf::UnionFind;
 use eba_model::fasthash::{FastMap, FastSet};
 use eba_model::{ModelError, ProcSet, ProcessorId, Time};
@@ -114,10 +114,9 @@ pub struct Evaluator<'a> {
     /// reused across the staged reachability *and* scope lookups.
     key_memo: FastMap<NonRigidSet, Arc<HashedReachKey>>,
     /// The symmetry metadata of a quotiented system (`None` on unreduced
-    /// systems). Present, every knowledge kernel evaluates under the
-    /// orbit twist: a point is disqualified by the *view-orbit classes*
-    /// of the falsifying points rather than by raw views, which makes
-    /// the reduced system answer full-space questions exactly for
+    /// systems). Present, its view-orbit classes are the partition the
+    /// knowledge kernels close over ([`Evaluator::partition`]), which
+    /// makes the reduced system answer full-space questions exactly for
     /// symmetric formulas (DESIGN.md §4i).
     symmetry: Option<&'a SymmetryInfo>,
     /// Orbit-closure verdicts per registered state-set family, memoized
@@ -403,38 +402,17 @@ impl<'a> Evaluator<'a> {
     pub fn views_believing(&mut self, scope: NonRigidSet, psi: &Formula, sets: &mut StateSets) {
         let psi_bits = self.eval(psi);
         let scopes = self.scope_columns(scope);
+        // Marked over every processor: on a quotient a view is
+        // disqualified when its class is falsified from any in-scope
+        // processor anywhere, so the extracted family is orbit-closed
+        // over occurring views by construction.
+        let all = ProcSet::full(self.n);
+        let falsified = Falsified::marked(self, all, |_| &psi_bits, Some(&scopes));
         let store = self.system.points();
-        let table = self.system.table();
-        if let Some(classes) = self.classes() {
-            // Orbit twist: a view is disqualified when its *class* is
-            // falsified from any in-scope processor anywhere (see
-            // `knowledge_like_quotient`); emission stays per-processor
-            // over the occurring (nonempty) buckets, so the extracted
-            // family is orbit-closed over occurring views by
-            // construction.
-            let class_ok = self.class_ok_scoped(&psi_bits, &scopes, classes);
-            for p in ProcessorId::all(self.n) {
-                let (offsets, _) = store.buckets(p);
-                for (v, w) in table.ids().zip(offsets.windows(2)) {
-                    if w[0] != w[1] && class_ok[classes.class(v) as usize] {
-                        sets.insert(p, v);
-                    }
-                }
-            }
-            return;
-        }
-        let mut bad = vec![false; table.len()];
-        for p in ProcessorId::all(self.n) {
-            let column = store.column(p);
+        for p in all.iter() {
             let (offsets, _) = store.buckets(p);
-            let mut viol = Bitset::clone(&scopes[p.index()]);
-            viol.and_not(&psi_bits);
-            bad.fill(false);
-            for pt in viol.ones() {
-                bad[column[pt].index()] = true;
-            }
-            for (v, w) in table.ids().zip(offsets.windows(2)) {
-                if w[0] != w[1] && !bad[v.index()] {
+            for (v, w) in self.system.table().ids().zip(offsets.windows(2)) {
+                if w[0] != w[1] && falsified.holds(v) {
                     sets.insert(p, v);
                 }
             }
@@ -445,14 +423,14 @@ impl<'a> Evaluator<'a> {
     /// at a relabeled point exactly when `ψ_i` holds at the original —
     /// the per-processor belief columns `B^S_i ψ_i`, indexed by `i`.
     ///
-    /// On an unreduced system this is `n` independent belief
-    /// evaluations. On a quotient the falsified orbit classes are
-    /// collected **once** across the whole family (processor `q`'s
-    /// in-scope `¬ψ_q` points mark the class of `q`'s view) and then
-    /// projected per processor; by equivariance that is exactly the full
-    /// system's answer restricted to representatives even though each
-    /// `ψ_i` alone is asymmetric (DESIGN.md §4i). The optimality checker
-    /// uses this to fold its per-processor decision conditions.
+    /// The falsified view classes are collected **once** across the
+    /// whole family (processor `q`'s in-scope `¬ψ_q` points mark the
+    /// class of `q`'s view) and then cleared per processor. Unreduced,
+    /// every class is one view of one owner, so column `i` is `B^S_i ψ_i`
+    /// evaluated on its own. On a quotient, by equivariance, it is the
+    /// full system's answer restricted to representatives even though
+    /// each `ψ_i` alone is asymmetric (DESIGN.md §4i). The optimality
+    /// checker uses this to fold its per-processor decision conditions.
     ///
     /// # Panics
     ///
@@ -465,26 +443,20 @@ impl<'a> Evaluator<'a> {
         );
         let psi_bits: Vec<Arc<Bitset>> = psi.iter().map(|f| self.eval(f)).collect();
         let scopes = self.scope_columns(scope);
-        if let Some(classes) = self.classes() {
-            let store = self.system.points();
-            let mut class_ok = vec![true; classes.num_classes()];
-            for q in ProcessorId::all(self.n) {
-                let column = store.column(q);
-                let mut viol = Bitset::clone(&scopes[q.index()]);
-                viol.and_not(&psi_bits[q.index()]);
-                for pt in viol.ones() {
-                    class_ok[classes.class(column[pt]) as usize] = false;
-                }
-            }
-            return ProcessorId::all(self.n)
-                .map(|p| self.project_class_ok(p, &class_ok, classes))
-                .collect();
-        }
-        psi_bits
-            .iter()
-            .zip(ProcessorId::all(self.n))
-            .map(|(phi, p)| crate::plan::know_close(self, p, phi, Some(&scopes[p.index()])))
-            .collect()
+        let all = ProcSet::full(self.n);
+        let falsified = Falsified::marked(self, all, |q| &psi_bits[q.index()], Some(&scopes));
+        all.iter().map(|p| falsified.believes(p)).collect()
+    }
+
+    /// The processors a relabeling can carry `p` onto: every processor
+    /// on a quotient, `p` alone on an unreduced system. The knowledge
+    /// kernels mark `p`'s closures from the violations of exactly these
+    /// processors, and a per-processor condition holds on the full
+    /// system iff it holds on this system for every processor of the
+    /// orbit.
+    #[must_use]
+    pub fn orbit(&self, p: ProcessorId) -> ProcSet {
+        self.partition().orbit(p, self.n)
     }
 
     /// Whether a registered family is *orbit-closed* over the occurring
@@ -538,8 +510,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Whether every knowledge operator in the formula has a symmetric
-    /// body and scope, so each kernel's orbit twist is pointwise-exact on
-    /// representatives. Weaker than [`Evaluator::formula_symmetric`]
+    /// body and scope, so each kernel, closing over orbit classes, is
+    /// pointwise-exact on representatives. Weaker than [`Evaluator::formula_symmetric`]
     /// (asymmetric leaves like `StateIn` may appear *outside* knowledge
     /// operators); such formulas evaluate correctly **at** representative
     /// points but their quotient validity is not full-system validity —
@@ -748,63 +720,10 @@ impl<'a> Evaluator<'a> {
             .map(|si| si.classes(self.system.table(), self.n))
     }
 
-    /// The surviving orbit classes for an *unscoped* knowledge kernel:
-    /// class `c` stays `true` unless some processor's view at some
-    /// `¬φ` point falls in `c`.
-    pub(crate) fn class_ok_unscoped(&self, phi: &Bitset, classes: &ViewClasses) -> Vec<bool> {
-        let store = self.system.points();
-        let mut class_ok = vec![true; classes.num_classes()];
-        let mut viol = phi.clone();
-        viol.invert();
-        for q in ProcessorId::all(self.n) {
-            let column = store.column(q);
-            for pt in viol.ones() {
-                class_ok[classes.class(column[pt]) as usize] = false;
-            }
-        }
-        class_ok
-    }
-
-    /// The surviving orbit classes for a *scoped* knowledge kernel:
-    /// class `c` is falsified by processor `q`'s view at a `¬φ` point
-    /// only where `q` is in scope there (`scopes` are the per-processor
-    /// scope columns of the nonrigid set).
-    pub(crate) fn class_ok_scoped(
-        &self,
-        phi: &Bitset,
-        scopes: &[Bitset],
-        classes: &ViewClasses,
-    ) -> Vec<bool> {
-        let store = self.system.points();
-        let mut class_ok = vec![true; classes.num_classes()];
-        for q in ProcessorId::all(self.n) {
-            let column = store.column(q);
-            let mut viol = Bitset::clone(&scopes[q.index()]);
-            viol.and_not(phi);
-            for pt in viol.ones() {
-                class_ok[classes.class(column[pt]) as usize] = false;
-            }
-        }
-        class_ok
-    }
-
-    /// Projects a per-class verdict onto processor `p`'s point column:
-    /// bit `idx` holds the verdict of the orbit class of `p`'s view at
-    /// point `idx`.
-    pub(crate) fn project_class_ok(
-        &self,
-        p: ProcessorId,
-        class_ok: &[bool],
-        classes: &ViewClasses,
-    ) -> Bitset {
-        let column = self.system.points().column(p);
-        let mut out = Bitset::new_false(self.num_points);
-        for (idx, &v) in column.iter().enumerate() {
-            if class_ok[classes.class(v) as usize] {
-                out.set(idx, true);
-            }
-        }
-        out
+    /// The view partition the knowledge kernels close over: the orbit
+    /// classes on a quotient, every view its own class otherwise.
+    pub(crate) fn partition(&self) -> ViewPartition<'a> {
+        ViewPartition::new(self.classes(), self.system.table().len())
     }
 
     /// `D_S φ`: at a point `p`, φ holds at every point `q` that the
@@ -1003,36 +922,6 @@ impl<'a> Evaluator<'a> {
             }
         }
         s_members
-    }
-
-    /// Applies the quotient edge rule to a fresh union-find: points
-    /// whose in-scope views share an *orbit class* are linked (first
-    /// point seen per class acts as the class root). The resulting
-    /// partition can be coarser than the full system's components
-    /// restricted to representatives, but the per-component clean/dirty
-    /// verdict — all that `C_S`/`C□_S` ever read — agrees for symmetric
-    /// `φ`: full-system chains project onto class chains, and a class
-    /// chain lifts to a full-system chain into a relabeled copy of the
-    /// same component (DESIGN.md §4i). Used by the batched sweep and the
-    /// reference per-set build ([`crate::oracle`]).
-    pub(crate) fn union_quotient_reach_edges(
-        &self,
-        s_members: &[ProcSet],
-        classes: &ViewClasses,
-        uf: &mut UnionFind,
-    ) {
-        let store = self.system.points();
-        let mut root = vec![u32::MAX; classes.num_classes()];
-        for (idx, members) in s_members.iter().enumerate() {
-            for q in members.iter() {
-                let c = classes.class(store.column(q)[idx]) as usize;
-                if root[c] == u32::MAX {
-                    root[c] = idx as u32;
-                } else {
-                    uf.union(idx, root[c] as usize);
-                }
-            }
-        }
     }
 
     /// Compacts a fully-unioned point partition into a [`Reachability`]:
@@ -1374,7 +1263,7 @@ mod tests {
 
     #[test]
     fn family_believes_matches_per_processor_beliefs() {
-        // The unreduced branch runs the kernels' bucket-sweep closure; the
+        // Unreduced, the family fold is one closure per processor; the
         // recursive oracle evaluates each `B^S_i ψ_i` on its own.
         let system = crash_system();
         let mut eval = Evaluator::new(&system);

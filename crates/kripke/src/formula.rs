@@ -296,8 +296,9 @@ impl Formula {
     }
 
     /// Whether every knowledge operator in the formula has a fully
-    /// symmetric body (and scope), which is what each kernel's orbit
-    /// twist requires to be pointwise-exact on representative points.
+    /// symmetric body (and scope), which is what each kernel, closing
+    /// over orbit classes, requires to be pointwise-exact on
+    /// representative points.
     ///
     /// Strictly weaker than
     /// [`symmetric_under_relabeling`](Formula::symmetric_under_relabeling):

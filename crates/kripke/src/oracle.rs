@@ -50,6 +50,7 @@ use crate::uf::UnionFind;
 use eba_model::fasthash::FastMap;
 use eba_model::{ProcSet, ProcessorId, Time};
 use eba_sim::symmetry::ViewClasses;
+use eba_sim::ViewId;
 use std::sync::Arc;
 
 /// The reference evaluator over one [`Evaluator`]'s system and
@@ -275,60 +276,47 @@ impl<'e, 'a> Oracle<'e, 'a> {
         }
     }
 
-    /// The orbit twist of [`Oracle::knowledge_like`]: on a quotiented
-    /// system a point is disqualified when the *orbit class* of its view
-    /// equals the class of some falsifying point's view — taken over
-    /// **every** processor `q` there (restricted to `q ∈ S` for `B`).
-    /// Full-information views encode their owner, so cross-processor
-    /// class equality already carries the witnessing relabeling, which
-    /// makes the per-class marking answer the full system's question
-    /// exactly for symmetric `φ` (DESIGN.md §4i).
-    fn knowledge_like_quotient(
-        &mut self,
-        p: ProcessorId,
-        phi: &Bitset,
-        restrict: Option<NonRigidSet>,
-        classes: &ViewClasses,
-    ) -> Bitset {
-        let class_ok = match restrict {
-            None => self.ev.class_ok_unscoped(phi, classes),
-            Some(s) => {
-                let scopes = self.scope_columns(s);
-                self.ev.class_ok_scoped(phi, &scopes, classes)
-            }
-        };
-        self.ev.project_class_ok(p, &class_ok, classes)
-    }
-
     /// Shared implementation of `K_p` (with `restrict = None`) and `B^S_p`
     /// (with `restrict = Some(S)`): the result at a point depends only on
     /// `p`'s view there, and is the conjunction of `φ` over all points
     /// where `p` has that view (and, for `B`, belongs to `S`).
+    ///
+    /// On a quotient a view is replaced by its orbit class, taken over
+    /// **every** processor `q` (restricted to `q ∈ S` for `B`): a point is
+    /// disqualified when `p`'s view there shares a class with `q`'s view
+    /// at some falsifying point. Full-information views encode their
+    /// owner, so cross-processor class equality already carries the
+    /// witnessing relabeling, which makes the per-class marking answer
+    /// the full system's question exactly for symmetric `φ` (DESIGN.md
+    /// §4i).
     fn knowledge_like(
-        &mut self,
+        &self,
         p: ProcessorId,
         phi: &Bitset,
         restrict: Option<NonRigidSet>,
     ) -> Bitset {
         let ev = self.ev;
-        if let Some(classes) = ev.classes() {
-            return self.knowledge_like_quotient(p, phi, restrict, classes);
-        }
-        let table_len = ev.system.table().len();
-        let mut view_ok = vec![true; table_len];
+        let classes = ev.classes();
+        let key = |v: ViewId| classes.map_or(v.index(), |c| c.class(v) as usize);
+        let (num_keys, knowers) = match classes {
+            Some(c) => (c.num_classes(), ProcSet::full(ev.n)),
+            None => (ev.system.table().len(), ProcSet::singleton(p)),
+        };
+        let mut key_ok = vec![true; num_keys];
         for run in ev.system.run_ids() {
             for time in Time::upto(ev.system.horizon()) {
                 let idx = ev.point_index(run, time);
                 if phi.get(idx) {
                     continue;
                 }
-                let in_scope = match restrict {
-                    None => true,
-                    Some(s) => ev.members(s, run, time).contains(p),
-                };
-                if in_scope {
-                    let v = ev.system.view(run, p, time);
-                    view_ok[v.index()] = false;
+                for q in knowers.iter() {
+                    let in_scope = match restrict {
+                        None => true,
+                        Some(s) => ev.members(s, run, time).contains(q),
+                    };
+                    if in_scope {
+                        key_ok[key(ev.system.view(run, q, time))] = false;
+                    }
                 }
             }
         }
@@ -336,8 +324,7 @@ impl<'e, 'a> Oracle<'e, 'a> {
         for run in ev.system.run_ids() {
             for time in Time::upto(ev.system.horizon()) {
                 let idx = ev.point_index(run, time);
-                let v = ev.system.view(run, p, time);
-                out.set(idx, view_ok[v.index()]);
+                out.set(idx, key_ok[key(ev.system.view(run, p, time))]);
             }
         }
         out
@@ -346,13 +333,14 @@ impl<'e, 'a> Oracle<'e, 'a> {
     /// Point-level union-find: two points are linked when some `i ∈ S` at
     /// both has the same view at both. The unions are applied in
     /// processor order, one CSR bucket sweep per processor (on a
-    /// quotient, the batched sweep's class-root rule).
+    /// quotient, one pass linking points whose in-scope views share an
+    /// orbit class).
     fn build_reachability(&self, s: NonRigidSet) -> Reachability {
         let ev = self.ev;
         let s_members = ev.collect_s_members(s);
         let mut uf = UnionFind::new(ev.num_points);
         if let Some(classes) = ev.classes() {
-            ev.union_quotient_reach_edges(&s_members, classes, &mut uf);
+            union_quotient_edges(ev, &s_members, classes, &mut uf);
         } else {
             for i in ProcessorId::all(ev.n) {
                 union_reach_edges(ev, i, &s_members, &mut uf);
@@ -388,6 +376,32 @@ impl<'e, 'a> Oracle<'e, 'a> {
                 }
             })
             .collect()
+    }
+}
+
+/// The quotient edge rule: points whose in-scope views share an *orbit
+/// class* are linked, through the first point seen per class. The
+/// partition can be coarser than the full system's components restricted
+/// to representatives, but the per-component clean/dirty verdict — all
+/// that `C_S`/`C□_S` ever read — agrees for symmetric `φ` (DESIGN.md
+/// §4i).
+fn union_quotient_edges(
+    ev: &Evaluator<'_>,
+    s_members: &[ProcSet],
+    classes: &ViewClasses,
+    uf: &mut UnionFind,
+) {
+    let store = ev.system.points();
+    let mut root = vec![u32::MAX; classes.num_classes()];
+    for (idx, members) in s_members.iter().enumerate() {
+        for q in members.iter() {
+            let c = classes.class(store.column(q)[idx]) as usize;
+            if root[c] == u32::MAX {
+                root[c] = idx as u32;
+            } else {
+                uf.union(idx, root[c] as usize);
+            }
+        }
     }
 }
 

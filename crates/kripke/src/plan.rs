@@ -15,12 +15,16 @@
 //!    evaluates `φ` once) or across every formula the evaluator has
 //!    seen — are one node; only unseen ones are appended.
 //! 2. **Execution** ([`run_pending`]) runs the appended nodes in id
-//!    order. Knowledge kernels walk the precomputed CSR bucket partitions
-//!    of the [`eba_sim::PointStore`] (all points sharing one processor's
-//!    view are contiguous), and the group operators `E_S`/`S_S` fold
-//!    per-processor results with word-level bitset ops
-//!    ([`Bitset::and_implication`] / [`Bitset::or_conjunction`]) against
-//!    cached per-processor *scope columns*.
+//!    order. The knowledge kernels share one sparse closure
+//!    ([`Falsified`]) over the evaluator's [`ViewPartition`]: it marks the
+//!    view classes of violating points and clears the precomputed CSR
+//!    buckets of the [`eba_sim::PointStore`] (all points sharing one
+//!    processor's view are contiguous) of the marked classes. Unreduced
+//!    and quotiented systems differ only in the partition. The group
+//!    operators `E_S`/`S_S` fold per-processor results with word-level
+//!    bitset ops ([`Bitset::and_implication`] /
+//!    [`Bitset::or_conjunction`]) against cached per-processor *scope
+//!    columns*.
 //! 3. **Fixpoints** ([`gfp`], behind [`crate::fixpoint`]) lower `φ` the
 //!    same way and iterate `X ← E_S(φ ∧ X)` natively on bitsets, with no
 //!    per-iteration formula construction, hashing, or point-predicate
@@ -44,7 +48,9 @@ use crate::formula::Formula;
 use crate::nonrigid::NonRigidSet;
 use crate::reach::BatchBuilder;
 use eba_model::fasthash::FastMap;
-use eba_model::ProcessorId;
+use eba_model::{ProcSet, ProcessorId};
+use eba_sim::symmetry::ViewClasses;
+use eba_sim::{PointStore, ViewId};
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
@@ -287,33 +293,13 @@ fn gfp_over(
     boxed: bool,
 ) -> (Bitset, usize) {
     let scopes = eval.scope_columns(s);
-    let classes = eval.classes();
     let mut current = Bitset::new_true(eval.num_points);
     let mut iterations = 0;
     loop {
         iterations += 1;
         let mut conj = phi_bits.clone();
         conj &= &current;
-        let mut next = Bitset::new_true(eval.num_points);
-        if let Some(classes) = classes {
-            // Orbit twist: the falsified classes of this iterate are
-            // collected once across all processors and projected per
-            // processor — the same `E_S` step the unreduced loop takes,
-            // evaluated on representatives (DESIGN.md §4i). Iteration
-            // counts agree with the unreduced loop because each iterate
-            // is a symmetric set, determined by its restriction to
-            // representatives.
-            let class_ok = eval.class_ok_scoped(&conj, &scopes, classes);
-            for p in ProcessorId::all(eval.n) {
-                let believes = eval.project_class_ok(p, &class_ok, classes);
-                next.and_implication(&scopes[p.index()], &believes);
-            }
-        } else {
-            for p in ProcessorId::all(eval.n) {
-                let believes = know_close(eval, p, &conj, Some(&scopes[p.index()]));
-                next.and_implication(&scopes[p.index()], &believes);
-            }
-        }
+        let mut next = everyone(eval, &conj, &scopes);
         if boxed {
             next = eval.always_all_of(&next);
         }
@@ -324,76 +310,24 @@ fn gfp_over(
     }
 }
 
-/// The orbit twist of [`know_close_kind`]: every closure goes through a
-/// per-class verdict shared across processors (see
-/// `Evaluator::class_ok_scoped`), so the bucket sweep of [`know_close`]
-/// is replaced by class projection. Results are bit-identical to the
-/// quotient kernels of the recursive evaluator ([`crate::oracle`]).
-fn know_close_kind_quotient(
-    eval: &mut Evaluator<'_>,
-    kind: KnowKind,
-    phi: &Bitset,
-    classes: &eba_sim::symmetry::ViewClasses,
-) -> Bitset {
-    match kind {
-        KnowKind::Knows(p) => {
-            let class_ok = eval.class_ok_unscoped(phi, classes);
-            eval.project_class_ok(p, &class_ok, classes)
-        }
-        KnowKind::Believes(p, s) => {
-            let scopes = eval.scope_columns(s);
-            let class_ok = eval.class_ok_scoped(phi, &scopes, classes);
-            eval.project_class_ok(p, &class_ok, classes)
-        }
-        KnowKind::Everyone(s) => {
-            let scopes = eval.scope_columns(s);
-            let class_ok = eval.class_ok_scoped(phi, &scopes, classes);
-            let mut out = Bitset::new_true(eval.num_points);
-            for p in ProcessorId::all(eval.n) {
-                let believes = eval.project_class_ok(p, &class_ok, classes);
-                out.and_implication(&scopes[p.index()], &believes);
-            }
-            out
-        }
-        KnowKind::Someone(s) => {
-            let scopes = eval.scope_columns(s);
-            let class_ok = eval.class_ok_scoped(phi, &scopes, classes);
-            let mut out = Bitset::new_false(eval.num_points);
-            for p in ProcessorId::all(eval.n) {
-                let believes = eval.project_class_ok(p, &class_ok, classes);
-                out.or_conjunction(&scopes[p.index()], &believes);
-            }
-            out
-        }
-        KnowKind::Distributed(s) => eval.distributed_knowledge(s, phi),
-    }
-}
-
 fn know_close_kind(eval: &mut Evaluator<'_>, kind: KnowKind, phi: &Bitset) -> Bitset {
-    if let Some(classes) = eval.classes() {
-        return know_close_kind_quotient(eval, kind, phi, classes);
-    }
     match kind {
-        KnowKind::Knows(p) => know_close(eval, p, phi, None),
+        KnowKind::Knows(p) => Falsified::marked(eval, eval.orbit(p), |_| phi, None).believes(p),
         KnowKind::Believes(p, s) => {
             let scopes = eval.scope_columns(s);
-            know_close(eval, p, phi, Some(&scopes[p.index()]))
+            Falsified::marked(eval, eval.orbit(p), |_| phi, Some(&scopes)).believes(p)
         }
         KnowKind::Everyone(s) => {
             let scopes = eval.scope_columns(s);
-            let mut out = Bitset::new_true(eval.num_points);
-            for p in ProcessorId::all(eval.n) {
-                let believes = know_close(eval, p, phi, Some(&scopes[p.index()]));
-                out.and_implication(&scopes[p.index()], &believes);
-            }
-            out
+            everyone(eval, phi, &scopes)
         }
         KnowKind::Someone(s) => {
             let scopes = eval.scope_columns(s);
+            let all = ProcSet::full(eval.n);
+            let falsified = Falsified::marked(eval, all, |_| phi, Some(&scopes));
             let mut out = Bitset::new_false(eval.num_points);
-            for p in ProcessorId::all(eval.n) {
-                let believes = know_close(eval, p, phi, Some(&scopes[p.index()]));
-                out.or_conjunction(&scopes[p.index()], &believes);
+            for p in all.iter() {
+                out.or_conjunction(&scopes[p.index()], &falsified.believes(p));
             }
             out
         }
@@ -401,55 +335,153 @@ fn know_close_kind(eval: &mut Evaluator<'_>, kind: KnowKind, phi: &Bitset) -> Bi
     }
 }
 
-/// `K_p` (`scope = None`) or `B^S_p` (`scope = Some`) over the CSR bucket
-/// partition: a bucket (all points where `p` has one view) satisfies the
-/// closure iff every in-scope point of the bucket satisfies `φ`; the
-/// result then holds at *every* point of such a bucket. Extensionally
-/// identical to the per-point scan of the recursive evaluator
-/// ([`crate::oracle`]).
-///
-/// Since the buckets partition the points, the closure is the complement
-/// of the union of *bad* buckets — those containing a violating point
-/// (in scope, `¬φ`). Computing the violation set with word-level ops and
-/// walking only its set bits makes the sweep `O(words + violations +
-/// |bad buckets|)` instead of touching every point of every bucket; near
-/// a gfp's fixed point violations are sparse, which is where this runs
-/// hottest.
-pub(crate) fn know_close(
-    eval: &Evaluator<'_>,
-    p: ProcessorId,
-    phi: &Bitset,
-    scope: Option<&Bitset>,
-) -> Bitset {
-    let store = eval.system.points();
-    let (offsets, items) = store.buckets(p);
-    let column = store.column(p);
-    let viol = match scope {
-        Some(s) => {
-            let mut v = s.clone();
-            v.and_not(phi);
-            v
-        }
-        None => {
-            let mut v = phi.clone();
-            v.invert();
-            v
-        }
-    };
+/// `E_S φ`: every in-scope processor believes `φ`. The `Everyone` kernel
+/// and the step of the gfp loop.
+fn everyone(eval: &Evaluator<'_>, phi: &Bitset, scopes: &[Bitset]) -> Bitset {
+    let all = ProcSet::full(eval.n);
+    let falsified = Falsified::marked(eval, all, |_| phi, Some(scopes));
     let mut out = Bitset::new_true(eval.num_points);
-    for pt in viol.ones() {
-        let v = column[pt].index();
-        let bucket = &items[offsets[v] as usize..offsets[v + 1] as usize];
-        // The bucket contains `pt`, so its first item doubles as a
-        // cheap "already cleared" marker.
-        if !out.get(bucket[0] as usize) {
-            continue;
-        }
-        for &q in bucket {
-            out.set(q as usize, false);
-        }
+    for p in all.iter() {
+        out.and_implication(&scopes[p.index()], &falsified.believes(p));
     }
     out
+}
+
+/// The view classes falsified by violating points, and the one sparse
+/// closure every knowledge kernel but `D_S` shares (DESIGN.md §4r).
+///
+/// `K_p φ` (or `B^S_p φ`) holds at a point iff no point whose view (of an
+/// in-scope processor) lies in the class of `p`'s view violates `φ`. The
+/// classes come from the evaluator's [`ViewPartition`]: one view each on
+/// an unreduced system, the `Sym(n)` orbit classes on a quotient, where
+/// processor `q`'s view at a falsifying point carries the witnessing
+/// relabeling onto `p`'s. [`Falsified::marked`] walks only violation
+/// sets' bits, and [`Falsified::believes`] clears only the buckets of
+/// marked classes, so a closure costs `O(words + violations + |cleared
+/// buckets|)`; near a gfp's fixed point violations are sparse, which is
+/// where it runs hottest. Results are bit-identical to the per-point
+/// scans of the reference evaluator ([`crate::oracle`]).
+pub(crate) struct Falsified<'e> {
+    store: &'e PointStore,
+    partition: ViewPartition<'e>,
+    num_points: usize,
+    marked: Vec<bool>,
+    /// Per marking processor, the classes its violations marked first.
+    marked_by: Vec<Vec<u32>>,
+}
+
+impl<'e> Falsified<'e> {
+    /// Marks, for every processor `q` of `procs`, the class of `q`'s view
+    /// at every point where `q` is in scope (its column of `scopes`;
+    /// everywhere without them) and `phi_of(q)` fails.
+    pub(crate) fn marked<'f>(
+        eval: &Evaluator<'e>,
+        procs: ProcSet,
+        phi_of: impl Fn(ProcessorId) -> &'f Bitset,
+        scopes: Option<&[Bitset]>,
+    ) -> Self {
+        let partition = eval.partition();
+        let store = eval.system.points();
+        let mut marked = vec![false; partition.num_classes()];
+        let mut marked_by = vec![Vec::new(); eval.n];
+        for q in procs.iter() {
+            let mut viol = match scopes {
+                Some(scopes) => scopes[q.index()].clone(),
+                None => Bitset::new_true(eval.num_points),
+            };
+            viol.and_not(phi_of(q));
+            let column = store.column(q);
+            for pt in viol.ones() {
+                let c = partition.class(column[pt]);
+                if !marked[c] {
+                    marked[c] = true;
+                    marked_by[q.index()].push(c as u32);
+                }
+            }
+        }
+        Falsified {
+            store,
+            partition,
+            num_points: eval.num_points,
+            marked,
+            marked_by,
+        }
+    }
+
+    /// Whether no marked class holds view `v`.
+    pub(crate) fn holds(&self, v: ViewId) -> bool {
+        !self.marked[self.partition.class(v)]
+    }
+
+    /// The points where `p`'s view lies in no marked class: all-true with
+    /// the buckets of `p`'s views in marked classes cleared. Only the
+    /// processors of `p`'s orbit can have marked a class holding one of
+    /// `p`'s views.
+    pub(crate) fn believes(&self, p: ProcessorId) -> Bitset {
+        let mut out = Bitset::new_true(self.num_points);
+        for q in self.partition.orbit(p, self.marked_by.len()).iter() {
+            for &c in &self.marked_by[q.index()] {
+                self.partition.for_each_member(c as usize, p, |v| {
+                    for &pt in self.store.bucket(p, v) {
+                        out.set(pt as usize, false);
+                    }
+                });
+            }
+        }
+        out
+    }
+}
+
+/// The partition of the interned views the knowledge kernels close over:
+/// every view its own class on an unreduced system, the orbit classes of
+/// [`ViewClasses`] on a quotient. Views encode their owner, so a class of
+/// one view is falsified only by its owner's violations, while an orbit
+/// class spans owners.
+#[derive(Clone, Copy)]
+pub(crate) struct ViewPartition<'a> {
+    classes: Option<&'a ViewClasses>,
+    num_views: usize,
+}
+
+impl<'a> ViewPartition<'a> {
+    pub(crate) fn new(classes: Option<&'a ViewClasses>, num_views: usize) -> Self {
+        ViewPartition { classes, num_views }
+    }
+
+    /// Whether a class can hold views of more than one owner, i.e. the
+    /// partition is a quotient's.
+    pub(crate) fn spans_owners(self) -> bool {
+        self.classes.is_some()
+    }
+
+    /// The owners whose views can share a class with `p`'s: every one of
+    /// the `n` processors when classes span owners, `p` alone otherwise.
+    pub(crate) fn orbit(self, p: ProcessorId, n: usize) -> ProcSet {
+        if self.spans_owners() {
+            ProcSet::full(n)
+        } else {
+            ProcSet::singleton(p)
+        }
+    }
+
+    pub(crate) fn num_classes(self) -> usize {
+        self.classes
+            .map_or(self.num_views, ViewClasses::num_classes)
+    }
+
+    pub(crate) fn class(self, v: ViewId) -> usize {
+        self.classes.map_or(v.index(), |c| c.class(v) as usize)
+    }
+
+    /// Calls `f` on the views of class `c` that `p` may own. A class of
+    /// one view passes that view whoever owns it; its bucket for any
+    /// other processor is empty.
+    fn for_each_member(self, c: usize, p: ProcessorId, mut f: impl FnMut(ViewId)) {
+        match self.classes {
+            Some(classes) => classes.members(c, p).iter().for_each(|&v| f(v)),
+            None => f(ViewId::from_index(c)),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,9 @@
 //!    `S`-containing points to the first one and the chain over a
 //!    bucket's nonfaulty points is shared between sets, so the
 //!    per-(set, processor) union sets — and therefore the union-find
-//!    components — are **bit-identical** to a per-set build's.
+//!    components — are **bit-identical** to a per-set build's. On a
+//!    symmetry quotient each chain is also linked to the first chain of
+//!    its view's orbit class.
 //! 4. Per set, the resulting `Reachability` is published to the
 //!    evaluator's memo and the shared cache; scope columns fall out of
 //!    the membership vectors for free. The membership vectors themselves
@@ -38,9 +40,10 @@ use crate::bitset::Bitset;
 use crate::cache::HashedReachKey;
 use crate::eval::Evaluator;
 use crate::nonrigid::NonRigidSet;
+use crate::plan::ViewPartition;
 use crate::uf::UnionFind;
 use eba_model::{ProcSet, ProcessorId};
-use eba_sim::PointStore;
+use eba_sim::{PointStore, ViewId};
 use std::sync::Arc;
 
 /// A batch of nonrigid-set requests resolved in one sweep; see the module
@@ -191,34 +194,47 @@ impl BatchBuilder {
         let mut members = fill_rigid_members(eval, &pending_sets);
         fill_nonfaulty_and_members(eval, &pending_sets, &in_view, &mut members);
 
-        // Stage 3: the traversal, into one union-find per edge slot. On a
-        // quotient each pending set applies its class-root unions (see
-        // `Evaluator::union_quotient_reach_edges`) — one pass over
-        // (point, member) pairs, identical partitions to the reference
-        // per-set quotient build by construction. Unreduced, one CSR
-        // sweep per processor serves every set at once, applying its
-        // unions in place.
+        // Stage 3: one CSR sweep per processor serves every pending set
+        // at once, applying its unions in place, into one union-find per
+        // edge slot. On a quotient each bucket chain is also linked to the
+        // root of its view's orbit class, so (point, member) pairs whose
+        // views share a class are linked: a full-system chain projects
+        // onto class chains, and a class chain lifts to a full-system
+        // chain into a relabeled copy of the same component, so the
+        // clean/dirty verdict of every component — all that `C_S`/`C□_S`
+        // read — agrees with the full system's for symmetric `φ`
+        // (DESIGN.md §4i).
         let system = eval.system();
         let store = system.points();
         let mut ufs: Vec<UnionFind> = (0..edge_slots)
             .map(|_| UnionFind::new(eval.num_points()))
             .collect();
-        if let Some(classes) = eval.classes() {
-            for (entry, mems) in pending.iter().zip(&members) {
-                if entry.need_reach {
-                    eval.union_quotient_reach_edges(mems, classes, &mut ufs[entry.edge_slot]);
-                }
-            }
-        } else if edge_slots > 0 {
+        if edge_slots > 0 {
             let specs: Vec<EdgeSpec<'_>> = pending
                 .iter()
                 .enumerate()
                 .filter(|(_, p)| p.need_reach)
                 .map(|(k, p)| spec_kind(p.set, &in_view[k]))
                 .collect();
+            let partition = eval.partition();
+            let roots_per_slot = if partition.spans_owners() {
+                partition.num_classes()
+            } else {
+                0
+            };
+            let mut class_roots = vec![vec![u32::MAX; roots_per_slot]; edge_slots];
             let nf_points = nonfaulty_points_by_proc(system);
             for i in ProcessorId::all(store.n()) {
-                union_batch_edges(store, i, &nf_points[i.index()], &specs, &mut ufs);
+                let nonfaulty_at = &nf_points[i.index()];
+                union_batch_edges(
+                    store,
+                    i,
+                    nonfaulty_at,
+                    &specs,
+                    partition,
+                    &mut class_roots,
+                    &mut ufs,
+                );
             }
         }
 
@@ -388,10 +404,12 @@ enum EdgeSpec<'m> {
 /// *every* set at once, in place, to slot `k`'s union-find: per bucket,
 /// each set chains its `S`-containing points to the first one (buckets
 /// are in increasing point order), so slot `k`'s union set — and hence
-/// its partition — equals a per-set build's. Compact component numbering
-/// depends only on the partition (`finish_reachability` assigns it in
-/// first-seen point order), so the bucket skips and chain sharing below
-/// cannot perturb it.
+/// its partition — equals a per-set build's. When the view partition
+/// spans owners, each chain is then linked to the first chain of its
+/// view class seen in slot `k` (`class_roots[k]`). Compact component
+/// numbering depends only on the partition (`finish_reachability`
+/// assigns it in first-seen point order), so the bucket skips, chain
+/// sharing and link order below cannot perturb it.
 ///
 /// Every non-`Everyone` membership test reduces to "is `i` nonfaulty in
 /// this point's run" (see [`EdgeSpec`]), so the chain over a bucket's
@@ -401,51 +419,58 @@ fn union_batch_edges(
     i: ProcessorId,
     nonfaulty_at: &[bool],
     specs: &[EdgeSpec<'_>],
+    partition: ViewPartition<'_>,
+    class_roots: &mut [Vec<u32>],
     ufs: &mut [UnionFind],
 ) {
     let (offsets, items) = store.buckets(i);
     let table_len = offsets.len() - 1;
+    let link_classes = partition.spans_owners();
+    // A one-point bucket is a chain of its own, linked to nothing unless
+    // its class spans owners.
+    let min_len = if link_classes { 1 } else { 2 };
     let mut chain: Vec<u32> = Vec::new();
     for (v, b) in offsets.windows(2).enumerate() {
         let bucket = &items[b[0] as usize..b[1] as usize];
-        if bucket.len() < 2 {
+        if bucket.len() < min_len {
             continue;
         }
         let mut chain_built = false;
         for (k, spec) in specs.iter().enumerate() {
-            match spec {
-                EdgeSpec::Everyone => {
-                    // `union_root` carries the merged root across the
-                    // bucket, skipping one `find` per union.
-                    let uf = &mut ufs[k];
-                    let mut root = uf.find(bucket[0] as usize);
-                    for &idx in &bucket[1..] {
-                        root = uf.union_root(root, idx as usize);
+            let points = match spec {
+                EdgeSpec::Everyone => bucket,
+                EdgeSpec::NonfaultyAnd(table) if !table[i.index() * table_len + v] => continue,
+                EdgeSpec::Nonfaulty | EdgeSpec::NonfaultyAnd(_) => {
+                    if !chain_built {
+                        chain_built = true;
+                        chain.clear();
+                        chain.extend(
+                            bucket
+                                .iter()
+                                .copied()
+                                .filter(|&idx| nonfaulty_at[idx as usize]),
+                        );
                     }
-                    continue;
+                    &chain
                 }
-                EdgeSpec::NonfaultyAnd(table) => {
-                    if !table[i.index() * table_len + v] {
-                        continue;
+            };
+            let Some((&first, rest)) = points.split_first() else {
+                continue;
+            };
+            // `union_root` carries the merged root across the chain,
+            // skipping one `find` per union.
+            let uf = &mut ufs[k];
+            let mut root = uf.find(first as usize);
+            for &idx in rest {
+                root = uf.union_root(root, idx as usize);
+            }
+            if link_classes {
+                let class = partition.class(ViewId::from_index(v));
+                match class_roots[k][class] {
+                    u32::MAX => class_roots[k][class] = root as u32,
+                    linked => {
+                        uf.union(linked as usize, root);
                     }
-                }
-                EdgeSpec::Nonfaulty => {}
-            }
-            if !chain_built {
-                chain_built = true;
-                chain.clear();
-                chain.extend(
-                    bucket
-                        .iter()
-                        .copied()
-                        .filter(|&idx| nonfaulty_at[idx as usize]),
-                );
-            }
-            if let Some((&first, rest)) = chain.split_first() {
-                let uf = &mut ufs[k];
-                let mut root = uf.find(first as usize);
-                for &idx in rest {
-                    root = uf.union_root(root, idx as usize);
                 }
             }
         }

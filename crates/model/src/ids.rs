@@ -1,6 +1,5 @@
-//! Processor and point identities.
+//! Processor identities.
 
-use crate::ModelError;
 use std::fmt;
 
 /// The identity of a processor in the system.
@@ -64,77 +63,6 @@ impl From<ProcessorId> for usize {
     }
 }
 
-/// The number of points an engine structure can address (`PointId` is a
-/// `u32`).
-pub const POINT_CAPACITY: u128 = 1 << 32;
-
-/// A dense identifier of a *point* — a (run, time) pair of a generated
-/// system, numbered `run × (horizon + 1) + time`.
-///
-/// Points are the worlds of the Kripke structure: every formula denotes a
-/// set of points, and the columnar point store of `eba-sim` keys all of
-/// its parallel columns by this id. The numbering is owned by the system
-/// that issued the id; ids are not meaningful across systems.
-///
-/// # Example
-///
-/// ```
-/// use eba_model::PointId;
-///
-/// let p = PointId::new(7);
-/// assert_eq!(p.index(), 7);
-/// assert_eq!(p.to_string(), "point#7");
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-pub struct PointId(u32);
-
-impl PointId {
-    /// Creates a point id from a linear index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` does not fit a `u32`; for untrusted indices use
-    /// [`PointId::try_new`].
-    #[must_use]
-    pub fn new(index: usize) -> Self {
-        match PointId::try_new(index) {
-            Ok(id) => id,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`PointId::new`], reporting id-space exhaustion as a
-    /// [`ModelError::CapacityExceeded`] instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::CapacityExceeded`] when `index` exceeds
-    /// [`POINT_CAPACITY`].
-    pub fn try_new(index: usize) -> Result<Self, ModelError> {
-        u32::try_from(index)
-            .map(PointId)
-            .map_err(|_| ModelError::capacity_exceeded("point ids", POINT_CAPACITY))
-    }
-
-    /// The linear index of this point.
-    #[must_use]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl From<PointId> for usize {
-    fn from(id: PointId) -> usize {
-        id.index()
-    }
-}
-
-impl fmt::Display for PointId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "point#{}", self.0)
-    }
-}
-
 impl fmt::Display for ProcessorId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "p{}", self.0 as usize + 1)
@@ -176,26 +104,5 @@ mod tests {
     #[test]
     fn ordering_follows_index() {
         assert!(ProcessorId::new(1) < ProcessorId::new(2));
-    }
-
-    #[test]
-    fn point_ids_round_trip() {
-        for i in [0usize, 1, 4096, u32::MAX as usize] {
-            assert_eq!(PointId::new(i).index(), i);
-            assert_eq!(PointId::try_new(i).unwrap(), PointId::new(i));
-        }
-    }
-
-    #[test]
-    fn point_id_overflow_is_typed() {
-        let err = PointId::try_new(usize::MAX).unwrap_err();
-        assert!(matches!(err, ModelError::CapacityExceeded { .. }));
-        assert!(err.to_string().contains("point ids"));
-    }
-
-    #[test]
-    fn point_ids_order_by_index() {
-        assert!(PointId::new(3) < PointId::new(4));
-        assert_eq!(PointId::new(9).to_string(), "point#9");
     }
 }

@@ -69,7 +69,7 @@ pub use config::InitialConfig;
 pub use error::ModelError;
 pub use exchange::{ExchangeKind, MAX_DIGEST_BITS};
 pub use failure::{FailureMode, FailurePattern, FaultyBehavior};
-pub use ids::{PointId, ProcessorId, POINT_CAPACITY};
+pub use ids::ProcessorId;
 pub use procset::{subsets as procset_subsets, ProcSet, Subsets};
 pub use scenario::{HorizonDelta, Scenario};
 pub use space::{ScenarioSpace, Shard, ShardPatterns};

@@ -2,7 +2,7 @@
 //! generated system.
 //!
 //! A *point* is a (run, time) pair, numbered densely as
-//! `run × (horizon + 1) + time` and addressed by [`eba_model::PointId`].
+//! `run × (horizon + 1) + time`.
 //! [`GeneratedSystem`](crate::GeneratedSystem) stores views point-major
 //! (`views[point][proc]`), which is the natural layout for simulation;
 //! the knowledge engine, however, scans *one processor's view across all
@@ -10,8 +10,6 @@
 //! view there. The [`PointStore`] reorganizes the same data into the
 //! layout those scans want:
 //!
-//! * parallel `(run, time)` columns, so `point → run` and `point → time`
-//!   are array loads instead of divisions;
 //! * per-processor **view columns** (`column(p)[point] = view of p at
 //!   point`), the processor-major transpose of the system's view matrix;
 //! * per-processor **CSR bucket partitions**: for each processor, the
@@ -29,9 +27,8 @@
 //! point scan would produce, which is what keeps CSR-driven union-find
 //! bit-identical to the scan-based reference.
 
-use crate::system::RunId;
 use crate::view::{ViewId, ViewTable};
-use eba_model::{PointId, ProcessorId, Time};
+use eba_model::ProcessorId;
 
 /// Struct-of-arrays view of a generated system's points; see the module
 /// docs.
@@ -40,10 +37,6 @@ pub struct PointStore {
     n: usize,
     times: usize,
     num_points: usize,
-    /// Per point: the run it belongs to.
-    run_col: Vec<u32>,
-    /// Per point: the time it belongs to.
-    time_col: Vec<u16>,
     /// Processor-major view columns: `view_cols[p * num_points + point]`.
     view_cols: Vec<ViewId>,
     /// Per processor: CSR offsets into `bucket_items`, indexed by view id
@@ -77,15 +70,6 @@ impl PointStore {
             num_points * n,
             "view matrix does not match the scenario's dimensions"
         );
-
-        let mut run_col = Vec::with_capacity(num_points);
-        let mut time_col = Vec::with_capacity(num_points);
-        for run in 0..num_runs {
-            for time in 0..times {
-                run_col.push(run as u32);
-                time_col.push(time as u16);
-            }
-        }
 
         // Transpose the point-major matrix into processor-major columns.
         let mut view_cols = Vec::with_capacity(n * num_points);
@@ -125,8 +109,6 @@ impl PointStore {
             n,
             times,
             num_points,
-            run_col,
-            time_col,
             view_cols,
             bucket_offsets,
             bucket_items,
@@ -151,49 +133,20 @@ impl PointStore {
         self.num_points
     }
 
-    /// Approximate resident heap bytes of the store: the run/time
-    /// columns, the processor-major view columns, and the CSR bucket
-    /// partitions. Counts lengths rather than capacities (the store is
+    /// Approximate resident heap bytes of the store: the processor-major
+    /// view columns and the CSR bucket partitions. Counts lengths rather than capacities (the store is
     /// built once and never grows, so the two agree up to allocator
     /// rounding); used by the serve pool's memory-budgeted eviction.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.run_col.len() * size_of::<u32>()
-            + self.time_col.len() * size_of::<u16>()
-            + self.view_cols.len() * size_of::<ViewId>()
+        self.view_cols.len() * size_of::<ViewId>()
             + self
                 .bucket_offsets
                 .iter()
                 .chain(self.bucket_items.iter())
                 .map(|v| v.len() * size_of::<u32>())
                 .sum::<usize>()
-    }
-
-    /// The dense id of the point `(run, time)`.
-    #[must_use]
-    pub fn point_id(&self, run: RunId, time: Time) -> PointId {
-        PointId::new(run.index() * self.times + time.index())
-    }
-
-    /// The run of a point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the point index is out of range.
-    #[must_use]
-    pub fn run_of(&self, point: usize) -> RunId {
-        RunId::new(self.run_col[point] as usize)
-    }
-
-    /// The time of a point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the point index is out of range.
-    #[must_use]
-    pub fn time_of(&self, point: usize) -> Time {
-        Time::new(self.time_col[point])
     }
 
     /// Processor `p`'s view column: entry `point` is `p`'s view at that
@@ -230,7 +183,7 @@ impl PointStore {
 mod tests {
     use super::*;
     use crate::GeneratedSystem;
-    use eba_model::{FailureMode, Scenario};
+    use eba_model::{FailureMode, Scenario, Time};
 
     fn system() -> GeneratedSystem {
         let scenario = Scenario::new(3, 1, FailureMode::Crash, 2).unwrap();
@@ -244,9 +197,7 @@ mod tests {
         assert_eq!(store.num_points(), system.num_points());
         for run in system.run_ids() {
             for time in Time::upto(system.horizon()) {
-                let point = store.point_id(run, time).index();
-                assert_eq!(store.run_of(point), run);
-                assert_eq!(store.time_of(point), time);
+                let point = run.index() * store.times() + time.index();
                 for p in ProcessorId::all(3) {
                     assert_eq!(store.column(p)[point], system.view(run, p, time));
                 }

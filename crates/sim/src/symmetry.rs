@@ -31,7 +31,7 @@
 use crate::view::{ViewId, ViewNode, ViewTable};
 use eba_model::fasthash::FastMap;
 use eba_model::symmetry::{canonicalize, Perm};
-use eba_model::{FailurePattern, InitialConfig};
+use eba_model::{FailurePattern, InitialConfig, ProcessorId};
 use std::hash::Hasher;
 use std::sync::OnceLock;
 
@@ -53,17 +53,6 @@ pub struct SymmetryInfo {
     /// Lazily computed view orbit classes (first symmetric knowledge
     /// query pays for them once per system).
     classes: OnceLock<ViewClasses>,
-}
-
-impl Clone for SymmetryInfo {
-    fn clone(&self) -> Self {
-        SymmetryInfo {
-            orbit_sizes: self.orbit_sizes.clone(),
-            raw_covered: self.raw_covered,
-            raw_total: self.raw_total,
-            classes: OnceLock::new(),
-        }
-    }
 }
 
 impl SymmetryInfo {
@@ -156,7 +145,12 @@ pub(crate) fn resolve_run(
 #[derive(Clone, Debug)]
 pub struct ViewClasses {
     class_of: Vec<u32>,
-    num_classes: u32,
+    n: usize,
+    /// CSR offsets into `members`, indexed by `class × n + owner`.
+    offsets: Vec<u32>,
+    /// The views of every class, grouped by class, then by owner, in
+    /// increasing id order.
+    members: Vec<ViewId>,
     fingerprint: u64,
 }
 
@@ -197,9 +191,7 @@ pub fn for_each_permuted_hashes(table: &ViewTable, n: usize, mut f: impl FnMut(&
                 }
                 ViewNode::Node { prev, received } => {
                     let mut h = mix(2, cur[prev.index()]);
-                    for slot in
-                        (0..n).map(|j| received[inv.apply(eba_model::ProcessorId::new(j)).index()])
-                    {
+                    for slot in (0..n).map(|j| received[inv.apply(ProcessorId::new(j)).index()]) {
                         h = match slot {
                             Some(v) => mix(h, cur[v.index()]),
                             None => mix(h, u128::MAX - 1),
@@ -244,16 +236,33 @@ impl ViewClasses {
             let next = renumber.len() as u32;
             class_of.push(*renumber.entry(key).or_insert(next));
         }
-        let num_classes = renumber.len() as u32;
+        let num_classes = renumber.len();
         let mut hasher = eba_model::fasthash::FastHasher::default();
         hasher.write_usize(n);
-        hasher.write_u32(num_classes);
+        hasher.write_u32(num_classes as u32);
         for &c in &class_of {
             hasher.write_u32(c);
         }
+        // Counting sort of the views by (class, owner).
+        let slot = |v: ViewId, c: u32| c as usize * n + table.proc(v).index();
+        let mut offsets = vec![0u32; num_classes * n + 1];
+        for (v, &c) in table.ids().zip(&class_of) {
+            offsets[slot(v, c) + 1] += 1;
+        }
+        for k in 1..offsets.len() {
+            offsets[k] += offsets[k - 1];
+        }
+        let mut cursor = offsets.clone();
+        let mut members = vec![ViewId::from_index(0); len];
+        for (v, &c) in table.ids().zip(&class_of) {
+            members[cursor[slot(v, c)] as usize] = v;
+            cursor[slot(v, c)] += 1;
+        }
         ViewClasses {
             class_of,
-            num_classes,
+            n,
+            offsets,
+            members,
             fingerprint: hasher.finish() | 1,
         }
     }
@@ -267,7 +276,15 @@ impl ViewClasses {
     /// Number of distinct classes.
     #[must_use]
     pub fn num_classes(&self) -> usize {
-        self.num_classes as usize
+        (self.offsets.len() - 1) / self.n
+    }
+
+    /// The views of class `c` that processor `p` owns, in increasing id
+    /// order.
+    #[must_use]
+    pub fn members(&self, c: usize, p: ProcessorId) -> &[ViewId] {
+        let k = c * self.n + p.index();
+        &self.members[self.offsets[k] as usize..self.offsets[k + 1] as usize]
     }
 
     /// A nonzero digest of the whole partition, used to fence knowledge
@@ -375,6 +392,10 @@ mod tests {
         assert_eq!(classes.class(a), classes.class(b));
         assert_ne!(classes.class(a), classes.class(c));
         assert_eq!(classes.num_classes(), 2);
+        assert_eq!(classes.members(classes.class(a) as usize, p(0)), [a]);
+        assert_eq!(classes.members(classes.class(a) as usize, p(2)), [b]);
+        assert!(classes.members(classes.class(a) as usize, p(1)).is_empty());
+        assert_eq!(classes.members(classes.class(c) as usize, p(1)), [c]);
         assert_ne!(classes.fingerprint(), 0);
     }
 

@@ -11,9 +11,11 @@
 
 use eba::prelude::*;
 use eba::sim::chaos::{ChaosPlan, FaultInjector, FaultKind};
+use eba_core::OptimalityReport;
 use eba_kripke::fixpoint;
 use eba_kripke::oracle::Oracle;
 use eba_kripke::parse::parse_formula;
+use eba_kripke::StateSetsId;
 use eba_model::symmetry::canonicalize;
 use eba_model::{enumerate, ScenarioSpace};
 use std::collections::{HashMap, HashSet};
@@ -361,6 +363,88 @@ fn four_processor_quotient_matches_on_formulas() {
                 reduced_sat.get(reduced_points[&(rep, t)]),
                 "`{text}` diverges at point {idx}"
             );
+        }
+    }
+}
+
+/// Processor `j`'s Theorem 5.3 condition for deciding `value` under
+/// `pair`, whose families `evaluator` registers as `z_id`/`o_id`:
+/// `N(j) ⇒ (decide_j(v) ⇔ B^N_j(∃v ∧ C□_{N∧other}∃v ∧ ¬decide_j(v̄)))`.
+fn condition(j: ProcessorId, value: Value, z_id: StateSetsId, o_id: StateSetsId) -> Formula {
+    let (decide, other) = match value {
+        Value::Zero => (z_id, o_id),
+        Value::One => (o_id, z_id),
+    };
+    let belief = Formula::exists(value)
+        .and(Formula::exists(value).continual_common(NonRigidSet::NonfaultyAnd(other)))
+        .and(Formula::StateIn(j, other).not())
+        .believed_by(j, NonRigidSet::Nonfaulty);
+    Formula::Nonfaulty(j).implies(Formula::StateIn(j, decide).iff(belief))
+}
+
+#[test]
+fn non_optimal_pairs_fail_alike_on_quotient_and_unreduced() {
+    // The failure path of the quotient's family fold: on pairs that are
+    // not optimal, every `(proc, value)` verdict matches the unreduced
+    // check, and every quotient counterexample is a full-system point
+    // where some processor's condition for that value fails.
+    for scenario in [
+        Scenario::new(3, 1, FailureMode::Crash, 3).unwrap(),
+        Scenario::new(4, 1, FailureMode::Omission, 2).unwrap(),
+        Scenario::new(4, 2, FailureMode::Crash, 3).unwrap(),
+    ] {
+        let (reduced, full) = build_pair(&scenario);
+        let n = scenario.n();
+        let empty = DecisionPair::empty(n);
+        let mut full_ctor = Constructor::new(&full);
+        let mut reduced_ctor = Constructor::new(&reduced);
+        let full_pairs = [
+            empty.clone(),
+            full_ctor.step_zero(&empty),
+            full_ctor.step_one(&empty),
+        ];
+        let reduced_pairs = [
+            empty.clone(),
+            reduced_ctor.step_zero(&empty),
+            reduced_ctor.step_one(&empty),
+        ];
+        for (full_pair, reduced_pair) in full_pairs.iter().zip(&reduced_pairs) {
+            let full_report = check_optimality(&mut full_ctor, full_pair);
+            let reduced_report = check_optimality(&mut reduced_ctor, reduced_pair);
+            assert!(!reduced_report.is_optimal(), "{scenario}");
+            let verdicts = |report: &OptimalityReport| -> Vec<_> {
+                report
+                    .checks
+                    .iter()
+                    .map(|c| (c.proc, c.value, c.holds))
+                    .collect()
+            };
+            assert_eq!(
+                verdicts(&full_report),
+                verdicts(&reduced_report),
+                "{scenario}"
+            );
+
+            let eval = full_ctor.evaluator();
+            let z_id = eval.register_state_sets(full_pair.zero().clone());
+            let o_id = eval.register_state_sets(full_pair.one().clone());
+            for check in reduced_report.failures() {
+                let (rep, time) = check.counterexample.expect("a failed check has a witness");
+                let record = reduced.run(rep);
+                let run = full
+                    .find_run(&record.config, &record.pattern)
+                    .expect("representatives are full-system runs");
+                assert!(
+                    ProcessorId::all(n).any(|j| !eval.holds_at(
+                        &condition(j, check.value, z_id, o_id),
+                        run,
+                        time
+                    )),
+                    "{scenario}: no condition for {:?} fails at the counterexample of {}",
+                    check.value,
+                    check.proc
+                );
+            }
         }
     }
 }
