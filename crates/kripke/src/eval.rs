@@ -27,9 +27,8 @@ const ID_CAPACITY: u128 = 1 << 32;
 /// of the current run, which projects reachability onto runs.
 #[derive(Clone, Debug)]
 pub struct Reachability {
-    /// Per point: compact component id, or `u32::MAX` where `S` is empty.
-    pub(crate) point_comp: Vec<u32>,
-    num_point_comps: usize,
+    /// The point-level components; a point where `S` is empty has none.
+    pub(crate) points: PointClasses,
     /// Per run: compact run-component id.
     run_comp: Vec<u32>,
     /// Per run: whether the run contains any point with `S` nonempty.
@@ -40,13 +39,14 @@ impl Reachability {
     /// The component id of a point, or `None` where `S` is empty.
     #[must_use]
     pub fn point_component(&self, point: usize) -> Option<u32> {
-        (self.point_comp[point] != u32::MAX).then_some(self.point_comp[point])
+        let c = self.points.class_of[point];
+        (c != u32::MAX).then_some(c)
     }
 
     /// Number of point-level components.
     #[must_use]
     pub fn num_point_components(&self) -> usize {
-        self.num_point_comps
+        self.points.num_classes
     }
 
     /// The run-component id of a run.
@@ -66,10 +66,20 @@ impl Reachability {
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.point_comp.len() * size_of::<u32>()
+        self.points.class_of.len() * size_of::<u32>()
             + self.run_comp.len() * size_of::<u32>()
             + self.run_has_s_points.len()
     }
+}
+
+/// A partition of the points into numbered classes, the structure the
+/// point-level closures read: `C_S` closes over reachability components,
+/// `D_S` over joint-view classes ([`crate::reach`]). `u32::MAX` marks a
+/// point in no class.
+#[derive(Clone, Debug)]
+pub(crate) struct PointClasses {
+    pub(crate) class_of: Vec<u32>,
+    pub(crate) num_classes: usize,
 }
 
 /// A memoizing evaluator of [`Formula`]s over a [`GeneratedSystem`].
@@ -340,7 +350,7 @@ impl<'a> Evaluator<'a> {
     /// served from their nodes' kept results.
     pub fn eval(&mut self, formula: &Formula) -> Arc<Bitset> {
         let root = self.nodes.lower(formula);
-        crate::plan::run_pending(self, None);
+        crate::plan::run_pending(self);
         self.nodes.result(root)
     }
 
@@ -565,27 +575,28 @@ impl<'a> Evaluator<'a> {
         out
     }
 
-    /// `C_S φ` from a reachability structure: φ holds throughout the
-    /// point's component (vacuously where `S` is empty). The
-    /// `ReachClose` kernel; the reference evaluator
-    /// ([`crate::oracle`]) shares it.
-    pub(crate) fn common_from_reach(&self, phi: &Bitset, reach: &Reachability) -> Bitset {
-        // comp_sat[c] = φ holds at every point of component c. Only the
+    /// `φ` closed over a point partition: a point qualifies where `φ`
+    /// holds at every point of its class, or where it has no class. The
+    /// `C_S` kernel over reachability components (no class where `S` is
+    /// empty: vacuous `E_S^k` for all `k`) and the `D_S` kernel over
+    /// joint-view classes; the reference evaluator ([`crate::oracle`])
+    /// shares it for `C_S`.
+    pub(crate) fn close_over(&self, phi: &Bitset, classes: &PointClasses) -> Bitset {
+        // class_sat[c] = φ holds at every point of class c. Only the
         // violations matter, so sweep φ's zero bits word-parallel.
-        let mut comp_sat = vec![true; reach.num_point_comps];
+        let mut class_sat = vec![true; classes.num_classes];
         for idx in phi.zeros() {
-            let c = reach.point_comp[idx];
+            let c = classes.class_of[idx];
             if c != u32::MAX {
-                comp_sat[c as usize] = false;
+                class_sat[c as usize] = false;
             }
         }
-        // Assemble the output a word at a time: a point qualifies where
-        // S is empty (vacuous E_S^k for all k) or its component is clean.
+        // Assemble the output a word at a time.
         let mut out = Bitset::new_false(self.num_points);
-        for (word, comps) in out.words_mut().iter_mut().zip(reach.point_comp.chunks(64)) {
+        for (word, chunk) in out.words_mut().iter_mut().zip(classes.class_of.chunks(64)) {
             let mut w = 0u64;
-            for (bit, &c) in comps.iter().enumerate() {
-                let ok = c == u32::MAX || comp_sat[c as usize];
+            for (bit, &c) in chunk.iter().enumerate() {
+                let ok = c == u32::MAX || class_sat[c as usize];
                 w |= u64::from(ok) << bit;
             }
             *word = w;
@@ -594,7 +605,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// `C□_S φ` from a reachability structure: the run-component
-    /// projection of [`Evaluator::common_from_reach`].
+    /// projection of [`Evaluator::close_over`].
     pub(crate) fn continual_common_from_reach(&self, phi: &Bitset, reach: &Reachability) -> Bitset {
         // run_comp_sat[rc] = φ holds at every S-nonempty point of
         // every run in run-component rc.
@@ -606,7 +617,7 @@ impl<'a> Evaluator<'a> {
             .unwrap_or(0);
         let mut run_comp_sat = vec![true; num_run_comps];
         for idx in phi.zeros() {
-            if reach.point_comp[idx] != u32::MAX {
+            if reach.points.class_of[idx] != u32::MAX {
                 let run = idx / self.times;
                 run_comp_sat[reach.run_comp[run] as usize] = false;
             }
@@ -726,123 +737,6 @@ impl<'a> Evaluator<'a> {
         ViewPartition::new(self.classes(), self.system.table().len())
     }
 
-    /// `D_S φ`: at a point `p`, φ holds at every point `q` that the
-    /// members of `S(p)` *jointly* cannot distinguish from `p` — same
-    /// membership-relevant views for every member. Points are bucketed by
-    /// `(S(p), members' views)`; `D` holds iff φ holds throughout the
-    /// bucket. With `S(p)` empty every point is indistinguishable and the
-    /// operator is vacuous (matching `E_S`'s convention).
-    pub(crate) fn distributed_knowledge(&self, s: NonRigidSet, phi: &Bitset) -> Bitset {
-        use std::collections::hash_map::Entry;
-        if self.symmetry.is_some() {
-            return self.distributed_knowledge_quotient(s, phi);
-        }
-        let mut bucket_of: Vec<u32> = vec![u32::MAX; self.num_points];
-        let mut sat: Vec<bool> = Vec::new();
-        let mut index: FastMap<(u128, Vec<ViewId>), u32> = FastMap::default();
-        let mut all_empty_ok = true;
-        for run in self.system.run_ids() {
-            for time in Time::upto(self.system.horizon()) {
-                let idx = self.point_index(run, time);
-                let members = self.members(s, run, time);
-                if members.is_empty() {
-                    all_empty_ok &= phi.get(idx);
-                    continue;
-                }
-                let views: Vec<ViewId> = members
-                    .iter()
-                    .map(|i| self.system.view(run, i, time))
-                    .collect();
-                let bucket = match index.entry((members.bits(), views)) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        let id = sat.len() as u32;
-                        e.insert(id);
-                        sat.push(true);
-                        id
-                    }
-                };
-                bucket_of[idx] = bucket;
-                sat[bucket as usize] &= phi.get(idx);
-            }
-        }
-        let mut out = Bitset::new_false(self.num_points);
-        for (idx, &bucket) in bucket_of.iter().enumerate() {
-            let ok = if bucket == u32::MAX {
-                // S empty here: every point (with S empty) is jointly
-                // indistinguishable from this one.
-                all_empty_ok
-            } else {
-                sat[bucket as usize]
-            };
-            out.set(idx, ok);
-        }
-        out
-    }
-
-    /// The orbit twist of [`Evaluator::distributed_knowledge`]: points
-    /// are bucketed by a *canonical joint key* — the minimum over all
-    /// relabelings `π` of a slot-ascending mix of the members'
-    /// `π`-relabeled view hashes (slot `j` holds processor `π⁻¹(j)`;
-    /// non-members contribute a fixed marker). Two representative points
-    /// get equal keys exactly when some relabeling maps one's
-    /// membership-and-views profile onto the other's, which is joint
-    /// indistinguishability in the full system, so the bucket verdicts
-    /// answer the full system's `D_S` for symmetric `φ` (DESIGN.md §4i).
-    fn distributed_knowledge_quotient(&self, s: NonRigidSet, phi: &Bitset) -> Bitset {
-        use eba_sim::symmetry::{for_each_permuted_hashes, mix};
-        let s_members = self.collect_s_members(s);
-        let store = self.system.points();
-        let n = self.n;
-        let mut keys = vec![u128::MAX; self.num_points];
-        for_each_permuted_hashes(self.system.table(), n, |perm, hashes| {
-            let inv = perm.inverse();
-            for (idx, members) in s_members.iter().enumerate() {
-                if members.is_empty() {
-                    continue;
-                }
-                let mut h = 3u128;
-                for j in 0..n {
-                    let q = inv.apply(ProcessorId::new(j));
-                    h = if members.contains(q) {
-                        mix(h, hashes[store.column(q)[idx].index()])
-                    } else {
-                        mix(h, u128::MAX - 2)
-                    };
-                }
-                if h < keys[idx] {
-                    keys[idx] = h;
-                }
-            }
-        });
-        let mut bucket_of: Vec<u32> = vec![u32::MAX; self.num_points];
-        let mut sat: Vec<bool> = Vec::new();
-        let mut index: FastMap<u128, u32> = FastMap::default();
-        let mut all_empty_ok = true;
-        for (idx, members) in s_members.iter().enumerate() {
-            if members.is_empty() {
-                all_empty_ok &= phi.get(idx);
-                continue;
-            }
-            let bucket = *index.entry(keys[idx]).or_insert_with(|| {
-                sat.push(true);
-                (sat.len() - 1) as u32
-            });
-            bucket_of[idx] = bucket;
-            sat[bucket as usize] &= phi.get(idx);
-        }
-        let mut out = Bitset::new_false(self.num_points);
-        for (idx, &bucket) in bucket_of.iter().enumerate() {
-            let ok = if bucket == u32::MAX {
-                all_empty_ok
-            } else {
-                sat[bucket as usize]
-            };
-            out.set(idx, ok);
-        }
-        out
-    }
-
     /// Computes (or fetches) the reachability structure of `s`.
     ///
     /// Lookup is staged: this evaluator's local memo first, then the
@@ -910,20 +804,6 @@ impl<'a> Evaluator<'a> {
         Arc::clone(&self.scope_cache[&s])
     }
 
-    /// The members of `s` at every point, indexed linearly. Used by the
-    /// `D_S` quotient kernel and the reference per-set build
-    /// ([`crate::oracle`]).
-    pub(crate) fn collect_s_members(&self, s: NonRigidSet) -> Vec<ProcSet> {
-        let mut s_members = vec![ProcSet::empty(); self.num_points];
-        for run in self.system.run_ids() {
-            for time in Time::upto(self.system.horizon()) {
-                let idx = self.point_index(run, time);
-                s_members[idx] = self.members(s, run, time);
-            }
-        }
-        s_members
-    }
-
     /// Compacts a fully-unioned point partition into a [`Reachability`]:
     /// component numbering, the run projection, and the `S`-emptiness
     /// mask. The membership vector is read for `S`-emptiness only, not
@@ -964,12 +844,13 @@ impl<'a> Evaluator<'a> {
                 run_uf.union(first_run_of_comp[c as usize] as usize, run);
             }
         }
-        let num_point_comps = first_run_of_comp.len();
         let (run_comp, _) = run_uf.component_ids();
 
         Reachability {
-            point_comp,
-            num_point_comps,
+            points: PointClasses {
+                class_of: point_comp,
+                num_classes: first_run_of_comp.len(),
+            },
             run_comp,
             run_has_s_points,
         }

@@ -10,9 +10,10 @@
 //!   set of points of a [`eba_sim::GeneratedSystem`] satisfying it: it
 //!   hash-conses every subformula into one table of dense-bitset kernels
 //!   over the columnar [`eba_sim::PointStore`] and keeps every node's
-//!   result, its one engine;
-//! * [`oracle`] — the recursive evaluator, per-set reachability and
-//!   formula-iteration gfp those kernels replaced, kept as reference
+//!   result, its one engine. `K`/`B`/`E`/`S` close over view partitions,
+//!   `C`/`C□`/`D` over point partitions ([`reach`]);
+//! * [`oracle`] — the recursive evaluator, per-set reachability, per-point
+//!   `D_S` and the formula-iteration gfp of Lemma 3.4, kept as reference
 //!   implementations for the differential suites;
 //! * [`StateSets`] / [`NonRigidSet`] — decision-set families and the
 //!   nonrigid sets `N`, `N ∧ A` they induce;
@@ -60,7 +61,6 @@ mod uf;
 
 pub mod axioms;
 pub mod explain;
-pub mod fixpoint;
 pub mod oracle;
 pub mod parse;
 pub mod reach;

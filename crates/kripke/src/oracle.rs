@@ -3,25 +3,29 @@
 //!
 //! Production evaluation has one path per operator: the evaluator's
 //! hash-consed bitset kernels over batched reachability
-//! ([`crate::reach`]), with the Lemma 3.4 fixed points run as a native
-//! bitset loop ([`crate::fixpoint`]). This
-//! module keeps the direct implementations those paths replaced, so the
-//! suites can check them bit for bit:
+//! ([`crate::reach`]). This module keeps direct implementations of the
+//! same operators, so the suites can check them bit for bit:
 //!
 //! * the **recursive evaluator**: one bitset per formula node, with `K_p`
-//!   and `B^S_p` as a per-point scan over the system's views;
+//!   and `B^S_p` as a per-point scan over the system's views, and `D_S`
+//!   as a per-point bucketing by the members' exact views (by a
+//!   per-point minimum over `Sym(n)` on a quotient);
 //! * the **per-set reachability and scope-column builds**, one set and
 //!   one thread at a time;
 //! * the **formula-iteration gfp** of `X ← E_S(φ ∧ X)` (boxed: `E□_S`),
-//!   which injects each iterate into the formula as a point predicate
-//!   and reports its iteration count.
+//!   the Lemma 3.4 definition of `C_S` (`C□_S`), which injects each
+//!   iterate into the formula as a point predicate and reports its
+//!   iteration count.
 //!
 //! An [`Oracle`] borrows an [`Evaluator`] for its system and registered
 //! families but keeps memos of its own: it never reads or fills the
 //! evaluator's node table, its reachability and scope memos, or the
-//! [`crate::KnowledgeCache`]. A differential assertion therefore never
-//! compares a production result with itself. No production code calls
-//! this module, so the linker drops it from release binaries.
+//! [`crate::KnowledgeCache`]. It builds every relation a knowledge
+//! operator closes over itself, sharing only the evaluator's leaf
+//! loads, temporal folds and final closure steps over a partition it
+//! built. A differential assertion therefore never compares a
+//! production result with itself. No production code calls this
+//! module, so the linker drops it from release binaries.
 //!
 //! # Example
 //!
@@ -51,6 +55,7 @@ use eba_model::fasthash::FastMap;
 use eba_model::{ProcSet, ProcessorId, Time};
 use eba_sim::symmetry::ViewClasses;
 use eba_sim::ViewId;
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// The reference evaluator over one [`Evaluator`]'s system and
@@ -245,12 +250,12 @@ impl<'e, 'a> Oracle<'e, 'a> {
             }
             Formula::Distributed(s, inner) => {
                 let phi = self.eval(inner);
-                ev.distributed_knowledge(*s, &phi)
+                self.distributed_knowledge(*s, &phi)
             }
             Formula::Common(s, inner) => {
                 let phi = self.eval(inner);
                 let reach = self.reachability(*s);
-                ev.common_from_reach(&phi, &reach)
+                ev.close_over(&phi, &reach.points)
             }
             Formula::ContinualCommon(s, inner) => {
                 let phi = self.eval(inner);
@@ -330,6 +335,58 @@ impl<'e, 'a> Oracle<'e, 'a> {
         out
     }
 
+    /// `D_S φ`: at a point, `φ` holds at every point that the members of
+    /// `S` there *jointly* cannot distinguish from it — the same members
+    /// with the same views. Points are bucketed by `(S(p), members'
+    /// views)`; `D` holds iff `φ` holds throughout the bucket. All
+    /// `S`-empty points are one bucket, so there `D_S φ` is the
+    /// conjunction of `φ` over every `S`-empty point.
+    ///
+    /// On a quotient the bucket key is a *canonical joint key* per point
+    /// instead: the minimum over all relabelings `π` of a slot-ascending
+    /// mix of the members' `π`-relabeled view hashes (slot `j` holds
+    /// processor `π⁻¹(j)`; non-members contribute a fixed marker). Two
+    /// representative points get equal keys exactly when some relabeling
+    /// maps one's membership-and-views profile onto the other's, which is
+    /// joint indistinguishability in the full system (DESIGN.md §4i).
+    fn distributed_knowledge(&self, s: NonRigidSet, phi: &Bitset) -> Bitset {
+        use eba_sim::symmetry::{for_each_permuted_hashes, mix};
+        let ev = self.ev;
+        let s_members = collect_s_members(ev, s);
+        let view = |idx: usize, i: ProcessorId| {
+            let (run, time) = ev.point_of(idx);
+            ev.system.view(run, i, time)
+        };
+        if ev.classes().is_none() {
+            let keys = s_members.iter().enumerate().map(|(idx, members)| {
+                let views: Vec<ViewId> = members.iter().map(|i| view(idx, i)).collect();
+                (members.bits(), views)
+            });
+            return conjoin_by_key(phi, keys);
+        }
+        let mut keys = vec![u128::MAX; ev.num_points];
+        for_each_permuted_hashes(ev.system.table(), ev.n, |perm, hashes| {
+            let inv = perm.inverse();
+            for (idx, members) in s_members.iter().enumerate() {
+                let mut h = 3u128;
+                for j in 0..ev.n {
+                    let q = inv.apply(ProcessorId::new(j));
+                    h = if members.contains(q) {
+                        mix(h, hashes[view(idx, q).index()])
+                    } else {
+                        mix(h, u128::MAX - 2)
+                    };
+                }
+                keys[idx] = keys[idx].min(h);
+            }
+        });
+        let keys = keys
+            .into_iter()
+            .zip(&s_members)
+            .map(|(key, m)| (!m.is_empty()).then_some(key));
+        conjoin_by_key(phi, keys)
+    }
+
     /// Point-level union-find: two points are linked when some `i ∈ S` at
     /// both has the same view at both. The unions are applied in
     /// processor order, one CSR bucket sweep per processor (on a
@@ -337,7 +394,7 @@ impl<'e, 'a> Oracle<'e, 'a> {
     /// orbit class).
     fn build_reachability(&self, s: NonRigidSet) -> Reachability {
         let ev = self.ev;
-        let s_members = ev.collect_s_members(s);
+        let s_members = collect_s_members(ev, s);
         let mut uf = UnionFind::new(ev.num_points);
         if let Some(classes) = ev.classes() {
             union_quotient_edges(ev, &s_members, classes, &mut uf);
@@ -377,6 +434,39 @@ impl<'e, 'a> Oracle<'e, 'a> {
             })
             .collect()
     }
+}
+
+/// `φ` conjoined over the points of equal key: a point's bit is whether
+/// `φ` holds at every point whose key equals its own.
+fn conjoin_by_key<K: Hash + Eq>(phi: &Bitset, keys: impl Iterator<Item = K>) -> Bitset {
+    let mut bucket_of = Vec::with_capacity(phi.len());
+    let mut index: FastMap<K, usize> = FastMap::default();
+    let mut sat: Vec<bool> = Vec::new();
+    for (idx, key) in keys.enumerate() {
+        let next = index.len();
+        let bucket = *index.entry(key).or_insert(next);
+        if bucket == sat.len() {
+            sat.push(true);
+        }
+        sat[bucket] &= phi.get(idx);
+        bucket_of.push(bucket);
+    }
+    let mut out = Bitset::new_false(phi.len());
+    for (idx, &bucket) in bucket_of.iter().enumerate() {
+        out.set(idx, sat[bucket]);
+    }
+    out
+}
+
+/// The members of `s` at every point, indexed linearly.
+fn collect_s_members(ev: &Evaluator<'_>, s: NonRigidSet) -> Vec<ProcSet> {
+    let mut s_members = vec![ProcSet::empty(); ev.num_points];
+    for run in ev.system.run_ids() {
+        for time in Time::upto(ev.system.horizon()) {
+            s_members[ev.point_index(run, time)] = ev.members(s, run, time);
+        }
+    }
+    s_members
 }
 
 /// The quotient edge rule: points whose in-scope views share an *orbit
@@ -429,5 +519,108 @@ fn union_reach_edges(
                 uf.union(root as usize, idx as usize);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eba_model::{FailureMode, Scenario, Value};
+    use eba_sim::GeneratedSystem;
+
+    fn systems() -> Vec<GeneratedSystem> {
+        vec![
+            GeneratedSystem::exhaustive(&Scenario::new(3, 1, FailureMode::Crash, 2).unwrap()),
+            GeneratedSystem::exhaustive(&Scenario::new(3, 1, FailureMode::Omission, 2).unwrap()),
+        ]
+    }
+
+    fn formulas() -> Vec<Formula> {
+        vec![
+            Formula::exists(Value::Zero),
+            Formula::exists(Value::One),
+            Formula::exists(Value::Zero).not(),
+            Formula::exists(Value::One).known_by(ProcessorId::new(0)),
+            Formula::False,
+            Formula::True,
+        ]
+    }
+
+    /// The bounded conjunction `⋀_{k=1..depth} E_S^k φ` — the textbook
+    /// definition of common knowledge truncated at `depth`. On a finite
+    /// system, `C_S φ` equals it at any depth at least the number of
+    /// distinct `(i, view)` buckets.
+    fn everyone_iterated(
+        eval: &mut Evaluator<'_>,
+        s: NonRigidSet,
+        phi: &Formula,
+        depth: usize,
+    ) -> Bitset {
+        let mut conjunction = Bitset::new_true(eval.num_points());
+        let mut layer = phi.clone();
+        for _ in 0..depth {
+            layer = layer.everyone(s);
+            conjunction &= &eval.eval(&layer);
+        }
+        conjunction
+    }
+
+    #[test]
+    fn gfp_agrees_with_reachability_for_common_knowledge() {
+        for system in systems() {
+            for phi in formulas() {
+                let mut eval = Evaluator::new(&system);
+                let via_reach = eval.eval(&phi.clone().common(NonRigidSet::Nonfaulty));
+                let (via_gfp, iters) =
+                    Oracle::new(&eval).common_by_gfp(NonRigidSet::Nonfaulty, &phi);
+                assert!(iters < 50, "gfp failed to converge quickly");
+                assert_eq!(
+                    *via_reach, via_gfp,
+                    "C_N({phi}) differs between union-find and gfp"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gfp_agrees_with_reachability_for_continual_common_knowledge() {
+        for system in systems() {
+            for phi in formulas() {
+                let mut eval = Evaluator::new(&system);
+                let via_reach = eval.eval(&phi.clone().continual_common(NonRigidSet::Nonfaulty));
+                let (via_gfp, _) =
+                    Oracle::new(&eval).continual_common_by_gfp(NonRigidSet::Nonfaulty, &phi);
+                assert_eq!(
+                    *via_reach, via_gfp,
+                    "C□_N({phi}) differs between union-find and gfp"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn iterated_everyone_converges_to_common_knowledge() {
+        for system in systems() {
+            let phi = Formula::exists(Value::Zero);
+            let mut eval = Evaluator::new(&system);
+            let (exact, _) = Oracle::new(&eval).common_by_gfp(NonRigidSet::Nonfaulty, &phi);
+            // E^k must be ⊇ C for every k, and equal for large k.
+            for depth in 1..=3 {
+                let approx = everyone_iterated(&mut eval, NonRigidSet::Nonfaulty, &phi, depth);
+                assert!(exact.is_subset(&approx), "C ⊆ E^{depth} violated");
+            }
+            let deep = everyone_iterated(&mut eval, NonRigidSet::Nonfaulty, &phi, 64);
+            assert_eq!(exact, deep);
+        }
+    }
+
+    #[test]
+    fn gfp_with_empty_set_is_all_true() {
+        let system = &systems()[0];
+        let mut eval = Evaluator::new(system);
+        let empty = eval.register_state_sets(StateSets::empty(3));
+        let s = NonRigidSet::NonfaultyAnd(empty);
+        let (set, _) = Oracle::new(&eval).continual_common_by_gfp(s, &Formula::False);
+        assert!(set.all(), "C□ over an empty nonrigid set must be vacuous");
     }
 }

@@ -15,20 +15,18 @@
 //!    evaluates `φ` once) or across every formula the evaluator has
 //!    seen — are one node; only unseen ones are appended.
 //! 2. **Execution** ([`run_pending`]) runs the appended nodes in id
-//!    order. The knowledge kernels share one sparse closure
-//!    ([`Falsified`]) over the evaluator's [`ViewPartition`]: it marks the
-//!    view classes of violating points and clears the precomputed CSR
-//!    buckets of the [`eba_sim::PointStore`] (all points sharing one
-//!    processor's view are contiguous) of the marked classes. Unreduced
-//!    and quotiented systems differ only in the partition. The group
-//!    operators `E_S`/`S_S` fold per-processor results with word-level
-//!    bitset ops ([`Bitset::and_implication`] /
-//!    [`Bitset::or_conjunction`]) against cached per-processor *scope
-//!    columns*.
-//! 3. **Fixpoints** ([`gfp`], behind [`crate::fixpoint`]) lower `φ` the
-//!    same way and iterate `X ← E_S(φ ∧ X)` natively on bitsets, with no
-//!    per-iteration formula construction, hashing, or point-predicate
-//!    registration.
+//!    order. `K`/`B`/`E`/`S` share one sparse closure ([`Falsified`])
+//!    over the evaluator's [`ViewPartition`]: it marks the view classes
+//!    of violating points and clears the precomputed CSR buckets of the
+//!    [`eba_sim::PointStore`] (all points sharing one processor's view
+//!    are contiguous) of the marked classes. The group operators
+//!    `E_S`/`S_S` fold per-processor results with word-level bitset ops
+//!    ([`Bitset::and_implication`] / [`Bitset::or_conjunction`]) against
+//!    cached per-processor *scope columns*. `C`/`C□`/`D` close over a
+//!    partition of the points instead: the reachability components of
+//!    `S` for `C_S`/`C□_S`, the joint-view classes of `S` for `D_S`
+//!    ([`crate::reach`]). Unreduced and quotiented systems differ only in
+//!    the partitions.
 //!
 //! Every kernel is implemented to be extensionally *identical* to the
 //! recursive evaluator — same bits, not just same truth values — and the
@@ -185,16 +183,12 @@ impl NodeTable {
 
 /// Runs every node without a result, in id order, after one
 /// [`BatchBuilder`] sweep has resolved each nonrigid set they read —
-/// reachability for `ReachClose`, scope columns for scoped `KnowClose` —
-/// plus the scope columns of `scopes` (the gfp loop's own set). Sets
-/// already memoized cost one staged lookup each; the rest share a single
-/// traversal of the point store instead of one per set.
-pub(crate) fn run_pending(eval: &mut Evaluator<'_>, scopes: Option<NonRigidSet>) {
+/// reachability for `ReachClose`, scope columns for scoped `KnowClose`.
+/// Sets already memoized cost one staged lookup each; the rest share a
+/// single traversal of the point store instead of one per set.
+pub(crate) fn run_pending(eval: &mut Evaluator<'_>) {
     let first = eval.nodes.results.len();
     let mut batch = BatchBuilder::new();
-    if let Some(s) = scopes {
-        batch.request_scopes(s);
-    }
     for kernel in &eval.nodes.kernels[first..] {
         match kernel {
             Kernel::ReachClose { set, .. } => batch.request_reachability(*set),
@@ -251,7 +245,7 @@ fn run_kernel(eval: &mut Evaluator<'_>, kernel: &Kernel) -> Bitset {
             if *continual {
                 eval.continual_common_from_reach(&phi, &reach)
             } else {
-                eval.common_from_reach(&phi, &reach)
+                eval.close_over(&phi, &reach.points)
             }
         }
         Kernel::Temporal { op, input } => {
@@ -266,50 +260,6 @@ fn run_kernel(eval: &mut Evaluator<'_>, kernel: &Kernel) -> Bitset {
     }
 }
 
-/// `C_S φ` / `C□_S φ` by native gfp iteration; the engine behind
-/// [`crate::fixpoint`]'s entry points.
-///
-/// Returns the satisfaction bitset and the iteration count (including
-/// the final confirming pass) — identical to the formula-iteration
-/// reference ([`crate::oracle`]) for both.
-pub(crate) fn gfp(
-    eval: &mut Evaluator<'_>,
-    s: NonRigidSet,
-    phi: &Formula,
-    boxed: bool,
-) -> (Bitset, usize) {
-    // One batched sweep covers both the iteration's own scope columns
-    // and every set `φ`'s new nodes will resolve.
-    let root = eval.nodes.lower(phi);
-    run_pending(eval, Some(s));
-    let phi_bits = eval.nodes.result(root);
-    gfp_over(eval, s, &phi_bits, boxed)
-}
-
-fn gfp_over(
-    eval: &mut Evaluator<'_>,
-    s: NonRigidSet,
-    phi_bits: &Bitset,
-    boxed: bool,
-) -> (Bitset, usize) {
-    let scopes = eval.scope_columns(s);
-    let mut current = Bitset::new_true(eval.num_points);
-    let mut iterations = 0;
-    loop {
-        iterations += 1;
-        let mut conj = phi_bits.clone();
-        conj &= &current;
-        let mut next = everyone(eval, &conj, &scopes);
-        if boxed {
-            next = eval.always_all_of(&next);
-        }
-        if next == current {
-            return (current, iterations);
-        }
-        current = next;
-    }
-}
-
 fn know_close_kind(eval: &mut Evaluator<'_>, kind: KnowKind, phi: &Bitset) -> Bitset {
     match kind {
         KnowKind::Knows(p) => Falsified::marked(eval, eval.orbit(p), |_| phi, None).believes(p),
@@ -319,7 +269,13 @@ fn know_close_kind(eval: &mut Evaluator<'_>, kind: KnowKind, phi: &Bitset) -> Bi
         }
         KnowKind::Everyone(s) => {
             let scopes = eval.scope_columns(s);
-            everyone(eval, phi, &scopes)
+            let all = ProcSet::full(eval.n);
+            let falsified = Falsified::marked(eval, all, |_| phi, Some(&scopes));
+            let mut out = Bitset::new_true(eval.num_points);
+            for p in all.iter() {
+                out.and_implication(&scopes[p.index()], &falsified.believes(p));
+            }
+            out
         }
         KnowKind::Someone(s) => {
             let scopes = eval.scope_columns(s);
@@ -331,24 +287,14 @@ fn know_close_kind(eval: &mut Evaluator<'_>, kind: KnowKind, phi: &Bitset) -> Bi
             }
             out
         }
-        KnowKind::Distributed(s) => eval.distributed_knowledge(s, phi),
+        KnowKind::Distributed(s) => {
+            eval.close_over(phi, &crate::reach::joint_view_classes(eval, s))
+        }
     }
-}
-
-/// `E_S φ`: every in-scope processor believes `φ`. The `Everyone` kernel
-/// and the step of the gfp loop.
-fn everyone(eval: &Evaluator<'_>, phi: &Bitset, scopes: &[Bitset]) -> Bitset {
-    let all = ProcSet::full(eval.n);
-    let falsified = Falsified::marked(eval, all, |_| phi, Some(scopes));
-    let mut out = Bitset::new_true(eval.num_points);
-    for p in all.iter() {
-        out.and_implication(&scopes[p.index()], &falsified.believes(p));
-    }
-    out
 }
 
 /// The view classes falsified by violating points, and the one sparse
-/// closure every knowledge kernel but `D_S` shares (DESIGN.md §4r).
+/// closure `K`/`B`/`E`/`S` share (DESIGN.md §4r).
 ///
 /// `K_p φ` (or `B^S_p φ`) holds at a point iff no point whose view (of an
 /// in-scope processor) lies in the class of `p`'s view violates `φ`. The
@@ -358,9 +304,8 @@ fn everyone(eval: &Evaluator<'_>, phi: &Bitset, scopes: &[Bitset]) -> Bitset {
 /// relabeling onto `p`'s. [`Falsified::marked`] walks only violation
 /// sets' bits, and [`Falsified::believes`] clears only the buckets of
 /// marked classes, so a closure costs `O(words + violations + |cleared
-/// buckets|)`; near a gfp's fixed point violations are sparse, which is
-/// where it runs hottest. Results are bit-identical to the per-point
-/// scans of the reference evaluator ([`crate::oracle`]).
+/// buckets|)`. Results are bit-identical to the per-point scans of the
+/// reference evaluator ([`crate::oracle`]).
 pub(crate) struct Falsified<'e> {
     store: &'e PointStore,
     partition: ViewPartition<'e>,

@@ -31,18 +31,23 @@
 //!    the membership vectors for free. The membership vectors themselves
 //!    are dropped: no kernel reads them back.
 //!
-//! The per-set build is kept as a reference implementation in
+//! The `D_S` kernel builds its own partition (`joint_view_classes`)
+//! from one set's membership vector, filled by the same stage-2 helpers.
+//!
+//! The per-set builds are kept as reference implementations in
 //! [`crate::oracle`]; `tests/plan_equivalence.rs` checks components, run
-//! projections, and scope columns agree bit-for-bit on random set
+//! projections, scope columns and `D_S` agree bit-for-bit on random set
 //! families.
 
 use crate::bitset::Bitset;
 use crate::cache::HashedReachKey;
-use crate::eval::Evaluator;
+use crate::eval::{Evaluator, PointClasses};
 use crate::nonrigid::NonRigidSet;
 use crate::plan::ViewPartition;
 use crate::uf::UnionFind;
+use eba_model::fasthash::FastMap;
 use eba_model::{ProcSet, ProcessorId};
+use eba_sim::symmetry::{for_each_permuted_hashes, mix};
 use eba_sim::{PointStore, ViewId};
 use std::sync::Arc;
 
@@ -144,7 +149,7 @@ impl BatchBuilder {
                 match eval.shared.get(&key) {
                     Some(found) => {
                         debug_assert_eq!(
-                            found.point_comp.len(),
+                            found.points.class_of.len(),
                             eval.num_points(),
                             "knowledge cache shared across different systems"
                         );
@@ -308,10 +313,10 @@ fn fill_rigid_members(eval: &Evaluator<'_>, sets: &[NonRigidSet]) -> Vec<Vec<Pro
 }
 
 /// Fills the `N ∧ A` membership vectors in one processor-major pass over
-/// the points. Value-identical to the per-point
-/// `Evaluator::collect_s_members`: membership is a per-(processor,
-/// interned view) table lookup instead of a hash probe, and whole runs
-/// where the processor is faulty are skipped.
+/// the points. Value-identical to the reference's per-point
+/// [`Evaluator::members`] scan ([`crate::oracle`]): membership is a
+/// per-(processor, interned view) table lookup instead of a hash probe,
+/// and whole runs where the processor is faulty are skipped.
 fn fill_nonfaulty_and_members(
     eval: &Evaluator<'_>,
     sets: &[NonRigidSet],
@@ -474,6 +479,88 @@ fn union_batch_edges(
                 }
             }
         }
+    }
+}
+
+/// The `D_S` partition of `s` (DESIGN.md §4s): `D_S φ` holds at a point
+/// iff `φ` holds throughout its class.
+///
+/// The membership vector is filled by the batch's stage-2 helpers. Each
+/// point's *row* — processor `i`'s view there where `i ∈ S`, a marker
+/// outside the view-id range elsewhere — is interned exactly, so two
+/// points share a row iff the same members jointly see the same views,
+/// and every `S`-empty point shares the all-marker row (there `D_S φ` is
+/// `φ` throughout the `S`-empty points). On a quotient the rows are then
+/// merged into orbit classes: a row's key is the minimum over all
+/// relabelings `π` of its slot-ascending mix of `π`-relabeled view
+/// hashes (slot `j` holds processor `π⁻¹(j)`, markers a fixed word), so
+/// two rows share a key exactly when some relabeling maps one onto the
+/// other, which is joint indistinguishability in the full system
+/// (DESIGN.md §4i). The key is computed once per distinct row, not per
+/// point.
+pub(crate) fn joint_view_classes(eval: &Evaluator<'_>, s: NonRigidSet) -> PointClasses {
+    const ABSENT: u64 = u64::MAX;
+    let in_view = build_in_view_tables(eval, &[s]);
+    let mut members = fill_rigid_members(eval, &[s]);
+    fill_nonfaulty_and_members(eval, &[s], &in_view, &mut members);
+    let store = eval.system().points();
+    let n = store.n();
+    let columns: Vec<&[ViewId]> = ProcessorId::all(n).map(|p| store.column(p)).collect();
+    let mut index: FastMap<Box<[u64]>, u32> = FastMap::default();
+    let mut row = vec![ABSENT; n];
+    let row_of: Vec<u32> = members[0]
+        .iter()
+        .enumerate()
+        .map(|(idx, m)| {
+            for (i, slot) in row.iter_mut().enumerate() {
+                *slot = if m.contains(ProcessorId::new(i)) {
+                    columns[i][idx].index() as u64
+                } else {
+                    ABSENT
+                };
+            }
+            if let Some(&id) = index.get(row.as_slice()) {
+                return id;
+            }
+            let id = index.len() as u32;
+            index.insert(row.clone().into_boxed_slice(), id);
+            id
+        })
+        .collect();
+    if !eval.partition().spans_owners() {
+        return PointClasses {
+            class_of: row_of,
+            num_classes: index.len(),
+        };
+    }
+    let mut keys = vec![u128::MAX; index.len()];
+    for_each_permuted_hashes(eval.system().table(), n, |perm, hashes| {
+        let inv = perm.inverse();
+        let slots: Vec<usize> = (0..n)
+            .map(|j| inv.apply(ProcessorId::new(j)).index())
+            .collect();
+        for (row, &id) in &index {
+            let mut h = 3u128;
+            for &q in &slots {
+                h = match row[q] {
+                    ABSENT => mix(h, u128::MAX - 2),
+                    v => mix(h, hashes[v as usize]),
+                };
+            }
+            keys[id as usize] = keys[id as usize].min(h);
+        }
+    });
+    let mut renumber: FastMap<u128, u32> = FastMap::default();
+    let class_of_row: Vec<u32> = keys
+        .iter()
+        .map(|&key| {
+            let next = renumber.len() as u32;
+            *renumber.entry(key).or_insert(next)
+        })
+        .collect();
+    PointClasses {
+        class_of: row_of.iter().map(|&r| class_of_row[r as usize]).collect(),
+        num_classes: renumber.len(),
     }
 }
 

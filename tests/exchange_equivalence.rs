@@ -18,7 +18,7 @@ use eba::prelude::*;
 use eba::sim::chaos::{ChaosPlan, FaultInjector, FaultKind};
 use eba::sim::ViewId;
 use eba_core::protocols::{f_lambda_2, zero_chain_pair};
-use eba_kripke::fixpoint;
+use eba_kripke::oracle::Oracle;
 use eba_kripke::parse::parse_formula;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -90,7 +90,8 @@ fn downstream_artifacts(
     let decisions = FipDecisions::compute(system, &pair, "pair");
     let optimal = check_optimality(&mut ctor, &pair).is_optimal();
     let phi = parse_formula("E0").unwrap();
-    let (sat, iterations) = fixpoint::common_by_gfp(ctor.evaluator(), NonRigidSet::Nonfaulty, &phi);
+    let (sat, iterations) =
+        Oracle::new(ctor.evaluator()).common_by_gfp(NonRigidSet::Nonfaulty, &phi);
     (decisions, optimal, (sat.count_ones() as u64, iterations))
 }
 

@@ -10,7 +10,7 @@
 use eba::prelude::*;
 use eba::sim::chaos::{ChaosPlan, FaultInjector, FaultKind};
 use eba_core::protocols::{f_lambda_2, zero_chain_pair};
-use eba_kripke::fixpoint;
+use eba_kripke::oracle::Oracle;
 use eba_kripke::parse::parse_formula;
 use std::sync::Arc;
 
@@ -56,7 +56,8 @@ fn downstream_artifacts(
     let decisions = FipDecisions::compute(system, &pair, "pair");
     let optimal = check_optimality(&mut ctor, &pair).is_optimal();
     let phi = parse_formula("E0").unwrap();
-    let (sat, iterations) = fixpoint::common_by_gfp(ctor.evaluator(), NonRigidSet::Nonfaulty, &phi);
+    let (sat, iterations) =
+        Oracle::new(ctor.evaluator()).common_by_gfp(NonRigidSet::Nonfaulty, &phi);
     (decisions, optimal, (sat.count_ones() as u64, iterations))
 }
 
@@ -178,17 +179,20 @@ fn stale_knowledge_artifacts_never_survive_an_extension() {
     assert_eq!(stats.epoch, 1);
     assert!(stats.invalidated > 0, "epoch advance must purge entries");
 
-    // Post-extension evaluation is sized to the new system and equal to a
-    // cold evaluator's result.
+    // Post-extension evaluation through the warm cache is sized to the
+    // new system and equal to a cold evaluator's result, and to the gfp
+    // that defines it.
     let mut warm_eval = session.evaluator();
-    let (warm_sat, warm_iters) =
-        fixpoint::common_by_gfp(&mut warm_eval, NonRigidSet::Nonfaulty, &phi);
+    let warm_sat = warm_eval.eval(&common);
     assert_eq!(warm_sat.len(), session.system().num_points());
+    let (warm_gfp, warm_iters) =
+        Oracle::new(&warm_eval).common_by_gfp(NonRigidSet::Nonfaulty, &phi);
+    assert_eq!(*warm_sat, warm_gfp);
 
     let cold_system = GeneratedSystem::exhaustive(&scenario.with_horizon(3).unwrap());
-    let mut cold_eval = Evaluator::new(&cold_system);
+    let cold_eval = Evaluator::new(&cold_system);
     let (cold_sat, cold_iters) =
-        fixpoint::common_by_gfp(&mut cold_eval, NonRigidSet::Nonfaulty, &phi);
+        Oracle::new(&cold_eval).common_by_gfp(NonRigidSet::Nonfaulty, &phi);
     assert_eq!(warm_sat.count_ones(), cold_sat.count_ones());
     assert_eq!(warm_iters, cold_iters);
 }

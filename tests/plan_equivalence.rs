@@ -1,12 +1,12 @@
 //! Differential suite for the compiled evaluation plans: on random
 //! formulas and across scenario spaces, the plan pipeline (CSR knowledge
-//! kernels, word-level `E_S`/`S_S`, native gfp iteration, batched
-//! reachability) must produce **bit-identical** extensions to the
+//! kernels, word-level `E_S`/`S_S`, batched reachability, joint-view
+//! `D_S` partitions) must produce **bit-identical** extensions to the
 //! reference implementations of `eba_kripke::oracle` — including on
 //! symmetry quotients and on budget-partial systems.
 
 use eba::prelude::*;
-use eba_kripke::{fixpoint, oracle::Oracle, BatchBuilder, Reachability};
+use eba_kripke::{oracle::Oracle, BatchBuilder, Reachability};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -36,9 +36,9 @@ fn sampled_system() -> &'static GeneratedSystem {
     })
 }
 
-/// A symmetry quotient with two faults: the plan's orbit-twisted kernels
-/// must match the reference evaluator's on every formula, symmetric or
-/// not.
+/// A symmetry quotient with two faults: the plan's kernels, closing over
+/// orbit classes, must match the reference evaluator's on every formula,
+/// symmetric or not.
 fn crash_quotient() -> &'static GeneratedSystem {
     static SYSTEM: OnceLock<GeneratedSystem> = OnceLock::new();
     SYSTEM.get_or_init(|| {
@@ -103,6 +103,9 @@ fn formula_strategy() -> impl Strategy<Value = Formula> {
             inner
                 .clone()
                 .prop_map(|f| f.distributed(NonRigidSet::Nonfaulty)),
+            inner
+                .clone()
+                .prop_map(|f| f.distributed(NonRigidSet::Everyone)),
             inner.clone().prop_map(|f| f.common(NonRigidSet::Nonfaulty)),
             inner
                 .clone()
@@ -151,41 +154,6 @@ proptest! {
     ) {
         let (system, label) = input_system(which);
         assert_plan_matches_oracle(system, &phi, label)?;
-    }
-
-    /// The native gfp loop matches the oracle's formula-iteration
-    /// loop in result *and* iteration count, for both `C_S` and `C□_S`,
-    /// on exhaustive crash and omission systems and on two symmetry
-    /// quotients.
-    #[test]
-    fn gfp_kernel_matches_formula_iteration(
-        phi in formula_strategy(),
-        which in 0usize..4,
-        continual in proptest::bool::ANY,
-    ) {
-        let system = match which {
-            0 => crash_system(),
-            1 => omission_system(),
-            2 => crash_quotient(),
-            _ => omission_quotient(),
-        };
-        let mut plan_eval = Evaluator::new(system);
-        let rec_eval = Evaluator::new(system);
-        let mut rec = Oracle::new(&rec_eval);
-        let s = NonRigidSet::Nonfaulty;
-        let ((a, ia), (b, ib)) = if continual {
-            (
-                fixpoint::continual_common_by_gfp(&mut plan_eval, s, &phi),
-                rec.continual_common_by_gfp(s, &phi),
-            )
-        } else {
-            (
-                fixpoint::common_by_gfp(&mut plan_eval, s, &phi),
-                rec.common_by_gfp(s, &phi),
-            )
-        };
-        prop_assert_eq!(&a, &b, "gfp engines disagree on {}", &phi);
-        prop_assert_eq!(ia, ib, "gfp iteration counts diverge on {}", &phi);
     }
 }
 
@@ -299,6 +267,54 @@ proptest! {
         }
     }
 
+    /// `D_S` over registered families: the joint-view partition the
+    /// batched sweep builds from a family's membership vector matches
+    /// the oracle's per-point bucketing, on the unreduced inputs and both
+    /// quotients. The second family (processors that have seen a 0) is
+    /// empty at some points and not at others, which pins the `S`-empty
+    /// convention: those points form one class, so `D_S φ` there is the
+    /// conjunction of `φ` over all of them.
+    #[test]
+    fn distributed_knowledge_matches_oracle_over_registered_families(
+        phi in formula_strategy(),
+        seed in proptest::num::u64::ANY,
+        keep_mod in 1u64..5,
+        which in 0usize..5,
+    ) {
+        let (system, label) = input_system(which);
+        let mut compiled = Evaluator::new(system);
+        let random = compiled.register_state_sets(random_family(system, seed, keep_mod));
+        let seen_zero = compiled.register_state_sets(StateSets::with_value_seen(
+            system.table(),
+            system.n(),
+            Value::Zero,
+        ));
+        let phi_bits = compiled.eval(&phi);
+        for id in [random, seen_zero] {
+            let s = NonRigidSet::NonfaultyAnd(id);
+            let d = phi.clone().distributed(s);
+            let via_plan = compiled.eval(&d);
+            let mut oracle = Oracle::new(&compiled);
+            prop_assert_eq!(
+                &*via_plan,
+                &*oracle.eval(&d),
+                "D over a registered family diverges on {} over {}",
+                &d,
+                label
+            );
+            let scopes = oracle.scope_columns(s);
+            let empty: Vec<usize> = (0..system.num_points())
+                .filter(|&idx| scopes.iter().all(|col| !col.get(idx)))
+                .collect();
+            if id == seen_zero {
+                prop_assert!(!empty.is_empty() && empty.len() < system.num_points());
+            }
+            let all_hold = empty.iter().all(|&idx| phi_bits.get(idx));
+            for &idx in &empty {
+                prop_assert_eq!(via_plan.get(idx), all_hold, "S-empty point {}", idx);
+            }
+        }
+    }
 }
 
 /// Budget-partial systems: the batched sweep over a prefix-of-shards

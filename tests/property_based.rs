@@ -2,7 +2,7 @@
 //! and the optimization construction.
 
 use eba::prelude::*;
-use eba_kripke::axioms;
+use eba_kripke::{axioms, Bitset};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -20,6 +20,34 @@ fn omission_system() -> &'static GeneratedSystem {
         let scenario = Scenario::new(3, 1, FailureMode::Omission, 2).unwrap();
         GeneratedSystem::exhaustive(&scenario)
     })
+}
+
+/// The two symmetry quotients of `tests/plan_equivalence.rs`.
+fn quotient_system(crash: bool) -> &'static GeneratedSystem {
+    static CRASH: OnceLock<GeneratedSystem> = OnceLock::new();
+    static OMISSION: OnceLock<GeneratedSystem> = OnceLock::new();
+    let (cell, scenario) = if crash {
+        (&CRASH, Scenario::new(4, 2, FailureMode::Crash, 3).unwrap())
+    } else {
+        (
+            &OMISSION,
+            Scenario::new(4, 1, FailureMode::Omission, 2).unwrap(),
+        )
+    };
+    cell.get_or_init(|| {
+        SystemBuilder::new(&scenario)
+            .symmetry(true)
+            .build()
+            .unwrap()
+    })
+}
+
+/// The number of points where two satisfaction sets disagree and the
+/// first of them, if any.
+fn diff(a: &Bitset, b: &Bitset) -> Option<(usize, usize)> {
+    let mut mismatches = (0..a.len()).filter(|&idx| a.get(idx) != b.get(idx));
+    let first = mismatches.next()?;
+    Some((1 + mismatches.count(), first))
 }
 
 /// A generator of epistemic-temporal formulas over 3 processors (no
@@ -133,37 +161,39 @@ proptest! {
     }
 
     /// The union-find reachability engine agrees with the textbook
-    /// greatest-fixed-point computation on random formulas, for both
-    /// common knowledge and continual common knowledge (differential
-    /// test of the core algorithm, Prop 3.2 / Cor 3.3).
+    /// greatest-fixed-point computation (the oracle's formula iteration,
+    /// Lemma 3.4) on random formulas, for both common knowledge and
+    /// continual common knowledge (differential test of the core
+    /// algorithm, Prop 3.2 / Cor 3.3), on exhaustive crash and omission
+    /// systems and on two symmetry quotients.
     #[test]
     fn reachability_agrees_with_fixed_point(
         phi in formula_strategy(),
-        crash in proptest::bool::ANY,
+        which in 0usize..4,
         continual in proptest::bool::ANY,
     ) {
-        use eba_kripke::fixpoint;
-        let system = if crash { crash_system() } else { omission_system() };
+        use eba_kripke::oracle::Oracle;
+        let system = match which {
+            0 => crash_system(),
+            1 => omission_system(),
+            2 => quotient_system(true),
+            _ => quotient_system(false),
+        };
         let mut eval = Evaluator::new(system);
-        let (via_reach, via_gfp) = if continual {
-            let reach = eval.eval(&phi.clone().continual_common(NonRigidSet::Nonfaulty));
-            let (gfp, _) = fixpoint::continual_common_by_gfp(
-                &mut eval,
-                NonRigidSet::Nonfaulty,
-                &phi,
-            );
-            (reach, gfp)
+        let s = NonRigidSet::Nonfaulty;
+        let (via_reach, (via_gfp, _)) = if continual {
+            let reach = eval.eval(&phi.clone().continual_common(s));
+            (reach, Oracle::new(&eval).continual_common_by_gfp(s, &phi))
         } else {
-            let reach = eval.eval(&phi.clone().common(NonRigidSet::Nonfaulty));
-            let (gfp, _) =
-                fixpoint::common_by_gfp(&mut eval, NonRigidSet::Nonfaulty, &phi);
-            (reach, gfp)
+            let reach = eval.eval(&phi.clone().common(s));
+            (reach, Oracle::new(&eval).common_by_gfp(s, &phi))
         };
         prop_assert_eq!(
-            fixpoint::diff(&eval, &via_reach, &via_gfp),
+            diff(&via_reach, &via_gfp),
             None,
-            "engines disagree on {}",
-            phi
+            "engines disagree on {} (system {})",
+            phi,
+            which
         );
     }
 

@@ -12,18 +12,20 @@
 use eba::prelude::*;
 use eba::sim::chaos::{ChaosPlan, FaultInjector, FaultKind};
 use eba_core::OptimalityReport;
-use eba_kripke::fixpoint;
 use eba_kripke::oracle::Oracle;
 use eba_kripke::parse::parse_formula;
 use eba_kripke::StateSetsId;
 use eba_model::symmetry::canonicalize;
 use eba_model::{enumerate, ScenarioSpace};
+use eba_protocols::P0Opt;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Processor-symmetric formulas exercising every knowledge-kernel shape
 /// the quotient twists: `K`-free atoms, `E`/`SK`/`D`/`C`/`CC`, and
-/// temporal wrappers (the compiled-plan and gfp paths).
+/// temporal wrappers. `D_All(E(E0))` is one whose `D` classes need the
+/// orbit merge of joint rows: on the general-omission and two-fault
+/// scenarios, exact rows of representatives alone answer it wrongly.
 const SYMMETRIC_FORMULAS: &[&str] = &[
     "E0",
     "C(E0)",
@@ -31,6 +33,9 @@ const SYMMETRIC_FORMULAS: &[&str] = &[
     "E(E0)",
     "SK(E1)",
     "D(E0)",
+    "D(E0) & D(E1)",
+    "D(E0 -> D(E1))",
+    "D_All(E(E0))",
     "G(E(E0))",
     "F(C(E0))",
     "C(E0) -> CC(E0)",
@@ -115,14 +120,14 @@ fn assert_quotient_equivalent(reduced: &GeneratedSystem, full: &GeneratedSystem)
 
     // Greatest-fixed-point iteration counts: the gfp iterates are
     // symmetric sets, so the quotient must converge in exactly as many
-    // rounds as the oracle.
+    // rounds as the unreduced system.
     for text in ["E0", "E(E0)", "E0 | E1"] {
         let phi = parse_formula(text).unwrap();
-        let mut full_eval = Evaluator::new(full);
-        let mut reduced_eval = Evaluator::new(reduced);
-        let (_, full_iters) = fixpoint::common_by_gfp(&mut full_eval, NonRigidSet::Nonfaulty, &phi);
+        let full_eval = Evaluator::new(full);
+        let reduced_eval = Evaluator::new(reduced);
+        let (_, full_iters) = Oracle::new(&full_eval).common_by_gfp(NonRigidSet::Nonfaulty, &phi);
         let (_, reduced_iters) =
-            fixpoint::common_by_gfp(&mut reduced_eval, NonRigidSet::Nonfaulty, &phi);
+            Oracle::new(&reduced_eval).common_by_gfp(NonRigidSet::Nonfaulty, &phi);
         assert_eq!(
             full_iters, reduced_iters,
             "gfp iteration count diverges for `{text}`"
@@ -398,16 +403,23 @@ fn non_optimal_pairs_fail_alike_on_quotient_and_unreduced() {
         let empty = DecisionPair::empty(n);
         let mut full_ctor = Constructor::new(&full);
         let mut reduced_ctor = Constructor::new(&reduced);
-        let full_pairs = [
+        let mut full_pairs = vec![
             empty.clone(),
             full_ctor.step_zero(&empty),
             full_ctor.step_one(&empty),
         ];
-        let reduced_pairs = [
+        let mut reduced_pairs = vec![
             empty.clone(),
             reduced_ctor.step_zero(&empty),
             reduced_ctor.step_one(&empty),
         ];
+        if scenario.t() == 2 {
+            // P0opt's lifted pair makes the orbit fold load-bearing: on
+            // representatives only processor 0's value-1 condition fails,
+            // while on the unreduced system every processor's does.
+            full_pairs.push(lift_protocol(&full, &P0Opt::new(2)));
+            reduced_pairs.push(lift_protocol(&reduced, &P0Opt::new(2)));
+        }
         for (full_pair, reduced_pair) in full_pairs.iter().zip(&reduced_pairs) {
             let full_report = check_optimality(&mut full_ctor, full_pair);
             let reduced_report = check_optimality(&mut reduced_ctor, reduced_pair);
