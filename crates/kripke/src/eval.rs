@@ -723,12 +723,11 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The view-orbit classes of a quotiented system, or `None` on an
-    /// unreduced one. The reference outlives `&self` (it is computed
-    /// lazily inside the system's [`SymmetryInfo`]), so callers can hold
-    /// it across subsequent `&mut self` calls.
+    /// unreduced one. The reference outlives `&self` (the classes live in
+    /// the system's [`SymmetryInfo`]), so callers can hold it across
+    /// subsequent `&mut self` calls.
     pub(crate) fn classes(&self) -> Option<&'a ViewClasses> {
-        self.symmetry
-            .map(|si| si.classes(self.system.table(), self.n))
+        self.symmetry.map(SymmetryInfo::classes)
     }
 
     /// The view partition the knowledge kernels close over: the orbit

@@ -164,11 +164,10 @@ impl Patterns {
     /// `[start, end)` is `patterns(&s)` seeked to `start` and taken
     /// `end − start` times.
     pub fn seek(&mut self, mut index: u128) {
-        // Every processor has the same number of canonical behaviors (the
-        // lists differ only in which processor the receiver sets exclude),
-        // so a faulty set of size k contributes per_proc^k patterns and we
-        // can skip whole sets without materializing behavior lists.
-        let per_proc = behaviors(&self.scenario, ProcessorId::new(0)).len() as u128;
+        // A faulty set of size k contributes per_proc^k patterns, so whole
+        // sets are skipped without materializing behavior lists. A count
+        // past `u128` means "stop here", like a block that overflows.
+        let per_proc = try_behaviors_per_processor(&self.scenario).ok();
         self.finished = false;
         self.set_idx = 0;
         loop {
@@ -181,7 +180,7 @@ impl Patterns {
             // A block larger than `u128::MAX` trivially contains any
             // in-range index, so a checked-pow overflow means "stop here"
             // rather than wrapping into a bogus skip distance.
-            match per_proc.checked_pow(width) {
+            match per_proc.and_then(|per_proc| per_proc.checked_pow(width)) {
                 Some(block) if index >= block => {
                     index -= block;
                     self.set_idx += 1;
@@ -277,15 +276,36 @@ pub fn patterns(scenario: &Scenario) -> Patterns {
 /// `u128` (the pattern-index arithmetic of [`Patterns::seek`] and the
 /// sharding of [`crate::ScenarioSpace`] both key on this width).
 pub fn try_count_patterns(scenario: &Scenario) -> Result<u128, ModelError> {
+    let per_proc = try_behaviors_per_processor(scenario)?;
+    let mut total: u128 = 0;
+    for s in faulty_sets(scenario.n(), scenario.t()) {
+        let width = u32::try_from(s.len()).expect("a faulty set holds at most 128 processors");
+        let block = per_proc.checked_pow(width).ok_or_else(overflow)?;
+        total = total.checked_add(block).ok_or_else(overflow)?;
+    }
+    Ok(total)
+}
+
+fn overflow() -> ModelError {
+    ModelError::capacity_exceeded("pattern enumeration indices", u128::MAX)
+}
+
+/// The length of every processor's [`behaviors`] list, in closed form.
+/// All lists have the same length: they differ only in which processor
+/// the receiver sets exclude. A faulty set of size `k` therefore holds
+/// `per_proc^k` patterns.
+///
+/// # Errors
+///
+/// Returns [`ModelError::CapacityExceeded`] when the length overflows
+/// `u128`.
+pub(crate) fn try_behaviors_per_processor(scenario: &Scenario) -> Result<u128, ModelError> {
     let n = scenario.n();
     let horizon = scenario.horizon();
-    let overflow = || ModelError::capacity_exceeded("pattern enumeration indices", u128::MAX);
     let subsets_of_others = 1u128
         .checked_shl(u32::try_from(n - 1).expect("scenario widths fit u32"))
         .ok_or_else(overflow)?;
-    // All per-processor behavior lists have the same length (they differ
-    // only in which processor is excluded from receiver sets).
-    let per_proc: u128 = match scenario.mode() {
+    Ok(match scenario.mode() {
         FailureMode::Crash => {
             // Clean + T·2^(n−1) crash behaviors, minus the one skipped
             // (last round, all receivers).
@@ -300,14 +320,7 @@ pub fn try_count_patterns(scenario: &Scenario) -> Result<u128, ModelError> {
             .checked_pow(u32::from(horizon.ticks()))
             .and_then(|v| v.checked_pow(2))
             .ok_or_else(overflow)?,
-    };
-    let mut total: u128 = 0;
-    for s in faulty_sets(n, scenario.t()) {
-        let width = u32::try_from(s.len()).expect("a faulty set holds at most 128 processors");
-        let block = per_proc.checked_pow(width).ok_or_else(overflow)?;
-        total = total.checked_add(block).ok_or_else(overflow)?;
-    }
-    Ok(total)
+    })
 }
 
 /// [`try_count_patterns`] for callers without an error channel.

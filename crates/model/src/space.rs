@@ -9,10 +9,21 @@
 //! concatenating the shards' output reproduces the sequential enumeration
 //! bit for bit — the property the parallel system builder relies on to
 //! assign identical ids regardless of worker count.
+//!
+//! Every split balances a *cover*: the raw ranges of the axis whose
+//! patterns a build enumerates. An unreduced build covers the whole axis
+//! ([`ScenarioSpace::whole_axis`]). The symmetry quotient needs only a
+//! sliver of it: a canonical pattern carries its faulty set in the top
+//! index block `{n−k..n−1}` ([`crate::symmetry`]), and each faulty set's
+//! patterns are one contiguous block of the enumeration, so the `t + 1`
+//! top-block ranges ([`ScenarioSpace::representative_ranges`]) hold every
+//! orbit representative. Either way the shards partition the raw prefix
+//! contiguously, and each shard's iterator yields only its covered
+//! patterns.
 
 use crate::enumerate::{self, Patterns};
-use crate::symmetry;
-use crate::{FailurePattern, InitialConfig, ModelError, Scenario};
+use crate::{InitialConfig, ModelError, ProcSet, ProcessorId, Scenario};
+use std::ops::Range;
 
 /// The enumeration space of a scenario: all `(config, pattern)` pairs.
 #[derive(Clone, Copy, Debug)]
@@ -81,71 +92,112 @@ impl ScenarioSpace {
         InitialConfig::enumerate_all(self.scenario.n())
     }
 
-    /// Splits the first `patterns` patterns of the axis (all of them when
-    /// `patterns ≥ num_patterns`) into at most `requested` contiguous
-    /// shards.
-    ///
-    /// Shard sizes differ by at most one pattern, empty shards are never
-    /// produced (so fewer than `requested` shards come back when the
-    /// prefix holds fewer patterns than that, and none for an empty
-    /// prefix), and the division depends only on `(scenario, patterns,
-    /// requested)` — the same inputs always produce the same shards.
-    /// `requested` is clamped to at least 1.
+    /// The whole axis as one raw range: the cover of an unreduced build.
     #[must_use]
-    pub fn shards(&self, patterns: u128, requested: usize) -> Vec<Shard> {
-        let patterns = patterns.min(self.num_patterns);
-        let requested = (requested.max(1) as u128).min(patterns).max(1);
-        let base = patterns / requested;
-        let extra = patterns % requested;
-        let mut out = Vec::with_capacity(requested as usize);
+    pub fn whole_axis(&self) -> Vec<Range<u128>> {
+        vec![Range {
+            start: 0,
+            end: self.num_patterns,
+        }]
+    }
+
+    /// The raw ranges of the axis that hold every `Sym(n)` orbit
+    /// representative, in enumeration order: for each faulty-set size
+    /// `k ≤ t`, the patterns whose faulty set is the top index block
+    /// `{n−k..n−1}`. A canonical pattern always has that faulty set
+    /// ([`crate::symmetry`]), so the ranges hold every representative;
+    /// they are computed from counts alone.
+    #[must_use]
+    pub fn representative_ranges(&self) -> Vec<Range<u128>> {
+        let (n, t) = (self.scenario.n(), self.scenario.t());
+        let per_proc = enumerate::try_behaviors_per_processor(&self.scenario)
+            .expect("try_new counted every block of the axis");
+        let mut out = Vec::with_capacity(t + 1);
         let mut start = 0u128;
-        for index in 0..requested {
-            let len = if index < extra { base + 1 } else { base };
-            if len == 0 {
-                break;
+        for set in enumerate::faulty_sets(n, t) {
+            let k = set.len();
+            let block = per_proc.pow(k as u32);
+            let top: ProcSet = (n - k..n).map(ProcessorId::new).collect();
+            if set == top {
+                out.push(start..start + block);
             }
-            out.push(Shard {
-                index: index as usize,
-                start,
-                end: start + len,
-            });
-            start += len;
+            start += block;
         }
         out
     }
 
-    /// The patterns of one shard, in global enumeration order.
+    /// Splits the first `patterns` patterns of the axis (all of them when
+    /// `patterns ≥ num_patterns`) into at most `requested` contiguous
+    /// shards that balance the prefix's *covered* patterns, those inside
+    /// the raw ranges of `cover` (disjoint, in increasing order): covered
+    /// counts differ by at most one between shards. With the whole axis
+    /// as cover, shard sizes differ by at most one pattern.
+    ///
+    /// The shards partition the raw prefix contiguously: shard 0 starts
+    /// at 0, every later shard at its first covered pattern, and the last
+    /// ends at the prefix's end. No shard is empty of covered patterns
+    /// (so fewer than `requested` shards come back when the prefix covers
+    /// fewer patterns than that, and none when it covers none), and the
+    /// division depends only on `(scenario, cover, patterns, requested)`
+    /// — the same inputs always produce the same shards. `requested` is
+    /// clamped to at least 1.
     #[must_use]
-    pub fn shard_patterns(&self, shard: Shard) -> ShardPatterns {
-        let mut inner = enumerate::patterns(&self.scenario);
-        inner.seek(shard.start);
+    pub fn shards(&self, cover: &[Range<u128>], patterns: u128, requested: usize) -> Vec<Shard> {
+        let patterns = patterns.min(self.num_patterns);
+        let covered = clip(cover, 0..patterns);
+        // The raw index of the prefix's `c`-th covered pattern.
+        let raw = |mut c: u128| {
+            for r in &covered {
+                if c < r.end - r.start {
+                    return r.start + c;
+                }
+                c -= r.end - r.start;
+            }
+            patterns
+        };
+        let total = covered.iter().map(|r| r.end - r.start).sum();
+        let starts: Vec<u128> = balanced_starts(total, requested)
+            .map(|c| if c == 0 { 0 } else { raw(c) })
+            .collect();
+        starts
+            .iter()
+            .enumerate()
+            .map(|(index, &start)| Shard {
+                index,
+                start,
+                end: starts.get(index + 1).copied().unwrap_or(patterns),
+            })
+            .collect()
+    }
+
+    /// The patterns of one shard inside the raw ranges of `cover`, in
+    /// global enumeration order. The iterator seeks once per range.
+    #[must_use]
+    pub fn shard_patterns(&self, shard: Shard, cover: &[Range<u128>]) -> ShardPatterns {
         ShardPatterns {
-            inner,
-            remaining: shard.len(),
+            inner: enumerate::patterns(&self.scenario),
+            ranges: clip(cover, shard.start..shard.end).into_iter(),
+            remaining: 0,
         }
     }
+}
 
-    /// One representative per `Sym(n)` orbit of the pattern axis, with its
-    /// multiplicity (orbit size), in enumeration order of the
-    /// representatives — the pattern stream the symmetry-quotiented
-    /// builder simulates. Every representative is its own canonical form
-    /// (`symmetry::is_canonical`), and the multiplicities sum back to
-    /// [`ScenarioSpace::num_patterns`] because the enumeration's canonical
-    /// behavior conventions are themselves permutation-invariant.
-    pub fn orbit_representatives(&self) -> impl Iterator<Item = (FailurePattern, u64)> + '_ {
-        enumerate::patterns(&self.scenario).filter_map(|pattern| {
-            let canon = symmetry::canonicalize(&pattern);
-            (canon.canonical == pattern).then_some((pattern, canon.orbit_size))
-        })
-    }
+/// The starts of `total` items split into at most `requested` contiguous,
+/// nonempty slices whose lengths differ by at most one.
+fn balanced_starts(total: u128, requested: usize) -> impl Iterator<Item = u128> {
+    let count = (requested.max(1) as u128).min(total);
+    let base = total.checked_div(count).unwrap_or(0);
+    let extra = total.checked_rem(count).unwrap_or(0);
+    (0..count).map(move |index| index * base + index.min(extra))
+}
 
-    /// The number of pattern orbits under `Sym(n)` (the quotiented
-    /// engine's pattern-axis size). Enumerates the space once; intended
-    /// for reporting, not hot paths.
-    #[must_use]
-    pub fn count_orbits(&self) -> u128 {
-        self.orbit_representatives().count() as u128
-    }
+/// The nonempty intersections of `ranges` with `within`, in order.
+fn clip(ranges: &[Range<u128>], within: Range<u128>) -> Vec<Range<u128>> {
+    ranges
+        .iter()
+        .map(|r| r.start.max(within.start)..r.end.min(within.end))
+        .filter(|r| r.start < r.end)
+        .collect()
 }
 
 /// A contiguous slice `[start, end)` of a scenario's pattern enumeration.
@@ -189,11 +241,13 @@ impl Shard {
     }
 }
 
-/// Iterator over one shard's failure patterns; see
+/// Iterator over one shard's covered patterns; see
 /// [`ScenarioSpace::shard_patterns`].
 #[derive(Clone, Debug)]
 pub struct ShardPatterns {
     inner: Patterns,
+    ranges: std::vec::IntoIter<Range<u128>>,
+    /// Patterns left in the range `inner` is positioned in.
     remaining: u128,
 }
 
@@ -201,15 +255,24 @@ impl Iterator for ShardPatterns {
     type Item = crate::FailurePattern;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 {
-            return None;
+        while self.remaining == 0 {
+            let range = self.ranges.next()?;
+            self.inner.seek(range.start);
+            self.remaining = range.end - range.start;
         }
         self.remaining -= 1;
         self.inner.next()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = usize::try_from(self.remaining).ok();
+        let left = self.remaining
+            + self
+                .ranges
+                .as_slice()
+                .iter()
+                .map(|r| r.end - r.start)
+                .sum::<u128>();
+        let n = usize::try_from(left).ok();
         (n.unwrap_or(usize::MAX), n)
     }
 }
@@ -217,7 +280,7 @@ impl Iterator for ShardPatterns {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FailureMode, FailurePattern};
+    use crate::{symmetry, FailureMode, FailurePattern};
 
     fn space(n: usize, t: usize, mode: FailureMode, horizon: u16) -> ScenarioSpace {
         ScenarioSpace::new(Scenario::new(n, t, mode, horizon).unwrap())
@@ -231,10 +294,11 @@ mod tests {
     fn shards_partition_the_pattern_axis() {
         let space = space(3, 2, FailureMode::Crash, 2);
         let total = space.num_patterns();
+        let all = space.whole_axis();
         // Prefixes of the axis, the whole axis, and past its end.
         for prefix in [1, 6, 13, total - 1, total, total + 9] {
             for k in [1, 2, 3, 5, 8, 1000] {
-                let shards = space.shards(prefix, k);
+                let shards = space.shards(&all, prefix, k);
                 assert!(!shards.is_empty());
                 assert!(shards.len() <= k.max(1));
                 assert_eq!(shards[0].start(), 0);
@@ -250,7 +314,7 @@ mod tests {
                 }
             }
         }
-        assert!(space.shards(0, 4).is_empty());
+        assert!(space.shards(&all, 0, 4).is_empty());
     }
 
     #[test]
@@ -258,10 +322,11 @@ mod tests {
         for mode in [FailureMode::Crash, FailureMode::Omission] {
             let space = space(3, 1, mode, 2);
             let expected = sequential(&space);
+            let all = space.whole_axis();
             for k in [1, 2, 3, 4, 7] {
                 let mut got = Vec::new();
-                for shard in space.shards(space.num_patterns(), k) {
-                    let chunk: Vec<_> = space.shard_patterns(shard).collect();
+                for shard in space.shards(&all, space.num_patterns(), k) {
+                    let chunk: Vec<_> = space.shard_patterns(shard, &all).collect();
                     assert_eq!(chunk.len() as u128, shard.len());
                     got.extend(chunk);
                 }
@@ -292,9 +357,119 @@ mod tests {
     fn more_workers_than_patterns_collapses_gracefully() {
         let space = space(3, 0, FailureMode::Crash, 1);
         assert_eq!(space.num_patterns(), 1);
-        let shards = space.shards(space.num_patterns(), 16);
+        let shards = space.shards(&space.whole_axis(), space.num_patterns(), 16);
         assert_eq!(shards.len(), 1);
         assert_eq!(shards[0].len(), 1);
+    }
+
+    #[test]
+    fn per_processor_closed_form_matches_the_behavior_lists() {
+        for mode in [
+            FailureMode::Crash,
+            FailureMode::Omission,
+            FailureMode::GeneralOmission,
+        ] {
+            for (n, horizon) in [(2, 1), (3, 2), (4, 1)] {
+                let scenario = Scenario::new(n, 1, mode, horizon).unwrap();
+                for p in ProcessorId::all(n) {
+                    assert_eq!(
+                        enumerate::try_behaviors_per_processor(&scenario).unwrap(),
+                        enumerate::behaviors(&scenario, p).len() as u128,
+                        "{scenario}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Whether `index` lies in one of `ranges`.
+    fn inside(ranges: &[Range<u128>], index: u128) -> bool {
+        ranges.iter().any(|r| r.contains(&index))
+    }
+
+    #[test]
+    fn representative_ranges_hold_exactly_the_top_block_patterns() {
+        for space in [
+            space(3, 2, FailureMode::Crash, 1),
+            space(4, 2, FailureMode::Crash, 2),
+            space(3, 1, FailureMode::Omission, 2),
+            space(3, 2, FailureMode::GeneralOmission, 1),
+        ] {
+            let n = space.scenario().n();
+            let ranges = space.representative_ranges();
+            assert_eq!(ranges.len(), space.scenario().t() + 1);
+            for (index, pattern) in sequential(&space).iter().enumerate() {
+                let k = pattern.faulty_set().len();
+                let top: ProcSet = (n - k..n).map(ProcessorId::new).collect();
+                assert_eq!(
+                    inside(&ranges, index as u128),
+                    pattern.faulty_set() == top,
+                    "pattern {index} of {}",
+                    space.scenario()
+                );
+                if symmetry::is_canonical(pattern) {
+                    assert!(inside(&ranges, index as u128));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn representative_shards_partition_the_prefix_and_balance_candidates() {
+        let space = space(4, 2, FailureMode::Crash, 2);
+        let total = space.num_patterns();
+        let all = space.whole_axis();
+        let ranges = space.representative_ranges();
+        let top = ranges.last().unwrap().clone();
+        let candidates_in = |shard: &Shard| {
+            (shard.start()..shard.end())
+                .filter(|&i| inside(&ranges, i))
+                .count()
+        };
+        // Prefixes ending before, inside and after the size-t range.
+        for prefix in [
+            1,
+            2,
+            40,
+            top.start,
+            top.start + 7,
+            top.end - 1,
+            total,
+            total + 3,
+        ] {
+            for k in [1, 2, 3, 8, 64, 1000] {
+                let shards = space.shards(&ranges, prefix, k);
+                assert!(!shards.is_empty() && shards.len() <= k);
+                assert_eq!(shards[0].start(), 0);
+                assert_eq!(shards.last().unwrap().end(), prefix.min(total));
+                for pair in shards.windows(2) {
+                    assert_eq!(pair[0].end(), pair[1].start());
+                    assert!(candidates_in(&pair[0]).abs_diff(candidates_in(&pair[1])) <= 1);
+                }
+                for (i, shard) in shards.iter().enumerate() {
+                    assert_eq!(shard.index(), i);
+                    assert!(candidates_in(shard) > 0, "prefix {prefix}, {k} shards");
+                    let got: Vec<_> = space.shard_patterns(*shard, &ranges).collect();
+                    let expected: Vec<_> = space
+                        .shard_patterns(*shard, &all)
+                        .zip(shard.start()..)
+                        .filter(|&(_, i)| inside(&ranges, i))
+                        .map(|(q, _)| q)
+                        .collect();
+                    assert_eq!(got, expected);
+                }
+            }
+        }
+        assert!(space.shards(&ranges, 0, 4).is_empty());
+    }
+
+    #[test]
+    fn shards_start_at_zero_whatever_the_cover() {
+        let space = space(3, 2, FailureMode::Crash, 2);
+        // The prefix 0..21 covers 5, 6, 7, 8 and 20: blocks of 2, 2 and 1.
+        let shards = space.shards(&[5..9, 20..22], 21, 3);
+        let bounds: Vec<_> = shards.iter().map(|s| (s.start(), s.end())).collect();
+        assert_eq!(bounds, [(0, 7), (7, 20), (20, 21)]);
     }
 
     #[test]

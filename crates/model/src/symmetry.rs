@@ -418,6 +418,29 @@ mod tests {
     }
 
     #[test]
+    fn canonical_slot_behaviors_need_not_be_ordered() {
+        // p2 crashes in round 1 delivering only to p3, and p3 in round 1
+        // delivering only to p2. The faulty slots' behaviors decrease, yet
+        // the pattern is its own representative: swapping p2 and p3 maps
+        // it onto itself. So "assign behaviors to faulty slots in
+        // non-decreasing order" is not an exact orderly-generation prune;
+        // only the top-block faulty set is.
+        let crash_to = |q: usize| FaultyBehavior::Crash {
+            round: Round::new(1),
+            receivers: ProcSet::singleton(p(q)),
+        };
+        let pattern = FailurePattern::failure_free(3)
+            .with_behavior(p(1), crash_to(2))
+            .with_behavior(p(2), crash_to(1));
+        let scenario = Scenario::new(3, 2, FailureMode::Crash, 1).unwrap();
+        assert!(enumerate::patterns(&scenario).any(|q| q == pattern));
+        assert!(pattern.behavior(p(1)) > pattern.behavior(p(2)));
+        let canon = canonicalize(&pattern);
+        assert_eq!(canon.canonical, pattern);
+        assert_eq!(canon.orbit_size, 3);
+    }
+
+    #[test]
     fn config_relabeling_moves_values_with_labels() {
         let config = InitialConfig::new(vec![Value::One, Value::Zero, Value::Zero]);
         for perm in Perm::all(3) {

@@ -6,7 +6,10 @@
 //!
 //! 1. **split** — the scenario's pattern axis (under a run bound, its
 //!    planned prefix) is split into deterministic contiguous blocks by
-//!    [`ScenarioSpace::shards`];
+//!    [`ScenarioSpace::shards`], balancing the patterns the build covers:
+//!    the whole axis, or under the symmetry quotient the ranges that can
+//!    hold an orbit representative
+//!    ([`ScenarioSpace::representative_ranges`]);
 //! 2. **build** — each block enumerates its `(pattern, config)` slice
 //!    into its own [`ViewTable`]: an empty one for a cold build, a clone
 //!    of the base table for an extension. A run whose base-horizon
@@ -16,7 +19,9 @@
 //! 3. **merge** — block 0's table becomes the merged table, and every
 //!    later block's views past the shared base prefix (none for a cold
 //!    build) are re-interned into it *in block order*
-//!    (`ViewTable::absorb_suffix`); run lists are concatenated.
+//!    (`ViewTable::absorb_suffix`); run lists are concatenated. A
+//!    quotient's view orbit classes are then computed over the merged
+//!    table, on the calling thread.
 //!
 //! Because blocks cover contiguous slices of the sequential enumeration
 //! order and the merge re-interns each block's new views in
@@ -53,13 +58,13 @@
 
 use crate::chaos::{supervised_indexed, EngineFault, FaultInjector, NoChaos, WorkerFault};
 use crate::exchange::{self, try_exchange_views};
-use crate::symmetry::SymmetryInfo;
+use crate::symmetry::{SymmetryInfo, ViewClasses};
 use crate::system::{GeneratedSystem, RunRecord};
 use crate::view::{ViewId, ViewTable};
 use eba_model::symmetry::{canonicalize, MAX_SYMMETRY_N};
 use eba_model::{
     ArmedBudget, BudgetHit, HorizonDelta, InitialConfig, ModelError, Round, RunBudget, Scenario,
-    ScenarioSpace, Shard,
+    ScenarioSpace, Shard, ShardPatterns,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -137,9 +142,9 @@ impl SystemBuilder {
     /// quotiented build simulates one representative pattern per
     /// `Sym(n)` orbit — the canonical form of
     /// [`eba_model::symmetry::canonicalize`] — crossed with every
-    /// initial configuration, and attaches the orbit accounting
-    /// ([`crate::symmetry::SymmetryInfo`]) to the system. Queries about
-    /// skipped runs are answered by relabeling
+    /// initial configuration, and attaches the orbit accounting and the
+    /// view orbit classes ([`crate::symmetry::SymmetryInfo`]) to the
+    /// system. Queries about skipped runs are answered by relabeling
     /// ([`GeneratedSystem::resolve_run`]). Requires the full-information
     /// exchange and `n ≤ MAX_SYMMETRY_N`; violations surface as
     /// [`ModelError::InvalidScenario`] from the build entry points.
@@ -343,13 +348,19 @@ impl SystemBuilder {
             SHARDS_PER_THREAD
         };
         let (prefix, mut hit) = plan_run_bound(&space, &armed);
-        let shards = space.shards(prefix, self.blocks(per_thread));
+        let cover = if symmetry {
+            space.representative_ranges()
+        } else {
+            space.whole_axis()
+        };
+        let shards = space.shards(&cover, prefix, self.blocks(per_thread));
 
         let workers = self.threads.min(shards.len().max(1));
         let chaos = &*self.chaos;
         let (outcomes, worker_faults) = supervised_indexed(shards.len(), workers, |index| {
             chaos.inject(index).map_err(ShardError::Model)?;
-            build_block(&space, &configs, shards[index], &armed, symmetry, base)
+            let patterns = space.shard_patterns(shards[index], &cover);
+            build_block(&space, &configs, patterns, &armed, symmetry, base)
         })?;
 
         // The first stopped shard (in shard order) ends the usable prefix;
@@ -372,8 +383,11 @@ impl SystemBuilder {
         if let Some(view_hit) = merge_hit {
             hit = Some(view_hit);
         }
-        let symmetry =
-            symmetry.then(|| Arc::new(SymmetryInfo::new(merged.orbit_sizes, space.num_patterns())));
+        let symmetry = symmetry.then(|| {
+            let classes = ViewClasses::compute(&merged.table, self.scenario.n());
+            let info = SymmetryInfo::new(merged.orbit_sizes, space.num_patterns(), classes);
+            Arc::new(info)
+        });
         // `from_parts` finishes by building the columnar `PointStore` over
         // the merged views, so even a budget-partial system carries its
         // columns and CSR bucket partitions.
@@ -598,14 +612,16 @@ struct Block {
 /// simulates only the appended rounds, and every other run is simulated
 /// from scratch. Pure in its arguments — re-running it (the supervisor's
 /// retry and fallback) yields identical output. The budget's deadline and
-/// view bound are checked once per pattern. Under the symmetry quotient,
-/// non-canonical patterns are skipped (never simulated) and each kept
-/// pattern records its orbit size; skipping is a pure per-pattern
-/// predicate, so determinism and block-count independence are untouched.
+/// view bound are checked once per pattern. `patterns` are the block's
+/// covered patterns; under the symmetry quotient those are the patterns
+/// whose faulty set is a top index block, `canonicalize` keeps the
+/// canonical ones, and each kept pattern records its orbit size. The
+/// blocks' covered patterns concatenate to those of the whole prefix, so
+/// determinism and block-count independence are untouched.
 fn build_block(
     space: &ScenarioSpace,
     configs: &[InitialConfig],
-    shard: Shard,
+    patterns: ShardPatterns,
     armed: &ArmedBudget,
     symmetry: bool,
     base: Option<(&GeneratedSystem, &HorizonDelta)>,
@@ -621,7 +637,7 @@ fn build_block(
         table: base.map_or_else(ViewTable::new, |(system, _)| system.table().clone()),
         ..Block::default()
     };
-    for pattern in space.shard_patterns(shard) {
+    for pattern in patterns {
         // The block's distinct views lower-bound the merged total, so a
         // block that exceeds the view bound by itself can stop early
         // (`check_views` checks the deadline and the interrupt first).
@@ -1047,7 +1063,7 @@ mod tests {
             panic!("an interrupted build must yield a partial outcome");
         };
         let space = ScenarioSpace::new(scenario);
-        let shards = space.shards(space.num_patterns(), 8);
+        let shards = space.shards(&space.whole_axis(), space.num_patterns(), 8);
         let two_shards = shards[0].len() + shards[1].len();
         assert_eq!(
             partial,
@@ -1194,7 +1210,8 @@ mod tests {
         let space = ScenarioSpace::new(scenario);
         assert_eq!(
             reduced.num_runs() as u128,
-            space.count_orbits() * space.num_configs()
+            enumerate::patterns(&scenario).filter(is_canonical).count() as u128
+                * space.num_configs()
         );
         for r in reduced.run_ids() {
             assert!(is_canonical(&reduced.run(r).pattern));

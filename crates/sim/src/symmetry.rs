@@ -23,22 +23,23 @@
 //! View classes are computed by hashing, for every permutation `π`, the
 //! relabeled content of every view bottom-up (children have smaller ids
 //! under hash-consing, so a single in-order pass per `π` suffices) and
-//! taking the minimum over `π` as the orbit key. The 128-bit mixing keeps
-//! accidental collisions out of reach of any feasible space; the
-//! differential suite cross-checks the resulting semantics against the
-//! unreduced oracle bit for bit.
+//! taking the minimum over `π` as the orbit key. The table is decoded once
+//! into flat child rows for all `n!` passes, and the builder computes the
+//! classes right after its merge. The 128-bit mixing keeps accidental
+//! collisions out of reach of any feasible space; the differential suite
+//! cross-checks the resulting semantics against the unreduced oracle bit
+//! for bit.
 
 use crate::view::{ViewId, ViewNode, ViewTable};
 use eba_model::fasthash::FastMap;
 use eba_model::symmetry::{canonicalize, Perm};
 use eba_model::{FailurePattern, InitialConfig, ProcessorId};
 use std::hash::Hasher;
-use std::sync::OnceLock;
 
 /// Orbit accounting of a symmetry-quotiented system, attached by the
 /// builder and surfaced through
 /// [`crate::GeneratedSystem::symmetry`].
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SymmetryInfo {
     /// `orbit_sizes[k]` is the orbit size of the `k`-th representative
     /// pattern, in enumeration order — aligned with the run layout
@@ -50,22 +51,23 @@ pub struct SymmetryInfo {
     /// `raw_covered` for a complete build, larger for budget prefixes and
     /// pinned extensions.
     raw_total: u128,
-    /// Lazily computed view orbit classes (first symmetric knowledge
-    /// query pays for them once per system).
-    classes: OnceLock<ViewClasses>,
+    /// The view orbit classes of the system's table, computed by the
+    /// builder right after its merge.
+    classes: ViewClasses,
 }
 
 impl SymmetryInfo {
-    /// Assembles the accounting from per-representative orbit sizes and
-    /// the raw pattern count of the full space.
+    /// Assembles the accounting from per-representative orbit sizes, the
+    /// raw pattern count of the full space and the view orbit classes of
+    /// the system's table.
     #[must_use]
-    pub fn new(orbit_sizes: Vec<u64>, raw_total: u128) -> Self {
+    pub(crate) fn new(orbit_sizes: Vec<u64>, raw_total: u128, classes: ViewClasses) -> Self {
         let raw_covered = orbit_sizes.iter().map(|&s| u128::from(s)).sum();
         SymmetryInfo {
             orbit_sizes,
             raw_covered,
             raw_total,
-            classes: OnceLock::new(),
+            classes,
         }
     }
 
@@ -105,15 +107,10 @@ impl SymmetryInfo {
         }
     }
 
-    /// The view orbit classes of `table`, computed on first use and
-    /// cached for the system's lifetime.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table holds digest states — the builder only
-    /// attaches symmetry metadata to full-information systems.
-    pub fn classes(&self, table: &ViewTable, n: usize) -> &ViewClasses {
-        self.classes.get_or_init(|| ViewClasses::compute(table, n))
+    /// The view orbit classes of the system's table.
+    #[must_use]
+    pub fn classes(&self) -> &ViewClasses {
+        &self.classes
     }
 }
 
@@ -170,8 +167,9 @@ pub fn mix(h: u128, word: u128) -> u128 {
 /// content hash of every view of `table` relabeled through `π`
 /// (`hashes[v] = h(π·v)`). Two views relabel onto each other under `π`
 /// exactly when their hashes match (up to the 128-bit collision margin);
-/// this is the primitive behind [`ViewClasses::compute`] and the
-/// canonical joint keys of quotiented distributed knowledge.
+/// this is the primitive behind [`ViewClasses`] and the canonical joint
+/// keys of quotiented distributed knowledge. The table is decoded once
+/// for all `n!` passes.
 ///
 /// # Panics
 ///
@@ -179,33 +177,77 @@ pub fn mix(h: u128, word: u128) -> u128 {
 /// exchange) and when `n` exceeds
 /// [`eba_model::symmetry::MAX_SYMMETRY_N`].
 pub fn for_each_permuted_hashes(table: &ViewTable, n: usize, mut f: impl FnMut(&Perm, &[u128])) {
-    let len = table.len();
-    let mut cur = vec![0u128; len];
-    for perm in Perm::all(n) {
-        let inv = perm.inverse();
-        for id in table.ids() {
-            let h = match table.node(id) {
-                ViewNode::Leaf { proc, value } => {
-                    let h = mix(1, u128::from(perm.apply(proc).index() as u64));
-                    mix(h, u128::from(value as u64))
-                }
-                ViewNode::Node { prev, received } => {
-                    let mut h = mix(2, cur[prev.index()]);
-                    for slot in (0..n).map(|j| received[inv.apply(ProcessorId::new(j)).index()]) {
-                        h = match slot {
-                            Some(v) => mix(h, cur[v.index()]),
-                            None => mix(h, u128::MAX - 1),
-                        };
-                    }
-                    h
-                }
-                ViewNode::Digest(_) => {
-                    panic!("symmetry quotient requires the full-information exchange")
-                }
-            };
-            cur[id.index()] = h;
+    let rows = flat_rows(table, n);
+    let mut cur = vec![0u128; table.len()];
+    let mut sources = vec![0usize; n];
+    let mut leaves = vec![0u128; 2 * n];
+    for perm in &Perm::all(n) {
+        // Slot `j` of a relabeled row holds what `π⁻¹(j)` sent.
+        for i in 0..n {
+            let image = perm.apply(ProcessorId::new(i)).index();
+            sources[image] = i + 1;
+            for value in 0..2 {
+                leaves[2 * i + value] = mix(mix(1, image as u128), value as u128);
+            }
         }
-        f(&perm, &cur);
+        for (id, row) in rows.chunks_exact(n + 1).enumerate() {
+            cur[id] = if row[0] == LEAF {
+                leaves[row[1] as usize]
+            } else {
+                let mut h = mix(2, cur[row[0] as usize]);
+                for &source in &sources {
+                    h = match row[source] {
+                        NONE => mix(h, u128::MAX - 1),
+                        v => mix(h, cur[v as usize]),
+                    };
+                }
+                h
+            };
+        }
+        f(perm, &cur);
+    }
+}
+
+const LEAF: u32 = u32::MAX;
+const NONE: u32 = u32::MAX;
+
+/// `table` decoded into flat rows of `n + 1` words, so the `n!` hashing
+/// passes read plain integers: a node's row is its `prev`, then its
+/// received row (`NONE` for `⊥`); a leaf's row is `LEAF`, then its owner
+/// and value packed as `2·owner + value`. A child's id is smaller than
+/// its parent's, so no id in a row can equal `u32::MAX`.
+fn flat_rows(table: &ViewTable, n: usize) -> Vec<u32> {
+    let mut rows = Vec::with_capacity(table.len() * (n + 1));
+    for id in table.ids() {
+        match table.node(id) {
+            ViewNode::Leaf { proc, value } => {
+                rows.push(LEAF);
+                rows.push(2 * proc.index() as u32 + value as u32);
+                rows.resize(rows.len() + n - 1, 0);
+            }
+            ViewNode::Node { prev, received } => {
+                debug_assert_eq!(received.len(), n);
+                rows.push(prev.index() as u32);
+                rows.extend(
+                    received
+                        .iter()
+                        .map(|v| v.map_or(NONE, |v| v.index() as u32)),
+                );
+            }
+            ViewNode::Digest(_) => {
+                panic!("symmetry quotient requires the full-information exchange")
+            }
+        }
+    }
+    rows
+}
+
+/// Lowers every `acc[v]` to `keys[v]` where that is smaller.
+fn fold_min(acc: &mut [u128], keys: &[u128]) {
+    for (slot, &h) in acc.iter_mut().zip(keys) {
+        if h < *slot {
+            *slot = h;
+        }
     }
 }
 
@@ -220,19 +262,20 @@ impl ViewClasses {
     ///
     /// As [`for_each_permuted_hashes`].
     #[must_use]
-    pub fn compute(table: &ViewTable, n: usize) -> ViewClasses {
+    pub(crate) fn compute(table: &ViewTable, n: usize) -> ViewClasses {
+        let mut min_hash = vec![u128::MAX; table.len()];
+        for_each_permuted_hashes(table, n, |_, cur| fold_min(&mut min_hash, cur));
+        ViewClasses::from_keys(table, n, &min_hash)
+    }
+
+    /// The classes whose members share an orbit key: dense class numbers
+    /// in first-encounter order, the fingerprint, and the members grouped
+    /// by `(class, owner)`.
+    fn from_keys(table: &ViewTable, n: usize, keys: &[u128]) -> ViewClasses {
         let len = table.len();
-        let mut min_hash = vec![u128::MAX; len];
-        for_each_permuted_hashes(table, n, |_, cur| {
-            for (slot, &h) in min_hash.iter_mut().zip(cur) {
-                if h < *slot {
-                    *slot = h;
-                }
-            }
-        });
         let mut renumber: FastMap<u128, u32> = FastMap::default();
         let mut class_of = Vec::with_capacity(len);
-        for &key in &min_hash {
+        for &key in keys {
             let next = renumber.len() as u32;
             class_of.push(*renumber.entry(key).or_insert(next));
         }
@@ -330,6 +373,101 @@ mod tests {
         (table, rows)
     }
 
+    /// The per-node walk the flat decode replaced, kept as the reference:
+    /// `hashes[π][v] = h(π·v)` through [`ViewTable::node`].
+    fn reference_hashes(table: &ViewTable, n: usize) -> Vec<Vec<u128>> {
+        Perm::all(n)
+            .iter()
+            .map(|perm| {
+                let inv = perm.inverse();
+                let mut cur = vec![0u128; table.len()];
+                for id in table.ids() {
+                    cur[id.index()] = match table.node(id) {
+                        ViewNode::Leaf { proc, value } => {
+                            let h = mix(1, u128::from(perm.apply(proc).index() as u64));
+                            mix(h, u128::from(value as u64))
+                        }
+                        ViewNode::Node { prev, received } => {
+                            let mut h = mix(2, cur[prev.index()]);
+                            for j in 0..n {
+                                h = match received[inv.apply(p(j)).index()] {
+                                    Some(v) => mix(h, cur[v.index()]),
+                                    None => mix(h, u128::MAX - 1),
+                                };
+                            }
+                            h
+                        }
+                        ViewNode::Digest(_) => unreachable!("full-information tables only"),
+                    };
+                }
+                cur
+            })
+            .collect()
+    }
+
+    /// The reference classes: the minimum of the reference hashes over
+    /// `Sym(n)`, renumbered as the production path does.
+    fn reference_classes(table: &ViewTable, n: usize) -> ViewClasses {
+        let mut keys = vec![u128::MAX; table.len()];
+        for hashes in reference_hashes(table, n) {
+            fold_min(&mut keys, &hashes);
+        }
+        ViewClasses::from_keys(table, n, &keys)
+    }
+
+    fn assert_same_classes(a: &ViewClasses, b: &ViewClasses, table: &ViewTable, what: &str) {
+        assert_eq!(a.fingerprint(), b.fingerprint(), "{what}");
+        assert_eq!(a.num_classes(), b.num_classes(), "{what}");
+        for v in table.ids() {
+            assert_eq!(a.class(v), b.class(v), "{what}: view {v:?}");
+        }
+        for c in 0..a.num_classes() {
+            for q in ProcessorId::all(a.n) {
+                assert_eq!(a.members(c, q), b.members(c, q), "{what}: class {c}, {q}");
+            }
+        }
+    }
+
+    #[test]
+    fn view_classes_match_the_per_node_walk_at_every_thread_count() {
+        use crate::SystemBuilder;
+        let scenarios = [
+            Scenario::new(3, 1, FailureMode::Crash, 3).unwrap(),
+            Scenario::new(3, 2, FailureMode::Omission, 2).unwrap(),
+            Scenario::new(3, 1, FailureMode::GeneralOmission, 2).unwrap(),
+            Scenario::new(4, 2, FailureMode::Crash, 2).unwrap(),
+        ];
+        for threads in [1, 2, 4, 8] {
+            let quotient = |scenario: &Scenario| {
+                SystemBuilder::new(scenario)
+                    .threads(threads)
+                    .symmetry(true)
+                    .build()
+                    .unwrap()
+            };
+            let mut systems: Vec<_> = scenarios.iter().map(quotient).collect();
+            let base = quotient(&Scenario::new(3, 2, FailureMode::Crash, 2).unwrap());
+            let target = base.scenario().with_horizon(3).unwrap();
+            let extended = SystemBuilder::new(&target).threads(threads).extend(&base);
+            systems.push(extended.unwrap().0);
+            for system in &systems {
+                let (table, n) = (system.table(), system.n());
+                let what = format!("{}, {threads} threads", system.scenario());
+                let classes = system.symmetry().unwrap().classes();
+                assert_same_classes(classes, &reference_classes(table, n), table, &what);
+                // The D_S merge reads the same per-permutation hashes.
+                let expected = reference_hashes(table, n);
+                let mut k = 0;
+                for_each_permuted_hashes(table, n, |perm, hashes| {
+                    assert_eq!(*perm, Perm::all(n)[k]);
+                    assert_eq!(hashes, expected[k].as_slice(), "{what}, permutation {k}");
+                    k += 1;
+                });
+                assert_eq!(k, expected.len());
+            }
+        }
+    }
+
     #[test]
     fn view_classes_identify_relabeled_views() {
         // π carries the view of q at (c, pat) onto the view of π(q) at
@@ -422,7 +560,8 @@ mod tests {
                 sizes.push(orbit_members(&pattern).len() as u64);
             }
         }
-        let info = SymmetryInfo::new(sizes.clone(), raw);
+        let classes = ViewClasses::compute(&ViewTable::new(), 3);
+        let info = SymmetryInfo::new(sizes.clone(), raw, classes);
         assert_eq!(info.num_orbits(), sizes.len());
         assert_eq!(info.raw_patterns_covered(), raw);
         assert_eq!(info.raw_pattern_total(), raw);

@@ -171,6 +171,139 @@ fn assert_quotient_equivalent(reduced: &GeneratedSystem, full: &GeneratedSystem)
     }
 }
 
+/// The representative stream by raw filtering, the oracle of the
+/// builder's top-block enumeration: every pattern of the enumeration that
+/// is its own canonical form, with its orbit size, in enumeration order.
+fn orbit_representatives(scenario: &Scenario) -> Vec<(FailurePattern, u64)> {
+    enumerate::patterns(scenario)
+        .filter_map(|pattern| {
+            let canon = canonicalize(&pattern);
+            (canon.canonical == pattern).then_some((pattern, canon.orbit_size))
+        })
+        .collect()
+}
+
+/// The representative stream a quotient system was built from: each
+/// representative's pattern (it owns `2^n` consecutive runs) with its
+/// recorded orbit size.
+fn built_representatives(system: &GeneratedSystem) -> Vec<(FailurePattern, u64)> {
+    let configs = 1usize << system.n();
+    let sizes = system.symmetry().unwrap().orbit_sizes();
+    assert_eq!(system.num_runs(), sizes.len() * configs);
+    sizes
+        .iter()
+        .enumerate()
+        .map(|(k, &size)| (system.run(RunId::new(k * configs)).pattern.clone(), size))
+        .collect()
+}
+
+fn assert_representative_stream(scenario: &Scenario) {
+    let reduced = SystemBuilder::new(scenario).symmetry(true).build().unwrap();
+    assert_eq!(
+        built_representatives(&reduced),
+        orbit_representatives(scenario),
+        "{scenario}"
+    );
+}
+
+#[test]
+fn representative_stream_matches_the_raw_filter() {
+    // Every scenario of this suite, plus the smallest one where canonical
+    // slot behaviors decrease (n=3 t=2 crash T=1).
+    for (n, t, mode, horizon) in [
+        (3, 1, FailureMode::Crash, 3),
+        (3, 1, FailureMode::Omission, 2),
+        (3, 1, FailureMode::GeneralOmission, 2),
+        (3, 2, FailureMode::Crash, 2),
+        (4, 1, FailureMode::Crash, 3),
+        (4, 1, FailureMode::Omission, 2),
+        (4, 2, FailureMode::Crash, 3),
+        (3, 2, FailureMode::Crash, 1),
+    ] {
+        assert_representative_stream(&Scenario::new(n, t, mode, horizon).unwrap());
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "the raw-filter oracle canonicalizes 138,817 patterns; run with --release"
+)]
+fn six_processor_representative_stream_matches_the_raw_filter() {
+    assert_representative_stream(&Scenario::new(6, 2, FailureMode::Crash, 3).unwrap());
+}
+
+/// Everything a quotient build determines: runs, view ids at every
+/// point, orbit sizes and the view-class fingerprint.
+fn assert_same_quotient(a: &GeneratedSystem, b: &GeneratedSystem, what: &str) {
+    assert_eq!(a.num_runs(), b.num_runs(), "{what}");
+    assert_eq!(a.table().len(), b.table().len(), "{what}");
+    for r in a.run_ids() {
+        assert_eq!(a.run(r).config, b.run(r).config, "{what}");
+        assert_eq!(a.run(r).pattern, b.run(r).pattern, "{what}");
+        for time in 0..=a.horizon().ticks() {
+            for q in ProcessorId::all(a.n()) {
+                let t = Time::new(time);
+                assert_eq!(a.view(r, q, t), b.view(r, q, t), "{what}: run {r:?}");
+            }
+        }
+    }
+    let (sa, sb) = (a.symmetry().unwrap(), b.symmetry().unwrap());
+    assert_eq!(sa.orbit_sizes(), sb.orbit_sizes(), "{what}");
+    assert_eq!(
+        sa.classes().fingerprint(),
+        sb.classes().fingerprint(),
+        "{what}"
+    );
+}
+
+#[test]
+fn quotient_build_is_identical_at_every_block_and_thread_count() {
+    // n=4 t=2 crash T=2: 1,601 raw patterns, of which the size-2 top
+    // block {p3, p4} holds the last 256. The run bound keeps 1,400
+    // patterns, a prefix that ends inside that range.
+    let scenario = Scenario::new(4, 2, FailureMode::Crash, 2).unwrap();
+    let space = ScenarioSpace::new(scenario);
+    let top = space.representative_ranges().pop().unwrap();
+    let prefix = 1400;
+    assert!(top.start < prefix && prefix < top.end);
+    let limit = (prefix * space.num_configs()) as u64;
+    let build = |threads: usize, blocks: usize, budget: RunBudget| {
+        SystemBuilder::new(&scenario)
+            .threads(threads)
+            .shards(blocks)
+            .symmetry(true)
+            .budget(budget)
+            .build_governed()
+            .unwrap()
+    };
+    for budget in [
+        RunBudget::unlimited(),
+        RunBudget::unlimited().with_max_runs(limit),
+    ] {
+        let baseline = build(1, 1, budget);
+        match &baseline {
+            BuildOutcome::Complete { .. } => assert!(budget.max_runs().is_none()),
+            BuildOutcome::Partial { partial, .. } => assert_eq!(partial.patterns, prefix),
+        }
+        for threads in [1, 2, 4, 8] {
+            for blocks in [1, 2, 3, 8, 64] {
+                let what = format!("{threads} threads, {blocks} blocks, {budget:?}");
+                let other = build(threads, blocks, budget);
+                assert_eq!(other.budget_hit(), baseline.budget_hit(), "{what}");
+                if let (
+                    BuildOutcome::Partial { partial: a, .. },
+                    BuildOutcome::Partial { partial: b, .. },
+                ) = (&baseline, &other)
+                {
+                    assert_eq!(a, b, "{what}");
+                }
+                assert_same_quotient(baseline.system(), other.system(), &what);
+            }
+        }
+    }
+}
+
 #[test]
 fn crash_quotient_matches_the_unreduced_oracle() {
     let scenario = Scenario::new(3, 1, FailureMode::Crash, 3).unwrap();
