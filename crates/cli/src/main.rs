@@ -80,11 +80,12 @@ OPTIONS:
                      --sampled, --timeline, and --deadline/--max-runs
     --witness        also print a point where the formula holds
     --cache-stats    after the verdict, print knowledge-cache counters
-                     (reachability and scope-column lookups the shared
-                     cache answered or missed, the epoch and the resident
-                     bytes) on a `cache:` line, and the worker-pool
-                     counters (pool runs, items, last run's per-worker
-                     item counts and busy spans) on a `scheduler:` line
+                     (reachability, scope-column and D-partition lookups
+                     the shared cache answered or missed, the epoch and
+                     the resident bytes) on a `cache:` line, and the
+                     worker-pool counters (pool runs, items, last run's
+                     per-worker item counts and busy spans) on a
+                     `scheduler:` line
     --quiet          print only the verdict line
     --timeline       timeline mode: print per-time truth values of the
                      FORMULAs along one run, selected with --config and

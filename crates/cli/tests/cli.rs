@@ -113,7 +113,38 @@ fn cache_stats_count_only_lookups_the_shared_cache_answered() {
     assert_eq!(
         cache_line,
         "cache: reachability 0 hits / 1 misses; scope columns 0 hits / 0 misses; \
-         epoch 0 (0 invalidated); resident ~6216 bytes"
+         D partitions 0 hits / 0 misses; epoch 0 (0 invalidated); resident ~6216 bytes"
+    );
+}
+
+#[test]
+fn cache_stats_count_one_d_partition_per_set() {
+    // `D(E0)` and `D(E1)` close over one partition of the nonfaulty set,
+    // built once and held in the cache: 4 bytes per point of the
+    // 7,744-point quotient.
+    let (stdout, _, code) = run(&[
+        "--n",
+        "4",
+        "--t",
+        "1",
+        "--mode",
+        "omission",
+        "--horizon",
+        "3",
+        "--symmetry",
+        "on",
+        "--cache-stats",
+        "D(E0) & D(E1)",
+    ]);
+    assert_eq!(code, Some(1), "{stdout}");
+    let cache_line = stdout
+        .lines()
+        .find(|l| l.starts_with("cache: "))
+        .unwrap_or_else(|| panic!("no cache line in {stdout}"));
+    assert_eq!(
+        cache_line,
+        "cache: reachability 0 hits / 0 misses; scope columns 0 hits / 0 misses; \
+         D partitions 0 hits / 1 misses; epoch 0 (0 invalidated); resident ~30976 bytes"
     );
 }
 

@@ -18,8 +18,9 @@
 //!   view row and simulates only appended rounds;
 //! * **kripke** — [`KnowledgeCache::advance_epoch`] invalidates the
 //!   point-indexed knowledge artifacts (reachability bitsets, scope
-//!   columns), which are sized to the old point set and must never hit
-//!   across horizons, while the cache handle and its statistics survive;
+//!   columns, `D_S` partitions), which are sized to the old point set
+//!   and must never hit across horizons, while the cache handle and its
+//!   statistics survive;
 //! * **core** — [`EngineSession::constructor`] /
 //!   [`EngineSession::evaluator`] hand out optimization and evaluation
 //!   frontends wired to the session's current system and cache, so the

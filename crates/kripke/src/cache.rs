@@ -11,17 +11,18 @@
 //! construction pipeline spins up per optimization step. Lookups take a
 //! mutex, but only on the first request per `(evaluator, set)` pair; after
 //! that the evaluator's local memo answers. The evaluator's knowledge
-//! kernels share their per-processor *scope columns* here too, under the
-//! same content keys.
+//! kernels share their per-processor *scope columns* and the `D_S`
+//! kernel its joint-view partition here too, under the same content
+//! keys, so every query of a pooled session after the first reads them.
 //!
 //! Content keys can be expensive to canonicalize and to hash (a
 //! `NonfaultyAnd` key carries every view of a state-set family), so the
 //! cache works with **pre-hashed** keys ([`HashedReachKey`]): the
 //! evaluator canonicalizes and hashes a set once, then reuses that digest
-//! across its staged reachability *and* scope lookups, and across the
-//! get/insert pair of a miss. Internally entries live in buckets keyed by
-//! the digest, with full-key equality resolving (astronomically unlikely)
-//! collisions.
+//! across its staged reachability, scope and partition lookups, and
+//! across the get/insert pair of a miss. Internally entries live in
+//! buckets keyed by the digest, with full-key equality resolving
+//! (astronomically unlikely) collisions.
 //!
 //! [`KnowledgeCache::stats`] counts the hits and misses of those first
 //! requests and reports the resident bytes; the CLI prints them under
@@ -39,7 +40,7 @@
 //! preserving the handle, its clones, and its counters.
 
 use crate::bitset::Bitset;
-use crate::eval::Reachability;
+use crate::eval::{PointClasses, Reachability};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,9 +103,9 @@ fn sel_bytes(sel: &ReachSel) -> usize {
 }
 
 /// A [`ReachKey`] paired with its content digest, computed **once** at
-/// construction. Every cache operation — reachability get, reachability
-/// insert, scope get, scope insert — reuses the digest instead of
-/// re-hashing the (potentially large) key.
+/// construction. Every cache operation — the get and insert of
+/// reachability, scope columns and `D_S` partitions — reuses the digest
+/// instead of re-hashing the (potentially large) key.
 #[derive(Clone, Debug)]
 pub(crate) struct HashedReachKey {
     hash: u64,
@@ -148,33 +149,76 @@ impl HashedReachKey {
 /// Digest-keyed bucket map: entries whose keys share a digest live in one
 /// bucket and are resolved by full-key equality. Every resident entry
 /// belongs to the current epoch: [`KnowledgeCache::advance_epoch`] empties
-/// both maps before it bumps the epoch.
+/// every map before it bumps the epoch.
 type BucketMap<V> = HashMap<u64, Vec<(ReachKey, V)>>;
 
-fn bucket_get<V: Clone>(map: &BucketMap<V>, key: &HashedReachKey) -> Option<V> {
-    map.get(&key.hash)?
-        .iter()
-        .find(|(k, _)| *k == key.key)
-        .map(|(_, v)| v.clone())
+/// One kind of cached structure: its bucket map and its hit and miss
+/// counters, which are monotonic over the cache's lifetime.
+#[derive(Debug)]
+struct Store<V> {
+    map: Mutex<BucketMap<V>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
-fn bucket_insert<V>(map: &mut BucketMap<V>, key: &HashedReachKey, value: V) {
-    let bucket = map.entry(key.hash).or_default();
-    match bucket.iter_mut().find(|(k, _)| *k == key.key) {
-        Some(slot) => slot.1 = value,
-        None => bucket.push((key.key.clone(), value)),
+impl<V> Default for Store<V> {
+    fn default() -> Self {
+        Store {
+            map: Mutex::default(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
     }
 }
 
-/// Monotonic counters behind [`CacheStats`]; shared by all clones of a
-/// cache handle.
-#[derive(Debug, Default)]
-struct Counters {
-    reach_hits: AtomicU64,
-    reach_misses: AtomicU64,
-    scope_hits: AtomicU64,
-    scope_misses: AtomicU64,
-    epoch_invalidated: AtomicU64,
+impl<V: Clone> Store<V> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, BucketMap<V>> {
+        self.map.lock().expect("knowledge cache poisoned")
+    }
+
+    /// Looks `key` up and counts the lookup as a hit or a miss.
+    fn get(&self, key: &HashedReachKey) -> Option<V> {
+        let found = self.lock().get(&key.hash).and_then(|bucket| {
+            bucket
+                .iter()
+                .find(|(k, _)| *k == key.key)
+                .map(|(_, v)| v.clone())
+        });
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    fn insert(&self, key: &HashedReachKey, value: V) {
+        let mut map = self.lock();
+        let bucket = map.entry(key.hash).or_default();
+        match bucket.iter_mut().find(|(k, _)| *k == key.key) {
+            Some(slot) => slot.1 = value,
+            None => bucket.push((key.key.clone(), value)),
+        }
+    }
+
+    /// Resident bytes of every entry: `value_bytes` of its value plus its
+    /// key's family words.
+    fn resident_bytes(&self, value_bytes: impl Fn(&V) -> usize) -> usize {
+        self.lock()
+            .values()
+            .flatten()
+            .map(|(k, v)| value_bytes(v) + sel_bytes(&k.sel))
+            .sum()
+    }
+
+    /// Drops every entry and returns how many there were.
+    fn clear(&self) -> usize {
+        let mut map = self.lock();
+        let dropped = map.values().map(Vec::len).sum();
+        map.clear();
+        dropped
+    }
 }
 
 /// A snapshot of a [`KnowledgeCache`]'s counters; see
@@ -194,6 +238,10 @@ pub struct CacheStats {
     pub scope_hits: u64,
     /// Scope-column vectors extracted fresh.
     pub scope_misses: u64,
+    /// `D_S` joint-view partitions the shared cache answered.
+    pub partition_hits: u64,
+    /// `D_S` joint-view partitions built fresh.
+    pub partition_misses: u64,
     /// The cache's current epoch (how many times
     /// [`KnowledgeCache::advance_epoch`] has run).
     pub epoch: u64,
@@ -202,11 +250,12 @@ pub struct CacheStats {
     pub invalidated: u64,
     /// Approximate resident heap bytes of the currently cached
     /// structures: every live reachability structure, every scope-column
-    /// vector, and the content payload of every stored key (a registered
-    /// family's membership words). Computed on demand by walking the
-    /// cache, so it reflects the moment of the [`KnowledgeCache::stats`]
-    /// call; the serve pool's eviction budget is driven by this figure
-    /// plus `GeneratedSystem::approx_resident_bytes`.
+    /// vector, every `D_S` partition (4 bytes per point), and the content
+    /// payload of every stored key (a registered family's membership
+    /// words). Computed on demand by walking the cache, so it reflects
+    /// the moment of the [`KnowledgeCache::stats`] call; the serve pool's
+    /// eviction budget is driven by this figure plus
+    /// `GeneratedSystem::approx_resident_bytes`.
     pub resident_bytes: u64,
 }
 
@@ -215,11 +264,13 @@ impl fmt::Display for CacheStats {
         write!(
             f,
             "reachability {} hits / {} misses; scope columns {} hits / {} misses; \
-             epoch {} ({} invalidated); resident ~{} bytes",
+             D partitions {} hits / {} misses; epoch {} ({} invalidated); resident ~{} bytes",
             self.reach_hits,
             self.reach_misses,
             self.scope_hits,
             self.scope_misses,
+            self.partition_hits,
+            self.partition_misses,
             self.epoch,
             self.invalidated,
             self.resident_bytes,
@@ -227,8 +278,9 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// A shareable, thread-safe memo of [`Reachability`] structures; see the
-/// module docs. Cloning is cheap and clones share the same storage.
+/// A shareable, thread-safe memo of [`Reachability`] structures, scope
+/// columns and `D_S` partitions; see the module docs. Cloning is cheap
+/// and clones share the same storage.
 ///
 /// # Example
 ///
@@ -252,12 +304,20 @@ impl fmt::Display for CacheStats {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct KnowledgeCache {
-    reach: Arc<Mutex<BucketMap<Arc<Reachability>>>>,
-    scopes: Arc<Mutex<BucketMap<ScopeColumns>>>,
-    counters: Arc<Counters>,
+    inner: Arc<Stores>,
+}
+
+/// The storage behind every clone of a [`KnowledgeCache`].
+#[derive(Debug, Default)]
+struct Stores {
+    reach: Store<Arc<Reachability>>,
+    scopes: Store<ScopeColumns>,
+    partitions: Store<Arc<PointClasses>>,
     /// The current epoch; [`KnowledgeCache::advance_epoch`] drops every
     /// entry before it moves on, so no older entry is ever served.
-    epoch: Arc<AtomicU64>,
+    epoch: AtomicU64,
+    /// Point-indexed entries dropped by epoch advances.
+    invalidated: AtomicU64,
 }
 
 impl KnowledgeCache {
@@ -274,12 +334,7 @@ impl KnowledgeCache {
     /// Panics if the cache mutex is poisoned.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.reach
-            .lock()
-            .expect("knowledge cache poisoned")
-            .values()
-            .map(Vec::len)
-            .sum()
+        self.inner.reach.lock().values().map(Vec::len).sum()
     }
 
     /// Whether nothing is cached yet.
@@ -292,14 +347,17 @@ impl KnowledgeCache {
     /// over the cache's lifetime, and of its resident bytes.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        let c = &self.counters;
+        let c = &*self.inner;
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         CacheStats {
-            reach_hits: c.reach_hits.load(Ordering::Relaxed),
-            reach_misses: c.reach_misses.load(Ordering::Relaxed),
-            scope_hits: c.scope_hits.load(Ordering::Relaxed),
-            scope_misses: c.scope_misses.load(Ordering::Relaxed),
-            epoch: self.epoch.load(Ordering::Relaxed),
-            invalidated: c.epoch_invalidated.load(Ordering::Relaxed),
+            reach_hits: load(&c.reach.hits),
+            reach_misses: load(&c.reach.misses),
+            scope_hits: load(&c.scopes.hits),
+            scope_misses: load(&c.scopes.misses),
+            partition_hits: load(&c.partitions.hits),
+            partition_misses: load(&c.partitions.misses),
+            epoch: load(&c.epoch),
+            invalidated: load(&c.invalidated),
             resident_bytes: self.resident_bytes() as u64,
         }
     }
@@ -315,40 +373,26 @@ impl KnowledgeCache {
     /// Panics if the cache mutex is poisoned.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        let reach: usize = self
-            .reach
-            .lock()
-            .expect("knowledge cache poisoned")
-            .values()
-            .flatten()
-            .map(|(k, r)| r.approx_bytes() + sel_bytes(&k.sel))
-            .sum();
-        let scopes: usize = self
-            .scopes
-            .lock()
-            .expect("knowledge cache poisoned")
-            .values()
-            .flatten()
-            .map(|(k, cols)| {
-                cols.iter().map(Bitset::approx_bytes).sum::<usize>() + sel_bytes(&k.sel)
-            })
-            .sum();
-        reach + scopes
+        let c = &*self.inner;
+        c.reach.resident_bytes(|r| r.approx_bytes())
+            + c.scopes
+                .resident_bytes(|cols| cols.iter().map(Bitset::approx_bytes).sum())
+            + c.partitions.resident_bytes(|p| p.approx_bytes())
     }
 
     /// The cache's current epoch. All entries served by the cache were
     /// inserted under this epoch.
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
+        self.inner.epoch.load(Ordering::Relaxed)
     }
 
     /// Starts a new epoch, invalidating every **point-indexed** entry:
-    /// reachability structures and scope columns are bitsets over the
-    /// points of one generated system, so when that system grows (the
-    /// incremental engine's horizon extension) they are dimensionally
-    /// stale — crucially including the content-independent keys
-    /// (`Everyone`, `Nonfaulty`), which would otherwise silently hit
+    /// reachability structures, scope columns and `D_S` partitions are
+    /// indexed by the points of one generated system, so when that system
+    /// grows (the incremental engine's horizon extension) they are
+    /// dimensionally stale — crucially including the content-independent
+    /// keys (`Everyone`, `Nonfaulty`), which would otherwise silently hit
     /// across horizons. Purged entries are counted in
     /// [`CacheStats::invalidated`]; hit/miss history, the cache handle,
     /// and its clones all survive. Pure-past artifacts of the wider
@@ -362,54 +406,34 @@ impl KnowledgeCache {
     ///
     /// Panics if the cache mutex is poisoned.
     pub fn advance_epoch(&self) -> u64 {
-        let mut reach = self.reach.lock().expect("knowledge cache poisoned");
-        let mut scopes = self.scopes.lock().expect("knowledge cache poisoned");
-        let dropped = reach.values().map(Vec::len).sum::<usize>()
-            + scopes.values().map(Vec::len).sum::<usize>();
-        reach.clear();
-        scopes.clear();
-        self.counters
-            .epoch_invalidated
-            .fetch_add(dropped as u64, Ordering::Relaxed);
-        self.epoch.fetch_add(1, Ordering::Relaxed) + 1
+        let c = &*self.inner;
+        let dropped = c.reach.clear() + c.scopes.clear() + c.partitions.clear();
+        c.invalidated.fetch_add(dropped as u64, Ordering::Relaxed);
+        c.epoch.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     pub(crate) fn get(&self, key: &HashedReachKey) -> Option<Arc<Reachability>> {
-        let found = bucket_get(&self.reach.lock().expect("knowledge cache poisoned"), key);
-        let counter = if found.is_some() {
-            &self.counters.reach_hits
-        } else {
-            &self.counters.reach_misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        found
+        self.inner.reach.get(key)
     }
 
     pub(crate) fn insert(&self, key: &HashedReachKey, value: Arc<Reachability>) {
-        bucket_insert(
-            &mut self.reach.lock().expect("knowledge cache poisoned"),
-            key,
-            value,
-        );
+        self.inner.reach.insert(key, value);
     }
 
     pub(crate) fn get_scopes(&self, key: &HashedReachKey) -> Option<ScopeColumns> {
-        let found = bucket_get(&self.scopes.lock().expect("knowledge cache poisoned"), key);
-        let counter = if found.is_some() {
-            &self.counters.scope_hits
-        } else {
-            &self.counters.scope_misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        found
+        self.inner.scopes.get(key)
     }
 
     pub(crate) fn insert_scopes(&self, key: &HashedReachKey, value: ScopeColumns) {
-        bucket_insert(
-            &mut self.scopes.lock().expect("knowledge cache poisoned"),
-            key,
-            value,
-        );
+        self.inner.scopes.insert(key, value);
+    }
+
+    pub(crate) fn get_partition(&self, key: &HashedReachKey) -> Option<Arc<PointClasses>> {
+        self.inner.partitions.get(key)
+    }
+
+    pub(crate) fn insert_partition(&self, key: &HashedReachKey, value: Arc<PointClasses>) {
+        self.inner.partitions.insert(key, value);
     }
 }
 
@@ -427,6 +451,14 @@ mod tests {
         })
     }
 
+    /// A `D_S` partition of `points` points, every point its own class.
+    fn partition(points: usize) -> Arc<PointClasses> {
+        Arc::new(PointClasses {
+            class_of: (0..points as u32).collect(),
+            num_classes: points,
+        })
+    }
+
     #[test]
     fn symmetry_fence_separates_quotient_and_unreduced_entries() {
         let cache = KnowledgeCache::new();
@@ -437,9 +469,11 @@ mod tests {
             sel: ReachSel::Nonfaulty,
         });
         cache.insert_scopes(&unreduced, Arc::new(vec![Bitset::new_false(8)]));
+        cache.insert_partition(&unreduced, partition(8));
         assert!(cache.get_scopes(&unreduced).is_some());
+        assert!(cache.get_partition(&unreduced).is_some());
         assert!(
-            cache.get_scopes(&quotient).is_none(),
+            cache.get_scopes(&quotient).is_none() && cache.get_partition(&quotient).is_none(),
             "quotient keys must not hit unreduced entries"
         );
     }
@@ -450,16 +484,18 @@ mod tests {
         assert_eq!(cache.epoch(), 0);
         let key = key(ReachSel::Everyone);
         cache.insert_scopes(&key, Arc::new(vec![Bitset::new_false(8)]));
+        cache.insert_partition(&key, partition(8));
         assert!(cache.get_scopes(&key).is_some());
 
         assert_eq!(cache.advance_epoch(), 1);
         assert_eq!(cache.epoch(), 1);
         // The content-independent key must NOT hit across epochs: the old
-        // columns are sized to the old system.
+        // columns and partition are sized to the old system.
         assert!(cache.get_scopes(&key).is_none());
+        assert!(cache.get_partition(&key).is_none());
         let stats = cache.stats();
         assert_eq!(stats.epoch, 1);
-        assert_eq!(stats.invalidated, 1);
+        assert_eq!(stats.invalidated, 2);
 
         // Fresh inserts under the new epoch serve normally.
         cache.insert_scopes(&key, Arc::new(vec![Bitset::new_false(16)]));
@@ -483,7 +519,11 @@ mod tests {
         let per_vector = cols.iter().map(Bitset::approx_bytes).sum::<usize>();
         cache.insert_scopes(&key(ReachSel::Nonfaulty), Arc::clone(&cols));
         assert_eq!(cache.resident_bytes(), per_vector);
-        assert_eq!(cache.stats().resident_bytes, per_vector as u64);
+        // A partition holds one `u32` class id per point.
+        cache.insert_partition(&key(ReachSel::Nonfaulty), partition(1024));
+        let resident = per_vector + 1024 * std::mem::size_of::<u32>();
+        assert_eq!(cache.resident_bytes(), resident);
+        assert_eq!(cache.stats().resident_bytes, resident as u64);
         // Epoch advance purges everything point-indexed.
         cache.advance_epoch();
         assert_eq!(cache.resident_bytes(), 0);
@@ -514,12 +554,18 @@ mod tests {
         assert!(cache.get_scopes(&key).is_none());
         cache.insert_scopes(&key, Arc::new(Vec::new()));
         assert!(cache.get_scopes(&key).is_some());
+        assert!(cache.get_partition(&key).is_none());
+        cache.insert_partition(&key, partition(4));
+        assert!(cache.get_partition(&key).is_some());
+        assert!(cache.get_partition(&key).is_some());
         let stats = cache.stats();
         assert_eq!(stats.scope_misses, 1);
         assert_eq!(stats.scope_hits, 1);
+        assert_eq!((stats.partition_hits, stats.partition_misses), (2, 1));
         let rendered = stats.to_string();
         assert!(
-            rendered.contains("scope columns 1 hits / 1 misses"),
+            rendered
+                .contains("scope columns 1 hits / 1 misses; D partitions 2 hits / 1 misses; epoch"),
             "{rendered}"
         );
     }

@@ -65,9 +65,8 @@ impl Reachability {
     /// per-run vectors (for the knowledge cache's memory accounting).
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.points.class_of.len() * size_of::<u32>()
-            + self.run_comp.len() * size_of::<u32>()
+        self.points.approx_bytes()
+            + self.run_comp.len() * std::mem::size_of::<u32>()
             + self.run_has_s_points.len()
     }
 }
@@ -80,6 +79,13 @@ impl Reachability {
 pub(crate) struct PointClasses {
     pub(crate) class_of: Vec<u32>,
     pub(crate) num_classes: usize,
+}
+
+impl PointClasses {
+    /// Resident heap bytes of the per-point class ids.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.class_of.len() * std::mem::size_of::<u32>()
+    }
 }
 
 /// A memoizing evaluator of [`Formula`]s over a [`GeneratedSystem`].
@@ -120,8 +126,10 @@ pub struct Evaluator<'a> {
     pub(crate) nodes: NodeTable,
     pub(crate) reach_cache: FastMap<NonRigidSet, Arc<Reachability>>,
     pub(crate) scope_cache: FastMap<NonRigidSet, ScopeColumns>,
+    partition_cache: FastMap<NonRigidSet, Arc<PointClasses>>,
     /// Content keys are canonicalized and hashed once per set, then
-    /// reused across the staged reachability *and* scope lookups.
+    /// reused across the staged reachability, scope and partition
+    /// lookups.
     key_memo: FastMap<NonRigidSet, Arc<HashedReachKey>>,
     /// The symmetry metadata of a quotiented system (`None` on unreduced
     /// systems). Present, its view-orbit classes are the partition the
@@ -143,10 +151,10 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Creates an evaluator over `system` backed by a shared
-    /// [`KnowledgeCache`]: reachability structures computed here are
-    /// visible to every other evaluator holding a clone of `cache`, and
-    /// vice versa. All sharers must evaluate over the same system; see the
-    /// cache's docs.
+    /// [`KnowledgeCache`]: reachability structures, scope columns and
+    /// `D_S` partitions computed here are visible to every other
+    /// evaluator holding a clone of `cache`, and vice versa. All sharers
+    /// must evaluate over the same system; see the cache's docs.
     #[must_use]
     pub fn with_cache(system: &'a GeneratedSystem, cache: KnowledgeCache) -> Self {
         let n = system.n();
@@ -162,6 +170,7 @@ impl<'a> Evaluator<'a> {
             nodes: NodeTable::default(),
             reach_cache: FastMap::default(),
             scope_cache: FastMap::default(),
+            partition_cache: FastMap::default(),
             key_memo: FastMap::default(),
             symmetry: system.symmetry(),
             family_closed_memo: FastMap::default(),
@@ -756,9 +765,9 @@ impl<'a> Evaluator<'a> {
 
     /// The content key of `s`, canonicalized and hashed **once** per
     /// `(evaluator, set)` and reused across every staged lookup — the
-    /// reachability get/insert pair and the scope-column get/insert pair
-    /// all share one digest instead of re-hashing the (potentially large)
-    /// canonical view lists.
+    /// get/insert pairs of reachability, scope columns and `D_S`
+    /// partitions all share one digest instead of re-hashing the
+    /// (potentially large) canonical view lists.
     pub(crate) fn hashed_key(&mut self, s: NonRigidSet) -> Arc<HashedReachKey> {
         if let Some(key) = self.key_memo.get(&s) {
             return Arc::clone(key);
@@ -801,6 +810,37 @@ impl<'a> Evaluator<'a> {
         batch.request_scopes(s);
         batch.run(self);
         Arc::clone(&self.scope_cache[&s])
+    }
+
+    /// The joint-view partition of `s` that `D_S` closes over (DESIGN.md
+    /// §4s, §4u).
+    ///
+    /// Lookup is staged like [`Evaluator::reachability`]: the local memo,
+    /// then the shared [`KnowledgeCache`] under the set's content key,
+    /// then a fresh [`joint_view_classes`](crate::reach::joint_view_classes)
+    /// build, published to both.
+    pub(crate) fn joint_view_partition(&mut self, s: NonRigidSet) -> Arc<PointClasses> {
+        if let Some(cached) = self.partition_cache.get(&s) {
+            return Arc::clone(cached);
+        }
+        let key = self.hashed_key(s);
+        let classes = match self.shared.get_partition(&key) {
+            Some(found) => {
+                debug_assert_eq!(
+                    found.class_of.len(),
+                    self.num_points,
+                    "knowledge cache shared across different systems"
+                );
+                found
+            }
+            None => {
+                let built = Arc::new(crate::reach::joint_view_classes(self, s));
+                self.shared.insert_partition(&key, Arc::clone(&built));
+                built
+            }
+        };
+        self.partition_cache.insert(s, Arc::clone(&classes));
+        classes
     }
 
     /// Compacts a fully-unioned point partition into a [`Reachability`]:
@@ -1203,16 +1243,27 @@ mod tests {
     fn knowledge_cache_is_shared_across_evaluators() {
         let system = crash_system();
         let cache = KnowledgeCache::new();
+        let d = |v| Formula::exists(v).distributed(NonRigidSet::Nonfaulty);
         let mut a = Evaluator::with_cache(&system, cache.clone());
         let ra = a.reachability(NonRigidSet::Nonfaulty);
+        // Two `D` nodes over one set: the second reads the evaluator's
+        // memo, so the shared cache sees one partition miss.
+        let _ = a.eval(&d(Value::Zero).and(d(Value::One)));
         assert_eq!(cache.len(), 1);
         let mut b = Evaluator::with_cache(&system, cache.clone());
         let rb = b.reachability(NonRigidSet::Nonfaulty);
+        let _ = b.eval(&d(Value::Zero));
         assert!(
             Arc::ptr_eq(&ra, &rb),
             "second evaluator must reuse the cached structure"
         );
+        assert!(Arc::ptr_eq(
+            &a.joint_view_partition(NonRigidSet::Nonfaulty),
+            &b.joint_view_partition(NonRigidSet::Nonfaulty)
+        ));
         assert_eq!(cache.len(), 1);
+        let stats = cache.stats();
+        assert_eq!((stats.partition_hits, stats.partition_misses), (1, 1));
     }
 
     #[test]
@@ -1234,6 +1285,25 @@ mod tests {
         let r2 = b.reachability(NonRigidSet::NonfaultyAnd(id_b));
         assert!(Arc::ptr_eq(&r1, &r2));
         assert_eq!(cache.len(), len_after_first);
+    }
+
+    #[test]
+    fn distributed_partitions_never_cross_the_symmetry_fence() {
+        // One cache handle over the unreduced system and the quotient of
+        // one scenario: the two index different point spaces, so the
+        // quotient must build its own partition.
+        let scenario = Scenario::new(3, 1, FailureMode::Crash, 2).unwrap();
+        let unreduced = GeneratedSystem::exhaustive(&scenario);
+        let quotient = eba_sim::SystemBuilder::new(&scenario)
+            .symmetry(true)
+            .build()
+            .unwrap();
+        let cache = KnowledgeCache::new();
+        let d = Formula::exists(Value::Zero).distributed(NonRigidSet::Nonfaulty);
+        let _ = Evaluator::with_cache(&unreduced, cache.clone()).eval(&d);
+        let _ = Evaluator::with_cache(&quotient, cache.clone()).eval(&d);
+        let stats = cache.stats();
+        assert_eq!((stats.partition_hits, stats.partition_misses), (0, 2));
     }
 
     #[test]

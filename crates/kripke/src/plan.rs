@@ -25,7 +25,9 @@
 //!    cached per-processor *scope columns*. `C`/`C□`/`D` close over a
 //!    partition of the points instead: the reachability components of
 //!    `S` for `C_S`/`C□_S`, the joint-view classes of `S` for `D_S`
-//!    ([`crate::reach`]). Unreduced and quotiented systems differ only in
+//!    ([`crate::reach`]). Each partition is built once per knowledge
+//!    cache and set, and read from the evaluator's memo or the shared
+//!    cache after that. Unreduced and quotiented systems differ only in
 //!    the partitions.
 //!
 //! Every kernel is implemented to be extensionally *identical* to the
@@ -288,7 +290,8 @@ fn know_close_kind(eval: &mut Evaluator<'_>, kind: KnowKind, phi: &Bitset) -> Bi
             out
         }
         KnowKind::Distributed(s) => {
-            eval.close_over(phi, &crate::reach::joint_view_classes(eval, s))
+            let classes = eval.joint_view_partition(s);
+            eval.close_over(phi, &classes)
         }
     }
 }

@@ -31,8 +31,10 @@
 //!    the membership vectors for free. The membership vectors themselves
 //!    are dropped: no kernel reads them back.
 //!
-//! The `D_S` kernel builds its own partition (`joint_view_classes`)
-//! from one set's membership vector, filled by the same stage-2 helpers.
+//! The `D_S` partition (`joint_view_classes`) is built from one set's
+//! membership vector, filled by the same stage-2 helpers, when
+//! [`Evaluator`]'s partition lookup misses its memo and the shared cache;
+//! it is published to both, under the set's content key.
 //!
 //! The per-set builds are kept as reference implementations in
 //! [`crate::oracle`]; `tests/plan_equivalence.rs` checks components, run

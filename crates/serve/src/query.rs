@@ -318,6 +318,27 @@ mod tests {
     }
 
     #[test]
+    fn pooled_d_checks_build_one_partition() {
+        let pool = SessionPool::new(u64::MAX, RetryPolicy::default(), None);
+        let line = r#"{"op":"check","formula":"D(E0)"}"#;
+        let cold = oracle(&Request::from_line(line).unwrap());
+        for _ in 0..3 {
+            assert_eq!(run(&pool, line), cold);
+        }
+        let Request::Check(check) = Request::from_line(line).unwrap() else {
+            unreachable!("a check line")
+        };
+        let (session, hit) = pool.checkout(&check.config).unwrap();
+        assert!(hit);
+        let stats = session.cache().stats();
+        assert_eq!(
+            (stats.partition_hits, stats.partition_misses),
+            (2, 1),
+            "{stats}"
+        );
+    }
+
+    #[test]
     fn budgeted_check_returns_a_deterministic_partial() {
         let pool = SessionPool::new(u64::MAX, RetryPolicy::default(), None);
         let line = r#"{"op":"check","formula":"true","mode":"omission","horizon":2,

@@ -118,8 +118,10 @@ fn formula_strategy() -> impl Strategy<Value = Formula> {
     })
 }
 
-/// Evaluates `phi` twice over `system` — compiled plan vs recursive
-/// oracle — and asserts the extensions are bit-identical.
+/// Evaluates `phi` over `system` with the compiled plan, cold and then
+/// through a fresh evaluator on the first one's knowledge cache (every
+/// structure the first built is a cache hit there), and asserts both
+/// extensions are bit-identical to the recursive oracle's.
 fn assert_plan_matches_oracle(
     system: &GeneratedSystem,
     phi: &Formula,
@@ -134,6 +136,14 @@ fn assert_plan_matches_oracle(
         &*via_plan,
         &*via_rec,
         "compiled plan and recursive oracle disagree on {} over {}",
+        phi,
+        label
+    );
+    let via_cache = Evaluator::with_cache(system, compiled.knowledge_cache().clone()).eval(phi);
+    prop_assert_eq!(
+        &*via_cache,
+        &*via_rec,
+        "cached structures and recursive oracle disagree on {} over {}",
         phi,
         label
     );
@@ -273,7 +283,10 @@ proptest! {
     /// quotients. The second family (processors that have seen a 0) is
     /// empty at some points and not at others, which pins the `S`-empty
     /// convention: those points form one class, so `D_S φ` there is the
-    /// conjunction of `φ` over all of them.
+    /// conjunction of `φ` over all of them. A second evaluator on the
+    /// same knowledge cache registers the families in the opposite
+    /// order, so each id names the other family there and its cached
+    /// partitions must be found by content.
     #[test]
     fn distributed_knowledge_matches_oracle_over_registered_families(
         phi in formula_strategy(),
@@ -283,22 +296,32 @@ proptest! {
     ) {
         let (system, label) = input_system(which);
         let mut compiled = Evaluator::new(system);
-        let random = compiled.register_state_sets(random_family(system, seed, keep_mod));
-        let seen_zero = compiled.register_state_sets(StateSets::with_value_seen(
-            system.table(),
-            system.n(),
-            Value::Zero,
-        ));
+        let random_sets = random_family(system, seed, keep_mod);
+        let seen_zero_sets = StateSets::with_value_seen(system.table(), system.n(), Value::Zero);
+        let random = compiled.register_state_sets(random_sets.clone());
+        let seen_zero = compiled.register_state_sets(seen_zero_sets.clone());
+        let mut warm = Evaluator::with_cache(system, compiled.knowledge_cache().clone());
+        let warm_seen_zero = warm.register_state_sets(seen_zero_sets);
+        let warm_random = warm.register_state_sets(random_sets);
         let phi_bits = compiled.eval(&phi);
-        for id in [random, seen_zero] {
+        for (id, warm_id) in [(random, warm_random), (seen_zero, warm_seen_zero)] {
             let s = NonRigidSet::NonfaultyAnd(id);
             let d = phi.clone().distributed(s);
             let via_plan = compiled.eval(&d);
             let mut oracle = Oracle::new(&compiled);
+            let via_rec = oracle.eval(&d);
             prop_assert_eq!(
                 &*via_plan,
-                &*oracle.eval(&d),
+                &*via_rec,
                 "D over a registered family diverges on {} over {}",
+                &d,
+                label
+            );
+            let via_cache = warm.eval(&phi.clone().distributed(NonRigidSet::NonfaultyAnd(warm_id)));
+            prop_assert_eq!(
+                &*via_cache,
+                &*via_rec,
+                "a cached D partition diverges on {} over {}",
                 &d,
                 label
             );
