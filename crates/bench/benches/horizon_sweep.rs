@@ -1,10 +1,10 @@
 //! Incremental horizon sweeps (DESIGN.md §4f): an [`EngineSession`] grows
 //! one exhaustive system across a range of horizons, reusing base view
-//! rows and epoch-fencing the knowledge cache, versus the cold path that
-//! rebuilds every horizon from scratch. The cold side is the differential
-//! oracle (`tests/incremental_equivalence.rs`), so both sides produce
-//! identical systems — the bench measures the cost of that identical
-//! output.
+//! rows and starting a new knowledge cache per horizon, versus the cold
+//! path that rebuilds every horizon from scratch. The cold side is the
+//! differential oracle (`tests/incremental_equivalence.rs`), so both
+//! sides produce identical systems — the bench measures the cost of that
+//! identical output.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eba_core::{Constructor, DecisionPair, EngineSession, FipDecisions};

@@ -73,16 +73,17 @@ OPTIONS:
                      check FORMULA at every horizon A..=B out of ONE
                      incremental engine session: the exhaustive system is
                      built once at horizon A and grown append-only to each
-                     larger horizon, reusing interned views and carrying
-                     an epoch-scoped knowledge cache. Per-horizon output
-                     is bit-identical to independent cold runs of each
-                     horizon. Exhaustive only: conflicts with --horizon,
-                     --sampled, --timeline, and --deadline/--max-runs
+                     larger horizon, reusing interned views; each
+                     horizon's system gets its own knowledge cache.
+                     Per-horizon output is bit-identical to independent
+                     cold runs of each horizon. Exhaustive only:
+                     conflicts with --horizon, --sampled, --timeline,
+                     and --deadline/--max-runs
     --witness        also print a point where the formula holds
     --cache-stats    after the verdict, print knowledge-cache counters
                      (reachability, scope-column and D-partition lookups
-                     the shared cache answered or missed, the epoch and
-                     the resident bytes) on a `cache:` line, and the
+                     the shared cache answered or missed, and the
+                     resident bytes) on a `cache:` line, and the
                      worker-pool counters (pool runs, items, last run's
                      per-worker item counts and busy spans) on a
                      `scheduler:` line

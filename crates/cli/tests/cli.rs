@@ -113,7 +113,7 @@ fn cache_stats_count_only_lookups_the_shared_cache_answered() {
     assert_eq!(
         cache_line,
         "cache: reachability 0 hits / 1 misses; scope columns 0 hits / 0 misses; \
-         D partitions 0 hits / 0 misses; epoch 0 (0 invalidated); resident ~6216 bytes"
+         D partitions 0 hits / 0 misses; resident ~6216 bytes"
     );
 }
 
@@ -144,7 +144,37 @@ fn cache_stats_count_one_d_partition_per_set() {
     assert_eq!(
         cache_line,
         "cache: reachability 0 hits / 0 misses; scope columns 0 hits / 0 misses; \
-         D partitions 0 hits / 1 misses; epoch 0 (0 invalidated); resident ~30976 bytes"
+         D partitions 0 hits / 1 misses; resident ~30976 bytes"
+    );
+}
+
+#[test]
+fn sweep_cache_stats_equal_cold_runs_at_every_horizon() {
+    // Each swept horizon's system has its own cache, so its `cache:` line
+    // counts that horizon alone, as a cold run does. The `scheduler:`
+    // lines count worker pools and `extend:` lines exist only in a sweep.
+    let keep = |stdout: &str| -> String {
+        stdout
+            .lines()
+            .filter(|l| !l.starts_with("scheduler:") && !l.starts_with("extend:"))
+            .map(|l| format!("{l}\n"))
+            .collect()
+    };
+    let formula = "C(E0) & D(E1)";
+    let (sweep, _, code) = run(&["--horizon-sweep", "2..3", "--cache-stats", formula]);
+    assert_eq!(code, Some(1), "{sweep}");
+    let mut cold = String::new();
+    for h in ["2", "3"] {
+        let (stdout, _, code) = run(&["--horizon", h, "--cache-stats", formula]);
+        assert_eq!(code, Some(1), "{stdout}");
+        cold.push_str(&format!("== horizon {h} ==\n{stdout}"));
+    }
+    assert_eq!(keep(&sweep), keep(&cold));
+    assert_eq!(
+        keep(&sweep)
+            .matches("; D partitions 0 hits / 1 misses;")
+            .count(),
+        2
     );
 }
 

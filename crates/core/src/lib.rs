@@ -22,9 +22,9 @@
 //!   threads, budget, chaos) through which the front ends reach the
 //!   engine;
 //! * [`EngineSession`] — incremental engine sessions: one system grown
-//!   in place by append-only horizon extension, with epoch-scoped
-//!   knowledge caches, serving constructors, evaluators and verdicts at
-//!   every horizon;
+//!   in place by append-only horizon extension, with a knowledge cache
+//!   per horizon's system, serving constructors, evaluators and verdicts
+//!   at every horizon;
 //! * [`chains`] — 0-chains and the `∃0*` predicate;
 //! * [`analysis`] — decision-time breakdowns by failure count and
 //!   configuration class.

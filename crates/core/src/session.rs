@@ -9,18 +9,17 @@
 //! rounds, and base-horizon views are append-only artifacts of the past.
 //!
 //! [`EngineSession`] exploits that structure. It owns one
-//! [`GeneratedSystem`] and one shared [`KnowledgeCache`] and grows the
-//! system in place via [`EngineSession::extend_to`]:
+//! [`GeneratedSystem`] and that system's shared [`KnowledgeCache`], and
+//! grows the system in place via [`EngineSession::extend_to`]:
 //!
 //! * **model** — [`eba_model::Scenario::extend_horizon`] produces the
 //!   delta spec and the pattern translation rules;
 //! * **sim** — [`SystemBuilder::extend`] reuses every surviving base
 //!   view row and simulates only appended rounds;
-//! * **kripke** — [`KnowledgeCache::advance_epoch`] invalidates the
-//!   point-indexed knowledge artifacts (reachability bitsets, scope
-//!   columns, `D_S` partitions), which are sized to the old point set
-//!   and must never hit across horizons, while the cache handle and its
-//!   statistics survive;
+//! * **kripke** — the grown system gets a new [`KnowledgeCache`]: a
+//!   cache serves one system, and every knowledge artifact (reachability
+//!   bitsets, scope columns, `D_S` partitions) indexes that system's
+//!   points, so none carries over to the larger horizon;
 //! * **core** — [`EngineSession::constructor`] /
 //!   [`EngineSession::evaluator`] hand out optimization and evaluation
 //!   frontends wired to the session's current system and cache, so the
@@ -102,7 +101,6 @@ pub struct EngineSession {
     /// Whether the system is the exhaustive system of its scenario; only
     /// then does [`extend_to`](EngineSession::extend_to) grow it.
     exhaustive: bool,
-    extensions: Vec<ExtendReport>,
     threads: Option<usize>,
     partial: Option<Partial>,
 }
@@ -173,7 +171,6 @@ impl EngineSession {
             system,
             cache: KnowledgeCache::new(),
             exhaustive: true,
-            extensions: Vec::new(),
             threads: None,
             partial: None,
         }
@@ -192,9 +189,8 @@ impl EngineSession {
     }
 
     /// Grows the session's system to `horizon`, reusing base view rows
-    /// ([`SystemBuilder::extend`]), and advances the knowledge cache's
-    /// epoch so no stale point-indexed artifact survives. Returns the
-    /// reuse accounting of this step.
+    /// ([`SystemBuilder::extend`]), and starts a new knowledge cache for
+    /// the grown system. Returns the reuse accounting of this step.
     ///
     /// Extension is gated on the scenario's exchange
     /// ([`eba_model::ExchangeKind::supports_session_extension`]):
@@ -205,10 +201,10 @@ impl EngineSession {
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidScenario`] for a sampled or
-    /// budget-partial session (before touching anything, so the epoch is
-    /// unchanged) and unless `horizon` strictly exceeds the current one,
-    /// and [`ModelError::CapacityExceeded`] on id-space overflow of the
-    /// extended system.
+    /// budget-partial session (before touching anything, so the system
+    /// and its cache are kept) and unless `horizon` strictly exceeds the
+    /// current one, and [`ModelError::CapacityExceeded`] on id-space
+    /// overflow of the extended system.
     pub fn extend_to(&mut self, horizon: u16) -> Result<ExtendReport, ModelError> {
         if !self.exhaustive {
             return Err(ModelError::InvalidScenario {
@@ -224,8 +220,7 @@ impl EngineSession {
         }
         let (system, report) = builder.extend(&self.system)?;
         self.system = system;
-        self.cache.advance_epoch();
-        self.extensions.push(report);
+        self.cache = KnowledgeCache::new();
         Ok(report)
     }
 
@@ -253,31 +248,19 @@ impl EngineSession {
         self.partial
     }
 
-    /// The shared knowledge cache (clone it to share with ad-hoc
-    /// evaluators over the session's current system).
+    /// The knowledge cache of the session's current system (clone it to
+    /// share with ad-hoc evaluators over that system; an extension
+    /// replaces it).
     #[must_use]
     pub fn cache(&self) -> &KnowledgeCache {
         &self.cache
-    }
-
-    /// The cache epoch — equals the number of extensions performed.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.cache.epoch()
-    }
-
-    /// The reuse accounting of every extension performed so far, in
-    /// order.
-    #[must_use]
-    pub fn extensions(&self) -> &[ExtendReport] {
-        &self.extensions
     }
 
     /// A [`Constructor`] over the session's current system, wired to the
     /// session cache. The borrow ends before the next
     /// [`extend_to`](EngineSession::extend_to) — the borrow checker
     /// enforces that no evaluator built for an old horizon outlives the
-    /// extension that invalidates it.
+    /// extension that replaces its system.
     #[must_use]
     pub fn constructor(&self) -> Constructor<'_> {
         Constructor::from_evaluator(self.evaluator())
@@ -390,16 +373,22 @@ mod tests {
             }
             assert!(check_optimality(&mut session.constructor(), &pair).is_optimal());
         }
-        assert_eq!(session.epoch(), 2);
-        assert_eq!(session.extensions().len(), 2);
+        assert_eq!(session.horizon(), Time::new(4));
     }
 
     #[test]
     fn extend_to_rejects_non_growth() {
         let mut session = EngineSession::exhaustive(&scenario()).unwrap();
+        let common =
+            Formula::exists(eba_model::Value::Zero).common(eba_kripke::NonRigidSet::Nonfaulty);
+        let _ = session.verdict(&common);
         assert!(session.extend_to(2).is_err());
         assert!(session.extend_to(1).is_err());
-        assert_eq!(session.epoch(), 0, "failed extensions must not advance");
+        assert_eq!(session.horizon(), Time::new(2));
+        assert!(
+            !session.cache().is_empty(),
+            "failed extensions must keep the cache"
+        );
     }
 
     #[test]
@@ -418,7 +407,7 @@ mod tests {
         let mut session = EngineSession::exhaustive(&d32).unwrap();
         let err = session.extend_to(4).unwrap_err();
         assert!(err.to_string().contains("session extension"), "{err}");
-        assert_eq!(session.epoch(), 0, "failed extensions must not advance");
+        assert_eq!(session.horizon(), Time::new(2));
     }
 
     #[test]
@@ -441,7 +430,6 @@ mod tests {
             let (runs, horizon) = (session.system().num_runs(), session.horizon());
             let err = session.extend_to(horizon.ticks() + 1).unwrap_err();
             assert!(matches!(err, ModelError::InvalidScenario { .. }), "{err}");
-            assert_eq!(session.epoch(), 0, "failed extensions must not advance");
             assert_eq!(session.system().num_runs(), runs);
             assert_eq!(session.horizon(), horizon);
             assert!(session.fork().extend_to(horizon.ticks() + 1).is_err());

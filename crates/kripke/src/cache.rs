@@ -1,4 +1,4 @@
-//! A knowledge cache shared across evaluators over the same system.
+//! A knowledge cache shared across evaluators over one system.
 //!
 //! Computing the [`Reachability`] structure of a nonrigid set is the
 //! dominant cost of evaluating `C_S`/`C□_S` formulas. Within one
@@ -28,23 +28,22 @@
 //! requests and reports the resident bytes; the CLI prints them under
 //! `eba-check --cache-stats`.
 //!
-//! A cache is only meaningful for evaluators over the **same generated
-//! system**: reachability indexes the system's points. Sharing one across
-//! unrelated systems is caught in debug builds (the point counts
-//! disagree) but is undefined behaviorally in release builds — make a new
-//! cache per system. The one sanctioned way to carry a cache handle
-//! across systems is the incremental engine's **epoch** mechanism: when a
-//! session extends its system's horizon it calls
-//! [`KnowledgeCache::advance_epoch`], which invalidates every
-//! point-indexed entry (they are sized to the old system) while
-//! preserving the handle, its clones, and its counters.
+//! A cache serves **one generated system**: every entry indexes that
+//! system's points, and a content key does not say which system its set
+//! was evaluated over. So the first evaluator opened on a cache
+//! ([`Evaluator::with_cache`](crate::Evaluator::with_cache)) binds it to
+//! its system's [`GeneratedSystem::id`](eba_sim::GeneratedSystem::id),
+//! which the system's clones share, and opening an evaluator over any
+//! other system on it panics, in every build. A session that grows its
+//! system to a larger horizon starts a new cache
+//! (`EngineSession::extend_to` in `eba-core`).
 
 use crate::bitset::Bitset;
 use crate::eval::{PointClasses, Reachability};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Per-processor scope columns of a nonrigid set: entry `p` is the set of
 /// points at which processor `p` belongs to `S(r, k)`. Built once per
@@ -52,50 +51,26 @@ use std::sync::{Arc, Mutex};
 /// reachability, under the same content key.
 pub type ScopeColumns = Arc<Vec<Bitset>>;
 
-/// The content of a nonrigid set, independent of any evaluator's id
-/// numbering, qualified by the **exchange fingerprint** of the system it
-/// was evaluated over ([`eba_model::ExchangeKind::fingerprint`]): a view
-/// membership word is only meaningful relative to the interned state
-/// space, and full-info and digest systems over the same scenario shape
-/// have unrelated state spaces — without the fingerprint their
-/// content-independent keys (`Everyone`, `Nonfaulty`) would collide.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub(crate) struct ReachKey {
-    /// The exchange fingerprint of the generated system.
-    pub(crate) exchange: u64,
-    /// The symmetry fence: `0` for an unreduced system, the
-    /// [`eba_sim::symmetry::ViewClasses::fingerprint`] of the quotiented
-    /// system otherwise. A quotiented system and the unreduced system of
-    /// the same scenario share exchange fingerprints but index entirely
-    /// different point spaces (and their reachability partitions answer
-    /// different questions), so their entries must never be
-    /// interchangeable even when a library caller shares one cache handle
-    /// across both. (Both front ends drop the quotient before they open a
-    /// session, so each of their systems has its own cache.)
-    pub(crate) symmetry: u64,
-    /// Which nonrigid set, by content.
-    pub(crate) sel: ReachSel,
-}
-
-/// The selector half of a [`ReachKey`]: the `NonfaultyAnd` variant
-/// carries the per-processor membership words of the state-set family
+/// A nonrigid set by content, independent of any evaluator's id
+/// numbering: the `NonfaultyAnd` variant carries the per-processor
+/// membership words of the state-set family
 /// ([`crate::nonrigid::ViewSet::words`], trimmed and therefore
-/// canonical).
+/// canonical). A key names a set of the cache's one system only.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub(crate) enum ReachSel {
+pub(crate) enum ReachKey {
     Everyone,
     Nonfaulty,
     NonfaultyAnd(Vec<Box<[u64]>>),
 }
 
-/// The key-side heap bytes of a selector — the resident cost of keeping
-/// a registered family's content addressable. Only the membership words
+/// The key-side heap bytes of a key — the resident cost of keeping a
+/// registered family's content addressable. Only the membership words
 /// are counted, mirroring the value-side accounting, which ignores
 /// container overhead.
-fn sel_bytes(sel: &ReachSel) -> usize {
-    match sel {
-        ReachSel::Everyone | ReachSel::Nonfaulty => 0,
-        ReachSel::NonfaultyAnd(families) => families
+fn key_bytes(key: &ReachKey) -> usize {
+    match key {
+        ReachKey::Everyone | ReachKey::Nonfaulty => 0,
+        ReachKey::NonfaultyAnd(families) => families
             .iter()
             .map(|words| words.len() * std::mem::size_of::<u64>())
             .sum(),
@@ -124,15 +99,10 @@ impl HashedReachKey {
             hash ^= x;
             hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         };
-        // The exchange and symmetry fingerprints are mixed first so the
-        // selector tags below stay distinct per (exchange, symmetry)
-        // combination.
-        mix(key.exchange);
-        mix(key.symmetry);
-        match &key.sel {
-            ReachSel::Everyone => mix(1),
-            ReachSel::Nonfaulty => mix(2),
-            ReachSel::NonfaultyAnd(families) => {
+        match &key {
+            ReachKey::Everyone => mix(1),
+            ReachKey::Nonfaulty => mix(2),
+            ReachKey::NonfaultyAnd(families) => {
                 mix(3);
                 for words in families {
                     mix(words.len() as u64);
@@ -147,9 +117,7 @@ impl HashedReachKey {
 }
 
 /// Digest-keyed bucket map: entries whose keys share a digest live in one
-/// bucket and are resolved by full-key equality. Every resident entry
-/// belongs to the current epoch: [`KnowledgeCache::advance_epoch`] empties
-/// every map before it bumps the epoch.
+/// bucket and are resolved by full-key equality.
 type BucketMap<V> = HashMap<u64, Vec<(ReachKey, V)>>;
 
 /// One kind of cached structure: its bucket map and its hit and miss
@@ -202,22 +170,19 @@ impl<V: Clone> Store<V> {
         }
     }
 
+    /// Number of entries.
+    fn len(&self) -> usize {
+        self.lock().values().map(Vec::len).sum()
+    }
+
     /// Resident bytes of every entry: `value_bytes` of its value plus its
     /// key's family words.
     fn resident_bytes(&self, value_bytes: impl Fn(&V) -> usize) -> usize {
         self.lock()
             .values()
             .flatten()
-            .map(|(k, v)| value_bytes(v) + sel_bytes(&k.sel))
+            .map(|(k, v)| value_bytes(v) + key_bytes(k))
             .sum()
-    }
-
-    /// Drops every entry and returns how many there were.
-    fn clear(&self) -> usize {
-        let mut map = self.lock();
-        let dropped = map.values().map(Vec::len).sum();
-        map.clear();
-        dropped
     }
 }
 
@@ -227,7 +192,7 @@ impl<V: Clone> Store<V> {
 /// hold, and answers every later request for that set from its own memo
 /// without counting. So a hit is a structure some other request built (a
 /// different evaluator over the same system, or an earlier query of a
-/// session), and a miss is one built fresh.
+/// session at the same horizon), and a miss is one built fresh.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CacheStats {
     /// Reachability lookups the shared cache answered.
@@ -242,12 +207,6 @@ pub struct CacheStats {
     pub partition_hits: u64,
     /// `D_S` joint-view partitions built fresh.
     pub partition_misses: u64,
-    /// The cache's current epoch (how many times
-    /// [`KnowledgeCache::advance_epoch`] has run).
-    pub epoch: u64,
-    /// Point-indexed entries dropped by epoch advances over the cache's
-    /// lifetime.
-    pub invalidated: u64,
     /// Approximate resident heap bytes of the currently cached
     /// structures: every live reachability structure, every scope-column
     /// vector, every `D_S` partition (4 bytes per point), and the content
@@ -264,23 +223,21 @@ impl fmt::Display for CacheStats {
         write!(
             f,
             "reachability {} hits / {} misses; scope columns {} hits / {} misses; \
-             D partitions {} hits / {} misses; epoch {} ({} invalidated); resident ~{} bytes",
+             D partitions {} hits / {} misses; resident ~{} bytes",
             self.reach_hits,
             self.reach_misses,
             self.scope_hits,
             self.scope_misses,
             self.partition_hits,
             self.partition_misses,
-            self.epoch,
-            self.invalidated,
             self.resident_bytes,
         )
     }
 }
 
 /// A shareable, thread-safe memo of [`Reachability`] structures, scope
-/// columns and `D_S` partitions; see the module docs. Cloning is cheap
-/// and clones share the same storage.
+/// columns and `D_S` partitions over one system; see the module docs.
+/// Cloning is cheap and clones share the same storage and binding.
 ///
 /// # Example
 ///
@@ -313,11 +270,9 @@ struct Stores {
     reach: Store<Arc<Reachability>>,
     scopes: Store<ScopeColumns>,
     partitions: Store<Arc<PointClasses>>,
-    /// The current epoch; [`KnowledgeCache::advance_epoch`] drops every
-    /// entry before it moves on, so no older entry is ever served.
-    epoch: AtomicU64,
-    /// Point-indexed entries dropped by epoch advances.
-    invalidated: AtomicU64,
+    /// The [`GeneratedSystem::id`](eba_sim::GeneratedSystem::id) of the
+    /// system every entry indexes, set by the first evaluator.
+    system: OnceLock<u64>,
 }
 
 impl KnowledgeCache {
@@ -327,20 +282,41 @@ impl KnowledgeCache {
         KnowledgeCache::default()
     }
 
-    /// Number of reachability structures currently cached.
+    /// Number of reachability structures currently cached (scope
+    /// columns and `D_S` partitions are not counted).
     ///
     /// # Panics
     ///
     /// Panics if the cache mutex is poisoned.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.reach.lock().values().map(Vec::len).sum()
+        self.inner.reach.len()
     }
 
-    /// Whether nothing is cached yet.
+    /// Whether nothing at all is cached yet: no reachability structure,
+    /// no scope columns and no `D_S` partition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache mutex is poisoned.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        let c = &*self.inner;
+        c.reach.len() == 0 && c.scopes.len() == 0 && c.partitions.len() == 0
+    }
+
+    /// Binds the cache to the system with id `system` on first use;
+    /// every later call must name the same system.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache already serves another system.
+    pub(crate) fn bind(&self, system: u64) {
+        let bound = *self.inner.system.get_or_init(|| system);
+        assert!(
+            bound == system,
+            "knowledge cache already serves another system; make a new cache per system"
+        );
     }
 
     /// A snapshot of the cache's hit/miss counters, which are monotonic
@@ -356,17 +332,12 @@ impl KnowledgeCache {
             scope_misses: load(&c.scopes.misses),
             partition_hits: load(&c.partitions.hits),
             partition_misses: load(&c.partitions.misses),
-            epoch: load(&c.epoch),
-            invalidated: load(&c.invalidated),
             resident_bytes: self.resident_bytes() as u64,
         }
     }
 
     /// Approximate resident heap bytes of the currently cached
-    /// structures; see [`CacheStats::resident_bytes`]. Stale-epoch
-    /// entries are already purged eagerly by
-    /// [`advance_epoch`](KnowledgeCache::advance_epoch), so everything
-    /// resident is counted.
+    /// structures; see [`CacheStats::resident_bytes`].
     ///
     /// # Panics
     ///
@@ -378,38 +349,6 @@ impl KnowledgeCache {
             + c.scopes
                 .resident_bytes(|cols| cols.iter().map(Bitset::approx_bytes).sum())
             + c.partitions.resident_bytes(|p| p.approx_bytes())
-    }
-
-    /// The cache's current epoch. All entries served by the cache were
-    /// inserted under this epoch.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.inner.epoch.load(Ordering::Relaxed)
-    }
-
-    /// Starts a new epoch, invalidating every **point-indexed** entry:
-    /// reachability structures, scope columns and `D_S` partitions are
-    /// indexed by the points of one generated system, so when that system
-    /// grows (the incremental engine's horizon extension) they are
-    /// dimensionally stale — crucially including the content-independent
-    /// keys (`Everyone`, `Nonfaulty`), which would otherwise silently hit
-    /// across horizons. Purged entries are counted in
-    /// [`CacheStats::invalidated`]; hit/miss history, the cache handle,
-    /// and its clones all survive. Pure-past artifacts of the wider
-    /// engine (interned sim-layer views) are untouched by design — they
-    /// live outside this cache precisely because horizon growth preserves
-    /// them.
-    ///
-    /// Returns the new epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex is poisoned.
-    pub fn advance_epoch(&self) -> u64 {
-        let c = &*self.inner;
-        let dropped = c.reach.clear() + c.scopes.clear() + c.partitions.clear();
-        c.invalidated.fetch_add(dropped as u64, Ordering::Relaxed);
-        c.epoch.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     pub(crate) fn get(&self, key: &HashedReachKey) -> Option<Arc<Reachability>> {
@@ -440,16 +379,9 @@ impl KnowledgeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A key under the full-information exchange fingerprint (the tests'
-    /// default system shape).
-    fn key(sel: ReachSel) -> HashedReachKey {
-        HashedReachKey::new(ReachKey {
-            exchange: eba_model::ExchangeKind::FullInformation.fingerprint(),
-            symmetry: 0,
-            sel,
-        })
-    }
+    use crate::{Evaluator, Formula, NonRigidSet};
+    use eba_model::{FailureMode, Scenario, Value};
+    use eba_sim::GeneratedSystem;
 
     /// A `D_S` partition of `points` points, every point its own class.
     fn partition(points: usize) -> Arc<PointClasses> {
@@ -459,56 +391,42 @@ mod tests {
         })
     }
 
-    #[test]
-    fn symmetry_fence_separates_quotient_and_unreduced_entries() {
-        let cache = KnowledgeCache::new();
-        let unreduced = key(ReachSel::Nonfaulty);
-        let quotient = HashedReachKey::new(ReachKey {
-            exchange: eba_model::ExchangeKind::FullInformation.fingerprint(),
-            symmetry: 0xdead_beef,
-            sel: ReachSel::Nonfaulty,
-        });
-        cache.insert_scopes(&unreduced, Arc::new(vec![Bitset::new_false(8)]));
-        cache.insert_partition(&unreduced, partition(8));
-        assert!(cache.get_scopes(&unreduced).is_some());
-        assert!(cache.get_partition(&unreduced).is_some());
-        assert!(
-            cache.get_scopes(&quotient).is_none() && cache.get_partition(&quotient).is_none(),
-            "quotient keys must not hit unreduced entries"
-        );
+    fn crash_system() -> GeneratedSystem {
+        GeneratedSystem::exhaustive(&Scenario::new(3, 1, FailureMode::Crash, 2).unwrap())
     }
 
     #[test]
-    fn advance_epoch_invalidates_point_indexed_entries() {
+    #[should_panic(expected = "knowledge cache already serves another system")]
+    fn a_cache_serves_one_system_and_its_clones() {
+        let system = crash_system();
+        let twin = system.clone();
+        assert_eq!(system.id(), twin.id());
         let cache = KnowledgeCache::new();
-        assert_eq!(cache.epoch(), 0);
-        let key = key(ReachSel::Everyone);
-        cache.insert_scopes(&key, Arc::new(vec![Bitset::new_false(8)]));
-        cache.insert_partition(&key, partition(8));
-        assert!(cache.get_scopes(&key).is_some());
-
-        assert_eq!(cache.advance_epoch(), 1);
-        assert_eq!(cache.epoch(), 1);
-        // The content-independent key must NOT hit across epochs: the old
-        // columns and partition are sized to the old system.
-        assert!(cache.get_scopes(&key).is_none());
-        assert!(cache.get_partition(&key).is_none());
-        let stats = cache.stats();
-        assert_eq!(stats.epoch, 1);
-        assert_eq!(stats.invalidated, 2);
-
-        // Fresh inserts under the new epoch serve normally.
-        cache.insert_scopes(&key, Arc::new(vec![Bitset::new_false(16)]));
-        assert!(cache.get_scopes(&key).is_some());
+        cache.bind(system.id());
+        // A clone of the cache shares the binding, and a clone of the
+        // system is the same system.
+        cache.clone().bind(twin.id());
+        // An equal build is still another system.
+        let other = crash_system();
+        assert_ne!(other.id(), system.id());
+        cache.clone().bind(other.id());
     }
 
     #[test]
-    fn epoch_is_shared_by_clones() {
-        let cache = KnowledgeCache::new();
-        let clone = cache.clone();
-        cache.advance_epoch();
-        assert_eq!(clone.epoch(), 1);
-        assert_eq!(clone.stats().epoch, 1);
+    fn is_empty_answers_for_every_store() {
+        // `E(E0)` caches scope columns only, `D(E0)` one partition only:
+        // neither holds a reachability structure, so `len` stays 0.
+        let system = crash_system();
+        let everyone = Formula::exists(Value::Zero).everyone(NonRigidSet::Nonfaulty);
+        let distributed = Formula::exists(Value::Zero).distributed(NonRigidSet::Nonfaulty);
+        for formula in [everyone, distributed] {
+            let cache = KnowledgeCache::new();
+            assert!(cache.is_empty());
+            let _ = Evaluator::with_cache(&system, cache.clone()).eval(&formula);
+            assert_eq!(cache.len(), 0, "{formula}");
+            assert!(cache.resident_bytes() > 0, "{formula}");
+            assert!(!cache.is_empty(), "{formula}");
+        }
     }
 
     #[test]
@@ -517,18 +435,18 @@ mod tests {
         assert_eq!(cache.resident_bytes(), 0);
         let cols = Arc::new(vec![Bitset::new_false(1024)]);
         let per_vector = cols.iter().map(Bitset::approx_bytes).sum::<usize>();
-        cache.insert_scopes(&key(ReachSel::Nonfaulty), Arc::clone(&cols));
+        cache.insert_scopes(&HashedReachKey::new(ReachKey::Nonfaulty), Arc::clone(&cols));
         assert_eq!(cache.resident_bytes(), per_vector);
         // A partition holds one `u32` class id per point.
-        cache.insert_partition(&key(ReachSel::Nonfaulty), partition(1024));
+        cache.insert_partition(&HashedReachKey::new(ReachKey::Nonfaulty), partition(1024));
         let resident = per_vector + 1024 * std::mem::size_of::<u32>();
         assert_eq!(cache.resident_bytes(), resident);
         assert_eq!(cache.stats().resident_bytes, resident as u64);
-        // Epoch advance purges everything point-indexed.
-        cache.advance_epoch();
-        assert_eq!(cache.resident_bytes(), 0);
         let rendered = cache.stats().to_string();
-        assert!(rendered.contains("resident ~0 bytes"), "{rendered}");
+        assert!(
+            rendered.ends_with(&format!("; resident ~{resident} bytes")),
+            "{rendered}"
+        );
     }
 
     #[test]
@@ -537,7 +455,7 @@ mod tests {
         let family: Vec<Box<[u64]>> = vec![Box::from([1u64, 2, 3]), Box::from([4u64])];
         let words: usize = family.iter().map(|w| w.len() * 8).sum();
         cache.insert_scopes(
-            &key(ReachSel::NonfaultyAnd(family)),
+            &HashedReachKey::new(ReachKey::NonfaultyAnd(family)),
             Arc::new(vec![Bitset::new_false(64)]),
         );
         let resident = cache.resident_bytes();
@@ -550,7 +468,7 @@ mod tests {
     #[test]
     fn stats_count_hits_and_misses() {
         let cache = KnowledgeCache::new();
-        let key = key(ReachSel::Everyone);
+        let key = HashedReachKey::new(ReachKey::Everyone);
         assert!(cache.get_scopes(&key).is_none());
         cache.insert_scopes(&key, Arc::new(Vec::new()));
         assert!(cache.get_scopes(&key).is_some());
@@ -564,8 +482,9 @@ mod tests {
         assert_eq!((stats.partition_hits, stats.partition_misses), (2, 1));
         let rendered = stats.to_string();
         assert!(
-            rendered
-                .contains("scope columns 1 hits / 1 misses; D partitions 2 hits / 1 misses; epoch"),
+            rendered.contains(
+                "scope columns 1 hits / 1 misses; D partitions 2 hits / 1 misses; resident"
+            ),
             "{rendered}"
         );
     }

@@ -1,7 +1,7 @@
 //! The memoizing formula evaluator over a generated system.
 
 use crate::bitset::Bitset;
-use crate::cache::{HashedReachKey, KnowledgeCache, ReachKey, ReachSel, ScopeColumns};
+use crate::cache::{HashedReachKey, KnowledgeCache, ReachKey, ScopeColumns};
 use crate::formula::Formula;
 use crate::nonrigid::{NonRigidSet, PointPredId, RunPredId, StateSets, StateSetsId};
 use crate::plan::{Falsified, NodeTable, ViewPartition};
@@ -153,10 +153,16 @@ impl<'a> Evaluator<'a> {
     /// Creates an evaluator over `system` backed by a shared
     /// [`KnowledgeCache`]: reachability structures, scope columns and
     /// `D_S` partitions computed here are visible to every other
-    /// evaluator holding a clone of `cache`, and vice versa. All sharers
-    /// must evaluate over the same system; see the cache's docs.
+    /// evaluator holding a clone of `cache`, and vice versa. The first
+    /// evaluator binds the cache to its system; see the cache's docs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cache` already serves another system (a clone of
+    /// `system` is the same system).
     #[must_use]
     pub fn with_cache(system: &'a GeneratedSystem, cache: KnowledgeCache) -> Self {
+        cache.bind(system.id());
         let n = system.n();
         let times = system.horizon().index() + 1;
         Evaluator {
@@ -772,24 +778,12 @@ impl<'a> Evaluator<'a> {
         if let Some(key) = self.key_memo.get(&s) {
             return Arc::clone(key);
         }
-        // Keys carry the system's exchange fingerprint: full-info and
-        // digest systems have unrelated interned state spaces, so their
-        // entries must never be interchangeable even when a cache handle
-        // is (legally) shared across same-shape systems.
-        let exchange = self.system.scenario().exchange().fingerprint();
-        let key = Arc::new(HashedReachKey::new(ReachKey {
-            exchange,
-            // Quotiented structures answer the same *question* but over a
-            // different point space, so they must never collide with
-            // unreduced entries even on a legally shared cache handle.
-            symmetry: self.classes().map_or(0, ViewClasses::fingerprint),
-            sel: match s {
-                NonRigidSet::Everyone => ReachSel::Everyone,
-                NonRigidSet::Nonfaulty => ReachSel::Nonfaulty,
-                NonRigidSet::NonfaultyAnd(id) => {
-                    ReachSel::NonfaultyAnd(self.state_sets[id.0 as usize].canonical())
-                }
-            },
+        let key = Arc::new(HashedReachKey::new(match s {
+            NonRigidSet::Everyone => ReachKey::Everyone,
+            NonRigidSet::Nonfaulty => ReachKey::Nonfaulty,
+            NonRigidSet::NonfaultyAnd(id) => {
+                ReachKey::NonfaultyAnd(self.state_sets[id.0 as usize].canonical())
+            }
         }));
         self.key_memo.insert(s, Arc::clone(&key));
         key
@@ -824,21 +818,11 @@ impl<'a> Evaluator<'a> {
             return Arc::clone(cached);
         }
         let key = self.hashed_key(s);
-        let classes = match self.shared.get_partition(&key) {
-            Some(found) => {
-                debug_assert_eq!(
-                    found.class_of.len(),
-                    self.num_points,
-                    "knowledge cache shared across different systems"
-                );
-                found
-            }
-            None => {
-                let built = Arc::new(crate::reach::joint_view_classes(self, s));
-                self.shared.insert_partition(&key, Arc::clone(&built));
-                built
-            }
-        };
+        let classes = self.shared.get_partition(&key).unwrap_or_else(|| {
+            let built = Arc::new(crate::reach::joint_view_classes(self, s));
+            self.shared.insert_partition(&key, Arc::clone(&built));
+            built
+        });
         self.partition_cache.insert(s, Arc::clone(&classes));
         classes
     }
@@ -1288,10 +1272,11 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "knowledge cache already serves another system")]
     fn distributed_partitions_never_cross_the_symmetry_fence() {
-        // One cache handle over the unreduced system and the quotient of
-        // one scenario: the two index different point spaces, so the
-        // quotient must build its own partition.
+        // The unreduced system and the quotient of one scenario index
+        // different point spaces, so one cache handle serves the
+        // unreduced system (and its clones) and refuses the quotient.
         let scenario = Scenario::new(3, 1, FailureMode::Crash, 2).unwrap();
         let unreduced = GeneratedSystem::exhaustive(&scenario);
         let quotient = eba_sim::SystemBuilder::new(&scenario)
@@ -1301,9 +1286,11 @@ mod tests {
         let cache = KnowledgeCache::new();
         let d = Formula::exists(Value::Zero).distributed(NonRigidSet::Nonfaulty);
         let _ = Evaluator::with_cache(&unreduced, cache.clone()).eval(&d);
-        let _ = Evaluator::with_cache(&quotient, cache.clone()).eval(&d);
+        let twin = unreduced.clone();
+        let _ = Evaluator::with_cache(&twin, cache.clone()).eval(&d);
         let stats = cache.stats();
-        assert_eq!((stats.partition_hits, stats.partition_misses), (0, 2));
+        assert_eq!((stats.partition_hits, stats.partition_misses), (1, 1));
+        let _ = Evaluator::with_cache(&quotient, cache.clone());
     }
 
     #[test]

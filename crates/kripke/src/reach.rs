@@ -150,11 +150,6 @@ impl BatchBuilder {
                 let key = eval.hashed_key(s);
                 match eval.shared.get(&key) {
                     Some(found) => {
-                        debug_assert_eq!(
-                            found.points.class_of.len(),
-                            eval.num_points(),
-                            "knowledge cache shared across different systems"
-                        );
                         eval.reach_cache.insert(s, found);
                     }
                     None => need_reach = true,
@@ -164,10 +159,6 @@ impl BatchBuilder {
                 let key = eval.hashed_key(s);
                 match eval.shared.get_scopes(&key) {
                     Some(found) => {
-                        debug_assert!(
-                            found.iter().all(|b| b.len() == eval.num_points()),
-                            "knowledge cache shared across different systems"
-                        );
                         eval.scope_cache.insert(s, found);
                     }
                     None => need_scopes = true,

@@ -11,10 +11,9 @@
 //!
 //! [`ExchangeKind`] is the model-level descriptor of which exchange a
 //! scenario runs: it is part of the [`crate::Scenario`] identity, so
-//! systems generated under different exchanges never compare equal, never
-//! extend into each other, and never share knowledge-cache entries (the
-//! kripke layer keys caches by [`ExchangeKind::fingerprint`]). The sim
-//! layer maps the descriptor to an executable exchange implementation.
+//! systems generated under different exchanges never compare equal and
+//! never extend into each other. The sim layer maps the descriptor to an
+//! executable exchange implementation.
 
 use crate::ModelError;
 use std::fmt;
@@ -118,20 +117,6 @@ impl ExchangeKind {
             ExchangeKind::Digest { bits } => bits == 0,
         }
     }
-
-    /// A deterministic content fingerprint of the descriptor itself,
-    /// mixed into every knowledge-cache content key so systems generated
-    /// under different exchanges never share entries (their interned
-    /// state spaces are unrelated even when point counts coincide).
-    #[must_use]
-    pub fn fingerprint(self) -> u64 {
-        // Fixed tags, stable across processes and releases; the digest
-        // arm separates widths so digest:0 and digest:64 never collide.
-        match self {
-            ExchangeKind::FullInformation => 0x4649_5000_0000_0000, // "FIP"
-            ExchangeKind::Digest { bits } => 0x4447_5400_0000_0000 | u64::from(bits),
-        }
-    }
 }
 
 impl fmt::Display for ExchangeKind {
@@ -177,14 +162,5 @@ mod tests {
         assert!(ExchangeKind::Digest { bits: 0 }.supports_session_extension());
         assert!(!ExchangeKind::Digest { bits: 1 }.supports_session_extension());
         assert!(!ExchangeKind::Digest { bits: 64 }.supports_session_extension());
-    }
-
-    #[test]
-    fn fingerprints_are_distinct_per_exchange() {
-        let mut seen = std::collections::HashSet::new();
-        assert!(seen.insert(ExchangeKind::FullInformation.fingerprint()));
-        for bits in 0..=MAX_DIGEST_BITS {
-            assert!(seen.insert(ExchangeKind::Digest { bits }.fingerprint()));
-        }
     }
 }

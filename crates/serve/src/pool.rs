@@ -3,8 +3,8 @@
 //! Every unbudgeted query checks out the immutable `Arc<EngineSession>`
 //! of its [`ScenarioSpec`], the pool key; queries never mutate a
 //! pooled session (evaluation and optimization only need `&self`), so
-//! one session serves any number of concurrent queries, all sharing its
-//! epoch-scoped [`eba_kripke::KnowledgeCache`]. A budgeted query's build
+//! one session serves any number of concurrent queries, all sharing the
+//! [`eba_kripke::KnowledgeCache`] of its system. A budgeted query's build
 //! may stop at a prefix system, so it bypasses the pool.
 //!
 //! Robustness properties:

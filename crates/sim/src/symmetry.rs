@@ -34,7 +34,6 @@ use crate::view::{ViewId, ViewNode, ViewTable};
 use eba_model::fasthash::FastMap;
 use eba_model::symmetry::{canonicalize, Perm};
 use eba_model::{FailurePattern, InitialConfig, ProcessorId};
-use std::hash::Hasher;
 
 /// Orbit accounting of a symmetry-quotiented system, attached by the
 /// builder and surfaced through
@@ -148,7 +147,6 @@ pub struct ViewClasses {
     /// The views of every class, grouped by class, then by owner, in
     /// increasing id order.
     members: Vec<ViewId>,
-    fingerprint: u64,
 }
 
 /// 128-bit multiplicative rotate-xor mix (the `fxhash` recipe widened to
@@ -269,8 +267,8 @@ impl ViewClasses {
     }
 
     /// The classes whose members share an orbit key: dense class numbers
-    /// in first-encounter order, the fingerprint, and the members grouped
-    /// by `(class, owner)`.
+    /// in first-encounter order, and the members grouped by
+    /// `(class, owner)`.
     fn from_keys(table: &ViewTable, n: usize, keys: &[u128]) -> ViewClasses {
         let len = table.len();
         let mut renumber: FastMap<u128, u32> = FastMap::default();
@@ -280,12 +278,6 @@ impl ViewClasses {
             class_of.push(*renumber.entry(key).or_insert(next));
         }
         let num_classes = renumber.len();
-        let mut hasher = eba_model::fasthash::FastHasher::default();
-        hasher.write_usize(n);
-        hasher.write_u32(num_classes as u32);
-        for &c in &class_of {
-            hasher.write_u32(c);
-        }
         // Counting sort of the views by (class, owner).
         let slot = |v: ViewId, c: u32| c as usize * n + table.proc(v).index();
         let mut offsets = vec![0u32; num_classes * n + 1];
@@ -306,7 +298,6 @@ impl ViewClasses {
             n,
             offsets,
             members,
-            fingerprint: hasher.finish() | 1,
         }
     }
 
@@ -328,14 +319,6 @@ impl ViewClasses {
     pub fn members(&self, c: usize, p: ProcessorId) -> &[ViewId] {
         let k = c * self.n + p.index();
         &self.members[self.offsets[k] as usize..self.offsets[k + 1] as usize]
-    }
-
-    /// A nonzero digest of the whole partition, used to fence knowledge
-    /// caches: entries computed under one partition never answer queries
-    /// under another (0 is reserved for "no symmetry").
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 }
 
@@ -416,7 +399,6 @@ mod tests {
     }
 
     fn assert_same_classes(a: &ViewClasses, b: &ViewClasses, table: &ViewTable, what: &str) {
-        assert_eq!(a.fingerprint(), b.fingerprint(), "{what}");
         assert_eq!(a.num_classes(), b.num_classes(), "{what}");
         for v in table.ids() {
             assert_eq!(a.class(v), b.class(v), "{what}: view {v:?}");
@@ -534,19 +516,6 @@ mod tests {
         assert_eq!(classes.members(classes.class(a) as usize, p(2)), [b]);
         assert!(classes.members(classes.class(a) as usize, p(1)).is_empty());
         assert_eq!(classes.members(classes.class(c) as usize, p(1)), [c]);
-        assert_ne!(classes.fingerprint(), 0);
-    }
-
-    #[test]
-    fn fingerprints_differ_across_partitions() {
-        let mut small = ViewTable::new();
-        small.leaf(p(0), Value::Zero);
-        let mut large = ViewTable::new();
-        large.leaf(p(0), Value::Zero);
-        large.leaf(p(1), Value::One);
-        let a = ViewClasses::compute(&small, 3);
-        let b = ViewClasses::compute(&large, 3);
-        assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]

@@ -12,6 +12,7 @@ use eba_model::{
 };
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifies a run within a [`GeneratedSystem`].
@@ -171,6 +172,8 @@ pub struct GeneratedSystem {
     /// Orbit accounting of a symmetry-quotiented build; `None` for
     /// unreduced systems (the default).
     symmetry: Option<Arc<SymmetryInfo>>,
+    /// Process-unique identity; see [`GeneratedSystem::id`].
+    id: u64,
 }
 
 impl GeneratedSystem {
@@ -271,6 +274,7 @@ impl GeneratedSystem {
         table: ViewTable,
         symmetry: Option<Arc<SymmetryInfo>>,
     ) -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         let lookup = RunIndex::build(&runs);
         let times = scenario.horizon().index() + 1;
         let store = Arc::new(PointStore::build(
@@ -288,7 +292,19 @@ impl GeneratedSystem {
             lookup,
             store,
             symmetry,
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    /// A process-unique identity of this system, shared by its clones:
+    /// every system assembled by [`SystemBuilder`] or
+    /// [`GeneratedSystem::from_runs`] gets a new one. A knowledge cache
+    /// binds to it, so its point-indexed entries never serve another
+    /// system. It is not stable across processes and never reaches any
+    /// output.
+    #[must_use]
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// The scenario this system was generated for.

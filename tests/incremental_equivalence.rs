@@ -104,7 +104,6 @@ fn crash_sweep_matches_cold_builds_at_every_horizon() {
         assert_systems_equivalent(session.system(), &cold);
         assert_artifacts_match(session.system(), session.cache(), &cold, f_lambda_2);
     }
-    assert_eq!(session.epoch(), 2);
 }
 
 #[test]
@@ -129,12 +128,12 @@ fn one_jump_equals_many_small_steps() {
     let scenario = Scenario::new(3, 1, FailureMode::Crash, 2).unwrap();
     let mut stepped = EngineSession::exhaustive(&scenario).unwrap();
     stepped.extend_to(3).unwrap();
-    stepped.extend_to(4).unwrap();
+    let step = stepped.extend_to(4).unwrap();
     let mut jumped = EngineSession::exhaustive(&scenario).unwrap();
-    jumped.extend_to(4).unwrap();
+    let jump = jumped.extend_to(4).unwrap();
     assert_systems_equivalent(stepped.system(), jumped.system());
-    assert_eq!(stepped.extensions().len(), 2);
-    assert_eq!(jumped.extensions().len(), 1);
+    assert_eq!(step.total_runs(), jump.total_runs());
+    assert_eq!(jump.total_runs(), jumped.system().num_runs());
 }
 
 #[test]
@@ -163,25 +162,42 @@ fn stale_knowledge_artifacts_never_survive_an_extension() {
 
     // Populate the cache with point-indexed artifacts at the base
     // horizon — including the content-independent `Nonfaulty` key, the
-    // dangerous one: it would hit verbatim at the next horizon if epochs
-    // did not fence it. `C(E0)` forces the reachability structure and the
-    // scope columns of `Nonfaulty` through the shared cache.
+    // dangerous one: it would hit verbatim at the next horizon if the
+    // grown system kept the base cache. `C(E0)`, `E(E0)` and `D(E0)` put
+    // the reachability structure, the scope columns and the `D_S`
+    // partition of `Nonfaulty` in the shared cache.
     let phi = parse_formula("E0").unwrap();
     let common = parse_formula("C(E0)").unwrap();
     let mut eval = session.evaluator();
     let base_sat = eval.eval(&common);
     assert_eq!(base_sat.len(), session.system().num_points());
+    let _ = eval.eval(&parse_formula("E(E0) & D(E0)").unwrap());
     drop(eval);
-    assert!(!session.cache().is_empty(), "base evaluation must cache");
+    let base_cache = session.cache().clone();
+    let base = base_cache.stats();
+    assert!(base.reach_misses > 0 && base.scope_misses > 0 && base.partition_misses > 0);
 
+    // The grown system starts a new, empty cache with fresh counters;
+    // the base cache is left as it was.
     session.extend_to(3).unwrap();
+    assert!(
+        session.cache().is_empty(),
+        "the grown session's cache is new"
+    );
     let stats = session.cache().stats();
-    assert_eq!(stats.epoch, 1);
-    assert!(stats.invalidated > 0, "epoch advance must purge entries");
+    assert_eq!(
+        (
+            stats.reach_misses,
+            stats.scope_misses,
+            stats.partition_misses
+        ),
+        (0, 0, 0)
+    );
+    assert_eq!(base_cache.stats(), base);
 
-    // Post-extension evaluation through the warm cache is sized to the
-    // new system and equal to a cold evaluator's result, and to the gfp
-    // that defines it.
+    // Post-extension evaluation through the session's cache is sized to
+    // the new system and equal to a cold evaluator's result, and to the
+    // gfp that defines it.
     let mut warm_eval = session.evaluator();
     let warm_sat = warm_eval.eval(&common);
     assert_eq!(warm_sat.len(), session.system().num_points());
