@@ -244,7 +244,6 @@ fn fingerprinted_digest_extension_fails_typed() {
 }
 
 #[test]
-#[should_panic(expected = "knowledge cache already serves another system")]
 fn knowledge_cache_never_mixes_exchanges() {
     // A lossless digest system has exactly the full-info system's point
     // count, and content keys such as `Nonfaulty` do not say which
@@ -260,5 +259,29 @@ fn knowledge_cache_never_mixes_exchanges() {
     let mut full_eval = Evaluator::with_cache(&full, cache.clone());
     full_eval.reachability(NonRigidSet::Nonfaulty);
     assert_eq!(cache.stats().reach_misses, 1);
-    let _ = Evaluator::with_cache(&dig, cache.clone());
+
+    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _ = Evaluator::with_cache(&dig, cache.clone());
+    }))
+    .expect_err("a cache bound to the full-info system must refuse the digest system");
+    let message = refused
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| refused.downcast_ref::<&str>().copied())
+        .unwrap_or_default();
+    assert!(
+        message.contains("knowledge cache already serves another system"),
+        "unexpected panic: {message:?}"
+    );
+
+    // The refusal leaves the binding intact: the same system still
+    // shares, so a second evaluator over it hits, and a fresh cache
+    // serves the digest system from scratch.
+    let mut second = Evaluator::with_cache(&full, cache.clone());
+    second.reachability(NonRigidSet::Nonfaulty);
+    assert_eq!(cache.stats().reach_misses, 1);
+    assert!(cache.stats().reach_hits >= 1);
+    let dig_cache = KnowledgeCache::new();
+    Evaluator::with_cache(&dig, dig_cache.clone()).reachability(NonRigidSet::Nonfaulty);
+    assert_eq!(dig_cache.stats().reach_misses, 1);
 }
