@@ -10,8 +10,8 @@ use eba_kripke::explain::Timeline;
 use eba_kripke::parse::parse_formula;
 use eba_kripke::Formula;
 use eba_model::{
-    BudgetHit, ExchangeKind, FailureMode, FailurePattern, FaultyBehavior, InitialConfig, ProcSet,
-    ProcessorId, Round, Scenario, Value,
+    BudgetHit, ExchangeKind, FailureMode, FailurePattern, FaultyBehavior, InitialConfig,
+    ModelError, ProcSet, ProcessorId, Round, Scenario, Value,
 };
 use eba_serve::install_sigint;
 use std::fmt;
@@ -520,7 +520,7 @@ fn run_sweep(
     to: u16,
 ) -> Result<ExitCode, String> {
     let from = config.spec().horizon;
-    let mut session = match EngineSession::open(config) {
+    let session = match EngineSession::open(config) {
         Ok(session) if session.partial().is_none() => session,
         // A sweep carries no bounds: only Ctrl-C stops its base build.
         Ok(_) | Err(OpenError::Exhausted(_)) => {
@@ -531,21 +531,25 @@ fn run_sweep(
     };
     let mut all_valid = true;
     let interrupt = config.budget().interrupt();
-    let stopped = session
-        .sweep(
-            &formulas[0].1,
-            to,
-            interrupt,
-            |session, extended, verdict| {
-                if let (Some(report), true) = (extended, options.cache_stats) {
-                    outln!("extend: {report}");
-                }
-                outln!("== horizon {} ==", session.horizon().ticks());
-                print_preamble(session, options, formulas);
-                all_valid &= print_verdict(session, &verdict, options);
-            },
-        )
-        .map_err(|e| e.to_string())?;
+    let stopped = EngineSession::sweep(
+        session,
+        &formulas[0].1,
+        to,
+        interrupt,
+        |mut session, horizon| -> Result<_, ModelError> {
+            let report = session.extend_to(horizon)?;
+            if options.cache_stats {
+                outln!("extend: {report}");
+            }
+            Ok(session)
+        },
+        |session, verdict| {
+            outln!("== horizon {} ==", session.horizon().ticks());
+            print_preamble(session, options, formulas);
+            all_valid &= print_verdict(session, &verdict, options);
+        },
+    )
+    .map_err(|e| e.to_string())?;
     if let Some(horizon) = stopped {
         outln!("PARTIAL: interrupted; sweep stopped before horizon {horizon}");
     }

@@ -10,7 +10,8 @@
 //!
 //! [`EngineSession`] exploits that structure. It owns one
 //! [`GeneratedSystem`] and that system's shared [`KnowledgeCache`], and
-//! grows the system in place via [`EngineSession::extend_to`]:
+//! grows the system in place via [`EngineSession::extend_to`] (or into a
+//! new session via [`EngineSession::extended`]):
 //!
 //! * **model** — [`eba_model::Scenario::extend_horizon`] produces the
 //!   delta spec and the pattern translation rules;
@@ -24,7 +25,8 @@
 //!   [`EngineSession::evaluator`] hand out optimization and evaluation
 //!   frontends wired to the session's current system and cache, so the
 //!   Theorem 5.2 construction and the Theorem 5.3 optimality check can be
-//!   re-run at each horizon.
+//!   re-run at each horizon; [`EngineSession::optimal`] runs the two once
+//!   per session and keeps the verdict.
 //!
 //! Incremental growth is **equivalence-checked against cold builds**: the
 //! extension re-enumerates the extended pattern space in canonical order,
@@ -53,13 +55,14 @@
 //! # }
 //! ```
 
-use crate::{Constructor, EngineConfig};
+use crate::{check_optimality, Constructor, DecisionPair, EngineConfig};
 use eba_kripke::{Evaluator, Formula, KnowledgeCache};
 use eba_model::{BudgetHit, ModelError, Scenario, Time};
 use eba_sim::chaos::EngineFault;
 use eba_sim::{BuildOutcome, ExtendReport, GeneratedSystem, Partial, RunId, SystemBuilder};
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Why [`EngineSession::open`] built no session.
 #[derive(Clone, Debug)]
@@ -103,6 +106,8 @@ pub struct EngineSession {
     exhaustive: bool,
     threads: Option<usize>,
     partial: Option<Partial>,
+    /// [`optimal`](EngineSession::optimal)'s verdict, once computed.
+    optimal: OnceLock<bool>,
 }
 
 impl EngineSession {
@@ -173,24 +178,14 @@ impl EngineSession {
             exhaustive: true,
             threads: None,
             partial: None,
+            optimal: OnceLock::new(),
         }
     }
 
-    /// A copy of this session with a fresh knowledge cache, for a caller
-    /// to grow on its own while this session stays at its horizon.
-    #[must_use]
-    pub fn fork(&self) -> Self {
-        EngineSession {
-            threads: self.threads,
-            partial: self.partial,
-            exhaustive: self.exhaustive,
-            ..Self::from_system(self.system.clone())
-        }
-    }
-
-    /// Grows the session's system to `horizon`, reusing base view rows
-    /// ([`SystemBuilder::extend`]), and starts a new knowledge cache for
-    /// the grown system. Returns the reuse accounting of this step.
+    /// A new session over this session's system grown to `horizon`,
+    /// reusing base view rows ([`SystemBuilder::extend`]), with a new
+    /// knowledge cache for the grown system; this session stays at its
+    /// horizon. Also returns the reuse accounting of the step.
     ///
     /// Extension is gated on the scenario's exchange
     /// ([`eba_model::ExchangeKind::supports_session_extension`]):
@@ -201,11 +196,10 @@ impl EngineSession {
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidScenario`] for a sampled or
-    /// budget-partial session (before touching anything, so the system
-    /// and its cache are kept) and unless `horizon` strictly exceeds the
+    /// budget-partial session and unless `horizon` strictly exceeds the
     /// current one, and [`ModelError::CapacityExceeded`] on id-space
     /// overflow of the extended system.
-    pub fn extend_to(&mut self, horizon: u16) -> Result<ExtendReport, ModelError> {
+    pub fn extended(&self, horizon: u16) -> Result<(Self, ExtendReport), ModelError> {
         if !self.exhaustive {
             return Err(ModelError::InvalidScenario {
                 reason: "only an exhaustive session extends; rebuild a sampled or \
@@ -219,8 +213,22 @@ impl EngineSession {
             builder = builder.threads(threads);
         }
         let (system, report) = builder.extend(&self.system)?;
-        self.system = system;
-        self.cache = KnowledgeCache::new();
+        let grown = EngineSession {
+            threads: self.threads,
+            ..Self::from_system(system)
+        };
+        Ok((grown, report))
+    }
+
+    /// Grows the session in place to [`extended`](EngineSession::extended)'s
+    /// session, returning the step's reuse accounting.
+    ///
+    /// # Errors
+    ///
+    /// As `extended`; a failed step keeps the system and its cache.
+    pub fn extend_to(&mut self, horizon: u16) -> Result<ExtendReport, ModelError> {
+        let (grown, report) = self.extended(horizon)?;
+        *self = grown;
         Ok(report)
     }
 
@@ -306,34 +314,47 @@ impl EngineSession {
         }
     }
 
-    /// Checks `formula` at the session's horizon and every larger one up
-    /// to `to`, growing the session in place, and hands each verdict to
-    /// `each` with the extension that reached it. Once `interrupt` is set
-    /// the sweep stops, returning the first horizon it did not check.
+    /// Whether the Theorem 5.2 construction from the empty decision pair
+    /// is optimal by the Theorem 5.3 check: a function of the system
+    /// alone, so computed on the first call only (concurrent first
+    /// callers wait for it).
+    #[must_use]
+    pub fn optimal(&self) -> bool {
+        *self.optimal.get_or_init(|| {
+            let mut ctor = self.constructor();
+            let pair = ctor.optimize(&DecisionPair::empty(self.scenario().n()));
+            check_optimality(&mut ctor, &pair).is_optimal()
+        })
+    }
+
+    /// Checks `formula` at the horizon of `first` and every larger one up
+    /// to `to`, handing each horizon's session and verdict to `each`;
+    /// `next` yields horizon `h`'s session from horizon `h - 1`'s. Once
+    /// `interrupt` is set the sweep stops, returning the first horizon it
+    /// did not check.
     ///
     /// # Errors
     ///
-    /// As [`extend_to`](EngineSession::extend_to).
-    pub fn sweep<F>(
-        &mut self,
+    /// The first error of `next`.
+    pub fn sweep<S: Borrow<EngineSession>, E>(
+        first: S,
         formula: &Formula,
         to: u16,
         interrupt: Option<&AtomicBool>,
-        mut each: F,
-    ) -> Result<Option<u16>, ModelError>
-    where
-        F: FnMut(&EngineSession, Option<&ExtendReport>, Verdict),
-    {
-        let from = self.horizon().ticks();
+        mut next: impl FnMut(S, u16) -> Result<S, E>,
+        mut each: impl FnMut(&EngineSession, Verdict),
+    ) -> Result<Option<u16>, E> {
+        let from = first.borrow().horizon().ticks();
+        let mut session = first;
         for horizon in from..=to {
             if interrupt.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
                 return Ok(Some(horizon));
             }
-            let report = (horizon > from)
-                .then(|| self.extend_to(horizon))
-                .transpose()?;
-            let verdict = self.verdict(formula);
-            each(self, report.as_ref(), verdict);
+            if horizon > from {
+                session = next(session, horizon)?;
+            }
+            let current = session.borrow();
+            each(current, current.verdict(formula));
         }
         Ok(None)
     }
@@ -432,7 +453,7 @@ mod tests {
             assert!(matches!(err, ModelError::InvalidScenario { .. }), "{err}");
             assert_eq!(session.system().num_runs(), runs);
             assert_eq!(session.horizon(), horizon);
-            assert!(session.fork().extend_to(horizon.ticks() + 1).is_err());
+            assert!(session.extended(horizon.ticks() + 1).is_err());
         }
     }
 }

@@ -4,21 +4,24 @@
 //! of its [`ScenarioSpec`], the pool key; queries never mutate a
 //! pooled session (evaluation and optimization only need `&self`), so
 //! one session serves any number of concurrent queries, all sharing the
-//! [`eba_kripke::KnowledgeCache`] of its system. A budgeted query's build
-//! may stop at a prefix system, so it bypasses the pool.
+//! [`eba_kripke::KnowledgeCache`] of its system and its `optimize`
+//! verdict. A sweep's miss at one horizon extends its previous horizon's
+//! session. A budgeted query's build may stop at a prefix system, so it
+//! bypasses the pool.
 //!
 //! Robustness properties:
 //!
 //! * **single-flight builds** — the first request for a missing key
 //!   builds it while later requests wait on a condvar, so a thundering
 //!   herd of identical queries costs one build, not N;
-//! * **LRU eviction under a memory budget** — every entry carries the
-//!   approximate resident bytes of its system + cache (the PR's new
-//!   `approx_resident_bytes`/`resident_bytes` accounting); inserting
-//!   past the budget evicts least-recently-used entries. Eviction only
-//!   removes the pool's reference: queries holding the `Arc` finish on
-//!   the evicted session untouched — mid-query eviction is safe by
-//!   construction (the chaos suite exercises it);
+//! * **LRU eviction under a memory budget** — an entry's footprint is
+//!   its immutable system's bytes, computed once at insert, plus its
+//!   cache's bytes, read when the pool evicts or reports, so the budget
+//!   sees every finished query and a hit only stamps the entry.
+//!   Inserting past the budget evicts least-recently-used entries.
+//!   Eviction only removes the pool's reference: queries holding the
+//!   `Arc` finish on the evicted session untouched — mid-query eviction
+//!   is safe by construction (the chaos suite exercises it);
 //! * **retry with exponential backoff** — transient
 //!   [`EngineFault::WorkerPanicked`] build faults are retried
 //!   (1ms·2^k backoff) up to a bounded budget, then surface as a typed
@@ -28,6 +31,9 @@
 //!   pool: all lock acquisitions recover from poisoning, and an
 //!   in-flight build mark is removed by a drop guard even if the build
 //!   panics.
+//!
+//! No build runs under the pool mutex. The locks nest in one order only:
+//! the pool mutex, then a cache's store mutexes (to read its bytes).
 
 use crate::protocol::ServeError;
 use eba_core::{EngineConfig, EngineSession, OpenError, ScenarioSpec};
@@ -74,8 +80,17 @@ pub struct PoolStats {
 
 struct Entry {
     session: Arc<EngineSession>,
-    bytes: u64,
+    /// The immutable system's approximate resident bytes.
+    system_bytes: u64,
     stamp: u64,
+}
+
+impl Entry {
+    /// The entry's footprint now: its system plus its cache as the
+    /// queries so far have grown it.
+    fn bytes(&self) -> u64 {
+        self.system_bytes + self.session.cache().resident_bytes() as u64
+    }
 }
 
 #[derive(Default)]
@@ -125,7 +140,7 @@ impl Drop for BuildGuard<'_> {
 
 /// Approximate resident footprint of a session: generated system
 /// (runs, interned views, columnar point store) plus live knowledge
-/// cache artifacts.
+/// cache artifacts. The pool counts the same bytes for a pooled session.
 #[must_use]
 pub fn session_resident_bytes(session: &EngineSession) -> u64 {
     session.system().approx_resident_bytes() as u64 + session.cache().resident_bytes() as u64
@@ -172,7 +187,17 @@ impl SessionPool {
         if config.budget().is_bounded() {
             return Ok((Arc::new(self.open(config)?), false));
         }
-        let key = *config.spec();
+        self.checkout_with(*config.spec(), || self.open(config))
+    }
+
+    /// [`checkout`](SessionPool::checkout) of `key`'s session that pools
+    /// what `build` returns on a miss (single-flight, outside the pool
+    /// lock), or its error.
+    pub(crate) fn checkout_with(
+        &self,
+        key: ScenarioSpec,
+        build: impl FnOnce() -> Result<EngineSession, ServeError>,
+    ) -> Result<(Arc<EngineSession>, bool), ServeError> {
         {
             let mut inner = self.lock();
             loop {
@@ -182,10 +207,6 @@ impl SessionPool {
                     let stamp = inner.stamp;
                     let entry = inner.map.get_mut(&key).expect("entry just found");
                     entry.stamp = stamp;
-                    // Refresh the footprint: the shared cache grows as
-                    // queries warm it, and eviction decisions should see
-                    // the current figure, not the insert-time one.
-                    entry.bytes = session_resident_bytes(&entry.session);
                     return Ok((Arc::clone(&entry.session), true));
                 }
                 if inner.building.contains(&key) {
@@ -202,8 +223,8 @@ impl SessionPool {
             key,
             done: false,
         };
-        let session = Arc::new(self.open(config)?);
-        let bytes = session_resident_bytes(&session);
+        let session = Arc::new(build()?);
+        let system_bytes = session.system().approx_resident_bytes() as u64;
         {
             let mut inner = self.lock();
             inner.building.remove(&key);
@@ -213,11 +234,11 @@ impl SessionPool {
                 key,
                 Entry {
                     session: Arc::clone(&session),
-                    bytes,
+                    system_bytes,
                     stamp,
                 },
             );
-            Self::evict_to_budget(&mut inner, self.mem_budget, Some(key));
+            Self::evict_to_budget(&mut inner, self.mem_budget, key);
         }
         guard.done = true;
         self.cv.notify_all();
@@ -228,24 +249,22 @@ impl SessionPool {
     /// fits the budget; `keep` (the entry just inserted) is never
     /// evicted, so a single oversized session still serves its query
     /// and is reclaimed by the next insert.
-    fn evict_to_budget(inner: &mut Inner, budget: u64, keep: Option<ScenarioSpec>) {
-        loop {
-            let total: u64 = inner.map.values().map(|e| e.bytes).sum();
+    fn evict_to_budget(inner: &mut Inner, budget: u64, keep: ScenarioSpec) {
+        let mut lru: Vec<(u64, ScenarioSpec, u64)> = inner
+            .map
+            .iter()
+            .map(|(key, entry)| (entry.stamp, *key, entry.bytes()))
+            .collect();
+        lru.sort_unstable_by_key(|&(stamp, ..)| stamp);
+        let mut total: u64 = lru.iter().map(|&(.., bytes)| bytes).sum();
+        for (_, key, bytes) in lru {
             if total <= budget {
                 return;
             }
-            let victim = inner
-                .map
-                .iter()
-                .filter(|(k, _)| Some(**k) != keep)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    inner.map.remove(&k);
-                    inner.evictions += 1;
-                }
-                None => return,
+            if key != keep {
+                inner.map.remove(&key);
+                inner.evictions += 1;
+                total -= bytes;
             }
         }
     }
@@ -291,7 +310,7 @@ impl SessionPool {
         let inner = self.lock();
         PoolStats {
             sessions: inner.map.len(),
-            resident_bytes: inner.map.values().map(|e| e.bytes).sum(),
+            resident_bytes: inner.map.values().map(Entry::bytes).sum(),
             hits: inner.hits,
             misses: inner.misses,
             evictions: inner.evictions,
@@ -408,9 +427,10 @@ mod tests {
         drop(probe);
 
         // The budget fits both sessions cold, exactly. Warming k2's cache
-        // after checkout grows its footprint, and only the checkout-time
-        // refresh lets the pool see that growth: without it the second
-        // insert would total exactly the budget and evict nothing.
+        // after checkout grows its footprint, and the pool reads cache
+        // bytes when it evicts, so the second insert sees that growth
+        // without another checkout of k2: counted at insert time, the two
+        // entries would total exactly the budget and evict nothing.
         let pool = SessionPool::new(cold_k2 + cold_other, RetryPolicy::default(), None);
         let (warm, _) = pool.checkout(&k2).unwrap();
         let mut eval = warm.evaluator();
@@ -422,8 +442,6 @@ mod tests {
             warm_bytes > cold_k2,
             "warming must grow the cache residency: {warm_bytes} vs {cold_k2}"
         );
-        let (_, hit) = pool.checkout(&k2).unwrap(); // refreshes entry.bytes
-        assert!(hit);
         pool.checkout(&other).unwrap();
         let stats = pool.stats();
         assert_eq!(

@@ -42,8 +42,8 @@ pub enum Request {
     /// Run the Theorem 5.2 construction and the Theorem 5.3 optimality
     /// check on a scenario's exhaustive system.
     Optimize(EngineConfig),
-    /// Check a formula at every horizon of a range out of one warm
-    /// incremental session.
+    /// Check a formula at every horizon of a range, each out of its
+    /// horizon's pooled session.
     Sweep(SweepRequest),
     /// Server/pool statistics.
     Stats,

@@ -13,12 +13,14 @@
 //! [`EngineConfig`] and [`SessionPool::checkout`]. Budgeted checks bypass
 //! the pool (a partial prefix system must never be pooled); a deadline or
 //! drain interrupt yields the same deterministic `partial` verdict shape
-//! as `eba-check --deadline`'s PARTIAL banner.
+//! as `eba-check --deadline`'s PARTIAL banner. A sweep checks out the
+//! pooled session of each of its horizons, and a session computes its
+//! `optimize` answer once, so repeated pure answers cost lookups only.
 
 use crate::json::Json;
 use crate::pool::{RetryPolicy, SessionPool};
 use crate::protocol::{CheckRequest, Request, ServeError, SweepRequest};
-use eba_core::{check_optimality, DecisionPair, EngineConfig, Verdict};
+use eba_core::{EngineConfig, EngineSession, ScenarioSpec, Verdict};
 use eba_kripke::parse::parse_formula;
 use eba_kripke::Formula;
 use eba_sim::symmetry::SymmetryInfo;
@@ -174,9 +176,6 @@ fn run_optimize(config: &EngineConfig, ctx: &QueryContext<'_>) -> Result<Json, S
     // fallback here.
     let config = configure(config, ctx);
     let (session, _hit) = ctx.pool.checkout(&config)?;
-    let mut ctor = session.constructor();
-    let pair = ctor.optimize(&DecisionPair::empty(config.spec().n));
-    let optimal = check_optimality(&mut ctor, &pair).is_optimal();
     let mut fields = vec![
         ("ok", Json::Bool(true)),
         ("op", Json::Str("optimize".into())),
@@ -185,7 +184,7 @@ fn run_optimize(config: &EngineConfig, ctx: &QueryContext<'_>) -> Result<Json, S
         ("points", Json::Int(session.system().num_points() as i64)),
     ];
     symmetry_fields(session.system(), &mut fields);
-    fields.push(("optimal", Json::Bool(optimal)));
+    fields.push(("optimal", Json::Bool(session.optimal())));
     Ok(Json::obj(fields))
 }
 
@@ -195,15 +194,28 @@ fn run_sweep(sweep: &SweepRequest, ctx: &QueryContext<'_>) -> Result<Json, Serve
     let mut fields = vec![("ok", Json::Bool(true)), ("op", Json::Str("sweep".into()))];
     fields.extend(scenario_fields(&mut config, &formula));
 
-    // Warm start: fork the pooled base session (cheap — the point store
-    // is behind an Arc) into a private one that this query alone
-    // extends. The pooled entry stays immutable at its own horizon.
-    let (base, _hit) = ctx.pool.checkout(&config)?;
-    let mut session = base.fork();
+    // Horizon h's session is the pooled one of the fitted spec at h; a
+    // miss extends horizon h - 1's, bit-identical to a cold build at h.
+    let (first, _hit) = ctx.pool.checkout(&config)?;
     let mut horizons = Vec::new();
     let mut all_valid = true;
-    let stopped = session
-        .sweep(&formula, sweep.to, ctx.interrupt, |session, _, verdict| {
+    let stopped = EngineSession::sweep(
+        first,
+        &formula,
+        sweep.to,
+        ctx.interrupt,
+        |previous, horizon| {
+            let key = ScenarioSpec {
+                horizon,
+                ..*config.spec()
+            };
+            let grow = || match previous.extended(horizon) {
+                Ok((grown, _)) => Ok(grown),
+                Err(e) => Err(ServeError::InvalidScenario(e.to_string())),
+            };
+            Ok(ctx.pool.checkout_with(key, grow)?.0)
+        },
+        |session, verdict| {
             let horizon = i64::from(session.horizon().ticks());
             let mut fields = vec![
                 ("horizon", Json::Int(horizon)),
@@ -213,8 +225,8 @@ fn run_sweep(sweep: &SweepRequest, ctx: &QueryContext<'_>) -> Result<Json, Serve
             verdict_fields(&verdict, false, &mut fields);
             all_valid &= verdict.is_valid();
             horizons.push(Json::obj(fields));
-        })
-        .map_err(|e| ServeError::InvalidScenario(e.to_string()))?;
+        },
+    )?;
     fields.push(("horizons", Json::Arr(horizons)));
     fields.push(("valid", Json::Bool(all_valid)));
     if stopped.is_some() {
@@ -267,6 +279,7 @@ fn render_stats(pool: &SessionPool) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn ctx_with<'a>(pool: &'a SessionPool) -> QueryContext<'a> {
         QueryContext {
@@ -336,6 +349,70 @@ mod tests {
             (2, 1),
             "{stats}"
         );
+    }
+
+    fn cold(line: &str) -> String {
+        oracle(&Request::from_line(line).unwrap())
+    }
+
+    #[test]
+    fn pool_bytes_count_the_last_query() {
+        let pool = SessionPool::new(u64::MAX, RetryPolicy::default(), None);
+        let line = r#"{"op":"check","formula":"D(E0) & CC(E0)","n":4,"t":1,"mode":"omission","horizon":3}"#;
+        assert!(run(&pool, line).contains(r#""ok":true"#));
+        let session = &pool.sessions()[0];
+        assert_eq!(
+            pool.stats().resident_bytes,
+            crate::pool::session_resident_bytes(session)
+        );
+    }
+
+    #[test]
+    fn pooled_sweeps_answer_like_cold_ones_and_repeat_on_hits_alone() {
+        let pool = SessionPool::new(u64::MAX, RetryPolicy::default(), None);
+        // The check pools horizon 3 first: the sweep below checks it out
+        // and extends it to horizon 4.
+        let check = r#"{"op":"check","formula":"CC(E0) -> C(E0)","horizon":3}"#;
+        assert_eq!(run(&pool, check), cold(check));
+        let sweep = r#"{"op":"sweep","formula":"CC(E0) -> C(E0)","from":2,"to":4}"#;
+        assert_eq!(run(&pool, sweep), cold(sweep));
+        let stats = pool.stats();
+        assert_eq!((stats.hits, stats.misses, stats.sessions), (1, 3, 3));
+        let quotient = r#"{"op":"sweep","formula":"D(E0) & CC(E0)","symmetry":true,"n":4,"t":2,"from":2,"to":3}"#;
+        assert!(cold(quotient).contains(r#""symmetry":{"orbits":"#));
+        let digest =
+            r#"{"op":"sweep","formula":"CC(E0) & D(E0)","exchange":"digest:0","from":2,"to":4}"#;
+        for (line, horizons) in [(sweep, 3), (quotient, 2), (digest, 3)] {
+            let answer = cold(line);
+            assert_eq!(run(&pool, line), answer, "{line}");
+            let before = pool.stats();
+            assert_eq!(run(&pool, line), answer, "{line}");
+            let after = pool.stats();
+            assert_eq!(
+                (after.hits - before.hits, after.misses, after.sessions),
+                (horizons, before.misses, before.sessions),
+                "a repeated sweep must be lookups alone: {line}"
+            );
+        }
+        // A check at a horizon a sweep pooled is a hit.
+        let before = pool.stats();
+        let check = r#"{"op":"check","formula":"C(E0)","exchange":"digest:0","horizon":3}"#;
+        assert_eq!(run(&pool, check), cold(check));
+        let after = pool.stats();
+        assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
+    }
+
+    #[test]
+    fn a_pooled_session_runs_the_optimize_construction_once() {
+        let pool = SessionPool::new(u64::MAX, RetryPolicy::default(), None);
+        let line = r#"{"op":"optimize","n":3,"t":1,"mode":"omission","horizon":3}"#;
+        let answer = cold(line);
+        assert_eq!(run(&pool, line), answer);
+        let session = Arc::clone(&pool.sessions()[0]);
+        let stats = session.cache().stats();
+        assert_eq!(run(&pool, line), answer);
+        assert_eq!(session.cache().stats(), stats, "the construction ran again");
+        assert_eq!(pool.stats().hits, 1);
     }
 
     #[test]

@@ -96,6 +96,9 @@ impl Client {
 /// answer from a cached partition after the first; and a run-budgeted
 /// partial, whose pattern prefix depends on the request alone.
 /// Every line's response is a pure function of the line.
+/// A quotient sweep and a check at its inner horizon 3 share one pool
+/// key there, so a sweep's single-flight extension build races cold
+/// builds of the same key.
 fn workload() -> Vec<&'static str> {
     vec![
         r#"{"op":"check","formula":"CC(E0) -> C(E0)"}"#,
@@ -112,6 +115,8 @@ fn workload() -> Vec<&'static str> {
         r#"{"op":"check","formula":"CC(E0)","sampled":[20,7]}"#,
         r#"{"op":"optimize","n":3,"t":1,"mode":"crash","horizon":3}"#,
         r#"{"op":"sweep","formula":"CC(E0) -> C(E0)","from":2,"to":3}"#,
+        r#"{"op":"check","formula":"CC(E0) -> D(E0)","symmetry":true,"horizon":3}"#,
+        r#"{"op":"sweep","formula":"CC(E0) -> D(E0)","symmetry":true,"from":2,"to":4}"#,
         r#"{"op":"ping"}"#,
     ]
 }
